@@ -62,6 +62,7 @@ from .pricing import (
     bs_implied_vol,
     bs_price,
     cf_vanilla_price,
+    cf_vanilla_prices,
     model_smile,
 )
 from .store import ParamRecord, ParamStore, live_calibrate
@@ -119,6 +120,7 @@ __all__ = [
     "cf_piecewise_heston",
     "cf_schobel_zhu",
     "cf_vanilla_price",
+    "cf_vanilla_prices",
     "clark_markdown",
     "expected_mean_variance",
     "feller_ratio",

@@ -34,7 +34,7 @@ from .pricing import (
     OptionSpec,
     QuadratureConfig,
     bs_implied_vol,
-    cf_vanilla_price,
+    cf_vanilla_prices,
 )
 
 # residual magnitude standing in for a failed pricing at a trial point; the
@@ -183,7 +183,18 @@ def _build_schobel_zhu(vals: Mapping[str, float]) -> SchobelZhuParams:
 class ModelSpec:
     kind: str
     names: Tuple[str, ...]
-    build: Callable[[Mapping[str, float]], AffineParams]
+    make: Callable[[Mapping[str, float]], AffineParams]
+
+    def build(self, vals: Mapping[str, float]) -> AffineParams:
+        """Parameters from a mapping holding exactly ``names``.
+
+        Raises :class:`DomainError` naming any missing or unexpected key.
+        """
+        missing = [n for n in self.names if n not in vals]
+        unexpected = sorted(set(vals) - set(self.names))
+        if missing or unexpected:
+            raise DomainError(f"{self.kind} parameters: missing {missing}, unexpected {unexpected}")
+        return self.make(vals)
 
 
 MODELS: Mapping[str, ModelSpec] = {
@@ -227,18 +238,19 @@ def _box_arrays(names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _model_values(params: AffineParams, target: CalibrationTarget, quad: QuadratureConfig) -> np.ndarray:
-    """Model vols or OTM prices at the target points."""
+    """Model vols or OTM prices at the target points, one Fourier integral per expiry."""
     cf = cf_for(params)
     out = np.empty(len(target.points))
+    by_expiry: dict = {}
     for i, pt in enumerate(target.points):
-        sl = target.slices[pt.expiry]
-        kind = "call" if pt.strike >= sl.forward else "put"
-        opt = OptionSpec(strike=pt.strike, expiry=pt.expiry, kind=kind)
-        price = cf_vanilla_price(cf, sl, opt, quad)
-        if target.space == "vol":
-            out[i] = bs_implied_vol(sl, opt, price)
-        else:
-            out[i] = price
+        by_expiry.setdefault(pt.expiry, []).append(i)
+    for expiry, idx in by_expiry.items():
+        sl = target.slices[expiry]
+        strikes = [target.points[i].strike for i in idx]
+        opts = [OptionSpec(k, expiry, "call" if k >= sl.forward else "put") for k in strikes]
+        prices = cf_vanilla_prices(cf, sl, opts, quad)
+        for i, opt, price in zip(idx, opts, prices):
+            out[i] = bs_implied_vol(sl, opt, float(price)) if target.space == "vol" else price
     return out
 
 
@@ -440,7 +452,8 @@ def calibrate_penalized(
     (unpenalized error below 1e-12, or the doubling target unreachable
     because prev already fits well) return the unpenalized solution with an
     explanatory flag; bisection failure falls back to w = 0 with a warning
-    flag.
+    flag.  ``iterations`` counts the function evaluations of the base fit
+    and of every penalized solve.
     """
     base = calibrate(target, model_kind, fix=fix, init=prev, config=config)
     e0 = base.sse
@@ -460,10 +473,13 @@ def calibrate_penalized(
 
     x_warm = prob.x_from_params(params_as_dict(base.params))
     solve_cfg = replace(config, starts=1)
+    nfev = base.iterations  # the base fit plus every penalized solve
 
     def solve(weight: float):
+        nonlocal nfev
         pprob = _PenalizedProblem(prob, prev_box, weight)
         res = _run_least_squares(pprob, x_warm, solve_cfg)
+        nfev += res.nfev
         return res, 2.0 * res.cost  # total error: data SSE + w * penalty
 
     def in_band(total: float) -> bool:
@@ -485,7 +501,8 @@ def calibrate_penalized(
             break
     w, res, total = best
     if not (total >= target_total or in_band(total)):
-        return replace(base, penalty_weight=0.0, flags=base.flags + ("penalty_bisection_failed",))
+        return replace(base, iterations=nfev, penalty_weight=0.0,
+                       flags=base.flags + ("penalty_bisection_failed",))
 
     for _ in range(80):
         if in_band(total):
@@ -500,9 +517,10 @@ def calibrate_penalized(
                 w, res, total = mid, res_mid, t_mid
                 break
     else:
-        return replace(base, penalty_weight=0.0, flags=base.flags + ("penalty_bisection_failed",))
+        return replace(base, iterations=nfev, penalty_weight=0.0,
+                       flags=base.flags + ("penalty_bisection_failed",))
 
-    return _result_from(prob, res, res.nfev, penalty_weight=w)
+    return _result_from(prob, res, nfev, penalty_weight=w)
 
 
 # ---------------------------------------------------------------------------

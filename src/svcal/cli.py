@@ -32,7 +32,7 @@ from .pricing import OptionSpec, QuadratureConfig, bs_implied_vol, cf_vanilla_pr
 from .models import cf_for
 from .quotes_io import emit_quotes, load_quotes, load_varswap_curve, quotes_digest
 from .store import ENV_STORE, ParamRecord, ParamStore
-from .workflows import RunConfig, calibrate_report, markdown_rows, varswap_report
+from .workflows import STRATEGIES, RunConfig, calibrate_report, markdown_rows, varswap_report
 
 _INPUT_ERRORS = (
     DomainError,
@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--quotes", required=True)
     cal.add_argument("--config", default=None, help="JSON config file; flags override")
     cal.add_argument("--model", choices=sorted(MODELS), default=None)
-    cal.add_argument("--strategy", choices=("full", "fixed", "penalized", "tenor", "varswap"), default=None)
+    cal.add_argument("--strategy", choices=STRATEGIES, default=None)
     cal.add_argument("--kappa-rule-c", dest="kappa_rule_c", type=float, default=None)
     cal.add_argument("--theta-rule", dest="theta_rule", choices=("v0", "atm_variance"), default=None)
     cal.add_argument("--delta-kind", dest="delta_kind", choices=("forward", "spot"), default=None)

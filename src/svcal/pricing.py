@@ -3,7 +3,11 @@
 The Fourier pricer evaluates a single real integral along the contour
 Im(u) = -1/2 with a Black-Scholes control variate whose total variance is
 read off the characteristic function itself, so the integrand vanishes
-identically whenever the model degenerates to deterministic variance.
+identically whenever the model degenerates to deterministic variance.  The
+characteristic function does not depend on the strike, so one adaptive
+contour integral per expiry is shared by all its strikes: the CF is
+evaluated once per quadrature node and each strike only adds its e^{iuk}
+factor.
 """
 
 from __future__ import annotations
@@ -175,35 +179,45 @@ _WG15[[1, 3, 5, 7, 9, 11, 13]] = [
 
 
 def _gk_panels(f, los: np.ndarray, his: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Kronrod value and |K15-G7| error estimate for each panel."""
+    """Kronrod values and |K15-G7| error estimates, shape (integrands, panels)."""
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    fv = f(nodes.ravel()).reshape(nodes.shape)
-    k15 = (fv * _WGK).sum(axis=1) * half
-    g7 = (fv * _WG15).sum(axis=1) * half
+    fv = f(nodes.ravel()).reshape(-1, *nodes.shape)
+    k15 = (fv * _WGK).sum(axis=2) * half
+    g7 = (fv * _WG15).sum(axis=2) * half
     return k15, np.abs(k15 - g7)
 
 
 def _adaptive_gk(f, a: float, b: float, n0: int, tol: float, max_evals: int):
-    """Deterministic panel-splitting adaptive quadrature on [a, b]."""
+    """Deterministic panel-splitting adaptive quadrature on [a, b].
+
+    ``f`` maps n nodes to an (m, n) array: m integrands sharing every node.
+    A panel is split while any integrand short of ``tol`` has an error on it
+    above its share of ``tol``; the result stands once every integrand's
+    total error estimate is within ``tol``.  Returns (integrals, errors,
+    evaluations), the first two of length m.
+    """
     edges = np.linspace(a, b, n0 + 1)
     los, his = edges[:-1], edges[1:]
     vals, errs = _gk_panels(f, los, his)
     evals = 15 * n0
     while True:
-        err_total = errs.sum()
-        if err_total <= tol:
-            return vals.sum(), err_total, evals
+        err_total = errs.sum(axis=1)
+        done = err_total <= tol
+        if done.all():
+            return vals.sum(axis=1), err_total, evals
         if evals >= max_evals:
+            worst = float(err_total[~done].max())
             raise QuadratureError(
                 f"quadrature used {evals} evaluations without reaching tolerance "
-                f"{tol:g} (residual estimate {err_total:g})",
-                residual=float(err_total),
+                f"{tol:g} (residual estimate {worst:g})",
+                residual=worst,
             )
-        split = errs > tol / (2.0 * len(los))
+        open_errs = errs[~done]
+        split = (open_errs > tol / (2.0 * len(los))).any(axis=0)
         if not split.any():
-            split[int(np.argmax(errs))] = True
+            split[int(np.argmax(open_errs.max(axis=0)))] = True
         keep = ~split
         mids = 0.5 * (los[split] + his[split])
         new_los = np.concatenate([los[split], mids])
@@ -212,8 +226,60 @@ def _adaptive_gk(f, a: float, b: float, n0: int, tol: float, max_evals: int):
         evals += 15 * len(new_los)
         los = np.concatenate([los[keep], new_los])
         his = np.concatenate([his[keep], new_his])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
+        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
+
+
+def cf_vanilla_prices(
+    cf: CharFn,
+    slice_: MarketSlice,
+    opts: Sequence[OptionSpec],
+    cfg: QuadratureConfig = DEFAULT_QUAD,
+) -> np.ndarray:
+    """European prices of options on one expiry by Fourier inversion of a CF.
+
+    ``cf(u, T)`` must return E[exp(i*u*ln(F_T/F_0))] for complex ``u`` and
+    satisfy cf(0) = 1.  The call value at strike K is
+
+        C = df * [ Black(F, K, T, vol_cv)
+                   + sqrt(F*K)/pi * int_0^inf Re[e^{iuk}(phi_cv - phi)(u - i/2)]
+                                      / (u^2 + 1/4) du ],   k = ln(F/K),
+
+    with the control-variate variance w = -8 ln cf(-i/2), which matches the
+    model's lognormal limit exactly.  Only e^{iuk} depends on the strike, so
+    phi is evaluated once per node and every strike integrates on the same
+    adaptive panels; each strike's error estimate is within
+    ``cfg.tolerance``.  Deterministic given ``cfg``; raises
+    :class:`QuadratureError` with the largest residual estimate on
+    non-convergence.
+    """
+    for opt in opts:
+        _check_slice(slice_, opt)
+    F, df, T = slice_.forward, slice_.discount, slice_.expiry
+    probe = np.asarray(cf(np.array([0.0 + 0j, -0.5j]), T))
+    if not np.isfinite(probe).all() or abs(probe[0] - 1.0) > 1e-8:
+        raise DomainError(f"characteristic function violates cf(0)=1: got {probe[0]}")
+    w = -8.0 * math.log(max(abs(probe[1]), 1e-300))
+    w = max(w, 1e-14)
+    vol_cv = math.sqrt(w / T)
+    k = np.array([math.log(F / opt.strike) for opt in opts])[:, None]
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        z = u.astype(np.complex128) - 0.5j
+        phi = np.asarray(cf(z, T))
+        phi_cv = np.exp(-0.5 * w * (u * u + 0.25))
+        return (np.exp(1j * u * k) * (phi_cv - phi)).real / (u * u + 0.25)
+
+    k_max = float(np.abs(k).max(initial=0.0))
+    n0 = int(np.clip(math.ceil(cfg.truncation * (k_max + 0.5) / 6.0), 8, 96))
+    integrals, _, _ = _adaptive_gk(integrand, 0.0, cfg.truncation, n0, cfg.tolerance, cfg.max_evals)
+    prices = np.empty(len(opts))
+    for i, (opt, integral) in enumerate(zip(opts, integrals)):
+        K = opt.strike
+        call_undisc = _black_undisc(F, K, T, vol_cv, call=True) + math.sqrt(F * K) / math.pi * integral
+        call_undisc = max(call_undisc, 0.0)
+        prices[i] = df * call_undisc if opt.kind == "call" else df * (call_undisc - (F - K))
+    return prices
 
 
 def cf_vanilla_price(
@@ -222,42 +288,8 @@ def cf_vanilla_price(
     opt: OptionSpec,
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> float:
-    """European price by Fourier inversion of a characteristic function.
-
-    ``cf(u, T)`` must return E[exp(i*u*ln(F_T/F_0))] for complex ``u`` and
-    satisfy cf(0) = 1.  The call value is
-
-        C = df * [ Black(F, K, T, vol_cv)
-                   + sqrt(F*K)/pi * int_0^inf Re[e^{iuk}(phi_cv - phi)(u - i/2)]
-                                      / (u^2 + 1/4) du ],   k = ln(F/K),
-
-    with the control-variate variance w = -8 ln cf(-i/2), which matches the
-    model's lognormal limit exactly.  Deterministic given ``cfg``; raises
-    :class:`QuadratureError` with the residual estimate on non-convergence.
-    """
-    _check_slice(slice_, opt)
-    F, df, T, K = slice_.forward, slice_.discount, opt.expiry, opt.strike
-    probe = np.asarray(cf(np.array([0.0 + 0j, -0.5j]), T))
-    if not np.isfinite(probe).all() or abs(probe[0] - 1.0) > 1e-8:
-        raise DomainError(f"characteristic function violates cf(0)=1: got {probe[0]}")
-    w = -8.0 * math.log(max(abs(probe[1]), 1e-300))
-    w = max(w, 1e-14)
-    vol_cv = math.sqrt(w / T)
-    k = math.log(F / K)
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        z = u.astype(np.complex128) - 0.5j
-        phi = np.asarray(cf(z, T))
-        phi_cv = np.exp(-0.5 * w * (u * u + 0.25))
-        return (np.exp(1j * u * k) * (phi_cv - phi)).real / (u * u + 0.25)
-
-    n0 = int(np.clip(math.ceil(cfg.truncation * (abs(k) + 0.5) / 6.0), 8, 96))
-    integral, _, _ = _adaptive_gk(integrand, 0.0, cfg.truncation, n0, cfg.tolerance, cfg.max_evals)
-    call_undisc = _black_undisc(F, K, T, vol_cv, call=True) + math.sqrt(F * K) / math.pi * integral
-    call_undisc = max(call_undisc, 0.0)
-    if opt.kind == "call":
-        return df * call_undisc
-    return df * (call_undisc - (F - K))
+    """European price of one option: :func:`cf_vanilla_prices` on a single strike."""
+    return float(cf_vanilla_prices(cf, slice_, [opt], cfg)[0])
 
 
 def model_smile(
@@ -269,21 +301,19 @@ def model_smile(
     """Implied-vol smile of an affine model at the given strikes.
 
     Strikes must be positive and sorted ascending.  Each strike is priced
-    out-of-the-money and inverted through the Black formula; pricing or
-    inversion failures propagate per strike.
+    out-of-the-money off the slice's shared Fourier integral and inverted
+    through the Black formula; pricing or inversion failures propagate.
     """
     ks = [float(k) for k in strikes]
     if any(k <= 0 for k in ks):
         raise DomainError("strikes must be positive")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise DomainError("strikes must be strictly increasing")
-    cf = cf_for(params)
+    opts = [OptionSpec(k, slice_.expiry, "call" if k >= slice_.forward else "put") for k in ks]
+    prices = cf_vanilla_prices(cf_for(params), slice_, opts, cfg)
     out: List[Tuple[float, float]] = []
-    for k in ks:
-        kind = "call" if k >= slice_.forward else "put"
-        opt = OptionSpec(strike=k, expiry=slice_.expiry, kind=kind)
-        price = cf_vanilla_price(cf, slice_, opt, cfg)
+    for opt, price in zip(opts, prices):
         if price <= 0.0:
-            raise NumericalError(f"price at strike {k} below quadrature resolution")
-        out.append((k, bs_implied_vol(slice_, opt, price)))
+            raise NumericalError(f"price at strike {opt.strike} below quadrature resolution")
+        out.append((opt.strike, bs_implied_vol(slice_, opt, float(price))))
     return out

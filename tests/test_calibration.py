@@ -201,6 +201,16 @@ class TestCalibrate:
         with pytest.raises(DomainError):
             calibrate(target, "sabr")
 
+    def test_build_names_missing_and_unexpected_keys(self):
+        from svcal.calibration import MODELS
+
+        vals = TRUTH.as_dict()
+        del vals["rho"]
+        with pytest.raises(DomainError, match="missing \\['rho'\\]"):
+            MODELS["heston"].build(vals)
+        with pytest.raises(DomainError, match="unexpected \\['lam'\\]"):
+            MODELS["bates"].build(dict(TRUTH.as_dict(), lam=0.1, mean_jump=0.0, jump_vol=0.1))
+
 
 class TestCalibratePenalized:
     def _day2(self, rng, scale=0.05, noise=1e-4):
@@ -230,6 +240,7 @@ class TestCalibratePenalized:
         unpen = calibrate(day2, "heston", init=prev)
         pen = calibrate_penalized(day2, prev, "heston")
         assert pen.penalty_weight > 0
+        assert pen.iterations > unpen.iterations  # the base fit plus the penalized solves
         total = pen.sse + pen.penalty_weight * box_distance(pen.params, prev) ** 2
         assert 1.9 * unpen.sse <= total <= 2.1 * unpen.sse
         assert box_distance(pen.params, prev) < box_distance(unpen.params, prev)

@@ -146,6 +146,14 @@ class TestPriceCommand:
             prices[kind] = json.loads(out)["price"]
         assert abs(prices["call"] - prices["put"] - (1.0 - 1.1)) < 1e-10
 
+    def test_missing_parameter_key_is_input_error(self, capsys, tmp_path):
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps({"v0": 0.04, "theta": 0.05, "kappa": 1.5, "sigma": 0.6}))
+        code, out, err = run_cli(capsys, "price", "--params", str(p), "--strike", "1.0", "--expiry", "1.0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "'rho'" in err
+
     def test_latest_resolves_through_store(self, capsys, tmp_path, flat_file):
         store_dir = tmp_path / "store"
         run_cli(capsys, "calibrate", "--quotes", str(flat_file), "--save",

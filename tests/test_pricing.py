@@ -2,22 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
 from svcal.errors import DomainError, QuadratureError
 from svcal.models import (
+    BatesParams,
     HestonParams,
     MarketSlice,
+    SchobelZhuParams,
+    cf_for,
     cf_heston,
     expected_mean_variance,
 )
 from svcal.pricing import (
+    DEFAULT_QUAD,
+    _adaptive_gk,
     OptionSpec,
     QuadratureConfig,
     bs_implied_vol,
     bs_price,
     cf_vanilla_price,
+    cf_vanilla_prices,
     model_smile,
 )
 
@@ -136,6 +144,15 @@ class TestFourierPricer:
             cf_vanilla_price(heston_cf_fn(base_heston), SLICE_100, OptionSpec(100.0, 1.0, "call"), cfg)
         assert exc.value.residual > 0
 
+    def test_vector_quadrature_refines_until_every_row_converges(self):
+        # row 0 is exact on the first panels; row 1 has a sharp peak needing many splits
+        a, c = 1e-4, 0.3
+        f = lambda u: np.stack([np.ones_like(u), 1.0 / (a + (u - c) ** 2)])
+        vals, errs, evals = _adaptive_gk(f, 0.0, 1.0, 2, 1e-10, 20000)
+        want = (math.atan((1 - c) / math.sqrt(a)) + math.atan(c / math.sqrt(a))) / math.sqrt(a)
+        assert evals > 30 and np.all(errs <= 1e-10)
+        np.testing.assert_allclose(vals, [1.0, want], rtol=0, atol=1e-10)
+
     def test_rejects_non_normalized_cf(self):
         bad = lambda u, T: 2.0 * np.ones_like(np.asarray(u, dtype=complex))
         with pytest.raises(DomainError, match="cf\\(0\\)=1"):
@@ -250,3 +267,64 @@ class TestBruteForceOracles:
         mc = acc.mean() / T
         se = acc.std() / T / math.sqrt(n_paths)
         assert expected_mean_variance(p, T) == pytest.approx(mc, abs=3 * se + 2e-5)
+
+
+# random admissible parameters for the slice-pricer properties; kept away from
+# the low-variance short-expiry corner where truncation at 200 is visible
+_vol_var = st.floats(0.01, 0.2)
+_heston = st.builds(HestonParams, v0=_vol_var, theta=_vol_var, kappa=st.floats(0.2, 5.0),
+                    sigma=st.floats(0.1, 1.0), rho=st.floats(-0.9, 0.9))
+_bates = st.builds(BatesParams, heston=_heston, jump_intensity=st.floats(0.0, 1.5),
+                   mean_jump=st.floats(-0.2, 0.1), jump_vol=st.floats(0.02, 0.3))
+_schobel_zhu = st.builds(SchobelZhuParams, v0=st.floats(0.1, 0.45), theta=st.floats(0.1, 0.45),
+                         kappa=st.floats(0.2, 5.0), sigma=st.floats(0.05, 0.5), rho=st.floats(-0.9, 0.9))
+_params = st.one_of(_heston, _bates, _schobel_zhu)
+_strikes = st.lists(st.integers(70, 140), min_size=3, max_size=8, unique=True).map(
+    lambda ks: [k / 100.0 for k in sorted(ks)])
+_slice = st.builds(MarketSlice, forward=st.just(1.0), discount=st.floats(0.9, 1.0),
+                   expiry=st.floats(0.25, 2.0))
+_props = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _opts(sl, strikes, kind):
+    return [OptionSpec(k, sl.expiry, kind) for k in strikes]
+
+
+class TestSlicePricerProperties:
+    @_props
+    @given(params=_params, sl=_slice, strikes=_strikes, kind=st.sampled_from(["call", "put"]))
+    def test_matches_each_option_priced_alone(self, params, sl, strikes, kind):
+        cf = cf_for(params)
+        opts = _opts(sl, strikes, kind)
+        tol = DEFAULT_QUAD.tolerance
+        for opt, got in zip(opts, cf_vanilla_prices(cf, sl, opts)):
+            alone = cf_vanilla_price(cf, sl, opt)
+            assert abs(got - alone) <= 2.0 * tol * math.sqrt(sl.forward * opt.strike) / math.pi
+
+    @_props
+    @given(params=_params, sl=_slice, strikes=_strikes)
+    def test_parity_monotone_and_convex_in_strike(self, params, sl, strikes):
+        cf = cf_for(params)
+        calls = cf_vanilla_prices(cf, sl, _opts(sl, strikes, "call"))
+        puts = cf_vanilla_prices(cf, sl, _opts(sl, strikes, "put"))
+        ks = np.array(strikes)
+        np.testing.assert_allclose(calls - puts, sl.discount * (sl.forward - ks), rtol=0, atol=1e-12)
+        slack = 1e-9
+        assert np.all(np.diff(calls) <= slack)
+        slopes = np.diff(calls) / np.diff(ks)
+        assert np.all(np.diff(slopes) >= -slack / np.diff(ks).min())
+
+    @_props
+    @given(params=_params, sl=_slice, strikes=_strikes)
+    def test_budget_exhaustion_carries_residual(self, params, sl, strikes):
+        cfg = QuadratureConfig(tolerance=1e-16, max_evals=200)
+        with pytest.raises(QuadratureError) as exc:
+            cf_vanilla_prices(cf_for(params), sl, _opts(sl, strikes, "call"), cfg)
+        assert exc.value.residual > 0
+
+    @_props
+    @given(sl=_slice, strikes=_strikes, scale=st.floats(1.01, 3.0))
+    def test_rejects_non_normalized_cf(self, sl, strikes, scale):
+        bad = lambda u, T: scale * np.ones_like(np.asarray(u, dtype=complex))
+        with pytest.raises(DomainError, match="cf\\(0\\)=1"):
+            cf_vanilla_prices(bad, sl, _opts(sl, strikes, "call"))
