@@ -45,7 +45,6 @@ from .mixing import (
 from .models import (
     BatesParams,
     HestonParams,
-    LognormalVolParams,
     MarketSlice,
     PiecewiseHestonParams,
     SchobelZhuParams,
@@ -85,7 +84,6 @@ __all__ = [
     "DomainError",
     "FixSet",
     "HestonParams",
-    "LognormalVolParams",
     "MarketSlice",
     "MaxParams",
     "MixingCurve",

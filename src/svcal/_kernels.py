@@ -1,54 +1,16 @@
 """Characteristic-function kernels.
 
-Two interchangeable implementations of every kernel:
-
-* a numba ``@njit`` scalar-loop version (fast path, used by default), and
-* a vectorized pure-numpy twin (fallback).
-
-The active path is chosen once at import time: set ``SVCAL_PURE_NUMPY=1``
-to force the numpy fallback, otherwise numba is used whenever it imports.
-``benchmarks/bench_kernels.py`` compares the two paths.
-
-All kernels evaluate E[exp(i*u*ln(F_T/F_0))] under the forward measure
-(zero drift) on arrays of complex frequencies ``u``.  The Heston-family
-coefficients use the trap-free branch of the complex square root together
-with the algebraic identity (b - d) = -sigma^2*s/(b + d), which keeps the
-formulas stable down to sigma = 0 without catastrophic cancellation.
+One vectorized numpy implementation of every kernel.  All kernels evaluate
+E[exp(i*u*ln(F_T/F_0))] under the forward measure (zero drift) on arrays of
+complex frequencies ``u``.  The Heston-family coefficients use the trap-free
+branch of the complex square root together with the algebraic identity
+(b - d) = -sigma^2*s/(b + d), which keeps the formulas stable down to
+sigma = 0 without catastrophic cancellation.
 """
 
 from __future__ import annotations
 
-import cmath
-import os
-
 import numpy as np
-
-ENV_FLAG = "SVCAL_PURE_NUMPY"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_enabled() -> bool:
-    """True when the numba fast path is active for this process."""
-    if os.environ.get(ENV_FLAG, "").strip() not in ("", "0"):
-        return False
-    return HAVE_NUMBA
-
-
-USE_NUMBA = numba_enabled()
 
 # Series switch for the log term of the Heston A coefficient: below this
 # sigma^2 the log argument is O(sigma^2) and must be expanded to keep full
@@ -59,12 +21,7 @@ _SIG2_SERIES = 1e-8
 _SZ_DET_SIGMA = 1e-8
 
 
-# ---------------------------------------------------------------------------
-# numpy fallback path
-# ---------------------------------------------------------------------------
-
-
-def _clog1p_np(z: np.ndarray) -> np.ndarray:
+def _clog1p(z: np.ndarray) -> np.ndarray:
     """log(1+z) for complex arrays, accurate for small |z|."""
     z = np.asarray(z)
     out = np.empty_like(z)
@@ -76,7 +33,7 @@ def _clog1p_np(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def heston_seg_np(u, A, D, theta, kappa, sigma, rho, tau):
+def _heston_seg(u, A, D, theta, kappa, sigma, rho, tau):
     """Propagate the Heston affine coefficients (A, D) across one segment.
 
     Solves, over a segment of length ``tau`` with constant parameters and
@@ -101,7 +58,7 @@ def heston_seg_np(u, A, D, theta, kappa, sigma, rho, tau):
         Dn = (-s * (1.0 - E) + D * (bpd * E - bmd)) / (den - E * (bmd - D * sig2))
         if sig2 > _SIG2_SERIES:
             x = gt * (1.0 - E) / (1.0 - gt)
-            An = A + (kappa * theta / sig2) * (bmd * tau - 2.0 * _clog1p_np(x))
+            An = A + (kappa * theta / sig2) * (bmd * tau - 2.0 * _clog1p(x))
         else:
             y = (-s / bpd - D) / den
             xs = sig2 * y * (1.0 - E) / (1.0 - gt)
@@ -120,22 +77,23 @@ def heston_seg_np(u, A, D, theta, kappa, sigma, rho, tau):
     return An, Dn
 
 
-def heston_cf_np(u, v0, theta, kappa, sigma, rho, T):
+def heston_cf_vals(u, v0, theta, kappa, sigma, rho, T):
+    """Heston CF: one segment of length ``T`` from zero coefficients."""
     A0 = np.zeros(np.shape(u), dtype=np.complex128)
-    A, D = heston_seg_np(u, A0, A0, theta, kappa, sigma, rho, T)
+    A, D = _heston_seg(u, A0, A0, theta, kappa, sigma, rho, T)
     return np.exp(A + D * v0)
 
 
-def piecewise_heston_cf_np(u, v0, taus, thetas, kappas, sigmas, rhos):
+def piecewise_heston_cf_vals(u, v0, taus, thetas, kappas, sigmas, rhos):
     """Backward recursion over segments given in chronological order."""
     A = np.zeros(np.shape(u), dtype=np.complex128)
     D = np.zeros(np.shape(u), dtype=np.complex128)
     for j in range(len(taus) - 1, -1, -1):
-        A, D = heston_seg_np(u, A, D, thetas[j], kappas[j], sigmas[j], rhos[j], taus[j])
+        A, D = _heston_seg(u, A, D, thetas[j], kappas[j], sigmas[j], rhos[j], taus[j])
     return np.exp(A + D * v0)
 
 
-def schobel_zhu_cf_np(u, v0, theta, kappa, sigma, rho, T):
+def schobel_zhu_cf_vals(u, v0, theta, kappa, sigma, rho, T):
     """CF of the mean-reverting Ornstein-Uhlenbeck volatility model.
 
     Exponent A1 + A2 + B*v0 + C*v0^2/2 where C solves the Riccati equation
@@ -164,7 +122,7 @@ def schobel_zhu_cf_np(u, v0, theta, kappa, sigma, rho, T):
         one_m_gE2 = 1.0 - g * E2
         C = -s / bpd * (1.0 - E2) / one_m_gE2
         B = -kappa * theta * s * (1.0 - E) ** 2 / (d * bpd * one_m_gE2)
-        A1 = 0.5 * (bmd * T - _clog1p_np(g * (1.0 - E2) / (1.0 - g)))
+        A1 = 0.5 * (bmd * T - _clog1p(g * (1.0 - E2) / (1.0 - g)))
         A2 = -(kappa * theta) ** 2 * s / (2.0 * d * d) * (
             T - (g * (3.0 * E2 + 1.0) + (E2 + 3.0) - 4.0 * E * (1.0 + g)) / (2.0 * d * one_m_gE2)
         )
@@ -173,121 +131,3 @@ def schobel_zhu_cf_np(u, v0, theta, kappa, sigma, rho, T):
     if np.any(zero):
         out = np.where(zero, 1.0 + 0j, out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba fast path (scalar loops; mirrors the numpy math exactly)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True)
-def _clog1p(z):
-    if abs(z) < 1e-4:
-        return z * (1.0 - z * (0.5 - z * (1.0 / 3.0 - 0.25 * z)))
-    return cmath.log(1.0 + z)
-
-
-@njit(cache=True, nogil=True)
-def _heston_seg_scalar(u, A, D, theta, kappa, sigma, rho, tau):
-    s = u * u + 1j * u
-    if s == 0 and D == 0:
-        return A, D
-    sig2 = sigma * sigma
-    b = kappa - 1j * (rho * sigma) * u
-    d = cmath.sqrt(b * b + sig2 * s)
-    bpd = b + d
-    if bpd == 0:
-        return A, D - 0.5 * s * tau
-    bmd = -sig2 * s / bpd
-    den = bpd - D * sig2
-    gt = (bmd - D * sig2) / den
-    E = cmath.exp(-d * tau)
-    Dn = (-s * (1.0 - E) + D * (bpd * E - bmd)) / (den - E * (bmd - D * sig2))
-    if sig2 > _SIG2_SERIES:
-        x = gt * (1.0 - E) / (1.0 - gt)
-        An = A + (kappa * theta / sig2) * (bmd * tau - 2.0 * _clog1p(x))
-    else:
-        y = (-s / bpd - D) / den
-        xs = sig2 * y * (1.0 - E) / (1.0 - gt)
-        ser = 1.0 - xs * (0.5 - xs * (1.0 / 3.0 - 0.25 * xs))
-        An = A + kappa * theta * (-s * tau / bpd - 2.0 * y * (1.0 - E) / (1.0 - gt) * ser)
-    return An, Dn
-
-
-@njit(cache=True, nogil=True)
-def heston_cf_nb(u, v0, theta, kappa, sigma, rho, T):
-    n = u.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        A, D = _heston_seg_scalar(u[i], 0.0 + 0j, 0.0 + 0j, theta, kappa, sigma, rho, T)
-        out[i] = cmath.exp(A + D * v0)
-    return out
-
-
-@njit(cache=True, nogil=True)
-def piecewise_heston_cf_nb(u, v0, taus, thetas, kappas, sigmas, rhos):
-    n = u.shape[0]
-    m = taus.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        A = 0.0 + 0j
-        D = 0.0 + 0j
-        for j in range(m - 1, -1, -1):
-            A, D = _heston_seg_scalar(u[i], A, D, thetas[j], kappas[j], sigmas[j], rhos[j], taus[j])
-        out[i] = cmath.exp(A + D * v0)
-    return out
-
-
-@njit(cache=True, nogil=True)
-def schobel_zhu_cf_nb(u, v0, theta, kappa, sigma, rho, T):
-    n = u.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    if sigma < _SZ_DET_SIGMA:
-        if kappa * T < 1e-10:
-            V2 = v0 * v0 * T
-        else:
-            e1 = -np.expm1(-kappa * T) / kappa
-            e2 = -np.expm1(-2.0 * kappa * T) / (2.0 * kappa)
-            V2 = theta * theta * T + 2.0 * theta * (v0 - theta) * e1 + (v0 - theta) ** 2 * e2
-        for i in range(n):
-            s = u[i] * u[i] + 1j * u[i]
-            out[i] = cmath.exp(-0.5 * s * V2)
-        return out
-    sig2 = sigma * sigma
-    kt2 = (kappa * theta) ** 2
-    for i in range(n):
-        ui = u[i]
-        s = ui * ui + 1j * ui
-        if s == 0:
-            out[i] = 1.0 + 0j
-            continue
-        b = kappa - 1j * (rho * sigma) * ui
-        d = cmath.sqrt(b * b + sig2 * s)
-        bpd = b + d
-        bmd = -sig2 * s / bpd
-        g = bmd / bpd
-        E = cmath.exp(-d * T)
-        E2 = E * E
-        one_m_gE2 = 1.0 - g * E2
-        C = -s / bpd * (1.0 - E2) / one_m_gE2
-        B = -kappa * theta * s * (1.0 - E) ** 2 / (d * bpd * one_m_gE2)
-        A1 = 0.5 * (bmd * T - _clog1p(g * (1.0 - E2) / (1.0 - g)))
-        A2 = -kt2 * s / (2.0 * d * d) * (
-            T - (g * (3.0 * E2 + 1.0) + (E2 + 3.0) - 4.0 * E * (1.0 + g)) / (2.0 * d * one_m_gE2)
-        )
-        out[i] = cmath.exp(A1 + A2 + B * v0 + 0.5 * C * v0 * v0)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    heston_cf_vals = heston_cf_nb
-    piecewise_heston_cf_vals = piecewise_heston_cf_nb
-    schobel_zhu_cf_vals = schobel_zhu_cf_nb
-else:
-    heston_cf_vals = heston_cf_np
-    piecewise_heston_cf_vals = piecewise_heston_cf_np
-    schobel_zhu_cf_vals = schobel_zhu_cf_np

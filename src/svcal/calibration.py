@@ -204,10 +204,6 @@ MODELS: Mapping[str, ModelSpec] = {
 }
 
 
-def params_as_dict(params: AffineParams) -> dict:
-    return params.as_dict()
-
-
 def _model_spec(model_kind: str) -> ModelSpec:
     try:
         return MODELS[model_kind]
@@ -341,9 +337,9 @@ def _default_init(model_kind: str, target: CalibrationTarget) -> dict:
     return vals
 
 
-def _run_least_squares(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
+def _run_least_squares(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, cfg: OptimizerConfig):
     return least_squares(
-        prob.residuals,
+        fun,
         x0,
         method="trf",
         jac="2-point",
@@ -362,7 +358,7 @@ def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
     nfev = 0
     for attempt in range(max(cfg.starts, 1)):
         start = x0 if attempt == 0 else x0 + rng.normal(0.0, 0.7, size=len(x0))
-        res = _run_least_squares(prob, start, cfg)
+        res = _run_least_squares(prob.residuals, start, cfg)
         nfev += res.nfev
         if best is None or res.cost < best.cost:
             best = res
@@ -410,7 +406,7 @@ def calibrate(
         )
     init_vals = _default_init(model_kind, target)
     if init is not None:
-        init_vals.update(params_as_dict(init))
+        init_vals.update(init.as_dict())
     x0 = prob.x_from_params(init_vals)
     res, nfev = _minimize(prob, x0, config)
     return _result_from(prob, res, nfev)
@@ -419,22 +415,6 @@ def calibrate(
 # ---------------------------------------------------------------------------
 # penalized calibration (error-doubling rule)
 # ---------------------------------------------------------------------------
-
-
-class _PenalizedProblem(_Problem):
-    """Data residuals augmented with sqrt(w) * box-width-normalized deviations."""
-
-    def __init__(self, base: _Problem, prev_x_box: np.ndarray, weight: float):
-        self.__dict__.update(base.__dict__)
-        self._prev_box = prev_x_box
-        self._sqrt_w = math.sqrt(weight)
-        self._width = self.hi - self.lo
-
-    def residuals(self, x: np.ndarray) -> np.ndarray:
-        data = _Problem.residuals(self, x)
-        p = _to_box(np.asarray(x, dtype=float), self.lo, self.hi)
-        pen = self._sqrt_w * (p - self._prev_box) / self._width
-        return np.concatenate([data, pen])
 
 
 def calibrate_penalized(
@@ -463,7 +443,7 @@ def calibrate_penalized(
     model = _model_spec(model_kind)
     fixed = (fix or FixSet()).resolve()
     prob = _Problem(target, model, fixed, {}, config.quad)
-    prev_vals = params_as_dict(prev)
+    prev_vals = prev.as_dict()
     prev_box = np.array([prev_vals[n] for n in prob.free])
     x_prev = prob.x_from_params(prev_vals)
     e_prev = float(np.sum(prob.residuals(x_prev) ** 2))
@@ -471,14 +451,21 @@ def calibrate_penalized(
     if e_prev <= target_total * 0.95:
         return replace(base, penalty_weight=0.0, flags=base.flags + ("penalty_degenerate",))
 
-    x_warm = prob.x_from_params(params_as_dict(base.params))
+    x_warm = prob.x_from_params(base.params.as_dict())
     solve_cfg = replace(config, starts=1)
     nfev = base.iterations  # the base fit plus every penalized solve
+    width = prob.hi - prob.lo
 
     def solve(weight: float):
         nonlocal nfev
-        pprob = _PenalizedProblem(prob, prev_box, weight)
-        res = _run_least_squares(pprob, x_warm, solve_cfg)
+        sqrt_w = math.sqrt(weight)
+
+        def residuals(x: np.ndarray) -> np.ndarray:
+            # data residuals augmented with sqrt(w) * box-width-normalized deviations
+            p = _to_box(np.asarray(x, dtype=float), prob.lo, prob.hi)
+            return np.concatenate([prob.residuals(x), sqrt_w * (p - prev_box) / width])
+
+        res = _run_least_squares(residuals, x_warm, solve_cfg)
         nfev += res.nfev
         return res, 2.0 * res.cost  # total error: data SSE + w * penalty
 

@@ -100,30 +100,6 @@ class SchobelZhuParams:
 
 
 @dataclass(frozen=True)
-class LognormalVolParams:
-    """Lognormal volatility dynamics (mean reversion on v itself).
-
-    Container only: used by the mixing rules, never priced here.
-    """
-
-    v0: float
-    theta: float
-    kappa: float
-    sigma: float
-    rho: float
-
-    def __post_init__(self):
-        _require(self.v0 > 0, f"v0 must be > 0, got {self.v0}")
-        _require(self.theta >= 0, f"theta must be >= 0, got {self.theta}")
-        _require(self.kappa >= 0, f"kappa must be >= 0, got {self.kappa}")
-        _require(self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}")
-        _require(-1 < self.rho < 1, f"rho must lie in (-1, 1), got {self.rho}")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass(frozen=True)
 class PiecewiseHestonParams:
     """Heston with piecewise-constant (theta, kappa, sigma, rho) in time.
 

@@ -1,14 +1,12 @@
 """Strategy runner shared by the CLI and the live-calibration entry point.
 
 Turns parsed quote rows plus a :class:`RunConfig` into calibration results
-and a JSON-ready report.  Per-tenor calibrations are dispatched on a thread
-pool (the CF kernels release the GIL); results are assembled in input order
-and reports are byte-deterministic for identical inputs.
+and a JSON-ready report.  Per-tenor calibrations run in input order and
+reports are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,7 +22,6 @@ from .calibration import (
     calibrate_penalized,
     calibrate_tenor,
     calibrate_varswap,
-    params_as_dict,
 )
 from .errors import DomainError
 from .fx_quotes import Conventions, resolve_smile
@@ -88,15 +85,11 @@ def run_strategy(
     if not rows:
         raise DomainError("no quotes")
     if cfg.strategy == "tenor":
-        def one(row: QuoteRow) -> CalibrationResult:
-            return calibrate_tenor(row.quote(), row.slice(), cfg.rules, cfg.conventions, cfg.optimizer)
-
-        if len(rows) > 1:
-            with ThreadPoolExecutor(max_workers=min(8, len(rows))) as pool:
-                results = list(pool.map(one, rows))
-        else:
-            results = [one(rows[0])]
-        return [(row.tenor_label, res) for row, res in zip(rows, results)]
+        return [
+            (row.tenor_label,
+             calibrate_tenor(row.quote(), row.slice(), cfg.rules, cfg.conventions, cfg.optimizer))
+            for row in rows
+        ]
 
     target = surface_target(rows, cfg.conventions)
     if cfg.strategy in ("full", "fixed"):
@@ -120,7 +113,7 @@ def run_strategy(
 
 def _result_payload(res: CalibrationResult) -> dict:
     payload = {
-        "params": params_as_dict(res.params),
+        "params": res.params.as_dict(),
         "rmse": res.rmse,
         "iterations": res.iterations,
         "converged": res.converged,

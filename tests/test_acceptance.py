@@ -60,7 +60,7 @@ def _report(criterion: int, detail: str):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Trigger kernel JIT compilation before any timed criterion runs."""
+    """Call every CF kernel once before any timed criterion runs."""
     p = HestonParams(0.04, 0.04, 1.0, 0.5, -0.5)
     sl = MarketSlice(1.0, 1.0, 0.5)
     cf_vanilla_price(lambda u, T: cf_heston(u, p, T), sl, OptionSpec(1.0, 0.5, "call"))

@@ -1,5 +1,5 @@
-"""Kernel-level checks: numba and numpy paths agree, and both match an
-independent numerical integration of the affine ODE systems."""
+"""Kernel-level checks: every CF kernel matches an independent numerical
+integration of its affine ODE system, including cf(0) = cf(-i) = 1."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,9 @@ from scipy.integrate import solve_ivp
 
 from svcal import _kernels
 
-U_GRID = np.concatenate(
-    [
-        np.linspace(0.1, 200.0, 23).astype(complex),
-        np.linspace(0.5, 150.0, 11) - 0.5j,
-        np.array([0.0 + 0j, -1j]),
-    ]
-)
+# u in {0, -i} has s = u^2 + i*u = 0: the ODE solution is identically zero
+# there, so these two points check cf(0) = cf(-i) = 1
+U_ODE = [0.0 + 0j, -1j, 0.7 + 0j, 11.0 + 0j, 63.0 - 0.5j, 180.0 - 0.5j]
 
 
 def _heston_rhs(t, y, u, kappa, theta, sigma, rho):
@@ -66,42 +62,9 @@ PARAM_SETS = [
 
 
 @pytest.mark.parametrize("v0,theta,kappa,sigma,rho,T", PARAM_SETS)
-def test_numpy_numba_paths_agree_heston(v0, theta, kappa, sigma, rho, T):
-    np_vals = _kernels.heston_cf_np(U_GRID, v0, theta, kappa, sigma, rho, T)
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    nb_vals = _kernels.heston_cf_nb(U_GRID, v0, theta, kappa, sigma, rho, T)
-    np.testing.assert_allclose(nb_vals, np_vals, rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.parametrize("v0,theta,kappa,sigma,rho,T", PARAM_SETS)
-def test_numpy_numba_paths_agree_schobel_zhu(v0, theta, kappa, sigma, rho, T):
-    v0_sz, theta_sz = np.sqrt(v0), np.sqrt(theta)
-    np_vals = _kernels.schobel_zhu_cf_np(U_GRID, v0_sz, theta_sz, kappa, sigma, rho, T)
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    nb_vals = _kernels.schobel_zhu_cf_nb(U_GRID, v0_sz, theta_sz, kappa, sigma, rho, T)
-    np.testing.assert_allclose(nb_vals, np_vals, rtol=1e-12, atol=1e-14)
-
-
-def test_numpy_numba_paths_agree_piecewise():
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    taus = np.array([0.5, 0.5, 1.0, 3.0])
-    thetas = np.array([0.04, 0.05, 0.03, 0.06])
-    kappas = np.array([1.0, 2.0, 0.5, 1.5])
-    sigmas = np.array([0.5, 0.8, 0.3, 0.0])
-    rhos = np.array([-0.7, -0.2, 0.4, -0.5])
-    np_vals = _kernels.piecewise_heston_cf_np(U_GRID, 0.04, taus, thetas, kappas, sigmas, rhos)
-    nb_vals = _kernels.piecewise_heston_cf_nb(U_GRID, 0.04, taus, thetas, kappas, sigmas, rhos)
-    np.testing.assert_allclose(nb_vals, np_vals, rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.parametrize("v0,theta,kappa,sigma,rho,T", PARAM_SETS[:4])
 def test_heston_kernel_matches_ode(v0, theta, kappa, sigma, rho, T):
-    us = [0.7 + 0j, 11.0 + 0j, 63.0 - 0.5j, 180.0 - 0.5j]
-    got = _kernels.heston_cf_vals(np.array(us, dtype=complex), v0, theta, kappa, sigma, rho, T)
-    for u, g in zip(us, got):
+    got = _kernels.heston_cf_vals(np.array(U_ODE), v0, theta, kappa, sigma, rho, T)
+    for u, g in zip(U_ODE, got):
         want = heston_cf_ode(u, v0, theta, kappa, sigma, rho, T)
         assert abs(g - want) <= 1e-9 * max(abs(want), 1e-300)
 
@@ -113,12 +76,12 @@ def test_heston_kernel_matches_ode(v0, theta, kappa, sigma, rho, T):
         (0.15, 0.0, 2.5, 0.9, 0.5, 1.0),  # theta = 0
         (0.3, 0.25, 0.0, 0.3, -0.8, 0.5),  # kappa = 0
         (0.2, 0.18, 4.0, 1e-4, -0.3, 5.0),  # tiny sigma, general path
+        (0.2, 0.18, 4.0, 0.0, -0.3, 5.0),  # zero sigma, deterministic-vol limit
     ],
 )
 def test_schobel_zhu_kernel_matches_ode(v0, theta, kappa, sigma, rho, T):
-    us = [0.7 + 0j, 11.0 + 0j, 63.0 - 0.5j, 180.0 - 0.5j]
-    got = _kernels.schobel_zhu_cf_vals(np.array(us, dtype=complex), v0, theta, kappa, sigma, rho, T)
-    for u, g in zip(us, got):
+    got = _kernels.schobel_zhu_cf_vals(np.array(U_ODE), v0, theta, kappa, sigma, rho, T)
+    for u, g in zip(U_ODE, got):
         want = sz_cf_ode(u, v0, theta, kappa, sigma, rho, T)
         assert abs(g - want) <= 1e-9 * max(abs(want), 1e-300)
 
@@ -128,7 +91,7 @@ def test_piecewise_kernel_matches_stepwise_ode():
     taus = np.array([1.0, 2.0])
     params = [(0.05, 1.0, 0.5, -0.5), (0.03, 2.0, 0.8, 0.2)]
     v0 = 0.04
-    for u in [3.0 + 0j, 40.0 - 0.5j]:
+    for u in [0.0 + 0j, -1j, 3.0 + 0j, 40.0 - 0.5j]:
         y = [0.0] * 4
         for theta, kappa, sigma, rho in reversed(params):
             idx = params.index((theta, kappa, sigma, rho))
@@ -143,12 +106,3 @@ def test_piecewise_kernel_matches_stepwise_ode():
             taus, *(np.array(col) for col in zip(*params)),
         )[0]
         assert abs(got - want) / abs(want) < 1e-9
-
-
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_FLAG, "1")
-    assert _kernels.numba_enabled() is False
-    monkeypatch.setenv(_kernels.ENV_FLAG, "0")
-    assert _kernels.numba_enabled() is _kernels.HAVE_NUMBA
-    monkeypatch.delenv(_kernels.ENV_FLAG)
-    assert _kernels.numba_enabled() is _kernels.HAVE_NUMBA

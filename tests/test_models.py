@@ -7,7 +7,6 @@ from svcal.errors import DomainError
 from svcal.models import (
     BatesParams,
     HestonParams,
-    LognormalVolParams,
     MarketSlice,
     PiecewiseHestonParams,
     SchobelZhuParams,
@@ -45,7 +44,6 @@ class TestInvariants:
 
     def test_schobel_zhu_allows_zero_theta(self):
         SchobelZhuParams(v0=0.2, theta=0.0, kappa=1.0, sigma=0.3, rho=-0.3)
-        LognormalVolParams(v0=0.2, theta=0.0, kappa=1.0, sigma=0.3, rho=-0.3)
 
     def test_piecewise_bounds(self):
         with pytest.raises(DomainError):
