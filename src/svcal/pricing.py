@@ -251,7 +251,9 @@ def cf_vanilla_prices(
     adaptive panels; each strike's error estimate is within
     ``cfg.tolerance``.  Deterministic given ``cfg``; raises
     :class:`QuadratureError` with the largest residual estimate on
-    non-convergence.
+    non-convergence.  Calls are floored at 0; a put that still comes out
+    negative (quadrature error larger than its value) raises
+    :class:`NumericalError` naming the strike.
     """
     for opt in opts:
         _check_slice(slice_, opt)
@@ -279,6 +281,11 @@ def cf_vanilla_prices(
         call_undisc = _black_undisc(F, K, T, vol_cv, call=True) + math.sqrt(F * K) / math.pi * integral
         call_undisc = max(call_undisc, 0.0)
         prices[i] = df * call_undisc if opt.kind == "call" else df * (call_undisc - (F - K))
+        if prices[i] < 0.0:
+            raise NumericalError(
+                f"{opt.kind} at strike {K} priced at {prices[i]:.6g} < 0: "
+                f"Fourier quadrature error exceeds the option value"
+            )
     return prices
 
 

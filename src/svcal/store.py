@@ -3,7 +3,11 @@
 Append-only JSON-lines file, one self-describing record per line.  Floats
 are serialized as shortest round-trip decimal text, so a store round trip
 is bit-exact.  Writes are serialized through a process-level lock
-(single-writer contract); reads re-scan the file.
+(single-writer contract).  Every read reads the whole file, but each
+distinct line is decoded once per process: a module-level memo maps each
+store file to its current lines' records, keyed by the line text, so a
+rewritten, truncated or externally appended file reads back exactly what
+is on disk.  Returned records are shared between calls and are read-only.
 """
 
 from __future__ import annotations
@@ -14,18 +18,29 @@ import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .calibration import MODELS
 from .errors import DomainError, RecordNotFoundError
 from .quotes_io import QuoteRow, quotes_digest
 
 ENV_STORE = "SVCAL_STORE"
 _FILE_NAME = "params.jsonl"
 
+# store file -> {line text: record decoded from it}, holding only the lines
+# the file held at its last read.  A read takes the map out, moves each line
+# it finds into a fresh map and puts that back, so concurrent readers can at
+# worst miss the memo and decode again, never return a wrong record.
+_DECODED: Dict[Path, Dict[str, "ParamRecord"]] = {}
+
 
 @dataclass(frozen=True)
 class ParamRecord:
-    """One calibrated parameter set: flat params or a per-tenor map."""
+    """One calibrated parameter set: flat params or a per-tenor map.
+
+    Records read from a store are shared by every read of the same line;
+    treat ``params`` and ``diagnostics`` as read-only.
+    """
 
     model_kind: str
     params: Mapping
@@ -90,6 +105,22 @@ def _record_from_json(line: str) -> ParamRecord:
     )
 
 
+def _validate_params(rec: ParamRecord) -> None:
+    """Raise :class:`DomainError` unless the params build a model of the record's kind."""
+    spec = MODELS.get(rec.model_kind)
+    if spec is None:
+        raise DomainError(f"unknown model kind {rec.model_kind!r}; choose from {sorted(MODELS)}")
+    sets = rec.params.items() if rec.is_per_tenor else [(None, rec.params)]
+    for tenor, vals in sets:
+        where = "" if tenor is None else f"tenor {tenor!r}: "
+        if not isinstance(vals, Mapping):
+            raise DomainError(f"{where}{rec.model_kind} parameters must be a mapping, got {vals!r}")
+        try:
+            spec.build(vals)
+        except DomainError as exc:
+            raise DomainError(f"{where}{exc}") from exc
+
+
 def default_store_path() -> Path:
     return Path(os.environ.get(ENV_STORE, "./svcal_store"))
 
@@ -106,20 +137,31 @@ class ParamStore:
         return self.root / _FILE_NAME
 
     def _read_all(self) -> List[ParamRecord]:
+        """Every record in file order; only lines not seen before are decoded."""
         if not self.path.exists():
             return []
+        seen = _DECODED.pop(self.path, {})
+        current: Dict[str, ParamRecord] = {}
         out = []
-        for line in self.path.read_text().splitlines():
-            if line.strip():
-                out.append(_record_from_json(line))
+        with self.path.open() as fh:
+            for line in fh:  # line by line, so no second copy of the text is held
+                if not line.strip():
+                    continue
+                rec = current[line] = seen.pop(line, None) or _record_from_json(line)
+                out.append(rec)
+        _DECODED[self.path] = current
         return out
 
     def save(self, record: ParamRecord, quotes: Union[str, bytes, Path, None] = None) -> int:
         """Persist the record; returns its id (unique, monotone).
 
-        When the source quotes are supplied, their digest is checked against
-        the record's; a mismatch stores a ``digest_mismatch`` warning flag.
+        The params must build a model of ``record.model_kind`` (every tenor
+        of a per-tenor map must); otherwise :class:`DomainError` is raised
+        and the file is left untouched.  When the source quotes are
+        supplied, their digest is checked against the record's; a mismatch
+        stores a ``digest_mismatch`` warning flag.
         """
+        _validate_params(record)
         with self._lock:
             try:
                 self.root.mkdir(parents=True, exist_ok=True)
@@ -135,13 +177,17 @@ class ParamStore:
                 raise DomainError(f"store write to {self.path} failed: {exc}") from exc
 
     def load(self, record_id: int) -> ParamRecord:
+        """The record with this id (shared and read-only)."""
         for rec in self._read_all():
             if rec.record_id == record_id:
                 return rec
         raise RecordNotFoundError(f"no record with id {record_id} in {self.path}")
 
     def latest(self, model_kind: str, as_of: Union[str, datetime, None] = None) -> ParamRecord:
-        """Most recent record for the model kind at or before ``as_of``."""
+        """Most recent record for the model kind at or before ``as_of``.
+
+        The record is shared with other reads of the store: read-only.
+        """
         cutoff = None
         if as_of is not None:
             cutoff = as_of if isinstance(as_of, datetime) else datetime.fromisoformat(as_of)
@@ -162,6 +208,7 @@ class ParamStore:
         return best[1]
 
     def list_records(self, model_kind: Optional[str] = None) -> List[ParamRecord]:
+        """Records in file order, optionally of one model kind (read-only)."""
         return [r for r in self._read_all() if model_kind is None or r.model_kind == model_kind]
 
 

@@ -154,6 +154,15 @@ class TestPriceCommand:
         assert out == ""
         assert err.startswith("error:") and "'rho'" in err
 
+    def test_negative_put_is_numerical_failure(self, capsys, tmp_path):
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps({"v0": 0.01, "theta": 0.01, "kappa": 1.0, "sigma": 0.5, "rho": 0.0}))
+        code, out, err = run_cli(capsys, "price", "--params", str(p),
+                                 "--strike", "0.5", "--expiry", "0.25", "--kind", "put")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure:") and "strike 0.5" in err
+
     def test_latest_resolves_through_store(self, capsys, tmp_path, flat_file):
         store_dir = tmp_path / "store"
         run_cli(capsys, "calibrate", "--quotes", str(flat_file), "--save",

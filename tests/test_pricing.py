@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from svcal.errors import DomainError, QuadratureError
+from svcal.errors import DomainError, NumericalError, QuadratureError
 from svcal.models import (
     BatesParams,
     HestonParams,
@@ -152,6 +152,14 @@ class TestFourierPricer:
         want = (math.atan((1 - c) / math.sqrt(a)) + math.atan(c / math.sqrt(a))) / math.sqrt(a)
         assert evals > 30 and np.all(errs <= 1e-10)
         np.testing.assert_allclose(vals, [1.0, want], rtol=0, atol=1e-10)
+
+    def test_negative_put_raises_instead_of_returning(self):
+        # truncation error at the default 200 exceeds this deep OTM put's value:
+        # the raw price is -2.0e-8, which must not reach a caller
+        p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.5, rho=0.0)
+        sl = MarketSlice(forward=1.0, discount=1.0, expiry=0.25)
+        with pytest.raises(NumericalError, match="strike 0.5"):
+            cf_vanilla_price(heston_cf_fn(p), sl, OptionSpec(0.5, 0.25, "put"))
 
     def test_rejects_non_normalized_cf(self):
         bad = lambda u, T: 2.0 * np.ones_like(np.asarray(u, dtype=complex))

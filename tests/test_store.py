@@ -1,8 +1,12 @@
 import json
+import os
+import sys
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+import svcal.store
 from svcal.errors import DomainError, RecordNotFoundError
 from svcal.quotes_io import parse_quotes, quotes_digest
 from svcal.store import ParamRecord, ParamStore, live_calibrate
@@ -122,6 +126,135 @@ class TestStoreRoundTrip:
         line = (tmp_path / "params.jsonl").read_text().strip()
         parsed = json.loads(line)
         assert parsed["params"]["sigma"] == PARAMS["sigma"]
+
+
+class TestSaveValidation:
+    @pytest.mark.parametrize(
+        "model, params, match",
+        [
+            ("heston", {"v0": 0.01}, "missing"),
+            ("heston", dict(PARAMS, jump_vol=0.1), "unexpected.*jump_vol"),
+            ("heston", {"3M": PARAMS, "1Y": dict(PARAMS, rho=1.5)}, "tenor '1Y'.*rho"),
+            ("heston", {"3M": PARAMS, "1Y": 0.5}, "tenor '1Y'"),
+            ("sabr", PARAMS, "unknown model kind 'sabr'"),
+        ],
+        ids=["missing_key", "extra_key", "bad_tenor", "non_mapping_tenor", "unknown_kind"],
+    )
+    def test_rejected_save_leaves_file_unchanged(self, tmp_path, model, params, match):
+        store = ParamStore(tmp_path)
+        store.save(make_record())
+        before = store.path.read_bytes()
+        with pytest.raises(DomainError, match=match):
+            store.save(make_record(model=model, params=params))
+        assert store.path.read_bytes() == before
+        assert [r.record_id for r in store.list_records()] == [1]
+
+    def test_rejected_first_save_creates_no_file(self, tmp_path):
+        store = ParamStore(tmp_path / "fresh")
+        with pytest.raises(DomainError):
+            store.save(make_record(params={"v0": 0.01}))
+        assert not store.path.exists()
+
+
+@pytest.fixture()
+def decoded(monkeypatch):
+    """Lines handed to the JSON decoder during the test."""
+    lines = []
+    decode = svcal.store._record_from_json
+
+    def counting(line):
+        lines.append(line)
+        return decode(line)
+
+    monkeypatch.setattr(svcal.store, "_record_from_json", counting)
+    return lines
+
+
+class TestDecodeMemo:
+    def test_unchanged_file_decodes_nothing(self, tmp_path, decoded):
+        store = ParamStore(tmp_path)
+        for i in range(3):
+            store.save(make_record(params=dict(PARAMS, v0=0.01 + 0.01 * i)))
+        first = store.latest("heston")
+        decoded.clear()
+        assert store.latest("heston") is first
+        assert ParamStore(tmp_path).latest("heston") is first  # memo outlives the instance
+        assert len(ParamStore(tmp_path).list_records()) == 3
+        assert decoded == []
+
+    def test_append_decodes_only_the_new_line(self, tmp_path, decoded):
+        store = ParamStore(tmp_path)
+        store.save(make_record())
+        store.latest("heston")
+        decoded.clear()
+        rid = store.save(make_record(ts="2008-09-17T08:00:00+00:00", params=dict(PARAMS, v0=0.02)))
+        got = store.latest("heston")
+        assert len(decoded) == 1
+        assert got.record_id == rid and got.params["v0"] == 0.02
+
+    def test_external_append_is_seen(self, tmp_path, decoded):
+        store = ParamStore(tmp_path)
+        store.save(make_record())
+        store.latest("heston")
+        rec = make_record(ts="2008-09-18T08:00:00+00:00", params=dict(PARAMS, v0=0.03))
+        with store.path.open("a") as fh:  # another writer's append
+            fh.write(svcal.store._record_to_json(replace(rec, record_id=2)) + "\n")
+        decoded.clear()
+        assert store.latest("heston").params["v0"] == 0.03
+        assert len(decoded) == 1
+
+    def test_same_length_rewrite_returns_new_content(self, tmp_path):
+        store = ParamStore(tmp_path)
+        store.save(make_record(params=dict(PARAMS, v0=0.01)))
+        assert store.latest("heston").params["v0"] == 0.01
+        old = store.path.stat()
+        text = store.path.read_text()
+        assert text.count('"v0": 0.01') == 1
+        store.path.write_text(text.replace('"v0": 0.01', '"v0": 0.07'))
+        os.utime(store.path, ns=(old.st_atime_ns, old.st_mtime_ns))
+        assert store.path.stat().st_size == old.st_size
+        assert store.path.stat().st_mtime_ns == old.st_mtime_ns
+        assert store.latest("heston").params["v0"] == 0.07
+
+    def test_concurrent_readers_see_whole_files(self, tmp_path):
+        from concurrent.futures import ThreadPoolExecutor
+
+        store = ParamStore(tmp_path)
+        for _ in range(30):
+            store.save(make_record())
+        lines = store.path.read_text().splitlines(keepends=True)
+        store.path.write_text("".join(lines[:20]))
+
+        def grow():  # whole-file replaces, so no reader can see a torn line
+            for n in range(21, 31):
+                tmp = tmp_path / "params.tmp"
+                tmp.write_text("".join(lines[:n]))
+                os.replace(tmp, store.path)
+
+        read = lambda: [r.record_id for r in ParamStore(tmp_path).list_records()]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                writer = pool.submit(grow)
+                got = [f.result(timeout=60) for f in [pool.submit(read) for _ in range(60)]]
+                writer.result(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        for ids in got:
+            assert 20 <= len(ids) <= 30 and ids == list(range(1, len(ids) + 1))
+        assert read() == list(range(1, 31))
+
+    def test_truncated_file_reads_back_truncated(self, tmp_path):
+        store = ParamStore(tmp_path)
+        for _ in range(3):
+            store.save(make_record())
+        assert len(store.list_records()) == 3
+        first = store.path.read_text().splitlines(keepends=True)[0]
+        store.path.write_text(first)
+        assert [r.record_id for r in store.list_records()] == [1]
+        assert len(svcal.store._DECODED[store.path]) == 1  # memo holds only current lines
+        assert store.save(make_record()) == 2
 
 
 class TestConcurrentWrites:
