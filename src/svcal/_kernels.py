@@ -2,7 +2,8 @@
 
 One vectorized numpy implementation of every kernel.  All kernels evaluate
 E[exp(i*u*ln(F_T/F_0))] under the forward measure (zero drift) on arrays of
-complex frequencies ``u``.  The Heston-family coefficients use the trap-free
+complex frequencies ``u``, with the expiry ``T`` a scalar or an array
+broadcast against ``u`` (one entry per frequency).  The Heston-family coefficients use the trap-free
 branch of the complex square root together with the algebraic identity
 (b - d) = -sigma^2*s/(b + d), which keeps the formulas stable down to
 sigma = 0 without catastrophic cancellation.
@@ -19,6 +20,18 @@ _SIG2_SERIES = 1e-8
 # Below this vol-of-vol the Schobel-Zhu path degenerates to deterministic
 # volatility (validated against ODE integration of the affine system).
 _SZ_DET_SIGMA = 1e-8
+
+
+def per_expiry(T, f):
+    """``f(t)`` for each distinct expiry ``t``, scattered back to the shape of ``T``.
+
+    A scalar ``T`` returns ``f(T)`` itself.  Used where a closed form
+    branches on the expiry, so each element sees exactly the scalar value.
+    """
+    if np.ndim(T) == 0:
+        return f(T)
+    distinct, where = np.unique(T, return_inverse=True)
+    return np.array([f(float(t)) for t in distinct])[where].reshape(np.shape(T))
 
 
 def _clog1p(z: np.ndarray) -> np.ndarray:
@@ -93,6 +106,15 @@ def piecewise_heston_cf_vals(u, v0, taus, thetas, kappas, sigmas, rhos):
     return np.exp(A + D * v0)
 
 
+def _sz_integrated_var(v0, theta, kappa, T):
+    """Integral over [0, T] of the squared deterministic volatility path."""
+    if kappa * T < 1e-10:
+        return v0 * v0 * T
+    e1 = -np.expm1(-kappa * T) / kappa
+    e2 = -np.expm1(-2.0 * kappa * T) / (2.0 * kappa)
+    return theta * theta * T + 2.0 * theta * (v0 - theta) * e1 + (v0 - theta) ** 2 * e2
+
+
 def schobel_zhu_cf_vals(u, v0, theta, kappa, sigma, rho, T):
     """CF of the mean-reverting Ornstein-Uhlenbeck volatility model.
 
@@ -103,13 +125,7 @@ def schobel_zhu_cf_vals(u, v0, theta, kappa, sigma, rho, T):
     u = np.asarray(u, dtype=np.complex128)
     s = u * u + 1j * u
     if sigma < _SZ_DET_SIGMA:
-        if kappa * T < 1e-10:
-            V2 = v0 * v0 * T
-        else:
-            e1 = -np.expm1(-kappa * T) / kappa
-            e2 = -np.expm1(-2.0 * kappa * T) / (2.0 * kappa)
-            V2 = theta * theta * T + 2.0 * theta * (v0 - theta) * e1 + (v0 - theta) ** 2 * e2
-        return np.exp(-0.5 * s * V2)
+        return np.exp(-0.5 * s * per_expiry(T, lambda t: _sz_integrated_var(v0, theta, kappa, t)))
     sig2 = sigma * sigma
     b = kappa - 1j * (rho * sigma) * u
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -34,7 +34,7 @@ from .pricing import (
     OptionSpec,
     QuadratureConfig,
     bs_implied_vol,
-    cf_vanilla_prices,
+    cf_surface_prices,
 )
 
 # residual magnitude standing in for a failed pricing at a trial point; the
@@ -234,18 +234,20 @@ def _box_arrays(names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _model_values(params: AffineParams, target: CalibrationTarget, quad: QuadratureConfig) -> np.ndarray:
-    """Model vols or OTM prices at the target points, one Fourier integral per expiry."""
-    cf = cf_for(params)
+    """Model vols or OTM prices at the target points: one Fourier integral per
+    expiry, all expiries refined together with one CF call per round."""
     out = np.empty(len(target.points))
     by_expiry: dict = {}
     for i, pt in enumerate(target.points):
         by_expiry.setdefault(pt.expiry, []).append(i)
+    legs = []
     for expiry, idx in by_expiry.items():
         sl = target.slices[expiry]
         strikes = [target.points[i].strike for i in idx]
-        opts = [OptionSpec(k, expiry, "call" if k >= sl.forward else "put") for k in strikes]
-        prices = cf_vanilla_prices(cf, sl, opts, quad)
-        for i, opt, price in zip(idx, opts, prices):
+        legs.append((sl, [OptionSpec(k, expiry, "call" if k >= sl.forward else "put") for k in strikes]))
+    prices = cf_surface_prices(cf_for(params), legs, quad)
+    for idx, (sl, opts), leg_prices in zip(by_expiry.values(), legs, prices):
+        for i, opt, price in zip(idx, opts, leg_prices):
             out[i] = bs_implied_vol(sl, opt, float(price)) if target.space == "vol" else price
     return out
 

@@ -183,32 +183,41 @@ def expected_mean_variance(p: HestonParams, T: float) -> float:
     return p.theta + (p.v0 - p.theta) * phi1
 
 
-def _as_u_array(u: ArrayLike) -> tuple[np.ndarray, bool]:
+def _as_u_array(u: ArrayLike, T: ArrayLike) -> tuple[np.ndarray, ArrayLike, bool]:
+    """Frequencies as a 1-d+ complex array, with ``T`` checked and broadcast against them.
+
+    A scalar ``T`` is passed through unchanged; an array ``T`` comes back
+    broadcast to the frequencies' shape.  The flag says both were scalars.
+    """
     arr = np.atleast_1d(np.asarray(u, dtype=np.complex128))
-    return arr, np.ndim(u) == 0
+    if not np.all(np.greater(T, 0)):
+        raise DomainError(f"T must be > 0, got {T}")
+    if np.ndim(T) == 0:
+        return arr, T, np.ndim(u) == 0
+    arr, T = np.broadcast_arrays(arr, np.asarray(T, dtype=float))
+    return arr, T, False
 
 
-def cf_heston(u: ArrayLike, p: HestonParams, T: float) -> ArrayLike:
+def cf_heston(u: ArrayLike, p: HestonParams, T: ArrayLike) -> ArrayLike:
     """Heston characteristic function of ln(F_T/F_0), trap-free branch.
 
-    Accepts scalar or array ``u`` (complex allowed); must stay finite for
-    |u| up to the quadrature truncation bound.
+    Accepts scalar or array ``u`` (complex allowed) and a scalar ``T`` or an
+    array of expiries broadcast against ``u``; must stay finite for |u| up
+    to the quadrature truncation bound.
     """
-    _require(T > 0, f"T must be > 0, got {T}")
-    arr, scalar = _as_u_array(u)
+    arr, T, scalar = _as_u_array(u, T)
     if p.sigma == 0.0:
         # deterministic variance: exact lognormal limit
         s = arr * arr + 1j * arr
-        out = np.exp(-0.5 * s * expected_mean_variance(p, T) * T)
+        out = np.exp(-0.5 * s * _kernels.per_expiry(T, lambda t: expected_mean_variance(p, t)) * T)
     else:
         out = _kernels.heston_cf_vals(arr, p.v0, p.theta, p.kappa, p.sigma, p.rho, T)
     return out[0] if scalar else out
 
 
-def cf_bates(u: ArrayLike, p: BatesParams, T: float) -> ArrayLike:
+def cf_bates(u: ArrayLike, p: BatesParams, T: ArrayLike) -> ArrayLike:
     """Heston CF times the compensated lognormal-jump factor."""
-    _require(T > 0, f"T must be > 0, got {T}")
-    arr, scalar = _as_u_array(u)
+    arr, T, scalar = _as_u_array(u, T)
     base = cf_heston(arr, p.heston, T)
     lam, kbar, delta = p.jump_intensity, p.mean_jump, p.jump_vol
     if lam == 0.0:
@@ -220,10 +229,9 @@ def cf_bates(u: ArrayLike, p: BatesParams, T: float) -> ArrayLike:
     return out[0] if scalar else out
 
 
-def cf_schobel_zhu(u: ArrayLike, p: SchobelZhuParams, T: float) -> ArrayLike:
-    """Schobel-Zhu characteristic function of ln(F_T/F_0)."""
-    _require(T > 0, f"T must be > 0, got {T}")
-    arr, scalar = _as_u_array(u)
+def cf_schobel_zhu(u: ArrayLike, p: SchobelZhuParams, T: ArrayLike) -> ArrayLike:
+    """Schobel-Zhu characteristic function of ln(F_T/F_0); ``T`` as in :func:`cf_heston`."""
+    arr, T, scalar = _as_u_array(u, T)
     out = _kernels.schobel_zhu_cf_vals(arr, p.v0, p.theta, p.kappa, p.sigma, p.rho, T)
     return out[0] if scalar else out
 
@@ -258,17 +266,23 @@ def _effective_segments(p: PiecewiseHestonParams, T: float):
     )
 
 
-def cf_piecewise_heston(u: ArrayLike, p: PiecewiseHestonParams, T: float) -> ArrayLike:
+def cf_piecewise_heston(u: ArrayLike, p: PiecewiseHestonParams, T: ArrayLike) -> ArrayLike:
     """Piecewise-constant Heston CF by backward induction over segments.
 
     Each segment's terminal affine coefficients seed the previous segment;
-    one segment reduces exactly to :func:`cf_heston`.
+    one segment reduces exactly to :func:`cf_heston`.  The segments depend
+    on the expiry, so an array ``T`` makes one kernel call per distinct
+    expiry.
     """
-    _require(T > 0, f"T must be > 0, got {T}")
-    arr, scalar = _as_u_array(u)
-    taus, thetas, kappas, sigmas, rhos = _effective_segments(p, T)
-    out = _kernels.piecewise_heston_cf_vals(arr, p.v0, taus, thetas, kappas, sigmas, rhos)
-    return out[0] if scalar else out
+    arr, T, scalar = _as_u_array(u, T)
+    if np.ndim(T) == 0:
+        out = _kernels.piecewise_heston_cf_vals(arr, p.v0, *_effective_segments(p, T))
+        return out[0] if scalar else out
+    out = np.empty(arr.shape, dtype=np.complex128)
+    for t in np.unique(T):
+        at = T == t
+        out[at] = _kernels.piecewise_heston_cf_vals(arr[at], p.v0, *_effective_segments(p, float(t)))
+    return out
 
 
 AffineParams = Union[HestonParams, BatesParams, SchobelZhuParams, PiecewiseHestonParams]

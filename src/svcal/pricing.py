@@ -7,7 +7,9 @@ identically whenever the model degenerates to deterministic variance.  The
 characteristic function does not depend on the strike, so one adaptive
 contour integral per expiry is shared by all its strikes: the CF is
 evaluated once per quadrature node and each strike only adds its e^{iuk}
-factor.
+factor.  The expiries of a surface refine in lockstep, so each adaptive
+round makes one CF call for all the expiries still refining, and the first
+round's call also carries every expiry's cf(0) and cf(-i/2) probe.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from scipy.special import ndtr
 from .errors import DomainError, NumericalError, QuadratureError
 from .models import AffineParams, MarketSlice, cf_for
 
-CharFn = Callable[[np.ndarray, float], np.ndarray]
+CharFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -178,29 +180,32 @@ _WG15[[1, 3, 5, 7, 9, 11, 13]] = [
 ]
 
 
-def _gk_panels(f, los: np.ndarray, his: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and |K15-G7| error estimates, shape (integrands, panels)."""
+def _gk_panels(los: np.ndarray, his: np.ndarray):
+    """Coroutine for one batch of panels: yields their 15*len(los) nodes and is
+    sent the (integrands, nodes) values there; returns the Kronrod values and
+    |K15-G7| error estimates, shape (integrands, panels)."""
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    fv = f(nodes.ravel()).reshape(-1, *nodes.shape)
+    fv = (yield nodes.ravel()).reshape(-1, *nodes.shape)
     k15 = (fv * _WGK).sum(axis=2) * half
     g7 = (fv * _WG15).sum(axis=2) * half
     return k15, np.abs(k15 - g7)
 
 
-def _adaptive_gk(f, a: float, b: float, n0: int, tol: float, max_evals: int):
-    """Deterministic panel-splitting adaptive quadrature on [a, b].
+def _adaptive_gk(a: float, b: float, n0: int, tol: float, max_evals: int):
+    """Deterministic panel-splitting adaptive quadrature on [a, b], as a coroutine.
 
-    ``f`` maps n nodes to an (m, n) array: m integrands sharing every node.
-    A panel is split while any integrand short of ``tol`` has an error on it
-    above its share of ``tol``; the result stands once every integrand's
-    total error estimate is within ``tol``.  Returns (integrals, errors,
-    evaluations), the first two of length m.
+    Each round yields a flat array of nodes and is sent an (m, n) array:
+    m integrands sharing every node.  A panel is split while any integrand
+    short of ``tol`` has an error on it above its share of ``tol``; the
+    result stands once every integrand's total error estimate is within
+    ``tol``.  Returns (integrals, errors, evaluations), the first two of
+    length m.
     """
     edges = np.linspace(a, b, n0 + 1)
     los, his = edges[:-1], edges[1:]
-    vals, errs = _gk_panels(f, los, his)
+    vals, errs = yield from _gk_panels(los, his)
     evals = 15 * n0
     while True:
         err_total = errs.sum(axis=1)
@@ -222,7 +227,7 @@ def _adaptive_gk(f, a: float, b: float, n0: int, tol: float, max_evals: int):
         mids = 0.5 * (los[split] + his[split])
         new_los = np.concatenate([los[split], mids])
         new_his = np.concatenate([mids, his[split]])
-        new_vals, new_errs = _gk_panels(f, new_los, new_his)
+        new_vals, new_errs = yield from _gk_panels(new_los, new_his)
         evals += 15 * len(new_los)
         los = np.concatenate([los[keep], new_los])
         his = np.concatenate([his[keep], new_his])
@@ -230,51 +235,42 @@ def _adaptive_gk(f, a: float, b: float, n0: int, tol: float, max_evals: int):
         errs = np.concatenate([errs[:, keep], new_errs], axis=1)
 
 
-def cf_vanilla_prices(
-    cf: CharFn,
-    slice_: MarketSlice,
-    opts: Sequence[OptionSpec],
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> np.ndarray:
-    """European prices of options on one expiry by Fourier inversion of a CF.
+# cf(0) = 1 checks the CF; cf(-i/2) gives the control-variate variance
+_PROBE = np.array([0.0 + 0j, -0.5j])
 
-    ``cf(u, T)`` must return E[exp(i*u*ln(F_T/F_0))] for complex ``u`` and
-    satisfy cf(0) = 1.  The call value at strike K is
 
-        C = df * [ Black(F, K, T, vol_cv)
-                   + sqrt(F*K)/pi * int_0^inf Re[e^{iuk}(phi_cv - phi)(u - i/2)]
-                                      / (u^2 + 1/4) du ],   k = ln(F/K),
+def _expiry_prices(slice_: MarketSlice, opts: Sequence[OptionSpec], cfg: QuadratureConfig):
+    """Coroutine pricing the options of one expiry.
 
-    with the control-variate variance w = -8 ln cf(-i/2), which matches the
-    model's lognormal limit exactly.  Only e^{iuk} depends on the strike, so
-    phi is evaluated once per node and every strike integrates on the same
-    adaptive panels; each strike's error estimate is within
-    ``cfg.tolerance``.  Deterministic given ``cfg``; raises
-    :class:`QuadratureError` with the largest residual estimate on
-    non-convergence.  Calls are floored at 0; a put that still comes out
-    negative (quadrature error larger than its value) raises
-    :class:`NumericalError` naming the strike.
+    Yields the complex frequencies at which it needs the CF and is sent the
+    CF values there; returns the prices.  The first request carries the
+    probe points ahead of the first panels' nodes: the panels depend only on
+    the truncation and the strikes, not on what the probe yields.
     """
     for opt in opts:
         _check_slice(slice_, opt)
     F, df, T = slice_.forward, slice_.discount, slice_.expiry
-    probe = np.asarray(cf(np.array([0.0 + 0j, -0.5j]), T))
+    k = np.array([math.log(F / opt.strike) for opt in opts])[:, None]
+    k_max = float(np.abs(k).max(initial=0.0))
+    n0 = int(np.clip(math.ceil(cfg.truncation * (k_max + 0.5) / 6.0), 8, 96))
+    quad = _adaptive_gk(0.0, cfg.truncation, n0, cfg.tolerance, cfg.max_evals)
+    u = next(quad)
+    phi = yield np.concatenate([_PROBE, u.astype(np.complex128) - 0.5j])
+    probe, phi = phi[:2], phi[2:]
     if not np.isfinite(probe).all() or abs(probe[0] - 1.0) > 1e-8:
         raise DomainError(f"characteristic function violates cf(0)=1: got {probe[0]}")
     w = -8.0 * math.log(max(abs(probe[1]), 1e-300))
     w = max(w, 1e-14)
     vol_cv = math.sqrt(w / T)
-    k = np.array([math.log(F / opt.strike) for opt in opts])[:, None]
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        z = u.astype(np.complex128) - 0.5j
-        phi = np.asarray(cf(z, T))
+    while True:
         phi_cv = np.exp(-0.5 * w * (u * u + 0.25))
-        return (np.exp(1j * u * k) * (phi_cv - phi)).real / (u * u + 0.25)
-
-    k_max = float(np.abs(k).max(initial=0.0))
-    n0 = int(np.clip(math.ceil(cfg.truncation * (k_max + 0.5) / 6.0), 8, 96))
-    integrals, _, _ = _adaptive_gk(integrand, 0.0, cfg.truncation, n0, cfg.tolerance, cfg.max_evals)
+        integrand = (np.exp(1j * u * k) * (phi_cv - phi)).real / (u * u + 0.25)
+        try:
+            u = quad.send(integrand)
+        except StopIteration as stop:
+            integrals = stop.value[0]
+            break
+        phi = yield u.astype(np.complex128) - 0.5j
     prices = np.empty(len(opts))
     for i, (opt, integral) in enumerate(zip(opts, integrals)):
         K = opt.strike
@@ -287,6 +283,68 @@ def cf_vanilla_prices(
                 f"Fourier quadrature error exceeds the option value"
             )
     return prices
+
+
+def cf_surface_prices(
+    cf: CharFn,
+    legs: Sequence[Tuple[MarketSlice, Sequence[OptionSpec]]],
+    cfg: QuadratureConfig = DEFAULT_QUAD,
+) -> List[np.ndarray]:
+    """European prices of options on several expiries by Fourier inversion of a CF.
+
+    ``legs`` pairs each expiry's market slice with its options; the result
+    holds one price array per leg.  ``cf(u, T)`` must return
+    E[exp(i*u*ln(F_T/F_0))] for complex ``u`` and an array ``T`` of
+    expiries broadcast against it, and satisfy cf(0) = 1.  The call value
+    at strike K is
+
+        C = df * [ Black(F, K, T, vol_cv)
+                   + sqrt(F*K)/pi * int_0^inf Re[e^{iuk}(phi_cv - phi)(u - i/2)]
+                                      / (u^2 + 1/4) du ],   k = ln(F/K),
+
+    with the control-variate variance w = -8 ln cf(-i/2), which matches the
+    model's lognormal limit exactly.  Only e^{iuk} depends on the strike, so
+    every strike of an expiry integrates on the same adaptive panels, and
+    each strike's error estimate is within ``cfg.tolerance``.  The expiries
+    refine in lockstep: each round makes one CF call over the new nodes of
+    every expiry still refining, and the first also carries every expiry's
+    cf(0) and cf(-i/2) probe.  Each expiry keeps its own panels, budget and
+    checks, so its prices are bit for bit those it gets priced alone.
+
+    Deterministic given ``cfg``.  Raises the first failure met, in round
+    order, then leg order: :class:`DomainError` when cf(0) != 1,
+    :class:`QuadratureError` with the largest residual estimate when an
+    expiry exhausts ``cfg.max_evals``, :class:`NumericalError` naming the
+    strike when a put comes out negative (quadrature error larger than its
+    value).  Calls are floored at 0.
+    """
+    pricers = [_expiry_prices(slice_, opts, cfg) for slice_, opts in legs]
+    prices: List[np.ndarray] = [np.empty(0)] * len(legs)
+    asks = {i: next(pricer) for i, pricer in enumerate(pricers)}
+    while asks:
+        u = np.concatenate(list(asks.values()))
+        T = np.concatenate([np.full(len(z), legs[i][0].expiry) for i, z in asks.items()])
+        phi = np.asarray(cf(u, T))
+        next_asks = {}
+        start = 0
+        for i, z in asks.items():
+            try:
+                next_asks[i] = pricers[i].send(phi[start:start + len(z)])
+            except StopIteration as stop:
+                prices[i] = stop.value
+            start += len(z)
+        asks = next_asks
+    return prices
+
+
+def cf_vanilla_prices(
+    cf: CharFn,
+    slice_: MarketSlice,
+    opts: Sequence[OptionSpec],
+    cfg: QuadratureConfig = DEFAULT_QUAD,
+) -> np.ndarray:
+    """European prices of options on one expiry: :func:`cf_surface_prices` on one leg."""
+    return cf_surface_prices(cf, [(slice_, opts)], cfg)[0]
 
 
 def cf_vanilla_price(

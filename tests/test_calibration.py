@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from svcal.calibration import (
 from svcal.errors import DomainError
 from svcal.fx_quotes import Conventions, TenorQuote
 from svcal.models import HestonParams, MarketSlice, expected_mean_variance
-from svcal.pricing import model_smile
+from svcal.pricing import DEFAULT_QUAD, model_smile
+
+DATA_CSV = Path(__file__).resolve().parent.parent / "data" / "eurusd_2008-09-16.csv"
 
 PARAM_NAMES = ("v0", "theta", "kappa", "sigma", "rho")
 
@@ -125,6 +128,82 @@ class TestObjective:
         target = make_target(TRUTH, tenors=(1.0,))
         with pytest.raises(DomainError):
             objective(target, "heston", np.zeros(3))
+
+
+class TestSurfaceResidual:
+    """One residual evaluation prices every expiry of the surface together."""
+
+    EURUSD_FIT = HestonParams(v0=0.0178, theta=0.0135, kappa=1.3, sigma=0.29, rho=-0.14)
+
+    def test_one_kernel_call_per_round_on_the_bundled_surface(self, monkeypatch):
+        import svcal._kernels
+        from svcal.calibration import DEFAULT_QUAD, _model_values
+        from svcal.quotes_io import load_quotes
+        from svcal.workflows import surface_target
+
+        target = surface_target(load_quotes(DATA_CSV), Conventions())
+        assert len(target.slices) == 7
+        sizes = []
+        kernel = svcal._kernels.heston_cf_vals
+
+        def counted(u, *args):
+            sizes.append(len(u))
+            return kernel(u, *args)
+
+        monkeypatch.setattr(svcal._kernels, "heston_cf_vals", counted)
+        surface = _model_values(self.EURUSD_FIT, target, DEFAULT_QUAD)
+        surface_sizes = list(sizes)
+        rounds = []  # kernel calls of each expiry valued alone: one per round
+        for expiry, sl in target.slices.items():
+            alone = CalibrationTarget(tuple(pt for pt in target.points if pt.expiry == expiry), "vol",
+                                      {expiry: sl})
+            sizes.clear()
+            want = _model_values(self.EURUSD_FIT, alone, DEFAULT_QUAD)
+            rounds.append(len(sizes))
+            got = [v for pt, v in zip(target.points, surface) if pt.expiry == expiry]
+            assert np.array_equal(got, want)
+        assert len(surface_sizes) == max(rounds) <= 3
+        assert min(surface_sizes) > 2  # no separate cf(0)/cf(-i/2) probe call
+
+    @staticmethod
+    def _residuals(target, p, quad=DEFAULT_QUAD):
+        from svcal.calibration import MODELS, _Problem
+
+        fixed = {n: v for n, v in p.as_dict().items() if n != "rho"}
+        prob = _Problem(target, MODELS["heston"], fixed, {}, quad)
+        return prob.residuals(prob.x_from_params({"rho": p.rho}))
+
+    @staticmethod
+    def _price_target(points):
+        slices = {T: MarketSlice(F, 1.0, T) for T, F, _ in points}
+        return CalibrationTarget(tuple(TargetPoint(T, K, 0.01) for T, _, K in points), "price", slices)
+
+    def test_quadrature_budget_failure_on_one_expiry_fails_the_residual(self, base_heston):
+        from svcal.calibration import _FAILED_RESIDUAL
+        from svcal.pricing import QuadratureConfig
+
+        target = self._price_target([(0.05, 100.0, 100.0), (1.0, 100.0, 100.0)])
+        assert np.all(self._residuals(target, base_heston) != _FAILED_RESIDUAL)
+        res = self._residuals(target, base_heston, QuadratureConfig(max_evals=255))
+        assert np.all(res == _FAILED_RESIDUAL)
+
+    def test_non_normalized_cf_on_one_expiry_fails_the_residual(self, monkeypatch, base_heston):
+        import svcal.calibration
+        from svcal.calibration import _FAILED_RESIDUAL
+        from svcal.models import cf_heston
+
+        target = self._price_target([(1.0, 100.0, 100.0), (2.0, 100.0, 100.0)])
+        monkeypatch.setattr(svcal.calibration, "cf_for", lambda p: (
+            lambda u, T: np.where(T > 1.5, 2.0, 1.0) * cf_heston(u, p, T)))
+        assert np.all(self._residuals(target, base_heston) == _FAILED_RESIDUAL)
+
+    def test_negative_put_on_one_expiry_fails_the_residual(self):
+        from svcal.calibration import _FAILED_RESIDUAL
+
+        p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.5, rho=0.0)
+        target = self._price_target([(1.0, 1.0, 1.0), (0.25, 1.0, 1.0), (0.25, 1.0, 0.5)])
+        assert np.all(self._residuals(target, p) == _FAILED_RESIDUAL)
+        assert np.all(self._residuals(self._price_target([(1.0, 1.0, 1.0)]), p) != _FAILED_RESIDUAL)
 
 
 class TestCalibrate:

@@ -163,6 +163,19 @@ class TestPriceCommand:
         assert out == ""
         assert err.startswith("numerical failure:") and "strike 0.5" in err
 
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_no_time_value_is_numerical_failure_not_vol_zero(self, capsys, tmp_path, kind):
+        # the call's quadrature error exceeds its value, so the pricer floors it
+        # at 0 and the put comes out at exactly its intrinsic 900; neither may
+        # be inverted into a fabricated implied vol of 0
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps({"v0": 0.04, "theta": 0.04, "kappa": 1.0, "sigma": 0.5, "rho": -0.7}))
+        code, out, err = run_cli(capsys, "price", "--params", str(p), "--forward", "100",
+                                 "--strike", "1000", "--expiry", "0.1", "--kind", kind)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure:") and "strike 1000.0" in err
+
     def test_latest_resolves_through_store(self, capsys, tmp_path, flat_file):
         store_dir = tmp_path / "store"
         run_cli(capsys, "calibrate", "--quotes", str(flat_file), "--save",

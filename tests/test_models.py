@@ -225,3 +225,60 @@ class TestPiecewiseHeston:
         np.testing.assert_allclose(
             cf_piecewise_heston(u, pw1, 0.7), cf_piecewise_heston(u, pw2, 0.7), rtol=1e-14
         )
+
+
+_PIECEWISE = PiecewiseHestonParams(
+    v0=0.03,
+    breakpoints=(0.5, 1.5, 2.0),
+    segments=((0.04, 1.0, 0.5, -0.6), (0.06, 2.0, 0.9, 0.3), (0.02, 0.4, 0.2, -0.1)),
+)
+# every branch of a CF that depends on the expiry
+_ARRAY_T_CASES = [
+    pytest.param(cf_heston, HestonParams(0.04, 0.04, 1.0, 0.5, -0.7), id="heston"),
+    pytest.param(cf_heston, HestonParams(0.02, 0.06, 1.5, 1e-5, 0.3), id="heston-sigma2-series"),
+    pytest.param(cf_heston, HestonParams(0.04, 0.09, 1.0, 0.0, -0.5), id="heston-sigma0"),
+    pytest.param(cf_heston, HestonParams(0.04, 0.09, 0.0, 0.0, 0.0), id="heston-sigma0-kappa0"),
+    pytest.param(cf_bates, BatesParams(HestonParams(0.04, 0.04, 1.0, 0.5, -0.7), 0.8, -0.1, 0.15), id="bates"),
+    pytest.param(cf_bates, BatesParams(HestonParams(0.04, 0.04, 1.0, 0.0, -0.7), 0.8, -0.1, 0.15),
+                 id="bates-sigma0"),
+    pytest.param(cf_schobel_zhu, SchobelZhuParams(0.2, 0.25, 2.0, 0.3, -0.5), id="sz"),
+    pytest.param(cf_schobel_zhu, SchobelZhuParams(0.2, 0.25, 2.0, 1e-9, -0.5), id="sz-deterministic"),
+    pytest.param(cf_schobel_zhu, SchobelZhuParams(0.2, 0.25, 0.0, 0.0, 0.0), id="sz-deterministic-kappa0"),
+    # the expiries fall inside the first, a middle and past the last segment
+    pytest.param(cf_piecewise_heston, _PIECEWISE, id="piecewise"),
+]
+
+
+class TestArrayExpiry:
+    """An array of expiries gives, element for element, the bits of scalar-T calls."""
+
+    EXPIRIES = (0.02, 0.3, 1.0, 1.7, 3.5)
+
+    @pytest.mark.parametrize("cf,p", _ARRAY_T_CASES)
+    def test_blocks_of_expiries_equal_scalar_calls_bitwise(self, cf, p):
+        rng = np.random.default_rng(5)
+        # the probe points, then contour nodes, for every expiry: how the pricer lays out a round
+        blocks = [np.concatenate([[0.0, -0.5j, -1j], rng.uniform(0.0, 200.0, 40 + 7 * i) - 0.5j])
+                  for i in range(len(self.EXPIRIES))]
+        u = np.concatenate(blocks)
+        T = np.concatenate([np.full(len(b), t) for b, t in zip(blocks, self.EXPIRIES)])
+        want = np.concatenate([cf(b, p, t) for b, t in zip(blocks, self.EXPIRIES)])
+        assert cf(u, p, T).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cf,p", _ARRAY_T_CASES)
+    def test_interleaved_expiries_equal_scalar_calls_bitwise(self, cf, p):
+        rng = np.random.default_rng(6)
+        u = rng.uniform(-50.0, 50.0, 300) + 1j * rng.uniform(-1.0, 0.0, 300)
+        T = rng.choice(self.EXPIRIES, 300)
+        want = np.array([cf(ui, p, float(ti)) for ui, ti in zip(u, T)])
+        assert cf(u, p, T).tobytes() == want.tobytes()
+        assert cf(0.3 - 0.5j, p, 1.7) == cf(np.array([0.3 - 0.5j]), p, np.array([1.7]))[0]
+
+    @pytest.mark.parametrize("cf,p", _ARRAY_T_CASES)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_non_positive_expiry_anywhere_raises(self, cf, p, bad):
+        u = np.linspace(0.0, 10.0, 4) - 0.5j
+        with pytest.raises(DomainError, match="T must be > 0"):
+            cf(u, p, np.array([1.0, 0.5, bad, 2.0]))
+        with pytest.raises(DomainError, match="T must be > 0"):
+            cf(u, p, bad)

@@ -24,6 +24,7 @@ from svcal.pricing import (
     QuadratureConfig,
     bs_implied_vol,
     bs_price,
+    cf_surface_prices,
     cf_vanilla_price,
     cf_vanilla_prices,
     model_smile,
@@ -39,6 +40,17 @@ HESTON_ATM_PIN = 6.792914739874955
 
 def heston_cf_fn(p):
     return lambda u, T: cf_heston(u, p, T)
+
+
+def _integrate(f, a, b, n0, tol, max_evals):
+    """Drive the :func:`_adaptive_gk` coroutine with a plain vector integrand."""
+    quad = _adaptive_gk(a, b, n0, tol, max_evals)
+    nodes = next(quad)
+    try:
+        while True:
+            nodes = quad.send(f(nodes))
+    except StopIteration as stop:
+        return stop.value
 
 
 class TestBlackScholes:
@@ -148,7 +160,7 @@ class TestFourierPricer:
         # row 0 is exact on the first panels; row 1 has a sharp peak needing many splits
         a, c = 1e-4, 0.3
         f = lambda u: np.stack([np.ones_like(u), 1.0 / (a + (u - c) ** 2)])
-        vals, errs, evals = _adaptive_gk(f, 0.0, 1.0, 2, 1e-10, 20000)
+        vals, errs, evals = _integrate(f, 0.0, 1.0, 2, 1e-10, 20000)
         want = (math.atan((1 - c) / math.sqrt(a)) + math.atan(c / math.sqrt(a))) / math.sqrt(a)
         assert evals > 30 and np.all(errs <= 1e-10)
         np.testing.assert_allclose(vals, [1.0, want], rtol=0, atol=1e-10)
@@ -336,3 +348,75 @@ class TestSlicePricerProperties:
         bad = lambda u, T: scale * np.ones_like(np.asarray(u, dtype=complex))
         with pytest.raises(DomainError, match="cf\\(0\\)=1"):
             cf_vanilla_prices(bad, sl, _opts(sl, strikes, "call"))
+
+
+@st.composite
+def _surfaces(draw):
+    """1-7 distinct expiries, each with its own strikes and a mix of calls and puts."""
+    legs = []
+    for T in draw(st.lists(st.floats(0.25, 2.0), min_size=1, max_size=7, unique=True)):
+        sl = MarketSlice(forward=1.0, discount=draw(st.floats(0.9, 1.0)), expiry=T)
+        strikes = draw(_strikes)
+        kinds = draw(st.lists(st.sampled_from(["call", "put"]), min_size=len(strikes), max_size=len(strikes)))
+        legs.append((sl, [OptionSpec(k, T, kind) for k, kind in zip(strikes, kinds)]))
+    return legs
+
+
+class TestSurfacePricer:
+    @_props
+    @given(params=_params, legs=_surfaces())
+    def test_surface_equals_each_expiry_priced_alone(self, params, legs):
+        cf = cf_for(params)
+        got = cf_surface_prices(cf, legs)
+        assert len(got) == len(legs)
+        for (sl, opts), prices in zip(legs, got):
+            assert np.array_equal(prices, cf_vanilla_prices(cf, sl, opts))
+
+    def test_one_cf_call_per_round_with_the_probes_in_the_first(self, base_heston):
+        calls = []
+
+        def cf(u, T):
+            calls.append((u.copy(), T.copy()))
+            return cf_heston(u, base_heston, T)
+
+        legs = [(MarketSlice(100.0, 1.0, T), [OptionSpec(100.0, T, "call")]) for T in (0.05, 1.0, 2.0)]
+        cf_surface_prices(cf, legs)
+        surface_calls = list(calls)
+        rounds = []  # CF calls of each expiry priced alone: one per round
+        for sl, opts in legs:
+            calls.clear()
+            cf_vanilla_prices(cf, sl, opts)
+            rounds.append(len(calls))
+        assert max(rounds) > min(rounds)
+        assert len(surface_calls) == max(rounds)
+        first_u, first_T = surface_calls[0]
+        for sl, _ in legs:
+            # each expiry's cf(0) and cf(-i/2) ride in the first call
+            at = first_T == sl.expiry
+            assert first_u[at][0] == 0 and first_u[at][1] == -0.5j
+        assert all(len(u) > 2 for u, _ in surface_calls)
+
+    def test_budget_too_small_for_one_expiry_raises_quadrature_error(self, base_heston):
+        # 255 evaluations is the first round of 17 panels: enough for the
+        # short expiry, not for the long one
+        cfg = QuadratureConfig(max_evals=255)
+        short = (MarketSlice(100.0, 1.0, 0.05), [OptionSpec(100.0, 0.05, "call")])
+        long = (MarketSlice(100.0, 1.0, 1.0), [OptionSpec(100.0, 1.0, "call")])
+        cf_surface_prices(heston_cf_fn(base_heston), [short], cfg)  # the short expiry fits the budget
+        with pytest.raises(QuadratureError) as exc:
+            cf_surface_prices(heston_cf_fn(base_heston), [short, long], cfg)
+        assert exc.value.residual > 0
+
+    def test_non_normalized_cf_on_one_expiry_raises_domain_error(self, base_heston):
+        bad = lambda u, T: np.where(T > 1.5, 2.0, 1.0) * cf_heston(u, base_heston, T)
+        legs = [(MarketSlice(100.0, 1.0, T), [OptionSpec(100.0, T, "call")]) for T in (1.0, 2.0)]
+        cf_surface_prices(bad, legs[:1])
+        with pytest.raises(DomainError, match="cf\\(0\\)=1"):
+            cf_surface_prices(bad, legs)
+
+    def test_negative_put_on_one_expiry_raises_numerical_error(self):
+        p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.5, rho=0.0)
+        legs = [(MarketSlice(1.0, 1.0, 1.0), [OptionSpec(1.0, 1.0, "call")]),
+                (MarketSlice(1.0, 1.0, 0.25), [OptionSpec(1.0, 0.25, "call"), OptionSpec(0.5, 0.25, "put")])]
+        with pytest.raises(NumericalError, match="strike 0.5"):
+            cf_surface_prices(heston_cf_fn(p), legs)
