@@ -63,6 +63,7 @@ from .pricing import (
     cf_surface_prices,
     cf_vanilla_price,
     cf_vanilla_prices,
+    model_implied_vol,
     model_smile,
 )
 from .store import ParamRecord, ParamStore, live_calibrate
@@ -127,6 +128,7 @@ __all__ = [
     "implied_varswap_curve",
     "live_calibrate",
     "mix_at",
+    "model_implied_vol",
     "model_smile",
     "objective",
     "replicate_varswap",

@@ -2,11 +2,11 @@
 
 One vectorized numpy implementation of every kernel.  All kernels evaluate
 E[exp(i*u*ln(F_T/F_0))] under the forward measure (zero drift) on arrays of
-complex frequencies ``u``, with the expiry ``T`` a scalar or an array
-broadcast against ``u`` (one entry per frequency).  The Heston-family coefficients use the trap-free
-branch of the complex square root together with the algebraic identity
-(b - d) = -sigma^2*s/(b + d), which keeps the formulas stable down to
-sigma = 0 without catastrophic cancellation.
+complex frequencies ``u``, with the expiry ``T`` an array broadcast against
+``u`` (one entry per frequency).  The Heston-family coefficients use the
+trap-free branch of the complex square root together with the algebraic
+identity (b - d) = -sigma^2*s/(b + d), which keeps the formulas stable down
+to sigma = 0 without catastrophic cancellation.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ _SZ_DET_SIGMA = 1e-8
 def per_expiry(T, f):
     """``f(t)`` for each distinct expiry ``t``, scattered back to the shape of ``T``.
 
-    A scalar ``T`` returns ``f(T)`` itself.  Used where a closed form
-    branches on the expiry, so each element sees exactly the scalar value.
+    Used where a closed form branches on the expiry, so each element sees
+    exactly the scalar value.
     """
-    if np.ndim(T) == 0:
-        return f(T)
     distinct, where = np.unique(T, return_inverse=True)
     return np.array([f(float(t)) for t in distinct])[where].reshape(np.shape(T))
 

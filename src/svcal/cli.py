@@ -28,7 +28,7 @@ from .errors import (
 from .fx_quotes import Conventions
 from .mixing import MixingCurve
 from .models import MarketSlice
-from .pricing import OptionSpec, QuadratureConfig, bs_implied_vol, bs_price, cf_vanilla_price
+from .pricing import OptionSpec, QuadratureConfig, cf_vanilla_price, model_implied_vol
 from .models import cf_for
 from .quotes_io import emit_quotes, load_quotes, load_varswap_curve, quotes_digest
 from .store import ENV_STORE, ParamRecord, ParamStore
@@ -197,16 +197,7 @@ def cmd_price(args) -> int:
     slice_ = MarketSlice(forward=args.forward, discount=args.discount, expiry=args.expiry)
     opt = OptionSpec(strike=args.strike, expiry=args.expiry, kind=args.kind)
     price = cf_vanilla_price(cf_for(params), slice_, opt)
-    # every admissible model has positive variance, so a price with no time
-    # value (at or below the discounted intrinsic, or inverting to vol 0) is
-    # quadrature noise: inverting it would fabricate a vol
-    intrinsic = bs_price(slice_, opt, 0.0)
-    vol = bs_implied_vol(slice_, opt, price) if price > intrinsic else 0.0
-    if vol == 0.0:
-        raise NumericalError(
-            f"{opt.kind} at strike {opt.strike} priced at {price:.6g} against a discounted "
-            f"intrinsic value of {intrinsic:.6g}: its time value is below Fourier quadrature resolution"
-        )
+    vol = model_implied_vol(slice_, opt, price)
     _emit(
         {
             "schema": 1,

@@ -183,19 +183,17 @@ def expected_mean_variance(p: HestonParams, T: float) -> float:
     return p.theta + (p.v0 - p.theta) * phi1
 
 
-def _as_u_array(u: ArrayLike, T: ArrayLike) -> tuple[np.ndarray, ArrayLike, bool]:
-    """Frequencies as a 1-d+ complex array, with ``T`` checked and broadcast against them.
+def _as_u_array(u: ArrayLike, T: ArrayLike) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Frequencies as a 1-d+ complex array and ``T`` checked and broadcast against them.
 
-    A scalar ``T`` is passed through unchanged; an array ``T`` comes back
-    broadcast to the frequencies' shape.  The flag says both were scalars.
+    The flag says both were scalars.
     """
-    arr = np.atleast_1d(np.asarray(u, dtype=np.complex128))
     if not np.all(np.greater(T, 0)):
         raise DomainError(f"T must be > 0, got {T}")
-    if np.ndim(T) == 0:
-        return arr, T, np.ndim(u) == 0
-    arr, T = np.broadcast_arrays(arr, np.asarray(T, dtype=float))
-    return arr, T, False
+    arr, T_arr = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(u, dtype=np.complex128)), np.asarray(T, dtype=float)
+    )
+    return arr, T_arr, np.ndim(u) == 0 and np.ndim(T) == 0
 
 
 def cf_heston(u: ArrayLike, p: HestonParams, T: ArrayLike) -> ArrayLike:
@@ -275,14 +273,11 @@ def cf_piecewise_heston(u: ArrayLike, p: PiecewiseHestonParams, T: ArrayLike) ->
     expiry.
     """
     arr, T, scalar = _as_u_array(u, T)
-    if np.ndim(T) == 0:
-        out = _kernels.piecewise_heston_cf_vals(arr, p.v0, *_effective_segments(p, T))
-        return out[0] if scalar else out
     out = np.empty(arr.shape, dtype=np.complex128)
     for t in np.unique(T):
         at = T == t
         out[at] = _kernels.piecewise_heston_cf_vals(arr[at], p.v0, *_effective_segments(p, float(t)))
-    return out
+    return out[0] if scalar else out
 
 
 AffineParams = Union[HestonParams, BatesParams, SchobelZhuParams, PiecewiseHestonParams]

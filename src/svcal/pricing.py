@@ -150,6 +150,24 @@ def bs_implied_vol(slice_: MarketSlice, opt: OptionSpec, price: float) -> float:
     raise NumericalError("implied vol iteration did not converge")  # pragma: no cover
 
 
+def model_implied_vol(slice_: MarketSlice, opt: OptionSpec, price: float) -> float:
+    """Implied vol of a model price, which must carry time value.
+
+    Every admissible model has positive variance, so a price at or below
+    the discounted intrinsic value, or one that inverts to vol 0, is
+    quadrature noise: it raises :class:`NumericalError` naming the strike
+    instead of returning a fabricated vol.
+    """
+    intrinsic = bs_price(slice_, opt, 0.0)
+    vol = bs_implied_vol(slice_, opt, price) if price > intrinsic else 0.0
+    if vol == 0.0:
+        raise NumericalError(
+            f"{opt.kind} at strike {opt.strike} priced at {price:.6g} against a discounted "
+            f"intrinsic value of {intrinsic:.6g}: its time value is below Fourier quadrature resolution"
+        )
+    return vol
+
+
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Kronrod 15(7) over panels, batched integrand evaluation
 # ---------------------------------------------------------------------------
@@ -343,7 +361,12 @@ def cf_vanilla_prices(
     opts: Sequence[OptionSpec],
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> np.ndarray:
-    """European prices of options on one expiry: :func:`cf_surface_prices` on one leg."""
+    """European prices of options on one expiry: :func:`cf_surface_prices` on one leg.
+
+    ``cf`` is called as in :func:`cf_surface_prices`, with an array ``T`` of
+    expiries broadcast against ``u`` even here, so a caller-supplied CF must
+    accept an array ``T``.
+    """
     return cf_surface_prices(cf, [(slice_, opts)], cfg)[0]
 
 
@@ -367,7 +390,7 @@ def model_smile(
 
     Strikes must be positive and sorted ascending.  Each strike is priced
     out-of-the-money off the slice's shared Fourier integral and inverted
-    through the Black formula; pricing or inversion failures propagate.
+    by :func:`model_implied_vol`; pricing or inversion failures propagate.
     """
     ks = [float(k) for k in strikes]
     if any(k <= 0 for k in ks):
@@ -376,9 +399,4 @@ def model_smile(
         raise DomainError("strikes must be strictly increasing")
     opts = [OptionSpec(k, slice_.expiry, "call" if k >= slice_.forward else "put") for k in ks]
     prices = cf_vanilla_prices(cf_for(params), slice_, opts, cfg)
-    out: List[Tuple[float, float]] = []
-    for opt, price in zip(opts, prices):
-        if price <= 0.0:
-            raise NumericalError(f"price at strike {opt.strike} below quadrature resolution")
-        out.append((opt.strike, bs_implied_vol(slice_, opt, float(price))))
-    return out
+    return [(opt.strike, model_implied_vol(slice_, opt, float(price))) for opt, price in zip(opts, prices)]

@@ -27,6 +27,7 @@ from svcal.pricing import (
     cf_surface_prices,
     cf_vanilla_price,
     cf_vanilla_prices,
+    model_implied_vol,
     model_smile,
 )
 
@@ -106,6 +107,19 @@ class TestImpliedVol:
             bs_implied_vol(SLICE_100, OptionSpec(80.0, 1.0, "put"), 81.0)
 
 
+class TestModelImpliedVol:
+    def test_price_with_time_value_inverts_like_bs_implied_vol(self):
+        opt = OptionSpec(110.0, 1.0, "call")
+        price = bs_price(SLICE_100, opt, 0.2)
+        assert model_implied_vol(SLICE_100, opt, price) == bs_implied_vol(SLICE_100, opt, price)
+
+    @pytest.mark.parametrize("kind,price", [("call", 0.0), ("put", 10.0), ("put", 9.0), ("put", 10.0 + 1e-15)])
+    def test_no_time_value_raises_numerical_error(self, kind, price):
+        # at or below the discounted intrinsic, or close enough to invert to vol 0
+        with pytest.raises(NumericalError, match="strike 110.0"):
+            model_implied_vol(SLICE_100, OptionSpec(110.0, 1.0, kind), price)
+
+
 class TestFourierPricer:
     def test_deterministic_variance_oracle(self):
         p = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=0.0, rho=-0.7)
@@ -173,6 +187,16 @@ class TestFourierPricer:
         with pytest.raises(NumericalError, match="strike 0.5"):
             cf_vanilla_price(heston_cf_fn(p), sl, OptionSpec(0.5, 0.25, "put"))
 
+    def test_cf_receives_an_array_of_expiries_broadcast_against_u(self, base_heston):
+        seen = []
+
+        def cf(u, T):
+            seen.append((np.shape(u), type(T), np.shape(T)))
+            return cf_heston(u, base_heston, T)
+
+        cf_vanilla_price(cf, SLICE_100, OptionSpec(100.0, 1.0, "call"))
+        assert seen and all(t is np.ndarray and su == st for su, t, st in seen)
+
     def test_rejects_non_normalized_cf(self):
         bad = lambda u, T: 2.0 * np.ones_like(np.asarray(u, dtype=complex))
         with pytest.raises(DomainError, match="cf\\(0\\)=1"):
@@ -199,6 +223,14 @@ class TestModelSmile:
     def test_singleton(self, base_heston):
         out = model_smile(base_heston, SLICE_100, [100.0])
         assert len(out) == 1 and out[0][0] == 100.0
+
+    def test_no_time_value_raises_instead_of_vol_zero(self):
+        # the strike-1000 call's quadrature error exceeds its value, so the
+        # pricer floors it at 0: no vol of 0 may come out for it
+        p = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=0.5, rho=-0.7)
+        sl = MarketSlice(forward=100.0, discount=1.0, expiry=0.1)
+        with pytest.raises(NumericalError, match="strike 1000.0"):
+            model_smile(p, sl, [100.0, 1000.0])
 
     def test_input_validation(self, base_heston):
         with pytest.raises(DomainError):
