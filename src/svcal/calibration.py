@@ -29,13 +29,7 @@ from .models import (
     expected_mean_variance,
     feller_ratio,
 )
-from .pricing import (
-    DEFAULT_QUAD,
-    OptionSpec,
-    QuadratureConfig,
-    bs_implied_vol,
-    cf_surface_prices,
-)
+from .pricing import DEFAULT_QUAD, OptionSpec, QuadratureConfig, SurfaceGrid
 
 # residual magnitude standing in for a failed pricing at a trial point; the
 # optimizer sees an exploded cost and rejects the step
@@ -233,23 +227,11 @@ def _box_arrays(names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _model_values(params: AffineParams, target: CalibrationTarget, quad: QuadratureConfig) -> np.ndarray:
-    """Model vols or OTM prices at the target points: one Fourier integral per
-    expiry, all expiries refined together with one CF call per round."""
-    out = np.empty(len(target.points))
-    by_expiry: dict = {}
-    for i, pt in enumerate(target.points):
-        by_expiry.setdefault(pt.expiry, []).append(i)
-    legs = []
-    for expiry, idx in by_expiry.items():
-        sl = target.slices[expiry]
-        strikes = [target.points[i].strike for i in idx]
-        legs.append((sl, [OptionSpec(k, expiry, "call" if k >= sl.forward else "put") for k in strikes]))
-    prices = cf_surface_prices(cf_for(params), legs, quad)
-    for idx, (sl, opts), leg_prices in zip(by_expiry.values(), legs, prices):
-        for i, opt, price in zip(idx, opts, leg_prices):
-            out[i] = bs_implied_vol(sl, opt, float(price)) if target.space == "vol" else price
-    return out
+def _model_values(params: AffineParams, target: CalibrationTarget, grid: SurfaceGrid) -> np.ndarray:
+    """Model vols or OTM prices at the target points: one array computation on
+    the grid's frozen panels."""
+    cf = cf_for(params)
+    return grid.vols(cf) if target.space == "vol" else grid.prices(cf)
 
 
 class _Problem:
@@ -270,7 +252,13 @@ class _Problem:
         self.model = model
         self.fixed = dict(fixed)
         self.ties = dict(ties)
-        self.quad = quad
+        # out-of-the-money options at the target points, on panels sized at the first
+        # residual evaluation and re-sized only where they miss the tolerance
+        options = []
+        for pt in target.points:
+            sl = target.slices[pt.expiry]
+            options.append((sl, OptionSpec(pt.strike, pt.expiry, "call" if pt.strike >= sl.forward else "put")))
+        self.grid = SurfaceGrid(options, quad)
         self.free = tuple(n for n in model.names if n not in fixed and n not in ties)
         if not self.free:
             raise DomainError("no free parameters left to calibrate")
@@ -291,7 +279,7 @@ class _Problem:
     def residuals(self, x: np.ndarray) -> np.ndarray:
         params = self.build_params(x)
         try:
-            model_vals = _model_values(params, self.target, self.quad)
+            model_vals = _model_values(params, self.target, self.grid)
         except (NumericalError, DomainError):
             return np.full(len(self.market), _FAILED_RESIDUAL)
         return self.weights * (model_vals - self.market)

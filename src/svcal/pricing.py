@@ -4,19 +4,26 @@ The Fourier pricer evaluates a single real integral along the contour
 Im(u) = -1/2 with a Black-Scholes control variate whose total variance is
 read off the characteristic function itself, so the integrand vanishes
 identically whenever the model degenerates to deterministic variance.  The
-characteristic function does not depend on the strike, so one adaptive
-contour integral per expiry is shared by all its strikes: the CF is
-evaluated once per quadrature node and each strike only adds its e^{iuk}
-factor.  The expiries of a surface refine in lockstep, so each adaptive
-round makes one CF call for all the expiries still refining, and the first
-round's call also carries every expiry's cf(0) and cf(-i/2) probe.
+characteristic function does not depend on the strike, so every strike of
+an expiry integrates on the same Gauss-Kronrod 15(7) panels.
+
+Pricing is "size, then evaluate".  Sizing splits each expiry's panels until
+every strike's summed |K15 - G7| estimate is within the tolerance, then
+freezes them.  An evaluation is one array computation over the frozen
+panels of every expiry: one CF call (with each expiry's cf(0) and cf(-i/2)
+probes), a contraction against strike matrices built at freezing, the
+vectorized Black control variate and, for vols, one vectorized inversion.
+Every evaluation checks the estimate again and re-sizes any expiry that
+misses the tolerance at the new parameters, so each price keeps the bound.
+A calibration sizes once and evaluates on every residual evaluation;
+one-shot pricing sizes and evaluates once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -46,7 +53,12 @@ class OptionSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Frequency truncation, absolute tolerance and evaluation budget."""
+    """Frequency truncation, absolute tolerance and evaluation budget.
+
+    ``tolerance`` bounds each strike's summed |K15 - G7| estimate on every
+    evaluation; ``max_evals`` bounds each expiry's sizing, counting the
+    nodes of the panels it starts from and of every half it splits off.
+    """
 
     truncation: float = 200.0
     tolerance: float = 1e-10
@@ -69,17 +81,25 @@ def _check_slice(slice_: MarketSlice, opt: OptionSpec) -> None:
         )
 
 
-def _black_undisc(F: float, K: float, T: float, vol: float, call: bool) -> float:
-    """Undiscounted Black value on the forward."""
-    if vol <= 0.0:
-        intrinsic = F - K if call else K - F
-        return max(intrinsic, 0.0)
-    st = vol * math.sqrt(T)
-    d1 = math.log(F / K) / st + 0.5 * st
-    d2 = d1 - st
-    if call:
-        return F * ndtr(d1) - K * ndtr(d2)
-    return K * ndtr(-d2) - F * ndtr(-d1)
+def _black_d1(lnfk, st):
+    return lnfk / st + 0.5 * st
+
+
+def _black_value(F, K, sign, d1, st):
+    """sign * (F N(sign d1) - K N(sign d2)): the call for sign 1, the put for sign -1."""
+    return sign * (F * ndtr(sign * d1) - K * ndtr(sign * (d1 - st)))
+
+
+def _black_undisc(F, K, T, vol, call):
+    """Undiscounted Black value on the forward, elementwise over arrays.
+
+    vol = 0 gives the intrinsic value.
+    """
+    sign = np.where(call, 1.0, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        st = vol * np.sqrt(T)
+        value = _black_value(F, K, sign, _black_d1(np.log(F / K), st), st)
+    return np.where(vol > 0.0, value, np.maximum(sign * (F - K), 0.0))
 
 
 def bs_price(slice_: MarketSlice, opt: OptionSpec, vol: float) -> float:
@@ -90,64 +110,94 @@ def bs_price(slice_: MarketSlice, opt: OptionSpec, vol: float) -> float:
     if vol < 0:
         raise DomainError(f"vol must be >= 0, got {vol}")
     _check_slice(slice_, opt)
-    return slice_.discount * _black_undisc(
+    return float(slice_.discount * _black_undisc(
         slice_.forward, opt.strike, opt.expiry, vol, opt.kind == "call"
-    )
+    ))
 
 
-def _bs_vega_undisc(F: float, K: float, T: float, vol: float) -> float:
-    st = vol * math.sqrt(T)
-    d1 = math.log(F / K) / st + 0.5 * st
-    return F * math.sqrt(T) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+def _implied_vols(F, K, T, df, call, price, seed=None) -> np.ndarray:
+    """Black implied vols of discounted prices; a safeguarded Newton on arrays.
+
+    Every point iterates inside its own bisection bracket, starting from
+    ``seed`` where that lies inside the bracket, else from the bracket's
+    midpoint, and stops once its repriced value matches within 1e-12
+    relative.  Prices at the lower no-arbitrage bound give 0; the first
+    price outside the bounds raises :class:`DomainError` naming the bound.
+    """
+    lo_bound = df * np.maximum(np.where(call, F - K, K - F), 0.0)
+    hi_bound = df * np.where(call, F, K)
+    eq_tol = 1e-14 * np.maximum(1.0, hi_bound)
+    below = price < lo_bound - eq_tol
+    if below.any():
+        i = int(np.argmax(below))
+        raise DomainError(
+            f"price {float(price[i])} below lower no-arbitrage bound {float(lo_bound[i])} (discounted intrinsic)"
+        )
+    zero = price <= lo_bound + eq_tol
+    above = ~zero & (price >= hi_bound)
+    if above.any():
+        i = int(np.argmax(above))
+        raise DomainError(
+            f"price {float(price[i])} at or above upper no-arbitrage bound {float(hi_bound[i])} "
+            f"({'df*F' if call[i] else 'df*K'})"
+        )
+
+    target = price / df
+    tol = 1e-12 * target
+    sign = np.where(call, 1.0, -1.0)
+    lnfk = np.log(F / K)
+    sqrt_t = np.sqrt(T)
+    vega_scale = F * sqrt_t / math.sqrt(2.0 * math.pi)
+    v_lo = np.zeros_like(target)
+    v_hi = np.ones_like(target)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            st = v_hi * sqrt_t
+            short = ~zero & (_black_value(F, K, sign, _black_d1(lnfk, st), st) < target)
+            if not short.any():
+                break
+            v_hi = np.where(short, 2.0 * v_hi, v_hi)
+            if v_hi.max() > 1e6:  # pragma: no cover - unreachable inside the bounds
+                raise NumericalError("implied vol bracket expansion failed")
+        vol = 0.5 * v_hi
+        if seed is not None:
+            vol = np.where((seed > 0.0) & (seed < v_hi), seed, vol)
+        done = zero.copy()
+        for _ in range(200):
+            st = vol * sqrt_t
+            d1 = _black_d1(lnfk, st)
+            diff = _black_value(F, K, sign, d1, st) - target
+            done |= np.abs(diff) <= tol
+            if done.all():
+                return np.where(zero, 0.0, vol)
+            high = diff > 0
+            v_hi = np.where(high, vol, v_hi)
+            v_lo = np.where(high, v_lo, vol)
+            # Newton where it stays inside the bracket (an underflowed vega leaves it), else bisection
+            step = vol - diff / (vega_scale * np.exp(-0.5 * d1 * d1))
+            step = np.where((v_lo < step) & (step < v_hi), step, 0.5 * (v_lo + v_hi))
+            vol = np.where(done, vol, step)
+    raise NumericalError("implied vol iteration did not converge")  # pragma: no cover
 
 
 def bs_implied_vol(slice_: MarketSlice, opt: OptionSpec, price: float) -> float:
-    """Invert the Black formula; safeguarded Newton inside a bisection bracket.
+    """Invert the Black formula: :func:`_implied_vols` on one point.
 
-    Exits when the repriced value matches within 1e-12 relative.  Prices at
-    the lower no-arbitrage bound return 0; prices outside the bounds raise
-    :class:`DomainError` naming the violated bound.
+    A safeguarded Newton inside a bisection bracket, started at the
+    bracket's midpoint, that exits when the repriced value matches within
+    1e-12 relative.  Prices at the lower no-arbitrage bound return 0; prices
+    outside the bounds raise :class:`DomainError` naming the violated bound.
     """
     _check_slice(slice_, opt)
-    F, df, T, K = slice_.forward, slice_.discount, opt.expiry, opt.strike
-    call = opt.kind == "call"
-    lo_bound = df * max((F - K) if call else (K - F), 0.0)
-    hi_bound = df * (F if call else K)
-    eq_tol = 1e-14 * max(1.0, hi_bound)
-    if price < lo_bound - eq_tol:
-        raise DomainError(
-            f"price {price} below lower no-arbitrage bound {lo_bound} (discounted intrinsic)"
-        )
-    if price <= lo_bound + eq_tol:
-        return 0.0
-    if price >= hi_bound:
-        bound_name = "df*F" if call else "df*K"
-        raise DomainError(f"price {price} at or above upper no-arbitrage bound {hi_bound} ({bound_name})")
+    point = (slice_.forward, opt.strike, opt.expiry, slice_.discount, opt.kind == "call", float(price))
+    return float(_implied_vols(*(np.array([v]) for v in point))[0])
 
-    target = price / df
-    # bracket the root in vol
-    v_lo, v_hi = 0.0, 1.0
-    while _black_undisc(F, K, T, v_hi, call) < target:
-        v_hi *= 2.0
-        if v_hi > 1e6:  # pragma: no cover - unreachable inside the bounds
-            raise NumericalError("implied vol bracket expansion failed")
-    vol = 0.5 * (v_lo + v_hi)
-    for _ in range(200):
-        val = _black_undisc(F, K, T, vol, call)
-        diff = val - target
-        if abs(diff) <= 1e-12 * target:
-            return vol
-        if diff > 0:
-            v_hi = vol
-        else:
-            v_lo = vol
-        vega = _bs_vega_undisc(F, K, T, vol) if vol > 0 else 0.0
-        if vega > 1e-300:
-            step = vol - diff / vega
-            vol = step if v_lo < step < v_hi else 0.5 * (v_lo + v_hi)
-        else:
-            vol = 0.5 * (v_lo + v_hi)
-    raise NumericalError("implied vol iteration did not converge")  # pragma: no cover
+
+def _no_time_value(kind: str, strike: float, price: float, intrinsic: float) -> NumericalError:
+    return NumericalError(
+        f"{kind} at strike {strike} priced at {price:.6g} against a discounted "
+        f"intrinsic value of {intrinsic:.6g}: its time value is below Fourier quadrature resolution"
+    )
 
 
 def model_implied_vol(slice_: MarketSlice, opt: OptionSpec, price: float) -> float:
@@ -161,15 +211,12 @@ def model_implied_vol(slice_: MarketSlice, opt: OptionSpec, price: float) -> flo
     intrinsic = bs_price(slice_, opt, 0.0)
     vol = bs_implied_vol(slice_, opt, price) if price > intrinsic else 0.0
     if vol == 0.0:
-        raise NumericalError(
-            f"{opt.kind} at strike {opt.strike} priced at {price:.6g} against a discounted "
-            f"intrinsic value of {intrinsic:.6g}: its time value is below Fourier quadrature resolution"
-        )
+        raise _no_time_value(opt.kind, opt.strike, price, intrinsic)
     return vol
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod 15(7) over panels, batched integrand evaluation
+# Gauss-Kronrod 15(7) panels: sized once per expiry, then frozen
 # ---------------------------------------------------------------------------
 
 _XGK = np.array(
@@ -197,110 +244,232 @@ _WG15[[1, 3, 5, 7, 9, 11, 13]] = [
     0.129484966168870,
 ]
 
-
-def _gk_panels(los: np.ndarray, his: np.ndarray):
-    """Coroutine for one batch of panels: yields their 15*len(los) nodes and is
-    sent the (integrands, nodes) values there; returns the Kronrod values and
-    |K15-G7| error estimates, shape (integrands, panels)."""
-    mid = 0.5 * (los + his)
-    half = 0.5 * (his - los)
-    nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    fv = (yield nodes.ravel()).reshape(-1, *nodes.shape)
-    k15 = (fv * _WGK).sum(axis=2) * half
-    g7 = (fv * _WG15).sum(axis=2) * half
-    return k15, np.abs(k15 - g7)
-
-
-def _adaptive_gk(a: float, b: float, n0: int, tol: float, max_evals: int):
-    """Deterministic panel-splitting adaptive quadrature on [a, b], as a coroutine.
-
-    Each round yields a flat array of nodes and is sent an (m, n) array:
-    m integrands sharing every node.  A panel is split while any integrand
-    short of ``tol`` has an error on it above its share of ``tol``; the
-    result stands once every integrand's total error estimate is within
-    ``tol``.  Returns (integrals, errors, evaluations), the first two of
-    length m.
-    """
-    edges = np.linspace(a, b, n0 + 1)
-    los, his = edges[:-1], edges[1:]
-    vals, errs = yield from _gk_panels(los, his)
-    evals = 15 * n0
-    while True:
-        err_total = errs.sum(axis=1)
-        done = err_total <= tol
-        if done.all():
-            return vals.sum(axis=1), err_total, evals
-        if evals >= max_evals:
-            worst = float(err_total[~done].max())
-            raise QuadratureError(
-                f"quadrature used {evals} evaluations without reaching tolerance "
-                f"{tol:g} (residual estimate {worst:g})",
-                residual=worst,
-            )
-        open_errs = errs[~done]
-        split = (open_errs > tol / (2.0 * len(los))).any(axis=0)
-        if not split.any():
-            split[int(np.argmax(open_errs.max(axis=0)))] = True
-        keep = ~split
-        mids = 0.5 * (los[split] + his[split])
-        new_los = np.concatenate([los[split], mids])
-        new_his = np.concatenate([mids, his[split]])
-        new_vals, new_errs = yield from _gk_panels(new_los, new_his)
-        evals += 15 * len(new_los)
-        los = np.concatenate([los[keep], new_los])
-        his = np.concatenate([his[keep], new_his])
-        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
-        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
-
-
 # cf(0) = 1 checks the CF; cf(-i/2) gives the control-variate variance
 _PROBE = np.array([0.0 + 0j, -0.5j])
 
 
-def _expiry_prices(slice_: MarketSlice, opts: Sequence[OptionSpec], cfg: QuadratureConfig):
-    """Coroutine pricing the options of one expiry.
+def _panel_nodes(los: np.ndarray, his: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 15 Kronrod nodes of each panel, shape (panels, 15), and the half-widths."""
+    half = 0.5 * (his - los)
+    return (0.5 * (los + his))[:, None] + half[:, None] * _XGK, half
 
-    Yields the complex frequencies at which it needs the CF and is sent the
-    CF values there; returns the prices.  The first request carries the
-    probe points ahead of the first panels' nodes: the panels depend only on
-    the truncation and the strikes, not on what the probe yields.
+
+def _gk(fv: np.ndarray, half: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and |K15 - G7| estimates of panels from integrand values ``fv[..., 15]``."""
+    k15 = (fv * _WGK).sum(axis=-1) * half
+    g7 = (fv * _WG15).sum(axis=-1) * half
+    return k15, np.abs(k15 - g7)
+
+
+def _split(los: np.ndarray, his: np.ndarray, errs: np.ndarray, tol: float):
+    """One round of the split rule: panels (los, his) refined for the integrands short of ``tol``.
+
+    ``errs`` holds the |K15 - G7| estimate of each short integrand (row) on
+    each panel.  Every panel on which one of them has an error above its
+    share of ``tol`` is split in half; failing that, the worst panel is.
+    Returns the kept panels followed by the new halves.
     """
-    for opt in opts:
-        _check_slice(slice_, opt)
-    F, df, T = slice_.forward, slice_.discount, slice_.expiry
-    k = np.array([math.log(F / opt.strike) for opt in opts])[:, None]
-    k_max = float(np.abs(k).max(initial=0.0))
-    n0 = int(np.clip(math.ceil(cfg.truncation * (k_max + 0.5) / 6.0), 8, 96))
-    quad = _adaptive_gk(0.0, cfg.truncation, n0, cfg.tolerance, cfg.max_evals)
-    u = next(quad)
-    phi = yield np.concatenate([_PROBE, u.astype(np.complex128) - 0.5j])
-    probe, phi = phi[:2], phi[2:]
-    if not np.isfinite(probe).all() or abs(probe[0] - 1.0) > 1e-8:
-        raise DomainError(f"characteristic function violates cf(0)=1: got {probe[0]}")
-    w = -8.0 * math.log(max(abs(probe[1]), 1e-300))
-    w = max(w, 1e-14)
-    vol_cv = math.sqrt(w / T)
-    while True:
-        phi_cv = np.exp(-0.5 * w * (u * u + 0.25))
-        integrand = (np.exp(1j * u * k) * (phi_cv - phi)).real / (u * u + 0.25)
-        try:
-            u = quad.send(integrand)
-        except StopIteration as stop:
-            integrals = stop.value[0]
-            break
-        phi = yield u.astype(np.complex128) - 0.5j
-    prices = np.empty(len(opts))
-    for i, (opt, integral) in enumerate(zip(opts, integrals)):
-        K = opt.strike
-        call_undisc = _black_undisc(F, K, T, vol_cv, call=True) + math.sqrt(F * K) / math.pi * integral
-        call_undisc = max(call_undisc, 0.0)
-        prices[i] = df * call_undisc if opt.kind == "call" else df * (call_undisc - (F - K))
-        if prices[i] < 0.0:
+    split = (errs > tol / (2.0 * len(los))).any(axis=0)
+    if not split.any():
+        split[int(np.argmax(errs.max(axis=0)))] = True
+    mids = 0.5 * (los[split] + his[split])
+    return (np.concatenate([los[~split], los[split], mids]),
+            np.concatenate([his[~split], mids, his[split]]))
+
+
+def _strike_weights(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """e^{iuk} / (u^2 + 1/4): the only strike-dependent factor of the integrand."""
+    return np.exp(1j * u * k) / (u * u + 0.25)
+
+
+def _cv_gap(u: np.ndarray, w, phi: np.ndarray) -> np.ndarray:
+    """phi_cv - phi at u - i/2, with phi_cv the lognormal CF of total variance w."""
+    return np.exp(-0.5 * w * (u * u + 0.25)) - phi
+
+
+def _cv_variances(probes: np.ndarray) -> np.ndarray:
+    """Control-variate variances w = -8 ln|cf(-i/2)| from rows (cf(0), cf(-i/2)).
+
+    Raises :class:`DomainError` for the first row whose cf(0) is not 1.
+    """
+    bad = ~np.isfinite(probes).all(axis=1) | (np.abs(probes[:, 0] - 1.0) > 1e-8)
+    if bad.any():
+        raise DomainError(f"characteristic function violates cf(0)=1: got {probes[int(np.argmax(bad)), 0]}")
+    return np.maximum(-8.0 * np.log(np.maximum(np.abs(probes[:, 1]), 1e-300)), 1e-14)
+
+
+class SurfaceGrid:
+    """Fourier prices and vols of a fixed set of options, on frozen panels.
+
+    ``options`` pairs each option with its market slice; options on equal
+    slices form one expiry block and share its panels and CF values.
+    ``cf(u, T)`` must return E[exp(i*u*ln(F_T/F_0))] for complex ``u`` and
+    an array ``T`` of expiries broadcast against it, and satisfy cf(0) = 1.
+    The call value at strike K is
+
+        C = df * [ Black(F, K, T, vol_cv)
+                   + sqrt(F*K)/pi * int_0^trunc Re[e^{iuk}(phi_cv - phi)(u - i/2)]
+                                      / (u^2 + 1/4) du ],   k = ln(F/K),
+
+    with the control-variate variance w = -8 ln cf(-i/2), which matches the
+    model's lognormal limit exactly; puts follow by parity.
+
+    Every evaluation makes one CF call over the frozen nodes of every block,
+    each block's cf(0) and cf(-i/2) probes first, and checks each strike's
+    summed |K15 - G7| estimate against ``cfg.tolerance``.  A block that
+    misses it is sized: :func:`_split` refines its panels and the
+    evaluation repeats until every strike meets the tolerance.  The first
+    evaluation sizes every block from uniform start panels; later ones keep
+    the panels, so prices depend on the CFs evaluated before, each within
+    the tolerance.  A block's panels never depend on the other blocks.
+
+    Raises the first failure, in block order: :class:`DomainError` when
+    cf(0) != 1, :class:`QuadratureError` with the largest residual
+    estimate when sizing a block spends ``cfg.max_evals`` evaluations,
+    counted from the panels it started from, short of the tolerance,
+    :class:`NumericalError` naming the strike when a put comes out
+    negative (quadrature error larger than its value).  Calls are floored
+    at 0.
+    """
+
+    def __init__(self, options: Sequence[Tuple[MarketSlice, OptionSpec]], cfg: QuadratureConfig = DEFAULT_QUAD):
+        blocks: Dict[MarketSlice, List[int]] = {}
+        for i, (slice_, opt) in enumerate(options):
+            _check_slice(slice_, opt)
+            blocks.setdefault(slice_, []).append(i)
+        self.cfg = cfg
+        self._slices = list(blocks)
+        self._order = np.array([i for idx in blocks.values() for i in idx], dtype=int)
+        counts = [len(idx) for idx in blocks.values()]
+        self._first = np.concatenate([[0], np.cumsum(counts)])  # strikes of block b: first[b]:first[b+1]
+        self._block = np.repeat(np.arange(len(blocks)), counts)
+        opts = [options[i][1] for i in self._order]
+        self._F = np.array([self._slices[b].forward for b in self._block])
+        self._df = np.array([self._slices[b].discount for b in self._block])
+        self._T = np.array([self._slices[b].expiry for b in self._block])
+        self._K = np.array([opt.strike for opt in opts])
+        self._call = np.array([opt.kind == "call" for opt in opts], dtype=bool)
+        self._k = np.log(self._F / self._K)
+        self._panels: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    @property
+    def panels(self) -> List[int]:
+        """Number of frozen panels of each expiry block; empty before the first evaluation."""
+        return [len(los) for los, _ in self._panels]
+
+    def prices(self, cf: CharFn) -> np.ndarray:
+        """Prices of the options, in the order given."""
+        return self._in_input_order(self._evaluate(cf)[0])
+
+    def vols(self, cf: CharFn) -> np.ndarray:
+        """Implied vols of the options' prices, in the order given.
+
+        Inverted together, each seeded at its block's control-variate vol.
+        A price without time value raises :class:`NumericalError` as in
+        :func:`model_implied_vol`.
+        """
+        prices, vol_cv = self._evaluate(cf)
+        intrinsic = self._df * np.maximum(np.where(self._call, self._F - self._K, self._K - self._F), 0.0)
+        flat = ~(prices > intrinsic)
+        if not flat.any():
+            vols = _implied_vols(self._F, self._K, self._T, self._df, self._call, prices, seed=vol_cv)
+            flat = vols == 0.0
+        if flat.any():
+            i = int(np.argmax(flat))
+            raise _no_time_value("call" if self._call[i] else "put", float(self._K[i]),
+                                 float(prices[i]), float(intrinsic[i]))
+        return self._in_input_order(vols)
+
+    def _in_input_order(self, values: np.ndarray) -> np.ndarray:
+        out = np.empty_like(values)
+        out[self._order] = values
+        return out
+
+    def _start_panels(self, b: int):
+        k_max = float(np.abs(self._k[self._first[b]:self._first[b + 1]]).max())
+        n0 = int(np.clip(math.ceil(self.cfg.truncation * (k_max + 0.5) / 6.0), 8, 96))
+        edges = np.linspace(0.0, self.cfg.truncation, n0 + 1)
+        return edges[:-1], edges[1:]
+
+    def _freeze(self) -> None:
+        """Build the CF call's arguments and the strike matrices for the current panels.
+
+        The strike matrices hold one row of 15 entries e^{iuk}/(u^2 + 1/4)
+        per (strike, panel), strikes in order; ``_gather`` picks each
+        entry's node and ``_row_edges`` bounds each strike's rows.
+        """
+        nodes, halves = zip(*(_panel_nodes(los, his) for los, his in self._panels))
+        sizes = np.array([nd.size for nd in nodes])
+        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        expiries = np.array([sl.expiry for sl in self._slices])
+        self._u = np.concatenate([nd.ravel() for nd in nodes])
+        self._node_block = np.repeat(np.arange(len(nodes)), sizes)
+        self._z = np.concatenate([np.tile(_PROBE, len(nodes)), self._u - 0.5j])
+        self._Tz = np.concatenate([np.repeat(expiries, 2), expiries[self._node_block]])
+        weights, gather, half = [], [], []
+        for b, k in zip(self._block, self._k):
+            u = nodes[b].ravel()
+            weights.append(_strike_weights(u, k))
+            gather.append(offsets[b] + np.arange(len(u)))
+            half.append(halves[b])
+        self._weights = np.concatenate(weights)
+        self._gather = np.concatenate(gather)
+        self._half = np.concatenate(half)
+        self._row_edges = np.concatenate([[0], np.cumsum([len(h) for h in half])])
+
+    def _evaluate(self, cf: CharFn) -> Tuple[np.ndarray, np.ndarray]:
+        """Prices and control-variate vols in block order."""
+        if not self._K.size:
+            return np.empty(0), np.empty(0)
+        if not self._panels:
+            self._panels = [self._start_panels(b) for b in range(len(self._slices))]
+            self._freeze()
+        nb = len(self._slices)
+        tol = self.cfg.tolerance
+        spent: Dict[int, int] = {}  # evaluations of each block being sized, from its panels at the start
+        while True:
+            phi = np.asarray(cf(self._z, self._Tz))
+            w = _cv_variances(phi[:2 * nb].reshape(nb, 2))
+            gap = _cv_gap(self._u, w[self._node_block], phi[2 * nb:])
+            fv = (self._weights * gap[self._gather]).real.reshape(-1, 15)
+            k15, err = _gk(fv, self._half)
+            errs = np.add.reduceat(err, self._row_edges[:-1])
+            missed = ~(errs <= tol)
+            if not missed.any():
+                break
+            refined = {}
+            for b in np.unique(self._block[missed]):
+                los, his = self._panels[b]
+                lo, hi = self._first[b], self._first[b + 1]
+                short = missed[lo:hi]
+                used = spent.get(b, los.size * 15)
+                worst = float(errs[lo:hi][short].max())
+                if used >= self.cfg.max_evals or not math.isfinite(worst):  # a non-finite CF has no estimate
+                    raise QuadratureError(
+                        f"quadrature used {used} evaluations without reaching tolerance "
+                        f"{tol:g} (residual estimate {worst:g})",
+                        residual=worst,
+                    )
+                rows = err[self._row_edges[lo]:self._row_edges[hi]].reshape(hi - lo, len(los))
+                refined[b] = _split(los, his, rows[short], tol)
+                spent[b] = used + 30 * (len(refined[b][0]) - len(los))  # two new halves per split panel
+            for b, panels in refined.items():
+                self._panels[b] = panels
+            self._freeze()
+        integrals = np.add.reduceat(k15, self._row_edges[:-1])
+        vol_cv = np.sqrt(w[self._block] / self._T)
+        F, K = self._F, self._K
+        call = _black_undisc(F, K, self._T, vol_cv, True) + np.sqrt(F * K) / math.pi * integrals
+        call = np.maximum(call, 0.0)
+        prices = self._df * np.where(self._call, call, call - (F - K))
+        negative = prices < 0.0
+        if negative.any():
+            i = int(np.argmax(negative))
             raise NumericalError(
-                f"{opt.kind} at strike {K} priced at {prices[i]:.6g} < 0: "
-                f"Fourier quadrature error exceeds the option value"
+                f"{'call' if self._call[i] else 'put'} at strike {float(K[i])} priced at "
+                f"{float(prices[i]):.6g} < 0: Fourier quadrature error exceeds the option value"
             )
-    return prices
+        return prices, vol_cv
 
 
 def cf_surface_prices(
@@ -311,48 +480,14 @@ def cf_surface_prices(
     """European prices of options on several expiries by Fourier inversion of a CF.
 
     ``legs`` pairs each expiry's market slice with its options; the result
-    holds one price array per leg.  ``cf(u, T)`` must return
-    E[exp(i*u*ln(F_T/F_0))] for complex ``u`` and an array ``T`` of
-    expiries broadcast against it, and satisfy cf(0) = 1.  The call value
-    at strike K is
-
-        C = df * [ Black(F, K, T, vol_cv)
-                   + sqrt(F*K)/pi * int_0^inf Re[e^{iuk}(phi_cv - phi)(u - i/2)]
-                                      / (u^2 + 1/4) du ],   k = ln(F/K),
-
-    with the control-variate variance w = -8 ln cf(-i/2), which matches the
-    model's lognormal limit exactly.  Only e^{iuk} depends on the strike, so
-    every strike of an expiry integrates on the same adaptive panels, and
-    each strike's error estimate is within ``cfg.tolerance``.  The expiries
-    refine in lockstep: each round makes one CF call over the new nodes of
-    every expiry still refining, and the first also carries every expiry's
-    cf(0) and cf(-i/2) probe.  Each expiry keeps its own panels, budget and
-    checks, so its prices are bit for bit those it gets priced alone.
-
-    Deterministic given ``cfg``.  Raises the first failure met, in round
-    order, then leg order: :class:`DomainError` when cf(0) != 1,
-    :class:`QuadratureError` with the largest residual estimate when an
-    expiry exhausts ``cfg.max_evals``, :class:`NumericalError` naming the
-    strike when a put comes out negative (quadrature error larger than its
-    value).  Calls are floored at 0.
+    holds one price array per leg.  A :class:`SurfaceGrid` over the legs,
+    sized and evaluated once: each strike's error estimate is within
+    ``cfg.tolerance``, and each expiry's prices are bit for bit those it
+    gets priced alone.  Errors as in :class:`SurfaceGrid`.
     """
-    pricers = [_expiry_prices(slice_, opts, cfg) for slice_, opts in legs]
-    prices: List[np.ndarray] = [np.empty(0)] * len(legs)
-    asks = {i: next(pricer) for i, pricer in enumerate(pricers)}
-    while asks:
-        u = np.concatenate(list(asks.values()))
-        T = np.concatenate([np.full(len(z), legs[i][0].expiry) for i, z in asks.items()])
-        phi = np.asarray(cf(u, T))
-        next_asks = {}
-        start = 0
-        for i, z in asks.items():
-            try:
-                next_asks[i] = pricers[i].send(phi[start:start + len(z)])
-            except StopIteration as stop:
-                prices[i] = stop.value
-            start += len(z)
-        asks = next_asks
-    return prices
+    grid = SurfaceGrid([(slice_, opt) for slice_, opts in legs for opt in opts], cfg)
+    prices = grid.prices(cf)
+    return np.split(prices, np.cumsum([len(opts) for _, opts in legs])[:-1]) if legs else []
 
 
 def cf_vanilla_prices(
@@ -389,8 +524,8 @@ def model_smile(
     """Implied-vol smile of an affine model at the given strikes.
 
     Strikes must be positive and sorted ascending.  Each strike is priced
-    out-of-the-money off the slice's shared Fourier integral and inverted
-    by :func:`model_implied_vol`; pricing or inversion failures propagate.
+    out-of-the-money on one :class:`SurfaceGrid` and inverted with the rule
+    of :func:`model_implied_vol`; pricing or inversion failures propagate.
     """
     ks = [float(k) for k in strikes]
     if any(k <= 0 for k in ks):
@@ -398,5 +533,5 @@ def model_smile(
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise DomainError("strikes must be strictly increasing")
     opts = [OptionSpec(k, slice_.expiry, "call" if k >= slice_.forward else "put") for k in ks]
-    prices = cf_vanilla_prices(cf_for(params), slice_, opts, cfg)
-    return [(opt.strike, model_implied_vol(slice_, opt, float(price))) for opt, price in zip(opts, prices)]
+    vols = SurfaceGrid([(slice_, opt) for opt in opts], cfg).vols(cf_for(params))
+    return [(opt.strike, float(vol)) for opt, vol in zip(opts, vols)]

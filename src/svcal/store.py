@@ -8,11 +8,17 @@ distinct line is decoded once per process: a module-level memo maps each
 store file to its current lines' records, keyed by the line text, so a
 rewritten, truncated or externally appended file reads back exactly what
 is on disk.  Returned records are shared between calls and are read-only.
+
+A last line that is not JSON is the torn tail of an interrupted write:
+reads skip it with a warning and the next save cuts it off before
+appending, so every record starts on a fresh line.  Any other line that
+does not decode is an error naming its line number.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -23,6 +29,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .calibration import MODELS
 from .errors import DomainError, RecordNotFoundError
 from .quotes_io import QuoteRow, quotes_digest
+
+log = logging.getLogger(__name__)
 
 ENV_STORE = "SVCAL_STORE"
 _FILE_NAME = "params.jsonl"
@@ -105,6 +113,26 @@ def _record_from_json(line: str) -> ParamRecord:
     )
 
 
+def _start_fresh_line(fh) -> None:
+    """Ready a store file, opened for binary append and read, for a record on a fresh line.
+
+    A last line that is not JSON (the torn tail of an interrupted write) is
+    cut off; a complete last line without its newline gets one.
+    """
+    fh.seek(0)
+    data = fh.read()
+    start = data.rfind(b"\n", 0, len(data) - 1) + 1
+    if data[start:].strip():
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            fh.truncate(start)
+            log.warning("%s: cut torn last line (an interrupted write) before appending", fh.name)
+            return
+    if data and not data.endswith(b"\n"):
+        fh.write(b"\n")
+
+
 def _validate_params(rec: ParamRecord) -> None:
     """Raise :class:`DomainError` unless the params build a model of the record's kind."""
     spec = MODELS.get(rec.model_kind)
@@ -137,18 +165,37 @@ class ParamStore:
         return self.root / _FILE_NAME
 
     def _read_all(self) -> List[ParamRecord]:
-        """Every record in file order; only lines not seen before are decoded."""
+        """Every record in file order; only lines not seen before are decoded.
+
+        A last line that is not JSON is skipped with a warning (a torn
+        write); any other undecodable line raises :class:`DomainError`
+        naming its line number.
+        """
         if not self.path.exists():
             return []
         seen = _DECODED.pop(self.path, {})
         current: Dict[str, ParamRecord] = {}
         out = []
-        with self.path.open() as fh:
-            for line in fh:  # line by line, so no second copy of the text is held
+        torn = None  # (line number, error) of a line that is not JSON: fatal unless it is the last
+        with self.path.open(errors="replace") as fh:
+            for line_no, line in enumerate(fh, 1):  # line by line, so no second copy of the text is held
                 if not line.strip():
                     continue
-                rec = current[line] = seen.pop(line, None) or _record_from_json(line)
+                if torn is not None:
+                    raise DomainError(f"{self.path} line {torn[0]}: not a parameter record: {torn[1]}")
+                rec = seen.pop(line, None)
+                if rec is None:
+                    try:
+                        rec = _record_from_json(line)
+                    except json.JSONDecodeError as exc:
+                        torn = (line_no, exc)
+                        continue
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise DomainError(f"{self.path} line {line_no}: not a parameter record: {exc!r}") from exc
+                current[line] = rec
                 out.append(rec)
+        if torn is not None:
+            log.warning("%s: skipped torn last line %d (an interrupted write): %s", self.path, *torn)
         _DECODED[self.path] = current
         return out
 
@@ -170,8 +217,9 @@ class ParamStore:
                 rec = replace(record, record_id=next_id)
                 if quotes is not None and quotes_digest(quotes) != rec.quote_digest:
                     rec = replace(rec, warnings=rec.warnings + ("digest_mismatch",))
-                with self.path.open("a") as fh:
-                    fh.write(_record_to_json(rec) + "\n")
+                with self.path.open("ab+") as fh:
+                    _start_fresh_line(fh)
+                    fh.write((_record_to_json(rec) + "\n").encode())
                 return next_id
             except OSError as exc:
                 raise DomainError(f"store write to {self.path} failed: {exc}") from exc

@@ -1,0 +1,115 @@
+"""Reference implementations the tests check the array pricer and inversion against.
+
+``adaptive_prices`` is a fresh adaptive Gauss-Kronrod 15(7) Fourier pricer:
+it refines its own panels from scratch for every call, so it carries no
+state from earlier parameters.  ``scalar_implied_vol`` is the scalar
+safeguarded-Newton Black inversion, one point at a time in ``math``.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import ndtr
+
+from svcal.pricing import _WG15, _WGK, _XGK
+
+
+def _gk_panels(f, los, his):
+    half = 0.5 * (his - los)
+    nodes = 0.5 * (los + his)[:, None] + half[:, None] * _XGK
+    fv = f(nodes.ravel()).reshape(-1, *nodes.shape)
+    k15 = (fv * _WGK).sum(axis=2) * half
+    g7 = (fv * _WG15).sum(axis=2) * half
+    return k15, np.abs(k15 - g7)
+
+
+def adaptive_integrals(f, a, b, n0, tol, max_evals):
+    """Integrals of the rows of ``f(u)`` on [a, b], each to a K15-G7 estimate within ``tol``."""
+    los = np.linspace(a, b, n0 + 1)[:-1]
+    his = np.linspace(a, b, n0 + 1)[1:]
+    vals, errs = _gk_panels(f, los, his)
+    evals = 15 * n0
+    while True:
+        err_total = errs.sum(axis=1)
+        done = err_total <= tol
+        if done.all():
+            return vals.sum(axis=1), err_total
+        if evals >= max_evals:
+            raise RuntimeError(f"oracle budget exhausted (estimate {err_total.max():g})")
+        open_errs = errs[~done]
+        split = (open_errs > tol / (2.0 * len(los))).any(axis=0)
+        if not split.any():
+            split[int(np.argmax(open_errs.max(axis=0)))] = True
+        mids = 0.5 * (los[split] + his[split])
+        new_los = np.concatenate([los[split], mids])
+        new_his = np.concatenate([mids, his[split]])
+        new_vals, new_errs = _gk_panels(f, new_los, new_his)
+        evals += 15 * len(new_los)
+        los = np.concatenate([los[~split], new_los])
+        his = np.concatenate([his[~split], new_his])
+        vals = np.concatenate([vals[:, ~split], new_vals], axis=1)
+        errs = np.concatenate([errs[:, ~split], new_errs], axis=1)
+
+
+def adaptive_prices(cf, slice_, opts, truncation=200.0, tol=1e-10, max_evals=200000):
+    """Prices of the options of one expiry, integrated adaptively from scratch."""
+    F, df, T = slice_.forward, slice_.discount, slice_.expiry
+    k = np.array([math.log(F / opt.strike) for opt in opts])[:, None]
+    w = max(-8.0 * math.log(abs(complex(cf(np.array([-0.5j]), np.array([T]))[0]))), 1e-14)
+
+    def f(u):
+        phi = cf(u - 0.5j, np.full(len(u), T))
+        return (np.exp(1j * u * k) * (np.exp(-0.5 * w * (u * u + 0.25)) - phi)).real / (u * u + 0.25)
+
+    n0 = int(np.clip(math.ceil(truncation * (float(np.abs(k).max()) + 0.5) / 6.0), 8, 96))
+    integrals, _ = adaptive_integrals(f, 0.0, truncation, n0, tol, max_evals)
+    vol = math.sqrt(w / T)
+    out = []
+    for opt, integral in zip(opts, integrals):
+        K = opt.strike
+        call = max(scalar_black(F, K, T, vol, True) + math.sqrt(F * K) / math.pi * integral, 0.0)
+        out.append(df * call if opt.kind == "call" else df * (call - (F - K)))
+    return np.array(out)
+
+
+def scalar_black(F, K, T, vol, call):
+    if vol <= 0.0:
+        return max(F - K if call else K - F, 0.0)
+    st = vol * math.sqrt(T)
+    d1 = math.log(F / K) / st + 0.5 * st
+    d2 = d1 - st
+    if call:
+        return F * ndtr(d1) - K * ndtr(d2)
+    return K * ndtr(-d2) - F * ndtr(-d1)
+
+
+def scalar_vega(F, K, T, vol):
+    st = vol * math.sqrt(T)
+    d1 = math.log(F / K) / st + 0.5 * st
+    return F * math.sqrt(T) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+
+
+def scalar_implied_vol(F, K, T, df, call, price):
+    """Black implied vol of one discounted price inside the no-arbitrage bounds."""
+    lo_bound = df * max((F - K) if call else (K - F), 0.0)
+    hi_bound = df * (F if call else K)
+    if price <= lo_bound + 1e-14 * max(1.0, hi_bound):
+        return 0.0
+    assert price < hi_bound
+    target = price / df
+    v_lo, v_hi = 0.0, 1.0
+    while scalar_black(F, K, T, v_hi, call) < target:
+        v_hi *= 2.0
+    vol = 0.5 * (v_lo + v_hi)
+    for _ in range(200):
+        diff = scalar_black(F, K, T, vol, call) - target
+        if abs(diff) <= 1e-12 * target:
+            return vol
+        if diff > 0:
+            v_hi = vol
+        else:
+            v_lo = vol
+        vega = scalar_vega(F, K, T, vol)
+        step = vol - diff / vega if vega > 1e-300 else -1.0
+        vol = step if v_lo < step < v_hi else 0.5 * (v_lo + v_hi)
+    raise RuntimeError("oracle inversion did not converge")

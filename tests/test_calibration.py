@@ -135,9 +135,9 @@ class TestSurfaceResidual:
 
     EURUSD_FIT = HestonParams(v0=0.0178, theta=0.0135, kappa=1.3, sigma=0.29, rho=-0.14)
 
-    def test_one_kernel_call_per_round_on_the_bundled_surface(self, monkeypatch):
+    def test_one_kernel_call_per_evaluation_after_the_first_on_the_bundled_surface(self, monkeypatch):
         import svcal._kernels
-        from svcal.calibration import DEFAULT_QUAD, _model_values
+        from svcal.calibration import MODELS, _model_values, _Problem
         from svcal.quotes_io import load_quotes
         from svcal.workflows import surface_target
 
@@ -151,19 +151,37 @@ class TestSurfaceResidual:
             return kernel(u, *args)
 
         monkeypatch.setattr(svcal._kernels, "heston_cf_vals", counted)
-        surface = _model_values(self.EURUSD_FIT, target, DEFAULT_QUAD)
-        surface_sizes = list(sizes)
-        rounds = []  # kernel calls of each expiry valued alone: one per round
+        prob = _Problem(target, MODELS["heston"], {}, {}, DEFAULT_QUAD)
+        x = prob.x_from_params(self.EURUSD_FIT.as_dict())
+        rng = np.random.default_rng(5)
+        per_eval = []
+        for step in range(8):  # the fit, then steps and Jacobian-sized bumps around it
+            sizes.clear()
+            prob.residuals(x + (rng.normal(0.0, 0.05, 5) if step else 0.0))
+            per_eval.append(list(sizes))
+        assert len(per_eval[0]) >= 1  # the first sizes the panels: one call per refinement round
+        assert all(len(calls) == 1 for calls in per_eval[1:])
+        assert min(n for calls in per_eval for n in calls) > 2  # no separate cf(0)/cf(-i/2) probe call
+
+        surface = _model_values(self.EURUSD_FIT, target, prob.grid)
         for expiry, sl in target.slices.items():
             alone = CalibrationTarget(tuple(pt for pt in target.points if pt.expiry == expiry), "vol",
                                       {expiry: sl})
-            sizes.clear()
-            want = _model_values(self.EURUSD_FIT, alone, DEFAULT_QUAD)
-            rounds.append(len(sizes))
+            want = _model_values(self.EURUSD_FIT, alone, _Problem(alone, MODELS["heston"], {}, {}, DEFAULT_QUAD).grid)
             got = [v for pt, v in zip(target.points, surface) if pt.expiry == expiry]
             assert np.array_equal(got, want)
-        assert len(surface_sizes) == max(rounds) <= 3
-        assert min(surface_sizes) > 2  # no separate cf(0)/cf(-i/2) probe call
+
+    def test_a_floored_call_fails_the_vol_residual_instead_of_vol_zero(self):
+        from svcal.calibration import _FAILED_RESIDUAL
+
+        # the strike-1000 call's quadrature error exceeds its value: the pricer
+        # floors it at 0, which once came back as a fitted vol of 0
+        p = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=0.5, rho=-0.7)
+        sl = MarketSlice(100.0, 1.0, 0.1)
+        target = CalibrationTarget((TargetPoint(0.1, 100.0, 0.2), TargetPoint(0.1, 1000.0, 0.2)), "vol", {0.1: sl})
+        assert np.all(self._residuals(target, p) == _FAILED_RESIDUAL)
+        atm = CalibrationTarget(target.points[:1], "vol", {0.1: sl})
+        assert self._residuals(atm, p)[0] == pytest.approx(0.1947 - 0.2, abs=1e-4)
 
     @staticmethod
     def _residuals(target, p, quad=DEFAULT_QUAD):

@@ -188,6 +188,22 @@ class TestPriceCommand:
         got = json.loads(out)
         assert got["implied_vol"] == pytest.approx(0.127, abs=2e-3)
 
+    def test_torn_store_tail_neither_breaks_price_nor_the_next_save(self, capsys, tmp_path, flat_file):
+        store_dir = tmp_path / "store"
+        save = ("calibrate", "--quotes", str(flat_file), "--save", "--store-path", str(store_dir))
+        assert run_cli(capsys, *save)[0] == 0
+        with (store_dir / "params.jsonl").open("a") as fh:  # a write interrupted mid-record
+            fh.write('{"record_id": 2, "model_kind": "hes')
+        code, out, _ = run_cli(
+            capsys, "price", "--latest", "heston", "--tenor", "1Y",
+            "--strike", "1.0", "--expiry", "1.0", "--store-path", str(store_dir),
+        )
+        assert code == 0 and json.loads(out)["implied_vol"] == pytest.approx(0.127, abs=2e-3)
+        code, _, err = run_cli(capsys, *save)
+        assert code == 0 and "saved record 2" in err
+        code, out, _ = run_cli(capsys, "store", "show", "2", "--store-path", str(store_dir))
+        assert code == 0 and json.loads(out)["record_id"] == 2
+
     def test_missing_store_record_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "price", "--latest", "heston",

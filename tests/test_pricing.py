@@ -12,16 +12,23 @@ from svcal.models import (
     BatesParams,
     HestonParams,
     MarketSlice,
+    PiecewiseHestonParams,
     SchobelZhuParams,
     cf_for,
     cf_heston,
     expected_mean_variance,
 )
+from oracles import adaptive_prices, scalar_black, scalar_implied_vol, scalar_vega
 from svcal.pricing import (
     DEFAULT_QUAD,
-    _adaptive_gk,
     OptionSpec,
     QuadratureConfig,
+    SurfaceGrid,
+    _black_undisc,
+    _gk,
+    _implied_vols,
+    _panel_nodes,
+    _split,
     bs_implied_vol,
     bs_price,
     cf_surface_prices,
@@ -44,14 +51,20 @@ def heston_cf_fn(p):
 
 
 def _integrate(f, a, b, n0, tol, max_evals):
-    """Drive the :func:`_adaptive_gk` coroutine with a plain vector integrand."""
-    quad = _adaptive_gk(a, b, n0, tol, max_evals)
-    nodes = next(quad)
-    try:
-        while True:
-            nodes = quad.send(f(nodes))
-    except StopIteration as stop:
-        return stop.value
+    """Apply the split rule on [a, b] to a plain vector integrand until every row meets ``tol``.
+
+    Returns the integrals, their error estimates and the number of nodes.
+    """
+    edges = np.linspace(a, b, n0 + 1)
+    los, his = edges[:-1], edges[1:]
+    while True:
+        nodes, half = _panel_nodes(los, his)
+        assert nodes.size <= max_evals
+        vals, errs = _gk(f(nodes.ravel()).reshape(-1, *nodes.shape), half)
+        short = ~(errs.sum(axis=1) <= tol)
+        if not short.any():
+            return vals.sum(axis=1), errs.sum(axis=1), nodes.size
+        los, his = _split(los, his, errs[short], tol)
 
 
 class TestBlackScholes:
@@ -383,10 +396,10 @@ class TestSlicePricerProperties:
 
 
 @st.composite
-def _surfaces(draw):
-    """1-7 distinct expiries, each with its own strikes and a mix of calls and puts."""
+def _surfaces(draw, max_expiries=7):
+    """1 to ``max_expiries`` distinct expiries, each with its own strikes and a mix of calls and puts."""
     legs = []
-    for T in draw(st.lists(st.floats(0.25, 2.0), min_size=1, max_size=7, unique=True)):
+    for T in draw(st.lists(st.floats(0.25, 2.0), min_size=1, max_size=max_expiries, unique=True)):
         sl = MarketSlice(forward=1.0, discount=draw(st.floats(0.9, 1.0)), expiry=T)
         strikes = draw(_strikes)
         kinds = draw(st.lists(st.sampled_from(["call", "put"]), min_size=len(strikes), max_size=len(strikes)))
@@ -404,7 +417,7 @@ class TestSurfacePricer:
         for (sl, opts), prices in zip(legs, got):
             assert np.array_equal(prices, cf_vanilla_prices(cf, sl, opts))
 
-    def test_one_cf_call_per_round_with_the_probes_in_the_first(self, base_heston):
+    def test_every_cf_call_carries_every_probe_and_later_evaluations_make_one(self, base_heston):
         calls = []
 
         def cf(u, T):
@@ -412,21 +425,18 @@ class TestSurfacePricer:
             return cf_heston(u, base_heston, T)
 
         legs = [(MarketSlice(100.0, 1.0, T), [OptionSpec(100.0, T, "call")]) for T in (0.05, 1.0, 2.0)]
-        cf_surface_prices(cf, legs)
-        surface_calls = list(calls)
-        rounds = []  # CF calls of each expiry priced alone: one per round
-        for sl, opts in legs:
-            calls.clear()
-            cf_vanilla_prices(cf, sl, opts)
-            rounds.append(len(calls))
-        assert max(rounds) > min(rounds)
-        assert len(surface_calls) == max(rounds)
-        first_u, first_T = surface_calls[0]
-        for sl, _ in legs:
-            # each expiry's cf(0) and cf(-i/2) ride in the first call
-            at = first_T == sl.expiry
-            assert first_u[at][0] == 0 and first_u[at][1] == -0.5j
-        assert all(len(u) > 2 for u, _ in surface_calls)
+        grid = SurfaceGrid([(sl, opt) for sl, opts in legs for opt in opts])
+        first = grid.prices(cf)
+        assert len(calls) > 1  # sizing: an expiry refined its start panels
+        for u, T in calls:  # each expiry's cf(0) and cf(-i/2) probes lead every call
+            np.testing.assert_array_equal(u[:6], np.tile([0.0, -0.5j], 3))
+            np.testing.assert_array_equal(T[:6], np.repeat([0.05, 1.0, 2.0], 2))
+        u, T = calls[-1]
+        assert len(u) == 6 + 15 * sum(grid.panels)  # the last call covers the frozen panels
+        calls.clear()
+        assert np.array_equal(grid.prices(cf), first)
+        assert len(calls) == 1 and np.array_equal(calls[0][0], u) and np.array_equal(calls[0][1], T)
+        assert np.array_equal(first, np.concatenate(cf_surface_prices(cf, legs)))
 
     def test_budget_too_small_for_one_expiry_raises_quadrature_error(self, base_heston):
         # 255 evaluations is the first round of 17 panels: enough for the
@@ -452,3 +462,99 @@ class TestSurfacePricer:
                 (MarketSlice(1.0, 1.0, 0.25), [OptionSpec(1.0, 0.25, "call"), OptionSpec(0.5, 0.25, "put")])]
         with pytest.raises(NumericalError, match="strike 0.5"):
             cf_surface_prices(heston_cf_fn(p), legs)
+
+
+# points inside the no-arbitrage bounds with time value: ln(K/F) within 3
+# standard deviations of the forward
+_black_points = st.lists(
+    st.tuples(st.floats(0.5, 200.0), st.floats(-3.0, 3.0), st.floats(0.01, 10.0), st.floats(0.01, 3.0),
+              st.floats(0.5, 1.0), st.booleans()),
+    min_size=1, max_size=20)
+
+
+def _black_arrays(points):
+    F, z, T, vol, df, call = (np.array(c) for c in zip(*points))
+    K = F * np.exp(z * vol * np.sqrt(T))
+    return F, K, T, df, call, vol, df * _black_undisc(F, K, T, vol, call)
+
+
+class TestArrayInversion:
+    @_props
+    @given(points=_black_points, seed_scale=st.none() | st.floats(0.3, 3.0))
+    def test_round_trip_within_the_stop_tolerance(self, points, seed_scale):
+        F, K, T, df, call, vol, price = _black_arrays(points)
+        seed = None if seed_scale is None else seed_scale * vol
+        got = _implied_vols(F, K, T, df, call, price, seed)
+        target = price / df
+        assert np.all(got > 0)
+        assert np.all(np.abs(_black_undisc(F, K, T, got, call) - target) <= 1e-12 * target)
+
+    @_props
+    @given(points=_black_points)
+    def test_pointwise_and_agrees_with_the_scalar_inversion(self, points):
+        F, K, T, df, call, vol, price = _black_arrays(points)
+        got = _implied_vols(F, K, T, df, call, price)
+        for i in range(len(F)):
+            sl, opt = MarketSlice(F[i], df[i], T[i]), OptionSpec(K[i], T[i], "call" if call[i] else "put")
+            assert bs_implied_vol(sl, opt, price[i]) == got[i]
+            want = scalar_implied_vol(F[i], K[i], T[i], df[i], bool(call[i]), price[i])
+            target = price[i] / df[i]
+            # both stop within 1e-12 relative of the target price
+            assert abs(got[i] - want) * scalar_vega(F[i], K[i], T[i], want) <= 2.1e-12 * target
+            assert abs(scalar_black(F[i], K[i], T[i], got[i], bool(call[i])) - target) <= 1.1e-12 * target
+
+
+@st.composite
+def _piecewise(draw):
+    times = sorted(draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3, unique=True)))
+    segments = [(draw(_vol_var), draw(st.floats(0.2, 5.0)), draw(st.floats(0.1, 1.0)), draw(st.floats(-0.9, 0.9)))
+                for _ in times]
+    return PiecewiseHestonParams(draw(_vol_var), tuple(times), tuple(segments))
+
+
+_families = (_heston, _bates, _schobel_zhu, _piecewise())
+
+
+@st.composite
+def _param_pairs(draw):
+    """Two parameter sets of one model family: where a grid is sized, and where it prices."""
+    family = draw(st.sampled_from(_families))
+    return draw(family), draw(family)
+
+
+def _grid_of(legs, cfg=DEFAULT_QUAD):
+    return SurfaceGrid([(sl, opt) for sl, opts in legs for opt in opts], cfg)
+
+
+def _oracle_bound(legs):
+    """2 * tolerance * sqrt(F*K) / pi per strike: both prices within their error estimate."""
+    return np.array([2.0 * DEFAULT_QUAD.tolerance * math.sqrt(sl.forward * opt.strike) / math.pi
+                     for sl, opts in legs for opt in opts])
+
+
+class TestFrozenGrid:
+    @_props
+    @given(pair=_param_pairs(), legs=_surfaces(max_expiries=4))
+    def test_sized_elsewhere_agrees_with_the_adaptive_oracle(self, pair, legs):
+        sized_at, priced_at = pair
+        grid = _grid_of(legs)
+        grid.prices(cf_for(sized_at))
+        got = grid.prices(cf_for(priced_at))
+        want = np.concatenate([adaptive_prices(cf_for(priced_at), sl, opts) for sl, opts in legs])
+        assert np.all(np.abs(got - want) <= _oracle_bound(legs))
+
+    def test_resizes_where_the_frozen_panels_miss_the_tolerance(self):
+        benign = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=0.3, rho=-0.3)
+        wild = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=1.5, rho=-0.7)
+        legs = [(MarketSlice(1.0, 1.0, 0.25), [OptionSpec(0.95, 0.25, "put"), OptionSpec(1.0, 0.25, "call"),
+                                              OptionSpec(1.05, 0.25, "call")])]
+        grid = _grid_of(legs)
+        grid.prices(cf_for(benign))
+        sized = grid.panels
+        calls = []
+        got = grid.prices(lambda u, T: calls.append(len(u)) or cf_for(wild)(u, T))
+        # the first call, on the benign panels, missed the tolerance: the panels were refined
+        assert len(calls) > 1 and calls[0] == 2 + 15 * sized[0]
+        assert grid.panels[0] > sized[0]
+        want = adaptive_prices(cf_for(wild), *legs[0])
+        assert np.all(np.abs(got - want) <= _oracle_bound(legs))

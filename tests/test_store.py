@@ -257,6 +257,59 @@ class TestDecodeMemo:
         assert store.save(make_record()) == 2
 
 
+class TestTornTail:
+    TORN = '{"record_id": 2, "model_kind": "hes'
+
+    def _store_with(self, tmp_path, n=1):
+        store = ParamStore(tmp_path)
+        for _ in range(n):
+            store.save(make_record())
+        return store
+
+    @pytest.mark.parametrize("newline", ["", "\n"])
+    def test_torn_last_line_is_skipped_with_a_warning(self, tmp_path, caplog, newline):
+        store = self._store_with(tmp_path)
+        with store.path.open("a") as fh:
+            fh.write(self.TORN + newline)
+        with caplog.at_level("WARNING", logger="svcal.store"):
+            assert [r.record_id for r in store.list_records()] == [1]
+        assert "torn last line 2" in caplog.text
+
+    @pytest.mark.parametrize("newline", ["", "\n"])
+    def test_save_cuts_a_torn_tail_and_starts_a_fresh_line(self, tmp_path, newline):
+        store = self._store_with(tmp_path)
+        with store.path.open("a") as fh:
+            fh.write(self.TORN + newline)
+        assert store.save(make_record()) == 2
+        lines = store.path.read_text().splitlines(keepends=True)
+        assert len(lines) == 2 and all(line.endswith("}\n") for line in lines)
+        assert [r.record_id for r in ParamStore(tmp_path).list_records()] == [1, 2]
+
+    def test_complete_last_line_without_its_newline_is_kept(self, tmp_path):
+        store = self._store_with(tmp_path)
+        store.path.write_text(store.path.read_text().rstrip("\n"))
+        assert store.save(make_record()) == 2
+        assert [r.record_id for r in store.list_records()] == [1, 2]
+
+    @pytest.mark.parametrize("bad", [TORN, '{"record_id": 2}', "[1, 2]"])
+    def test_corrupt_line_before_the_last_raises_naming_its_number(self, tmp_path, bad):
+        store = self._store_with(tmp_path, n=2)
+        lines = store.path.read_text().splitlines(keepends=True)
+        store.path.write_text(lines[0] + bad + "\n" + lines[1])
+        with pytest.raises(DomainError, match="line 2"):
+            store.list_records()
+        with pytest.raises(DomainError, match="line 2"):
+            store.save(make_record())
+        assert store.path.read_text() == lines[0] + bad + "\n" + lines[1]  # left as it was
+
+    def test_last_line_that_is_json_but_not_a_record_raises(self, tmp_path):
+        store = self._store_with(tmp_path)
+        with store.path.open("a") as fh:
+            fh.write('{"record_id": 2}\n')
+        with pytest.raises(DomainError, match="line 2"):
+            store.latest("heston")
+
+
 class TestConcurrentWrites:
     def test_threaded_saves_keep_ids_unique_and_ordered(self, tmp_path):
         # single-writer contract: one store instance serializes its writers
