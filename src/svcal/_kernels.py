@@ -1,12 +1,14 @@
 """Characteristic-function kernels.
 
-One vectorized numpy implementation of every kernel.  All kernels evaluate
-E[exp(i*u*ln(F_T/F_0))] under the forward measure (zero drift) on arrays of
-complex frequencies ``u``, with the expiry ``T`` an array broadcast against
-``u`` (one entry per frequency).  The Heston-family coefficients use the
-trap-free branch of the complex square root together with the algebraic
-identity (b - d) = -sigma^2*s/(b + d), which keeps the formulas stable down
-to sigma = 0 without catastrophic cancellation.
+One vectorized numpy implementation of every kernel; the Heston kernel also
+has a variant that returns the CF's parameter gradient in the same pass.
+All kernels evaluate E[exp(i*u*ln(F_T/F_0))] under the forward measure
+(zero drift) on arrays of complex frequencies ``u``, with the expiry ``T``
+an array broadcast against ``u`` (one entry per frequency).  The
+Heston-family coefficients use the trap-free branch of the complex square
+root together with the algebraic identity (b - d) = -sigma^2*s/(b + d),
+which keeps the formulas stable down to sigma = 0 without catastrophic
+cancellation.
 """
 
 from __future__ import annotations
@@ -33,14 +35,21 @@ def per_expiry(T, f):
 
 
 def _clog1p(z: np.ndarray) -> np.ndarray:
-    """log(1+z) for complex arrays, accurate for small |z|."""
+    """log(1+z) for complex arrays, accurate for small |z|.
+
+    With z = x + iy, the real part log|1+z| is log1p(x(2+x) + y^2)/2 where
+    that has full relative precision (x >= -1/4 and |1+z|^2 <= 2), else
+    log(hypot(1+x, y)), which cannot overflow; the imaginary part is
+    atan2(y, 1+x).  Both forms are computed everywhere: no masked branch.
+    """
     z = np.asarray(z)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-4
-    zs = z[small]
-    out[small] = zs * (1.0 - zs * (0.5 - zs * (1.0 / 3.0 - 0.25 * zs)))
-    zb = z[~small]
-    out[~small] = np.log(1.0 + zb)
+    x, y = z.real, z.imag
+    out = np.empty(z.shape, dtype=np.complex128)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r2m1 = x * (2.0 + x) + y * y  # |1+z|^2 - 1
+        near = (x >= -0.25) & (r2m1 <= 1.0)
+        out.real = np.where(near, 0.5 * np.log1p(r2m1), np.log(np.hypot(1.0 + x, y)))
+    out.imag = np.arctan2(y, 1.0 + x)
     return out
 
 
@@ -59,7 +68,7 @@ def _heston_seg(u, A, D, theta, kappa, sigma, rho, tau):
     s = u * u + 1j * u
     sig2 = sigma * sigma
     b = kappa - 1j * (rho * sigma) * u
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = np.sqrt(b * b + sig2 * s)
         bpd = b + d
         bmd = -sig2 * s / bpd
@@ -93,6 +102,85 @@ def heston_cf_vals(u, v0, theta, kappa, sigma, rho, T):
     A0 = np.zeros(np.shape(u), dtype=np.complex128)
     A, D = _heston_seg(u, A0, A0, theta, kappa, sigma, rho, T)
     return np.exp(A + D * v0)
+
+
+def heston_cf_grad(u, v0, theta, kappa, sigma, rho, T):
+    """Heston CF and its gradient in (v0, theta, kappa, sigma, rho), in one pass.
+
+    Returns shape ``(6,) + u.shape``: phi, then dphi/dv0, dphi/dtheta,
+    dphi/dkappa, dphi/dsigma and dphi/drho, from the intermediates of the
+    trap-free form of :func:`heston_cf_vals`.  The exponent A + D*v0 has
+    A = kappa*theta*a with a = beta*T - 2*chi*log(1+x)/x, where
+    beta = (b - d)/sigma^2 and chi = x/sigma^2 stay finite as sigma -> 0.
+    It depends on kappa, sigma and rho only through b = kappa - i*rho*sigma*u
+    and q = sigma^2; its partials in b (at fixed q) and in q (at fixed b)
+    chain with db/dkappa = 1, db/dsigma = -i*rho*u, db/drho = -i*sigma*u
+    and dq/dsigma = 2*sigma.  Rows with s = u^2 + i*u = 0 are phi = 1 with
+    gradient 0.  Needs kappa + sigma > 0, which every calibration box keeps.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    s = u * u + 1j * u
+    q = sigma * sigma
+    b = kappa - 1j * (rho * sigma) * u
+    kt = kappa * theta
+    out = np.empty((6,) + u.shape, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.sqrt(b * b + q * s)
+        bpd = b + d
+        r_bpd = 1.0 / bpd
+        beta = -s * r_bpd
+        gam = beta * r_bpd  # g/q, g = (b - d)/(b + d)
+        r_omg = 1.0 / (1.0 - q * gam)
+        E = np.exp(-d * T)
+        omE = 1.0 - E
+        chi = gam * omE * r_omg
+        x = q * chi
+        r_M = 1.0 / (bpd - (q * beta) * E)
+        D = -s * omE * r_M
+        log1px = _clog1p(x)
+        if q > _SIG2_SERIES:
+            a = beta * T - (2.0 / q) * log1px
+        else:
+            a = beta * T - 2.0 * chi * (1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x)))
+        phi = np.exp(kt * a + D * v0)
+        # d/dx of log(1+x)/x, by its series where |x| < 0.01
+        r_1px = 1.0 / (1.0 + x)
+        r_x = 1.0 / x
+        dlog = (x * r_1px - log1px) * r_x * r_x
+        small = np.abs(x) < 0.01
+        if small.any():
+            xs = x[small]
+            ser = np.zeros_like(xs)
+            for n in range(8, 0, -1):  # sum of (-1)^n n/(n+1) x^(n-1)
+                ser = ser * xs + (-1) ** n * n / (n + 1.0)
+            dlog[small] = ser
+        # partials in b at fixed q (_b) and in q at fixed b (_q)
+        r_d = 1.0 / d
+        bpd_q = 0.5 * s * r_d
+        TE = T * E
+        E_b = -TE * b * r_d
+        E_q = -TE * bpd_q
+        beta_b = -beta * r_d
+        beta_q = -beta * bpd_q * r_bpd
+        gam_b = -2.0 * gam * r_d
+        gam_q = 2.0 * beta_q * r_bpd
+        chi_b = (gam_b * (omE + q * chi) - gam * E_b) * r_omg
+        chi_q = (gam_q * (omE + q * chi) - gam * E_q + chi * gam) * r_omg
+        D_b = (s * E_b - D * (bpd * r_d - q * (beta_b * E + beta * E_b))) * r_M
+        D_q = (s * E_q - D * (bpd_q - beta * E - q * (beta_q * E + beta * E_q))) * r_M
+        e_b = kt * (T * beta_b - 2.0 * chi_b * r_1px) + v0 * D_b
+        e_q = kt * (T * beta_q - 2.0 * (chi_q * r_1px + chi * chi * dlog)) + v0 * D_q
+        out[0] = phi
+        np.multiply(phi, D, out=out[1])
+        np.multiply(phi, kappa * a, out=out[2])
+        np.multiply(phi, theta * a + e_b, out=out[3])
+        np.multiply(phi, 2.0 * sigma * e_q - (1j * rho) * u * e_b, out=out[4])
+        np.multiply(phi, (-1j * sigma) * u * e_b, out=out[5])
+    inert = s == 0
+    if inert.any():
+        out[:, inert] = 0.0
+        out[0, inert] = 1.0
+    return out
 
 
 def piecewise_heston_cf_vals(u, v0, taus, thetas, kappas, sigmas, rhos):

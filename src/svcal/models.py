@@ -213,18 +213,54 @@ def cf_heston(u: ArrayLike, p: HestonParams, T: ArrayLike) -> ArrayLike:
     return out[0] if scalar else out
 
 
+def _jump_exponent(u: np.ndarray, p: BatesParams, T: np.ndarray):
+    """log of the compensated lognormal-jump factor and the jump CF phi_j at ``u``."""
+    lam, kbar, delta = p.jump_intensity, p.mean_jump, p.jump_vol
+    gamma = math.log1p(kbar) - 0.5 * delta * delta
+    phi_j = np.exp(1j * u * gamma - 0.5 * u * u * delta * delta)
+    return lam * T * (phi_j - 1.0) - 1j * u * (lam * kbar * T), phi_j
+
+
 def cf_bates(u: ArrayLike, p: BatesParams, T: ArrayLike) -> ArrayLike:
     """Heston CF times the compensated lognormal-jump factor."""
     arr, T, scalar = _as_u_array(u, T)
     base = cf_heston(arr, p.heston, T)
-    lam, kbar, delta = p.jump_intensity, p.mean_jump, p.jump_vol
-    if lam == 0.0:
-        out = base
-    else:
-        gamma = math.log1p(kbar) - 0.5 * delta * delta
-        phi_j = np.exp(1j * arr * gamma - 0.5 * arr * arr * delta * delta)
-        out = base * np.exp(lam * T * (phi_j - 1.0) - 1j * arr * (lam * kbar * T))
+    out = base if p.jump_intensity == 0.0 else base * np.exp(_jump_exponent(arr, p, T)[0])
     return out[0] if scalar else out
+
+
+def cf_heston_grad(u: ArrayLike, p: HestonParams, T: ArrayLike) -> np.ndarray:
+    """The Heston CF and its derivatives in v0, theta, kappa, sigma and rho.
+
+    Shape ``(6,) + shape``, for array ``u`` and ``T`` as in :func:`cf_heston`:
+    row 0 is the CF, rows 1-5 its derivatives in the order of
+    ``p.as_dict()``.  One pass of :func:`_kernels.heston_cf_grad`; needs
+    kappa + sigma > 0.
+    """
+    arr, T, _ = _as_u_array(u, T)
+    _require(p.kappa + p.sigma > 0, "the Heston gradient needs kappa + sigma > 0")
+    return _kernels.heston_cf_grad(arr, p.v0, p.theta, p.kappa, p.sigma, p.rho, T)
+
+
+def cf_bates_grad(u: ArrayLike, p: BatesParams, T: ArrayLike) -> np.ndarray:
+    """The Bates CF and its derivatives in the parameters of ``p.as_dict()``.
+
+    Shape ``(9,) + shape``: the Heston rows of :func:`cf_heston_grad` times
+    the jump factor J, then phi * dlog J / d(jump_intensity, mean_jump,
+    jump_vol) in closed form.
+    """
+    arr, T, _ = _as_u_array(u, T)
+    heston = cf_heston_grad(arr, p.heston, T)
+    log_j, phi_j = _jump_exponent(arr, p, T)
+    lam, kbar, delta = p.jump_intensity, p.mean_jump, p.jump_vol
+    out = np.empty((9,) + arr.shape, dtype=np.complex128)
+    np.multiply(heston, np.exp(log_j), out=out[:6])
+    phi = out[0]
+    iu = 1j * arr
+    np.multiply(phi, T * (phi_j - 1.0 - iu * kbar), out=out[6])
+    np.multiply(phi, lam * T * iu * (phi_j / (1.0 + kbar) - 1.0), out=out[7])
+    np.multiply(phi, -lam * delta * T * (arr * arr + iu) * phi_j, out=out[8])
+    return out
 
 
 def cf_schobel_zhu(u: ArrayLike, p: SchobelZhuParams, T: ArrayLike) -> ArrayLike:
@@ -294,3 +330,16 @@ def cf_for(params: AffineParams):
     if isinstance(params, PiecewiseHestonParams):
         return lambda u, T: cf_piecewise_heston(u, params, T)
     raise DomainError(f"no characteristic function for {type(params).__name__}")
+
+
+def cf_grad_for(params: AffineParams):
+    """``grad(u, T)``: the CF stacked over its derivatives in the parameters of
+    ``params.as_dict()`` (:func:`cf_heston_grad`, :func:`cf_bates_grad`).
+
+    None for a model without a closed-form gradient.
+    """
+    if isinstance(params, HestonParams):
+        return lambda u, T: cf_heston_grad(u, params, T)
+    if isinstance(params, BatesParams):
+        return lambda u, T: cf_bates_grad(u, params, T)
+    return None

@@ -15,6 +15,8 @@ probes), a contraction against strike matrices built at freezing, the
 vectorized Black control variate and, for vols, one vectorized inversion.
 Every evaluation checks the estimate again and re-sizes any expiry that
 misses the tolerance at the new parameters, so each price keeps the bound.
+A CF that returns its parameter derivatives as extra rows gets the prices'
+derivatives from the same evaluation steps, for calibration Jacobians.
 A calibration sizes once and evaluates on every residual evaluation;
 one-shot pricing sizes and evaluates once.
 """
@@ -282,11 +284,6 @@ def _strike_weights(u: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.exp(1j * u * k) / (u * u + 0.25)
 
 
-def _cv_gap(u: np.ndarray, w, phi: np.ndarray) -> np.ndarray:
-    """phi_cv - phi at u - i/2, with phi_cv the lognormal CF of total variance w."""
-    return np.exp(-0.5 * w * (u * u + 0.25)) - phi
-
-
 def _cv_variances(probes: np.ndarray) -> np.ndarray:
     """Control-variate variances w = -8 ln|cf(-i/2)| from rows (cf(0), cf(-i/2)).
 
@@ -359,7 +356,7 @@ class SurfaceGrid:
 
     def prices(self, cf: CharFn) -> np.ndarray:
         """Prices of the options, in the order given."""
-        return self._in_input_order(self._evaluate(cf)[0])
+        return self._in_input_order(self._evaluate(cf)[0][0])
 
     def vols(self, cf: CharFn) -> np.ndarray:
         """Implied vols of the options' prices, in the order given.
@@ -368,7 +365,35 @@ class SurfaceGrid:
         A price without time value raises :class:`NumericalError` as in
         :func:`model_implied_vol`.
         """
-        prices, vol_cv = self._evaluate(cf)
+        return self._in_input_order(self._vols(*self._evaluate(cf)))
+
+    def price_jacobian(self, cf_grad: CharFn) -> np.ndarray:
+        """Derivatives of the prices in the CF's parameters, shape (options, parameters).
+
+        ``cf_grad(u, T)`` returns the CF stacked over its parameter
+        derivatives, shape (1 + parameters, len(u)).  The derivative rows go
+        through the same evaluation as the prices, with
+        dw = -8 Re(dcf(-i/2)/cf(-i/2)) for the control variate; the panels
+        are sized on the CF row alone.  A floored call has derivative 0.
+        """
+        return self._in_input_order(self._evaluate(cf_grad)[0][1:].T)
+
+    def vol_jacobian(self, cf_grad: CharFn) -> np.ndarray:
+        """Derivatives of the implied vols in the CF's parameters, shape (options, parameters).
+
+        The price derivatives of :meth:`price_jacobian` divided by the Black
+        vega at the implied vols, which are inverted from the CF row as in
+        :meth:`vols` and raise as there.
+        """
+        rows, vol_cv = self._evaluate(cf_grad)
+        st = self._vols(rows, vol_cv) * np.sqrt(self._T)
+        d1 = _black_d1(self._k, st)
+        vega = self._df * self._F * np.sqrt(self._T) * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        return self._in_input_order((rows[1:] / vega).T)
+
+    def _vols(self, rows: np.ndarray, vol_cv: np.ndarray) -> np.ndarray:
+        """Implied vols of the price row of an evaluation, in block order."""
+        prices = rows[0]
         intrinsic = self._df * np.maximum(np.where(self._call, self._F - self._K, self._K - self._F), 0.0)
         flat = ~(prices > intrinsic)
         if not flat.any():
@@ -378,7 +403,7 @@ class SurfaceGrid:
             i = int(np.argmax(flat))
             raise _no_time_value("call" if self._call[i] else "put", float(self._K[i]),
                                  float(prices[i]), float(intrinsic[i]))
-        return self._in_input_order(vols)
+        return vols
 
     def _in_input_order(self, values: np.ndarray) -> np.ndarray:
         out = np.empty_like(values)
@@ -394,33 +419,41 @@ class SurfaceGrid:
     def _freeze(self) -> None:
         """Build the CF call's arguments and the strike matrices for the current panels.
 
-        The strike matrices hold one row of 15 entries e^{iuk}/(u^2 + 1/4)
-        per (strike, panel), strikes in order; ``_gather`` picks each
-        entry's node and ``_row_edges`` bounds each strike's rows.
+        Block b's nodes are ``_u[_nodes[b]:_nodes[b + 1]]``.  Its strike
+        matrix ``_k15[b]``, shape (nodes, strikes), holds e^{iuk}/(u^2 + 1/4)
+        times the Kronrod weights and half-widths: it contracts the
+        integrand to each strike's integral.  For the error estimates,
+        ``_weights`` holds one row of 15 entries e^{iuk}/(u^2 + 1/4) per
+        (strike, panel), strikes in order; ``_gather`` picks each entry's
+        node and ``_row_edges`` bounds each strike's rows.
         """
         nodes, halves = zip(*(_panel_nodes(los, his) for los, his in self._panels))
-        sizes = np.array([nd.size for nd in nodes])
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        sizes = [nd.size for nd in nodes]
         expiries = np.array([sl.expiry for sl in self._slices])
+        self._nodes = np.concatenate([[0], np.cumsum(sizes)])
         self._u = np.concatenate([nd.ravel() for nd in nodes])
+        self._uu = self._u * self._u + 0.25
         self._node_block = np.repeat(np.arange(len(nodes)), sizes)
         self._z = np.concatenate([np.tile(_PROBE, len(nodes)), self._u - 0.5j])
         self._Tz = np.concatenate([np.repeat(expiries, 2), expiries[self._node_block]])
-        weights, gather, half = [], [], []
-        for b, k in zip(self._block, self._k):
-            u = nodes[b].ravel()
-            weights.append(_strike_weights(u, k))
-            gather.append(offsets[b] + np.arange(len(u)))
-            half.append(halves[b])
-        self._weights = np.concatenate(weights)
-        self._gather = np.concatenate(gather)
-        self._half = np.concatenate(half)
-        self._row_edges = np.concatenate([[0], np.cumsum([len(h) for h in half])])
+        weights = [_strike_weights(nd, self._k[self._first[b]:self._first[b + 1], None, None])
+                   for b, nd in enumerate(nodes)]  # (strikes, panels, 15) per block
+        self._k15 = [(w * (_WGK * half[:, None])).reshape(len(w), -1).T for w, half in zip(weights, halves)]
+        counts = np.diff(self._first)  # strikes of each block
+        self._weights = np.concatenate([w.ravel() for w in weights])
+        self._gather = np.concatenate([np.tile(np.arange(self._nodes[b], self._nodes[b + 1]), m)
+                                       for b, m in enumerate(counts)])
+        self._half = np.concatenate([np.tile(halves[b], m) for b, m in enumerate(counts)])
+        self._row_edges = np.concatenate([[0], np.cumsum([len(halves[b]) for b in self._block])])
 
     def _evaluate(self, cf: CharFn) -> Tuple[np.ndarray, np.ndarray]:
-        """Prices and control-variate vols in block order."""
+        """Prices, shape (rows, options), and control-variate vols, in block order.
+
+        Row 0 holds the prices; a ``cf`` that returns derivative rows under
+        its own row gives the prices' derivatives in the rows below.
+        """
         if not self._K.size:
-            return np.empty(0), np.empty(0)
+            return np.empty((1, 0)), np.empty(0)
         if not self._panels:
             self._panels = [self._start_panels(b) for b in range(len(self._slices))]
             self._freeze()
@@ -429,10 +462,15 @@ class SurfaceGrid:
         spent: Dict[int, int] = {}  # evaluations of each block being sized, from its panels at the start
         while True:
             phi = np.asarray(cf(self._z, self._Tz))
-            w = _cv_variances(phi[:2 * nb].reshape(nb, 2))
-            gap = _cv_gap(self._u, w[self._node_block], phi[2 * nb:])
-            fv = (self._weights * gap[self._gather]).real.reshape(-1, 15)
-            k15, err = _gk(fv, self._half)
+            phi = phi.reshape(-1, phi.shape[-1])  # the CF, then any derivative rows
+            probe = phi[:, 1:2 * nb:2]  # cf(-i/2) of each block
+            w = _cv_variances(phi[0, :2 * nb].reshape(nb, 2))
+            dw = -8.0 * (probe[1:] / probe[0]).real
+            # phi_cv - phi at u - i/2, phi_cv the lognormal CF of total variance w, and its derivatives
+            cv = np.exp(-0.5 * w[self._node_block] * self._uu)
+            gap = np.concatenate([cv[None], (-0.5 * self._uu * cv) * dw[:, self._node_block]]) - phi[:, 2 * nb:]
+            fv = (self._weights * gap[0, self._gather]).real.reshape(-1, 15)
+            err = _gk(fv, self._half)[1]  # |K15 - G7| of the CF row on each (strike, panel)
             errs = np.add.reduceat(err, self._row_edges[:-1])
             missed = ~(errs <= tol)
             if not missed.any():
@@ -456,18 +494,29 @@ class SurfaceGrid:
             for b, panels in refined.items():
                 self._panels[b] = panels
             self._freeze()
-        integrals = np.add.reduceat(k15, self._row_edges[:-1])
-        vol_cv = np.sqrt(w[self._block] / self._T)
+        integrals = np.empty((len(phi), self._K.size))
+        for b in range(nb):  # the same contraction for every row
+            g = gap[:, self._nodes[b]:self._nodes[b + 1]]
+            integrals[:, self._first[b]:self._first[b + 1]] = (g @ self._k15[b]).real
         F, K = self._F, self._K
-        call = _black_undisc(F, K, self._T, vol_cv, True) + np.sqrt(F * K) / math.pi * integrals
-        call = np.maximum(call, 0.0)
-        prices = self._df * np.where(self._call, call, call - (F - K))
-        negative = prices < 0.0
+        w = w[self._block]
+        vol_cv = np.sqrt(w / self._T)
+        # the Black control variate and its derivative F n(d1) / (2 sqrt(w)) dw
+        d1 = _black_d1(self._k, np.sqrt(w))
+        black = np.concatenate([
+            _black_undisc(F, K, self._T, vol_cv, True)[None],
+            F * np.exp(-0.5 * d1 * d1) / np.sqrt(8.0 * math.pi * w) * dw[:, self._block],
+        ])
+        call = black + np.sqrt(F * K) / math.pi * integrals
+        call = np.where(call[0] < 0.0, 0.0, call)  # calls floored at 0, with derivative 0
+        call[0] -= np.where(self._call, 0.0, F - K)  # puts by parity
+        prices = self._df * call
+        negative = prices[0] < 0.0
         if negative.any():
             i = int(np.argmax(negative))
             raise NumericalError(
                 f"{'call' if self._call[i] else 'put'} at strike {float(K[i])} priced at "
-                f"{float(prices[i]):.6g} < 0: Fourier quadrature error exceeds the option value"
+                f"{float(prices[0, i]):.6g} < 0: Fourier quadrature error exceeds the option value"
             )
         return prices, vol_cv
 

@@ -2,12 +2,14 @@
 
 Append-only JSON-lines file, one self-describing record per line.  Floats
 are serialized as shortest round-trip decimal text, so a store round trip
-is bit-exact.  Writes are serialized through a process-level lock
-(single-writer contract).  Every read reads the whole file, but each
-distinct line is decoded once per process: a module-level memo maps each
-store file to its current lines' records, keyed by the line text, so a
-rewritten, truncated or externally appended file reads back exactly what
-is on disk.  Returned records are shared between calls and are read-only.
+is bit-exact.  A save holds an exclusive ``fcntl.flock`` on the store
+file from reading the last id to the end of its append, so saves from
+threads and from separate processes are serialized.  The append is not
+fsynced.  Every read reads the whole file, but each distinct line is
+decoded once per process: a module-level memo maps each store file to its
+current lines' records, keyed by the line text, so a rewritten, truncated
+or externally appended file reads back exactly what is on disk.  Returned
+records are shared between calls and are read-only.
 
 A last line that is not JSON is the torn tail of an interrupted write:
 reads skip it with a warning and the next save cuts it off before
@@ -25,6 +27,11 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - no flock (Windows): saves are serialized per process only
+    fcntl = None
 
 from .calibration import MODELS
 from .errors import DomainError, RecordNotFoundError
@@ -211,13 +218,16 @@ class ParamStore:
         _validate_params(record)
         with self._lock:
             try:
+                mismatch = quotes is not None and quotes_digest(quotes) != record.quote_digest
                 self.root.mkdir(parents=True, exist_ok=True)
-                existing = self._read_all()
-                next_id = 1 + max((r.record_id or 0) for r in existing) if existing else 1
-                rec = replace(record, record_id=next_id)
-                if quotes is not None and quotes_digest(quotes) != rec.quote_digest:
-                    rec = replace(rec, warnings=rec.warnings + ("digest_mismatch",))
                 with self.path.open("ab+") as fh:
+                    if fcntl is not None:
+                        fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes, after the write
+                    existing = self._read_all()
+                    next_id = 1 + max((r.record_id or 0) for r in existing) if existing else 1
+                    rec = replace(record, record_id=next_id)
+                    if mismatch:
+                        rec = replace(rec, warnings=rec.warnings + ("digest_mismatch",))
                     _start_fresh_line(fh)
                     fh.write((_record_to_json(rec) + "\n").encode())
                 return next_id

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from svcal.calibration import (
     _BOXES,
@@ -307,6 +309,110 @@ class TestCalibrate:
             MODELS["heston"].build(vals)
         with pytest.raises(DomainError, match="unexpected \\['lam'\\]"):
             MODELS["bates"].build(dict(TRUTH.as_dict(), lam=0.1, mean_jump=0.0, jump_vol=0.1))
+
+
+def _bundled_targets():
+    """The bundled surface in vol space, and its Black prices at weight 2 in price space."""
+    from svcal.pricing import OptionSpec, bs_price
+    from svcal.quotes_io import load_quotes
+    from svcal.workflows import surface_target
+
+    vols = surface_target(load_quotes(DATA_CSV), Conventions())
+    points = []
+    for pt in vols.points:
+        sl = vols.slices[pt.expiry]
+        opt = OptionSpec(pt.strike, pt.expiry, "call" if pt.strike >= sl.forward else "put")
+        points.append(TargetPoint(pt.expiry, pt.strike, bs_price(sl, opt, pt.value), 2.0))
+    return vols, CalibrationTarget(tuple(points), "price", vols.slices)
+
+
+_BUNDLED = _bundled_targets()
+# (model, fixed, ties): every way a strategy maps free parameters onto the model's
+_FREE_SETS = [
+    ("heston", {}, {}),
+    ("heston", {"kappa": 2.0}, {}),
+    ("heston", {"kappa": 6.0}, {"theta": "v0"}),
+    ("bates", {"jump_intensity": 0.1, "mean_jump": -0.1, "jump_vol": 0.15}, {}),
+    ("bates", {"kappa": 1.5}, {}),
+]
+
+
+def _central_differences(fun, x, h=1e-6):
+    cols = []
+    for j in range(len(x)):
+        e = np.zeros(len(x))
+        e[j] = h
+        cols.append((fun(x + e) - fun(x - e)) / (2.0 * h))
+    return np.array(cols).T
+
+
+class TestAnalyticJacobian:
+    """_Problem.jac: the CF gradient pushed through the frozen grid, the ties,
+    the fixed parameters and the box map, against central differences of the residuals."""
+
+    @staticmethod
+    def _problem(case, space, quad=DEFAULT_QUAD):
+        from svcal.calibration import MODELS, _Problem
+
+        kind, fixed, ties = case
+        return _Problem(_BUNDLED[space == "price"], MODELS[kind], fixed, ties, quad)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from(_FREE_SETS), space=st.sampled_from(["vol", "price"]),
+           x=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    def test_matches_central_differences(self, case, space, x):
+        from svcal.calibration import _FAILED_RESIDUAL
+
+        prob = self._problem(case, space)
+        x = np.array(x[:len(prob.free)])
+        assume(np.all(prob.residuals(x) != _FAILED_RESIDUAL))
+        panels = prob.grid.panels
+        want = _central_differences(prob.residuals, x)
+        assume(prob.grid.panels == panels)  # no re-sizing inside the differences
+        got = prob.jac(x)
+        assert prob.analytic and got.shape == (len(prob.market), len(prob.free))
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("space", ["vol", "price"])
+    def test_penalized_rows_match_central_differences(self, space):
+        from svcal.calibration import _penalized
+
+        prob = self._problem(_FREE_SETS[0], space)
+        prev_box = np.array([0.02, 0.015, 1.0, 0.3, -0.2])
+        x = prob.x_from_params({"v0": 0.0178, "theta": 0.0135, "kappa": 1.3, "sigma": 0.29, "rho": -0.14})
+        fun, jac = _penalized(prob, prev_box, 0.37)
+        got = jac(x)
+        assert got.shape == (len(prob.market) + 5, 5)
+        want = _central_differences(fun, x)
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+        np.testing.assert_allclose(got[-5:], np.diag(np.diag(got[-5:])), rtol=0, atol=0)
+
+    def test_zero_where_the_residual_failed(self):
+        from svcal.calibration import _FAILED_RESIDUAL
+        from svcal.pricing import QuadratureConfig
+
+        prob = self._problem(_FREE_SETS[0], "vol", QuadratureConfig(tolerance=1e-16, max_evals=30))
+        x = np.zeros(5)
+        assert np.all(prob.residuals(x) == _FAILED_RESIDUAL)
+        assert np.array_equal(prob.jac(x), np.zeros((len(prob.market), 5)))
+
+    def test_schobel_zhu_keeps_finite_differences(self):
+        from svcal.calibration import MODELS, _Problem
+
+        assert self._problem(_FREE_SETS[0], "vol").analytic
+        assert self._problem(_FREE_SETS[3], "vol").analytic
+        assert not _Problem(_BUNDLED[0], MODELS["schobel_zhu"], {}, {}, DEFAULT_QUAD).analytic
+
+    def test_a_heston_fit_evaluates_residuals_only_at_its_steps(self, monkeypatch):
+        # no finite-difference columns: one residual evaluation per nfev, plus the reported one
+        import svcal.calibration
+
+        calls = []
+        values = svcal.calibration._model_values
+        monkeypatch.setattr(svcal.calibration, "_model_values", lambda *a: calls.append(1) or values(*a))
+        fit = calibrate(_BUNDLED[0], "heston", config=OptimizerConfig(starts=1))
+        assert fit.converged
+        assert len(calls) == fit.iterations + 1
 
 
 class TestCalibratePenalized:

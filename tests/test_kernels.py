@@ -1,8 +1,14 @@
 """Kernel-level checks: every CF kernel matches an independent numerical
-integration of its affine ODE system, including cf(0) = cf(-i) = 1."""
+integration of its affine ODE system, including cf(0) = cf(-i) = 1; the
+complex log1p matches exact decimal arithmetic; the Heston gradient matches
+central differences of the CF."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from svcal import _kernels
@@ -106,3 +112,82 @@ def test_piecewise_kernel_matches_stepwise_ode():
             taus, *(np.array(col) for col in zip(*params)),
         )[0]
         assert abs(got - want) / abs(want) < 1e-9
+
+
+def _log1p_reference(z: complex) -> complex:
+    """log(1+z) from exact decimal arithmetic for the real part, log|1+z|^2/2.
+
+    |1+z|^2 - 1 = 2x + x^2 + y^2 is exact at 60 digits; its log1p is taken by
+    series below 1e-20.  The imaginary part atan2(y, 1+x) is well conditioned.
+    """
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, y = Decimal(z.real), Decimal(z.imag)
+        r = 2 * x + x * x + y * y
+        re = r - r * r / 2 + r * r * r / 3 if abs(r) < Decimal("1e-20") else (1 + r).ln()
+        return complex(float(re / 2), math.atan2(z.imag, 1.0 + z.real))
+
+
+def test_clog1p_matches_a_decimal_reference_from_1e_minus_12_to_1e6():
+    rng = np.random.default_rng(7)
+    z = 10 ** rng.uniform(-12, 6, 3000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 3000))
+    edge = np.array([1e-3, -1e-3, 1e-3j, -1e-3 + 1e-3j, -0.25, -0.2499 + 0.3j, -0.5, -1 + 1e-10j,
+                     -2.0, 1e-300 + 1e-300j, 1e200 + 1e200j, -1e6 + 0j])
+    z = np.concatenate([z, edge])
+    got = _kernels._clog1p(z)
+    assert np.all(np.isfinite(got))
+    want = np.array([_log1p_reference(complex(v)) for v in z])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
+
+
+# Heston gradient against five-point central differences of the CF; sigma on
+# both sides of the series switch sigma^2 = _SIG2_SERIES.  theta is kept away
+# from v0 so that every derivative is large against the differences' noise.
+_U_GRAD = np.concatenate([[0.0, -1j, -0.5j], np.linspace(0.05, 200.0, 40) - 0.5j, np.linspace(0.1, 30.0, 10)])
+_grad_props = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def _five_point(f, p, i, h):
+    def at(dh):
+        q = list(p)
+        q[i] += dh
+        return f(*q)
+
+    return (at(-2 * h) - 8 * at(-h) + 8 * at(h) - at(2 * h)) / (12 * h)
+
+
+@st.composite
+def _heston_grad_case(draw):
+    v0 = draw(st.floats(0.01, 0.2))
+    theta = v0 * draw(st.sampled_from([0.3, 2.5]))
+    kappa = draw(st.floats(0.2, 8.0))
+    series = draw(st.booleans())
+    sigma = draw(st.floats(3e-5, 9e-5)) if series else draw(st.floats(0.05, 2.0))
+    rho = draw(st.floats(-0.9, 0.9).filter(lambda r: abs(r) > 0.05))
+    T = draw(st.floats(0.1, 3.0))
+    return (v0, theta, kappa, sigma, rho), T
+
+
+@_grad_props
+@given(case=_heston_grad_case())
+def test_heston_gradient_matches_central_differences(case):
+    p, T = case
+    Ts = np.full(_U_GRAD.shape, T)
+    grad = _kernels.heston_cf_grad(_U_GRAD, *p, Ts)
+    phi = _kernels.heston_cf_vals(_U_GRAD, *p, Ts)
+    np.testing.assert_allclose(grad[0], phi, rtol=1e-12, atol=1e-300)  # exponents reach -400
+    for i in range(5):
+        h = 1e-2 * p[3] if i == 3 else 1e-4 * abs(p[i])
+        want = _five_point(lambda *q: _kernels.heston_cf_vals(_U_GRAD, *q, Ts), p, i, h)
+        noise = 1e-14 / h  # rounding of |phi| <= 1 in the differences
+        assert np.max(np.abs(grad[i + 1] - want)) <= 1e-6 * np.max(np.abs(want)) + noise
+
+
+@pytest.mark.parametrize("sigma", [5e-5, 0.5])
+def test_heston_gradient_of_the_probe_rows_s_zero_is_zero(sigma):
+    # u = 0 and u = -i: phi = 1 for every parameter set, including kappa - rho*sigma < 0
+    grad = _kernels.heston_cf_grad(np.array([0.0 + 0j, -1j]), 0.04, 0.09, 1e-4, sigma, 0.9, np.array([1.0, 1.0]))
+    assert np.array_equal(grad[0], [1.0, 1.0])
+    assert np.array_equal(grad[1:], np.zeros((5, 2)))

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svcal._kernels import _SIG2_SERIES, _SZ_DET_SIGMA
 from svcal.errors import DomainError
 from svcal.models import (
     BatesParams,
@@ -11,6 +14,7 @@ from svcal.models import (
     PiecewiseHestonParams,
     SchobelZhuParams,
     cf_bates,
+    cf_bates_grad,
     cf_heston,
     cf_piecewise_heston,
     cf_schobel_zhu,
@@ -282,3 +286,64 @@ class TestArrayExpiry:
             cf(u, p, np.array([1.0, 0.5, bad, 2.0]))
         with pytest.raises(DomainError, match="T must be > 0"):
             cf(u, p, bad)
+
+
+# vol-of-variance (or vol-of-vol) 0, on the series side of sigma^2 = _SIG2_SERIES
+# (and around the Schobel-Zhu deterministic switch), and on the closed-form side
+_SERIES_SIGMA = math.sqrt(_SIG2_SERIES)
+_sigma = st.one_of(st.just(0.0), st.floats(0.5 * _SZ_DET_SIGMA, 2.0 * _SZ_DET_SIGMA),
+                   st.floats(0.01 * _SERIES_SIGMA, _SERIES_SIGMA), st.floats(1.01 * _SERIES_SIGMA, 2.0))
+_rho = st.floats(-0.95, 0.95)
+_var = st.floats(0.005, 0.5)
+_heston = st.builds(HestonParams, v0=_var, theta=_var, kappa=st.floats(0.0, 10.0), sigma=_sigma, rho=_rho)
+_bates = st.builds(BatesParams, heston=_heston, jump_intensity=st.floats(0.0, 3.0),
+                   mean_jump=st.floats(-0.5, 0.5), jump_vol=st.floats(0.0, 0.5))
+_schobel_zhu = st.builds(SchobelZhuParams, v0=st.floats(0.05, 0.7), theta=st.floats(0.0, 0.7),
+                         kappa=st.floats(0.0, 10.0), sigma=_sigma, rho=_rho)
+_segment = st.tuples(_var, st.floats(0.0, 10.0), _sigma, _rho)
+_piecewise = st.lists(_segment, min_size=1, max_size=3).flatmap(lambda segs: st.builds(
+    PiecewiseHestonParams, v0=_var, segments=st.just(tuple(segs)),
+    breakpoints=st.lists(st.floats(0.05, 4.0), min_size=len(segs), max_size=len(segs), unique=True).map(
+        lambda ts: tuple(sorted(ts)))))
+_CFS = {HestonParams: cf_heston, BatesParams: cf_bates, SchobelZhuParams: cf_schobel_zhu,
+        PiecewiseHestonParams: cf_piecewise_heston}
+_cf_props = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestCharacteristicFunctionInvariants:
+    """cf(0) = 1, cf(-i) = 1 (the forward is a martingale) and cf(-conj(u)) = conj(cf(u))
+    over random admissible parameters of all four models."""
+
+    @_cf_props
+    @given(p=st.one_of(_heston, _bates, _schobel_zhu, _piecewise), T=st.floats(0.01, 5.0))
+    def test_normalized_martingale_and_conjugate_symmetric(self, p, T):
+        cf = _CFS[type(p)]
+        assert abs(cf(0.0, p, T) - 1.0) <= 1e-12
+        assert abs(cf(-1j, p, T) - 1.0) <= 1e-12
+        u = np.concatenate([np.linspace(0.1, 150.0, 25), np.linspace(0.1, 150.0, 25) - 0.5j])
+        np.testing.assert_allclose(cf(-np.conj(u), p, T), np.conj(cf(u, p, T)), rtol=1e-12, atol=1e-15)
+
+
+class TestBatesGradient:
+    """The Bates gradient against five-point central differences of the CF."""
+
+    U = np.concatenate([[0.0, -1j, -0.5j], np.linspace(0.05, 120.0, 30) - 0.5j])
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(v0=st.floats(0.01, 0.2), theta_ratio=st.sampled_from([0.3, 2.5]), kappa=st.floats(0.2, 8.0),
+           sigma=st.one_of(st.floats(3e-5, 9e-5), st.floats(0.05, 2.0)), rho=st.floats(-0.9, 0.9),
+           lam=st.floats(0.05, 3.0), kbar=st.floats(-0.4, 0.4), delta=st.floats(0.02, 0.5), T=st.floats(0.1, 3.0))
+    def test_matches_central_differences(self, v0, theta_ratio, kappa, sigma, rho, lam, kbar, delta, T):
+        vals = [v0, v0 * theta_ratio, kappa, sigma, rho, lam, kbar, delta]
+
+        def cf(*q):
+            return cf_bates(self.U, BatesParams(HestonParams(*q[:5]), *q[5:]), T)
+
+        grad = cf_bates_grad(self.U, BatesParams(HestonParams(*vals[:5]), *vals[5:]), T)
+        np.testing.assert_allclose(grad[0], cf(*vals), rtol=1e-12, atol=1e-300)
+        for i, v in enumerate(vals):
+            h = 1e-2 * v if i == 3 else 1e-4 * max(abs(v), 0.01)
+            want = (cf(*vals[:i], v - 2 * h, *vals[i + 1:]) - 8 * cf(*vals[:i], v - h, *vals[i + 1:])
+                    + 8 * cf(*vals[:i], v + h, *vals[i + 1:]) - cf(*vals[:i], v + 2 * h, *vals[i + 1:])) / (12 * h)
+            assert np.max(np.abs(grad[i + 1] - want)) <= 1e-6 * np.max(np.abs(want)) + 1e-14 / h
+        np.testing.assert_allclose(grad[1:, :2], 0.0, atol=1e-14)  # the s = 0 probe rows, up to rounding of cf(-i)

@@ -558,3 +558,36 @@ class TestFrozenGrid:
         assert grid.panels[0] > sized[0]
         want = adaptive_prices(cf_for(wild), *legs[0])
         assert np.all(np.abs(got - want) <= _oracle_bound(legs))
+
+
+class TestGridJacobian:
+    """Price and vol derivatives on the frozen grid against central differences
+    of prices and vols on the same panels.  The short low-vol expiry makes the
+    control variate's truncated tail, and so its dw terms, matter."""
+
+    LEGS = [(MarketSlice(1.0, 0.999, 0.02), [OptionSpec(0.99, 0.02, "put"), OptionSpec(1.0, 0.02, "call"),
+                                             OptionSpec(1.01, 0.02, "call")]),
+            (MarketSlice(1.02, 0.98, 1.5), [OptionSpec(0.8, 1.5, "put"), OptionSpec(1.1, 1.5, "call")])]
+    PARAMS = (0.0025, 0.01, 3.0, 0.3, -0.4)
+
+    @pytest.mark.parametrize("space", ["price", "vol"])
+    def test_matches_central_differences_on_the_same_panels(self, space):
+        from svcal.models import cf_heston_grad
+
+        grid = _grid_of(self.LEGS)
+        p = HestonParams(*self.PARAMS)
+        if space == "price":
+            got = grid.price_jacobian(lambda u, T: cf_heston_grad(u, p, T))
+            value = grid.prices
+        else:
+            got = grid.vol_jacobian(lambda u, T: cf_heston_grad(u, p, T))
+            value = grid.vols
+        panels = grid.panels
+        for i, v in enumerate(self.PARAMS):
+            h = 1e-5 * v if i != 4 else 1e-5
+            up, down = list(self.PARAMS), list(self.PARAMS)
+            up[i] += h
+            down[i] -= h
+            want = (value(cf_for(HestonParams(*up))) - value(cf_for(HestonParams(*down)))) / (2 * h)
+            assert np.max(np.abs(got[:, i] - want)) <= 1e-6 * np.max(np.abs(want))
+        assert grid.panels == panels

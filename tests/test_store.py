@@ -323,6 +323,32 @@ class TestConcurrentWrites:
         # identical timestamps: the id breaks the tie, latest is the last save
         assert store.latest("heston").record_id == 24
 
+    def test_saves_from_separate_processes_keep_ids_unique_and_monotone(self, tmp_path):
+        # the flock serializes each save's read-id-and-append across processes, so
+        # no writer cuts another's half-written record, taking it for a torn tail
+        import subprocess
+        from pathlib import Path
+
+        writer = (
+            "import sys\n"
+            "from svcal.store import ParamRecord, ParamStore\n"
+            "store = ParamStore(sys.argv[1])\n"
+            "for i in range(15):\n"
+            "    store.save(ParamRecord('heston', " + repr(PARAMS) + ", '2008-09-16T08:00:00+00:00', 'd',\n"
+            "                           diagnostics={'pad': 'x' * 20000, 'writer': sys.argv[2]}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(svcal.store.__file__).resolve().parents[1])] + sys.path))
+        procs = [subprocess.Popen([sys.executable, "-c", writer, str(tmp_path), str(k)], env=env,
+                                  stderr=subprocess.PIPE) for k in range(4)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+        lines = ParamStore(tmp_path).path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]  # every line decodes
+        assert [r["record_id"] for r in records] == list(range(1, 61))
+        assert sorted(r["diagnostics"]["writer"] for r in records) == sorted(str(k) for k in range(4) for _ in range(15))
+
 
 class TestLiveCalibrate:
     def test_matches_upfront_and_leaves_store_untouched(self, tmp_path):
