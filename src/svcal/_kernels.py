@@ -15,10 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Series switch for the log term of the Heston A coefficient: below this
-# sigma^2 the log argument is O(sigma^2) and must be expanded to keep full
-# relative precision after the division by sigma^2.
-_SIG2_SERIES = 1e-8
 # Below this vol-of-vol the Schobel-Zhu path degenerates to deterministic
 # volatility (validated against ODE integration of the affine system).
 _SZ_DET_SIGMA = 1e-8
@@ -76,14 +72,13 @@ def _heston_seg(u, A, D, theta, kappa, sigma, rho, tau):
         gt = (bmd - D * sig2) / den
         E = np.exp(-d * tau)
         Dn = (-s * (1.0 - E) + D * (bpd * E - bmd)) / (den - E * (bmd - D * sig2))
-        if sig2 > _SIG2_SERIES:
+        # _clog1p keeps full relative precision for small arguments, so the log
+        # form serves every sigma > 0, however small or large the argument x
+        if sig2 > 0.0:
             x = gt * (1.0 - E) / (1.0 - gt)
             An = A + (kappa * theta / sig2) * (bmd * tau - 2.0 * _clog1p(x))
-        else:
-            y = (-s / bpd - D) / den
-            xs = sig2 * y * (1.0 - E) / (1.0 - gt)
-            ser = 1.0 - xs * (0.5 - xs * (1.0 / 3.0 - 0.25 * xs))
-            An = A + kappa * theta * (-s * tau / bpd - 2.0 * y * (1.0 - E) / (1.0 - gt) * ser)
+        else:  # the limit: log(1+x)/x -> 1 with x = sigma^2*y*(1-E)/(1-g)
+            An = A + kappa * theta * (-s * tau / bpd - 2.0 * (-s / bpd - D) / den * (1.0 - E))
     # s == 0 (u in {0, -i}) keeps D = 0 segments inert; sigma = kappa = 0
     # degenerates to a drift-free linear ODE.
     inert = (s == 0) & (D == 0)
@@ -138,10 +133,7 @@ def heston_cf_grad(u, v0, theta, kappa, sigma, rho, T):
         r_M = 1.0 / (bpd - (q * beta) * E)
         D = -s * omE * r_M
         log1px = _clog1p(x)
-        if q > _SIG2_SERIES:
-            a = beta * T - (2.0 / q) * log1px
-        else:
-            a = beta * T - 2.0 * chi * (1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x)))
+        a = beta * T - ((2.0 / q) * log1px if q > 0.0 else 2.0 * chi)
         phi = np.exp(kt * a + D * v0)
         # d/dx of log(1+x)/x, by its series where |x| < 0.01
         r_1px = 1.0 / (1.0 + x)

@@ -7,6 +7,13 @@ admissible.  Strategies: full surface, fixed parameters, penalized
 (previous-day anchor with the error-doubling rule), per-tenor with a
 kappa rule, and variance-swap term-structure fits.
 
+Each fit runs up to ``OptimizerConfig.starts`` starts: the initial guess,
+then seeded perturbations of it.  It stops once the best start so far
+reaches the ``retry_rmse`` floor, or once a new start and the best earlier
+one both converged with costs within 1e-8 relative and parameters within
+1e-6 of the box width, so a fit with one clear minimum costs two solves.
+The lowest-cost start wins.
+
 Heston and Bates solves use an analytic Jacobian: the CF's closed-form
 parameter gradient, priced on the residuals' frozen grid in the same
 evaluation steps as the prices (divided by the Black vega in vol space) and
@@ -44,6 +51,10 @@ from .pricing import DEFAULT_QUAD, OptionSpec, QuadratureConfig, SurfaceGrid
 # residual magnitude standing in for a failed pricing at a trial point; the
 # optimizer sees an exploded cost and rejects the step
 _FAILED_RESIDUAL = 1e6
+# two converged starts agree, and the restarts stop, when their costs are within
+# _AGREE_COST relative and their parameters within _AGREE_BOX of the box width
+_AGREE_COST = 1e-8
+_AGREE_BOX = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +129,9 @@ class TenorRules:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Trust-region settings; ``starts`` is the most starts a fit runs (see the
+    module docstring for when it stops early), ``seed`` draws the perturbed ones."""
+
     max_nfev: int = 600
     ftol: float = 1e-14
     xtol: float = 1e-14
@@ -392,20 +406,45 @@ def _run_least_squares(fun: Callable[[np.ndarray], np.ndarray], jac, x0: np.ndar
     )
 
 
+def _agree(prob: _Problem, a, b) -> bool:
+    """Whether solves ``a`` and ``b`` both converged, to the same minimum."""
+    if a.status <= 0 or b.status <= 0:
+        return False
+    if abs(a.cost - b.cost) > _AGREE_COST * max(a.cost, b.cost):
+        return False
+    width = prob.hi - prob.lo
+    dist = np.abs(_to_box(a.x, prob.lo, prob.hi) - _to_box(b.x, prob.lo, prob.hi)) / width
+    return float(np.max(dist)) <= _AGREE_BOX
+
+
 def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
-    """Trust-region solve with deterministic perturbed restarts."""
+    """Trust-region solve with deterministic perturbed restarts.
+
+    Runs at most ``cfg.starts`` starts, the first at ``x0``, and stops early
+    once the best start so far converged to the ``retry_rmse`` floor, or a
+    new start agrees with it (:func:`_agree`).  Returns the lowest-cost
+    start and the summed ``nfev`` of the starts that ran.
+    """
+    import logging  # local, so that importing the module does no more work
+
     rng = np.random.default_rng(cfg.seed)
     floor = len(prob.market) * (cfg.retry_rmse * max(1.0, float(np.mean(np.abs(prob.market))))) ** 2
-    best = None
-    nfev = 0
-    for attempt in range(max(cfg.starts, 1)):
+    starts = max(cfg.starts, 1)
+    best, nfev, stop = None, 0, "exhausted"
+    for attempt in range(starts):
         start = x0 if attempt == 0 else x0 + rng.normal(0.0, 0.7, size=len(x0))
         res = _run_least_squares(prob.residuals, prob.jac if prob.analytic else "2-point", start, cfg)
         nfev += res.nfev
+        agree = best is not None and _agree(prob, best, res)
         if best is None or res.cost < best.cost:
             best = res
         if best.status > 0 and 2.0 * best.cost <= floor:
+            stop = "floor"
             break
+        if agree:
+            stop = "agree"
+            break
+    logging.getLogger("svcal").debug("minimize: %d of %d starts ran, stop=%s", attempt + 1, starts, stop)
     return best, nfev
 
 

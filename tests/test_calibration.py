@@ -415,6 +415,119 @@ class TestAnalyticJacobian:
         assert len(calls) == fit.iterations + 1
 
 
+def _count_solves(monkeypatch, fake=None):
+    """Record each trust-region solve; ``fake`` (an iterator of results) replaces the solver."""
+    import svcal.calibration
+
+    calls = []
+    real = svcal.calibration._run_least_squares
+
+    def solve(fun, jac, x0, cfg):
+        calls.append(np.array(x0))
+        return next(fake) if fake is not None else real(fun, jac, x0, cfg)
+
+    monkeypatch.setattr(svcal.calibration, "_run_least_squares", solve)
+    return calls
+
+
+class TestRestarts:
+    """_minimize stops restarting once the best start so far and a new start
+    both converged to the same cost and parameters, or at the rmse floor."""
+
+    X = np.array([-1.0, -0.5, 0.2, 0.3, -0.4])
+
+    @staticmethod
+    def _result(x, cost, status=1, nfev=10):
+        from types import SimpleNamespace
+
+        return SimpleNamespace(x=np.array(x, dtype=float), cost=cost, status=status, nfev=nfev)
+
+    def _minimize(self, monkeypatch, results, starts=3):
+        from svcal.calibration import MODELS, _minimize, _Problem
+
+        calls = _count_solves(monkeypatch, iter(results))
+        prob = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
+        best, nfev = _minimize(prob, np.zeros(5), OptimizerConfig(starts=starts))
+        return best, nfev, len(calls)
+
+    def test_a_heston_full_fit_of_the_bundled_surface_makes_two_solves(self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        fit = calibrate(_BUNDLED[0], "heston")
+        assert fit.converged
+        assert len(calls) == 2
+
+    def test_the_tenor_strategy_makes_one_solve_per_tenor(self, monkeypatch):
+        from svcal.quotes_io import load_quotes
+        from svcal.workflows import RunConfig, run_strategy
+
+        rows = load_quotes(DATA_CSV)
+        calls = _count_solves(monkeypatch)
+        results = run_strategy(rows, RunConfig(strategy="tenor"))
+        assert len(rows) == len(results) == 7
+        assert len(calls) == 7
+
+    def test_agreeing_converged_starts_stop_after_two(self, monkeypatch):
+        results = [self._result(self.X, 1.0), self._result(self.X + 1e-9, 1.0 + 1e-12)]
+        best, nfev, solves = self._minimize(monkeypatch, results)
+        assert solves == 2 and best is results[0]
+
+    @pytest.mark.parametrize("second", [
+        dict(x=X, cost=1.0 + 1e-6),  # costs disagree
+        dict(x=X + np.array([0.0, 0.0, 0.0, 1e-3, 0.0]), cost=1.0),  # parameters disagree
+    ])
+    def test_disagreeing_starts_lead_to_a_third(self, monkeypatch, second):
+        results = [self._result(self.X, 1.0), self._result(**second), self._result(self.X, 1.0)]
+        _, _, solves = self._minimize(monkeypatch, results)
+        assert solves == 3
+
+    def test_an_unconverged_first_start_is_never_confirmed(self, monkeypatch):
+        results = [self._result(self.X, 1.0, status=0), self._result(self.X, 1.0), self._result(self.X, 1.0)]
+        _, _, solves = self._minimize(monkeypatch, results)
+        assert solves == 3
+
+    def test_an_unconverged_fit_runs_every_start(self, monkeypatch):
+        results = [self._result(self.X, 1.0, status=0) for _ in range(4)]
+        _, _, solves = self._minimize(monkeypatch, results, starts=4)
+        assert solves == 4
+
+    def test_the_lowest_cost_start_wins(self, monkeypatch):
+        # start 1 undercuts start 0; start 2 confirms start 1
+        results = [self._result(self.X, 2.0), self._result(self.X + 0.5, 1.0),
+                   self._result(self.X + 0.5, 1.0 + 1e-12)]
+        best, _, solves = self._minimize(monkeypatch, results)
+        assert solves == 3 and best is results[1]
+
+    def test_the_perturbed_starts_are_drawn_from_the_seed(self, monkeypatch):
+        from svcal.calibration import MODELS, _minimize, _Problem
+
+        calls = _count_solves(monkeypatch, iter([self._result(self.X, float(c)) for c in (3, 2, 1)]))
+        prob = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
+        _minimize(prob, self.X, OptimizerConfig(seed=4))
+        rng = np.random.default_rng(4)
+        want = [self.X] + [self.X + rng.normal(0.0, 0.7, size=5) for _ in range(2)]
+        assert all(np.array_equal(a, b) for a, b in zip(calls, want)) and len(calls) == 3
+
+    def test_iterations_sum_the_nfev_of_the_solves_that_ran(self, monkeypatch):
+        results = [self._result(self.X, 1.0, nfev=5), self._result(self.X, 1.0, nfev=7),
+                   self._result(self.X, 1.0, nfev=11)]
+        calls = _count_solves(monkeypatch, iter(results))
+        fit = calibrate(_BUNDLED[0], "heston")
+        assert len(calls) == 2
+        assert fit.iterations == 5 + 7
+
+    def test_a_refit_of_the_same_target_is_bit_identical(self):
+        a = calibrate(_BUNDLED[0], "heston")
+        b = calibrate(_BUNDLED[0], "heston")
+        assert a == b
+
+    def test_one_debug_record_says_how_many_starts_ran_and_why_they_stopped(self, monkeypatch, caplog):
+        results = [self._result(self.X, 1.0), self._result(self.X, 1.0)]
+        with caplog.at_level("DEBUG", logger="svcal"):
+            self._minimize(monkeypatch, results)
+        records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
+        assert records == ["minimize: 2 of 3 starts ran, stop=agree"]
+
+
 class TestCalibratePenalized:
     def _day2(self, rng, scale=0.05, noise=1e-4):
         pert = HestonParams(

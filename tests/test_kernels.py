@@ -114,6 +114,28 @@ def test_piecewise_kernel_matches_stepwise_ode():
         assert abs(got - want) / abs(want) < 1e-9
 
 
+# kappa << sigma*|u|: the log argument of A is O(1) although sigma^2 is tiny
+# (8.1e-9 and 4e-8)
+_SMALL_KAPPA_SETS = [(0.04, 0.04, 1e-3, 9e-5, -0.7, 1.0), (0.04, 0.04, 1e-3, 2e-4, -0.7, 1.0)]
+_U_SMALL_KAPPA = np.array([150.0 - 0.5j, 60.0 - 0.5j, 11.0 + 0j])
+
+
+@pytest.mark.parametrize("v0,theta,kappa,sigma,rho,T", _SMALL_KAPPA_SETS)
+def test_heston_kernels_match_ode_when_kappa_is_far_below_sigma_u(v0, theta, kappa, sigma, rho, T):
+    Ts = np.full(_U_SMALL_KAPPA.shape, T)
+    got = {
+        "vals": _kernels.heston_cf_vals(_U_SMALL_KAPPA, v0, theta, kappa, sigma, rho, Ts),
+        "grad": _kernels.heston_cf_grad(_U_SMALL_KAPPA, v0, theta, kappa, sigma, rho, Ts)[0],
+        "piecewise": _kernels.piecewise_heston_cf_vals(
+            _U_SMALL_KAPPA, v0, np.array([0.4 * T, 0.6 * T]), np.array([theta] * 2),
+            np.array([kappa] * 2), np.array([sigma] * 2), np.array([rho] * 2)),
+    }
+    for i, u in enumerate(_U_SMALL_KAPPA):
+        want = heston_cf_ode(u, v0, theta, kappa, sigma, rho, T)
+        for kernel, vals in got.items():
+            assert abs(vals[i] - want) <= 1e-10 * abs(want), (kernel, u)
+
+
 def _log1p_reference(z: complex) -> complex:
     """log(1+z) from exact decimal arithmetic for the real part, log|1+z|^2/2.
 
@@ -142,9 +164,9 @@ def test_clog1p_matches_a_decimal_reference_from_1e_minus_12_to_1e6():
     assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
 
 
-# Heston gradient against five-point central differences of the CF; sigma on
-# both sides of the series switch sigma^2 = _SIG2_SERIES.  theta is kept away
-# from v0 so that every derivative is large against the differences' noise.
+# Heston gradient against five-point central differences of the CF; sigma
+# tiny (3e-5 to 9e-5) or ordinary.  theta is kept away from v0 so that every
+# derivative is large against the differences' noise.
 _U_GRAD = np.concatenate([[0.0, -1j, -0.5j], np.linspace(0.05, 200.0, 40) - 0.5j, np.linspace(0.1, 30.0, 10)])
 _grad_props = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
