@@ -1,7 +1,8 @@
 """Characteristic-function kernels.
 
-One vectorized numpy implementation of every kernel; the Heston kernel also
-has a variant that returns the CF's parameter gradient in the same pass.
+One vectorized numpy implementation of every kernel; the Heston and
+Schobel-Zhu kernels also have a variant that returns the CF's parameter
+gradient in the same pass.
 All kernels evaluate E[exp(i*u*ln(F_T/F_0))] under the forward measure
 (zero drift) on arrays of complex frequencies ``u``, with the expiry ``T``
 an array broadcast against ``u`` (one entry per frequency).  The
@@ -224,4 +225,84 @@ def schobel_zhu_cf_vals(u, v0, theta, kappa, sigma, rho, T):
     zero = s == 0
     if np.any(zero):
         out = np.where(zero, 1.0 + 0j, out)
+    return out
+
+
+def schobel_zhu_cf_grad(u, v0, theta, kappa, sigma, rho, T):
+    """Schobel-Zhu CF and its gradient in (v0, theta, kappa, sigma, rho), in one pass.
+
+    Returns shape ``(6,) + u.shape`` as :func:`heston_cf_grad` does.  The
+    exponent of :func:`schobel_zhu_cf_vals` is A1 + k^2*A2 + k*B*v0 + C*v0^2/2
+    with k = kappa*theta, where A1, A2, B and C depend on kappa, sigma and
+    rho only through b = kappa - i*rho*sigma*u and q = sigma^2; their
+    partials in b (at fixed q) and in q (at fixed b) chain as in
+    :func:`heston_cf_grad`.  No term divides by q, so the gradient holds
+    down to sigma = 0; below ``_SZ_DET_SIGMA`` row 0 is the
+    deterministic-volatility CF of :func:`schobel_zhu_cf_vals`.  Rows with
+    s = u^2 + i*u = 0 are phi = 1 with gradient 0.  Needs kappa + sigma > 0.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    s = u * u + 1j * u
+    q = sigma * sigma
+    b = kappa - 1j * (rho * sigma) * u
+    k = kappa * theta
+    out = np.empty((6,) + u.shape, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.sqrt(b * b + q * s)
+        r_d = 1.0 / d
+        bpd = b + d
+        r_bpd = 1.0 / bpd
+        beta = -s * r_bpd  # (b - d)/q
+        gam = beta * r_bpd  # g/q, g = (b - d)/(b + d)
+        g = q * gam
+        r_omg = 1.0 / (1.0 - g)
+        E = np.exp(-d * T)
+        E2 = E * E
+        omE = 1.0 - E
+        omE2 = 1.0 - E2
+        r_M = 1.0 / (1.0 - g * E2)
+        x = g * omE2 * r_omg
+        r_1px = 1.0 / (1.0 + x)
+        C = beta * omE2 * r_M
+        B = beta * omE * omE * r_d * r_M
+        N = g * (3.0 * E2 + 1.0) + (E2 + 3.0) - 4.0 * E * (1.0 + g)
+        R = 0.5 * N * r_d * r_M
+        A2 = -0.5 * s * r_d * r_d * (T - R)
+        if sigma < _SZ_DET_SIGMA:
+            phi = schobel_zhu_cf_vals(u, v0, theta, kappa, sigma, rho, T)
+        else:
+            A1 = 0.5 * (q * beta * T - _clog1p(x))
+            phi = np.exp(A1 + (k * k) * A2 + (k * v0) * B + (0.5 * v0 * v0) * C)
+
+        def partial(d_x, beta_x, g_x, qbT_x):
+            """The exponent's partial, given those of d, beta, g and q*beta*T/2."""
+            E_x = -T * E * d_x
+            E2_x = 2.0 * E * E_x
+            M_x = -(g_x * E2 + g * E2_x)
+            C_x = ((beta_x * omE2 - beta * E2_x) - C * M_x) * r_M
+            dM = d_x * r_d + M_x * r_M  # d log(d*M)
+            B_x = (beta_x * omE - 2.0 * beta * E_x) * omE * r_d * r_M - B * dM
+            N_x = g_x * (3.0 * E2 + 1.0 - 4.0 * E) + (3.0 * g + 1.0) * E2_x - 4.0 * (1.0 + g) * E_x
+            R_x = 0.5 * N_x * r_d * r_M - R * dM
+            A2_x = 0.5 * s * r_d * r_d * R_x - 2.0 * A2 * d_x * r_d
+            x_x = (g_x * (omE2 + x) - g * E2_x) * r_omg
+            return (qbT_x - 0.5 * x_x * r_1px) + (k * k) * A2_x + (k * v0) * B_x + (0.5 * v0 * v0) * C_x
+
+        # partials in b at fixed q (_b) and in q at fixed b (_q)
+        d_q = 0.5 * s * r_d
+        beta_b = -beta * r_d
+        beta_q = -beta * d_q * r_bpd
+        e_b = partial(b * r_d, beta_b, -2.0 * g * r_d, 0.5 * q * T * beta_b)
+        e_q = partial(d_q, beta_q, gam * (1.0 - 2.0 * q * d_q * r_bpd), 0.5 * T * (beta + q * beta_q))
+        lin = 2.0 * k * A2 + v0 * B  # d exponent / dk
+        out[0] = phi
+        np.multiply(phi, k * B + v0 * C, out=out[1])
+        np.multiply(phi, kappa * lin, out=out[2])
+        np.multiply(phi, theta * lin + e_b, out=out[3])
+        np.multiply(phi, 2.0 * sigma * e_q - (1j * rho) * u * e_b, out=out[4])
+        np.multiply(phi, (-1j * sigma) * u * e_b, out=out[5])
+    inert = s == 0
+    if inert.any():
+        out[:, inert] = 0.0
+        out[0, inert] = 1.0
     return out

@@ -14,18 +14,18 @@ one both converged with costs within 1e-8 relative and parameters within
 1e-6 of the box width, so a fit with one clear minimum costs two solves.
 The lowest-cost start wins.
 
-Heston and Bates solves use an analytic Jacobian: the CF's closed-form
-parameter gradient, priced on the residuals' frozen grid in the same
-evaluation steps as the prices (divided by the Black vega in vol space) and
-chained through ties, fixed parameters and the box map.  An iteration costs
-one residual evaluation and one CF-and-gradient pass.  Models without a CF
-gradient (Schobel-Zhu) use scipy's 2-point differences.  ``iterations``
-reports scipy's ``nfev``, which never counted Jacobian work.
+Every solve uses an analytic Jacobian: the CF's closed-form parameter
+gradient (Heston, Bates and Schobel-Zhu), priced on the residuals' frozen
+grid in the same evaluation steps as the prices (divided by the Black vega
+at the residual evaluation's own vols in vol space) and chained through
+ties, fixed parameters and the box map.  An iteration costs one residual
+evaluation and one CF-and-gradient pass.  ``iterations`` reports scipy's
+``nfev``, which never counted Jacobian work.  A fit whose reported residuals
+hold a failed price is not converged.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple
@@ -267,11 +267,14 @@ def _model_values(params: AffineParams, target: CalibrationTarget, grid: Surface
     return grid.vols(cf) if target.space == "vol" else grid.prices(cf)
 
 
-def _model_jacobian(params: AffineParams, target: CalibrationTarget, grid: SurfaceGrid) -> np.ndarray:
+def _model_jacobian(params: AffineParams, target: CalibrationTarget, grid: SurfaceGrid, known=None) -> np.ndarray:
     """Derivatives of :func:`_model_values` in the parameters of ``params.as_dict()``,
-    shape (points, parameters): one CF-and-gradient pass on the same grid."""
+    shape (points, parameters): one CF-and-gradient pass on the same grid.
+
+    ``known`` is passed on to :meth:`SurfaceGrid.vol_jacobian` in vol space.
+    """
     cf_grad = cf_grad_for(params)
-    return grid.vol_jacobian(cf_grad) if target.space == "vol" else grid.price_jacobian(cf_grad)
+    return grid.vol_jacobian(cf_grad, known) if target.space == "vol" else grid.price_jacobian(cf_grad)
 
 
 class _Problem:
@@ -288,6 +291,8 @@ class _Problem:
         for name in list(fixed) + list(ties):
             if name not in model.names:
                 raise DomainError(f"unknown parameter {name!r} for model {model.kind!r}")
+        if fixed.get("kappa") == 0.0 and fixed.get("sigma") == 0.0:
+            raise DomainError("kappa and sigma cannot both be fixed at 0: the CF gradient needs kappa + sigma > 0")
         self.target = target
         self.model = model
         self.fixed = dict(fixed)
@@ -311,11 +316,8 @@ class _Problem:
             src = self.ties.get(name, name)
             if src in self.free:
                 self._chain[i, self.free.index(src)] = 1.0
-
-    @functools.cached_property
-    def analytic(self) -> bool:
-        """Whether the model has a closed-form CF gradient, so :meth:`jac` applies."""
-        return cf_grad_for(self.build_params(np.zeros(len(self.free)))) is not None
+        # (x, grid version, vols) of the last successful vol-space residual evaluation
+        self._last_vols = None
 
     def build_params(self, x: np.ndarray) -> AffineParams:
         vals = dict(zip(self.free, _to_box(np.asarray(x, dtype=float), self.lo, self.hi)))
@@ -329,10 +331,13 @@ class _Problem:
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         params = self.build_params(x)
+        self._last_vols = None
         try:
             model_vals = _model_values(params, self.target, self.grid)
         except (NumericalError, DomainError):
             return np.full(len(self.market), _FAILED_RESIDUAL)
+        if self.target.space == "vol":
+            self._last_vols = (np.array(x, dtype=float), self.grid.version, model_vals)
         return self.weights * (model_vals - self.market)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
@@ -341,11 +346,15 @@ class _Problem:
         The chain rule runs through the ties, the fixed parameters and the
         logistic box map.  Where pricing fails, as in :meth:`residuals`, it
         is 0, as a finite difference of the constant failed residual is.
+        Right after :meth:`residuals` at the same x, as scipy calls it, the
+        vols of that evaluation stand in for a second inversion.
         """
         x = np.asarray(x, dtype=float)
         params = self.build_params(x)
+        last = self._last_vols
+        known = last[1:] if last is not None and np.array_equal(last[0], x) else None
         try:
-            dvals = _model_jacobian(params, self.target, self.grid)
+            dvals = _model_jacobian(params, self.target, self.grid, known)
         except (NumericalError, DomainError):
             return np.zeros((len(self.market), len(self.free)))
         return self.weights[:, None] * (dvals @ self._chain) * _box_slope(x, self.lo, self.hi)
@@ -433,7 +442,7 @@ def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
     best, nfev, stop = None, 0, "exhausted"
     for attempt in range(starts):
         start = x0 if attempt == 0 else x0 + rng.normal(0.0, 0.7, size=len(x0))
-        res = _run_least_squares(prob.residuals, prob.jac if prob.analytic else "2-point", start, cfg)
+        res = _run_least_squares(prob.residuals, prob.jac, start, cfg)
         nfev += res.nfev
         agree = best is not None and _agree(prob, best, res)
         if best is None or res.cost < best.cost:
@@ -449,6 +458,7 @@ def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
 
 
 def _result_from(prob: _Problem, res, nfev: int, flags=(), penalty_weight=None) -> CalibrationResult:
+    """The result at ``res.x``; not converged where any price failed there."""
     params = prob.build_params(res.x)
     residuals = prob.residuals(res.x)
     rmse = float(np.sqrt(np.mean(residuals**2)))
@@ -458,7 +468,7 @@ def _result_from(prob: _Problem, res, nfev: int, flags=(), penalty_weight=None) 
         params=params,
         rmse=rmse,
         iterations=nfev,
-        converged=bool(res.status > 0),
+        converged=bool(res.status > 0) and not np.any(residuals == _FAILED_RESIDUAL),
         feller=feller,
         residuals=tuple(float(r) for r in residuals),
         flags=tuple(flags),
@@ -500,7 +510,7 @@ def calibrate(
 
 def _penalized(prob: _Problem, prev_box: np.ndarray, weight: float):
     """(residuals, jac) of the data residuals augmented with sqrt(w) times the
-    box-width-normalized deviations from ``prev_box``; jac as in :func:`_minimize`."""
+    box-width-normalized deviations from ``prev_box``."""
     sqrt_w = math.sqrt(weight)
     width = prob.hi - prob.lo
 
@@ -512,7 +522,7 @@ def _penalized(prob: _Problem, prev_box: np.ndarray, weight: float):
         slope = _box_slope(np.asarray(x, dtype=float), prob.lo, prob.hi)
         return np.vstack([prob.jac(x), np.diag(sqrt_w * slope / width)])
 
-    return residuals, jac if prob.analytic else "2-point"
+    return residuals, jac
 
 
 def calibrate_penalized(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -47,13 +48,24 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _number(text: str, flag: str) -> float:
+    """A finite float from command-line text; :class:`DomainError` otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise DomainError(f"{flag} expects a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{flag} expects a finite number, got {text!r}")
+    return value
+
+
 def _parse_fix(items: Sequence[str]) -> dict:
     out = {}
     for item in items:
         if "=" not in item:
             raise DomainError(f"--fix expects name=value, got {item!r}")
         name, _, value = item.partition("=")
-        out[name.strip()] = float(value)
+        out[name.strip()] = _number(value, "--fix")
     return out
 
 
@@ -63,8 +75,8 @@ def _parse_curve(text: str) -> MixingCurve:
         if ":" not in part:
             raise DomainError(f"--curve expects t:value pairs, got {part!r}")
         t, _, v = part.partition(":")
-        bps.append(float(t))
-        vals.append(float(v))
+        bps.append(_number(t, "--curve"))
+        vals.append(_number(v, "--curve"))
     return MixingCurve(tuple(bps), tuple(vals))
 
 

@@ -25,6 +25,12 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class HestonParams:
     """Square-root variance model parameters.
@@ -40,6 +46,7 @@ class HestonParams:
     rho: float
 
     def __post_init__(self):
+        _require_finite(v0=self.v0, theta=self.theta, kappa=self.kappa, sigma=self.sigma, rho=self.rho)
         _require(self.v0 > 0, f"v0 must be > 0, got {self.v0}")
         _require(self.theta > 0, f"theta must be > 0, got {self.theta}")
         _require(self.kappa >= 0, f"kappa must be >= 0, got {self.kappa}")
@@ -64,6 +71,7 @@ class BatesParams:
     jump_vol: float
 
     def __post_init__(self):
+        _require_finite(jump_intensity=self.jump_intensity, mean_jump=self.mean_jump, jump_vol=self.jump_vol)
         _require(self.jump_intensity >= 0, f"jump_intensity must be >= 0, got {self.jump_intensity}")
         _require(self.jump_vol >= 0, f"jump_vol must be >= 0, got {self.jump_vol}")
         _require(self.mean_jump > -1, f"mean_jump must be > -1, got {self.mean_jump}")
@@ -89,6 +97,7 @@ class SchobelZhuParams:
     rho: float
 
     def __post_init__(self):
+        _require_finite(v0=self.v0, theta=self.theta, kappa=self.kappa, sigma=self.sigma, rho=self.rho)
         _require(self.v0 > 0, f"v0 must be > 0, got {self.v0}")
         _require(self.theta >= 0, f"theta must be >= 0, got {self.theta}")
         _require(self.kappa >= 0, f"kappa must be >= 0, got {self.kappa}")
@@ -115,6 +124,7 @@ class PiecewiseHestonParams:
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(t) for t in self.breakpoints))
         object.__setattr__(self, "segments", tuple(tuple(map(float, s)) for s in self.segments))
+        _require_finite(v0=self.v0)
         _require(self.v0 > 0, f"v0 must be > 0, got {self.v0}")
         _require(len(self.segments) >= 1, "at least one segment required")
         _require(
@@ -123,9 +133,12 @@ class PiecewiseHestonParams:
         )
         prev = 0.0
         for t in self.breakpoints:
-            _require(t > prev, f"breakpoints must be positive and strictly increasing, got {self.breakpoints}")
+            _require(prev < t < math.inf,
+                     f"breakpoints must be finite, positive and strictly increasing, got {self.breakpoints}")
             prev = t
         for i, (theta, kappa, sigma, rho) in enumerate(self.segments):
+            _require_finite(**{f"segment {i} theta": theta, f"segment {i} kappa": kappa,
+                               f"segment {i} sigma": sigma, f"segment {i} rho": rho})
             _require(theta > 0, f"segment {i}: theta must be > 0, got {theta}")
             _require(kappa >= 0, f"segment {i}: kappa must be >= 0, got {kappa}")
             _require(sigma >= 0, f"segment {i}: sigma must be >= 0, got {sigma}")
@@ -148,6 +161,7 @@ class MarketSlice:
     expiry: float
 
     def __post_init__(self):
+        _require_finite(forward=self.forward, discount=self.discount, expiry=self.expiry)
         _require(self.forward > 0, f"forward must be > 0, got {self.forward}")
         _require(0 < self.discount <= 1, f"discount must lie in (0, 1], got {self.discount}")
         _require(self.expiry > 0, f"expiry must be > 0, got {self.expiry}")
@@ -270,6 +284,17 @@ def cf_schobel_zhu(u: ArrayLike, p: SchobelZhuParams, T: ArrayLike) -> ArrayLike
     return out[0] if scalar else out
 
 
+def cf_schobel_zhu_grad(u: ArrayLike, p: SchobelZhuParams, T: ArrayLike) -> np.ndarray:
+    """The Schobel-Zhu CF and its derivatives in v0, theta, kappa, sigma and rho.
+
+    Shape ``(6,) + shape`` as in :func:`cf_heston_grad`: one pass of
+    :func:`_kernels.schobel_zhu_cf_grad`; needs kappa + sigma > 0.
+    """
+    arr, T, _ = _as_u_array(u, T)
+    _require(p.kappa + p.sigma > 0, "the Schobel-Zhu gradient needs kappa + sigma > 0")
+    return _kernels.schobel_zhu_cf_grad(arr, p.v0, p.theta, p.kappa, p.sigma, p.rho, T)
+
+
 def _effective_segments(p: PiecewiseHestonParams, T: float):
     """Segment durations covering [0, T], chronological order.
 
@@ -334,12 +359,15 @@ def cf_for(params: AffineParams):
 
 def cf_grad_for(params: AffineParams):
     """``grad(u, T)``: the CF stacked over its derivatives in the parameters of
-    ``params.as_dict()`` (:func:`cf_heston_grad`, :func:`cf_bates_grad`).
+    ``params.as_dict()`` (:func:`cf_heston_grad`, :func:`cf_bates_grad`,
+    :func:`cf_schobel_zhu_grad`).
 
-    None for a model without a closed-form gradient.
+    Piecewise Heston has no closed-form gradient: :class:`DomainError`.
     """
     if isinstance(params, HestonParams):
         return lambda u, T: cf_heston_grad(u, params, T)
     if isinstance(params, BatesParams):
         return lambda u, T: cf_bates_grad(u, params, T)
-    return None
+    if isinstance(params, SchobelZhuParams):
+        return lambda u, T: cf_schobel_zhu_grad(u, params, T)
+    raise DomainError(f"no characteristic-function gradient for {type(params).__name__}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -45,10 +45,10 @@ class OptionSpec:
     kind: str = "call"
 
     def __post_init__(self):
-        if self.strike <= 0:
-            raise DomainError(f"strike must be > 0, got {self.strike}")
-        if self.expiry <= 0:
-            raise DomainError(f"expiry must be > 0, got {self.expiry}")
+        if not (self.strike > 0 and math.isfinite(self.strike)):
+            raise DomainError(f"strike must be finite and > 0, got {self.strike}")
+        if not (self.expiry > 0 and math.isfinite(self.expiry)):
+            raise DomainError(f"expiry must be finite and > 0, got {self.expiry}")
         if self.kind not in ("call", "put"):
             raise DomainError(f"kind must be 'call' or 'put', got {self.kind!r}")
 
@@ -348,6 +348,7 @@ class SurfaceGrid:
         self._call = np.array([opt.kind == "call" for opt in opts], dtype=bool)
         self._k = np.log(self._F / self._K)
         self._panels: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.version = 0  # bumped whenever the panels are (re-)sized
 
     @property
     def panels(self) -> List[int]:
@@ -378,15 +379,21 @@ class SurfaceGrid:
         """
         return self._in_input_order(self._evaluate(cf_grad)[0][1:].T)
 
-    def vol_jacobian(self, cf_grad: CharFn) -> np.ndarray:
+    def vol_jacobian(self, cf_grad: CharFn, known: Optional[Tuple[int, np.ndarray]] = None) -> np.ndarray:
         """Derivatives of the implied vols in the CF's parameters, shape (options, parameters).
 
         The price derivatives of :meth:`price_jacobian` divided by the Black
-        vega at the implied vols, which are inverted from the CF row as in
-        :meth:`vols` and raise as there.
+        vega at the implied vols.  ``known`` may pair a :attr:`version` with
+        the result of :meth:`vols` at the same parameters: while the panels
+        have not been re-sized since, those vols are used; otherwise the vols
+        are inverted from the CF row as in :meth:`vols` and raise as there.
         """
         rows, vol_cv = self._evaluate(cf_grad)
-        st = self._vols(rows, vol_cv) * np.sqrt(self._T)
+        if known is not None and known[0] == self.version:
+            vols = known[1][self._order]
+        else:
+            vols = self._vols(rows, vol_cv)
+        st = vols * np.sqrt(self._T)
         d1 = _black_d1(self._k, st)
         vega = self._df * self._F * np.sqrt(self._T) * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
         return self._in_input_order((rows[1:] / vega).T)
@@ -427,6 +434,7 @@ class SurfaceGrid:
         (strike, panel), strikes in order; ``_gather`` picks each entry's
         node and ``_row_edges`` bounds each strike's rows.
         """
+        self.version += 1
         nodes, halves = zip(*(_panel_nodes(los, his) for los, his in self._panels))
         sizes = [nd.size for nd in nodes]
         expiries = np.array([sl.expiry for sl in self._slices])

@@ -295,6 +295,19 @@ class TestCalibrate:
         sse_init = float(np.sum(prob.residuals(prob.x_from_params(init.as_dict())) ** 2))
         assert res.sse <= sse_init + 1e-15
 
+    def test_a_fit_whose_every_price_failed_is_not_converged(self):
+        from svcal.calibration import _FAILED_RESIDUAL
+
+        fit = calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 1e3}))
+        assert all(r == _FAILED_RESIDUAL for r in fit.residuals)
+        assert not fit.converged
+
+    @pytest.mark.parametrize("model", ["heston", "schobel_zhu"])
+    def test_kappa_and_sigma_both_fixed_at_zero_rejected(self, model):
+        # the CF gradient needs kappa + sigma > 0: without it every Jacobian would be 0
+        with pytest.raises(DomainError, match="kappa \\+ sigma > 0"):
+            calibrate(_BUNDLED[0], model, fix=FixSet(fixed={"kappa": 0.0, "sigma": 0.0}))
+
     def test_unknown_model_kind(self):
         target = make_target(TRUTH, tenors=(1.0,))
         with pytest.raises(DomainError):
@@ -334,6 +347,9 @@ _FREE_SETS = [
     ("heston", {"kappa": 6.0}, {"theta": "v0"}),
     ("bates", {"jump_intensity": 0.1, "mean_jump": -0.1, "jump_vol": 0.15}, {}),
     ("bates", {"kappa": 1.5}, {}),
+    ("schobel_zhu", {}, {}),
+    ("schobel_zhu", {"kappa": 2.0}, {}),
+    ("schobel_zhu", {"sigma": 0.0}, {}),
 ]
 
 
@@ -370,7 +386,7 @@ class TestAnalyticJacobian:
         want = _central_differences(prob.residuals, x)
         assume(prob.grid.panels == panels)  # no re-sizing inside the differences
         got = prob.jac(x)
-        assert prob.analytic and got.shape == (len(prob.market), len(prob.free))
+        assert got.shape == (len(prob.market), len(prob.free))
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("space", ["vol", "price"])
@@ -396,23 +412,116 @@ class TestAnalyticJacobian:
         assert np.all(prob.residuals(x) == _FAILED_RESIDUAL)
         assert np.array_equal(prob.jac(x), np.zeros((len(prob.market), 5)))
 
-    def test_schobel_zhu_keeps_finite_differences(self):
-        from svcal.calibration import MODELS, _Problem
+    def test_every_model_has_a_cf_gradient(self):
+        from svcal.calibration import MODELS, _default_init
+        from svcal.models import PiecewiseHestonParams, cf_for, cf_grad_for
 
-        assert self._problem(_FREE_SETS[0], "vol").analytic
-        assert self._problem(_FREE_SETS[3], "vol").analytic
-        assert not _Problem(_BUNDLED[0], MODELS["schobel_zhu"], {}, {}, DEFAULT_QUAD).analytic
+        u, T = np.array([0.3 - 0.5j, 7.0 - 0.5j]), np.array([0.5, 1.0])
+        for kind, spec in MODELS.items():
+            params = spec.build(_default_init(kind, _BUNDLED[0]))
+            grad = cf_grad_for(params)(u, T)
+            assert grad.shape == (1 + len(spec.names), 2)
+            np.testing.assert_allclose(grad[0], cf_for(params)(u, T), rtol=1e-12)
+        with pytest.raises(DomainError):
+            cf_grad_for(PiecewiseHestonParams(0.04, (1.0,), ((0.04, 1.0, 0.5, -0.5),)))
 
-    def test_a_heston_fit_evaluates_residuals_only_at_its_steps(self, monkeypatch):
-        # no finite-difference columns: one residual evaluation per nfev, plus the reported one
+    @staticmethod
+    def _residual_evaluations(monkeypatch, model):
         import svcal.calibration
 
         calls = []
         values = svcal.calibration._model_values
         monkeypatch.setattr(svcal.calibration, "_model_values", lambda *a: calls.append(1) or values(*a))
-        fit = calibrate(_BUNDLED[0], "heston", config=OptimizerConfig(starts=1))
+        fit = calibrate(_BUNDLED[0], model, config=OptimizerConfig(starts=1))
         assert fit.converged
-        assert len(calls) == fit.iterations + 1
+        return len(calls), fit.iterations
+
+    def test_a_heston_fit_evaluates_residuals_only_at_its_steps(self, monkeypatch):
+        # no finite-difference columns: one residual evaluation per nfev, plus the reported one
+        calls, nfev = self._residual_evaluations(monkeypatch, "heston")
+        assert calls == nfev + 1
+
+    def test_a_schobel_zhu_fit_evaluates_residuals_only_at_its_steps(self, monkeypatch):
+        calls, nfev = self._residual_evaluations(monkeypatch, "schobel_zhu")
+        assert calls == nfev + 1
+
+
+class TestVolReuse:
+    """_Problem.jac right after _Problem.residuals at the same x reuses that
+    evaluation's vols instead of inverting the gradient pass's price row again."""
+
+    X = {"v0": 0.0178, "theta": 0.0135, "kappa": 1.3, "sigma": 0.29, "rho": -0.14}
+
+    @pytest.fixture()
+    def inversions(self, monkeypatch):
+        import svcal.pricing
+
+        calls = []
+        real = svcal.pricing._implied_vols
+        monkeypatch.setattr(svcal.pricing, "_implied_vols", lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    def _problem(self):
+        from svcal.calibration import MODELS, _Problem
+
+        prob = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
+        x = prob.x_from_params(self.X)
+        return prob, x, x + np.array([0.1, -0.1, 0.05, 0.0, 0.02])
+
+    @staticmethod
+    def _fresh_jac(prob, x, y):
+        prob.residuals(y)
+        return prob.jac(x)
+
+    def test_jac_after_residuals_reuses_their_vols(self, inversions):
+        prob, x, y = self._problem()
+        fresh = self._fresh_jac(prob, x, y)
+        prob.residuals(x)
+        before = len(inversions)
+        reused = prob.jac(x)
+        assert len(inversions) == before
+        np.testing.assert_allclose(reused, fresh, rtol=1e-12, atol=0)
+        before = len(inversions)
+        self._fresh_jac(prob, x, y)
+        assert len(inversions) == before + 2  # the residual's and the gradient pass's own
+
+    def test_no_reuse_after_a_different_x(self, inversions):
+        prob, x, y = self._problem()
+        prob.residuals(y)
+        before = len(inversions)
+        prob.jac(x)
+        assert len(inversions) == before + 1
+
+    def test_no_reuse_after_a_failed_residual(self, inversions, monkeypatch):
+        import svcal.calibration
+        from svcal.errors import NumericalError
+
+        def fail(*args):
+            raise NumericalError("pricing failed")
+
+        prob, x, _ = self._problem()
+        prob.residuals(x)
+        real = svcal.calibration._model_values
+        monkeypatch.setattr(svcal.calibration, "_model_values", fail)
+        assert np.all(prob.residuals(x) == svcal.calibration._FAILED_RESIDUAL)
+        monkeypatch.setattr(svcal.calibration, "_model_values", real)
+        before = len(inversions)
+        prob.jac(x)
+        assert len(inversions) == before + 1
+
+    def test_no_reuse_after_a_resize(self, inversions):
+        from svcal.models import cf_for
+
+        prob, x, y = self._problem()
+        fresh = self._fresh_jac(prob, x, y)
+        prob.residuals(x)
+        version = prob.grid.version
+        prob.grid.vols(cf_for(HestonParams(0.002, 0.002, 1.0, 0.5, -0.5)))  # splits panels
+        assert prob.grid.version > version
+        before = len(inversions)
+        got = prob.jac(x)
+        assert len(inversions) == before + 1
+        np.testing.assert_allclose(got, fresh, rtol=1e-6, atol=0)  # the re-sized panels move it within tolerance
 
 
 def _count_solves(monkeypatch, fake=None):

@@ -67,6 +67,26 @@ class TestCalibrateCommand:
         assert report["records"][0]["params"]["kappa"] == 2.0
         assert report["strategy"]["fix"] == {"kappa": 2.0}
 
+    @pytest.mark.parametrize("value", ["abc", "inf", "-inf", "nan", ""])
+    def test_fix_value_that_is_not_a_finite_number_is_input_error(self, capsys, flat_file, value):
+        code, out, err = run_cli(
+            capsys, "calibrate", "--quotes", str(flat_file),
+            "--strategy", "fixed", "--fix", f"kappa={value}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --fix expects a")
+
+    def test_a_fit_whose_every_price_failed_exits_2(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "calibrate", "--quotes", str(DATA_CSV),
+            "--strategy", "fixed", "--fix", "v0=1e3",
+        )
+        assert code == 2
+        rec = json.loads(out)["records"][0]
+        assert not rec["converged"]
+        assert set(rec["residuals"]) == {1e6}
+
     def test_byte_identical_reports(self, capsys):
         _, out1, _ = run_cli(capsys, "calibrate", "--quotes", str(DATA_CSV))
         _, out2, _ = run_cli(capsys, "calibrate", "--quotes", str(DATA_CSV))
@@ -153,6 +173,25 @@ class TestPriceCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "'rho'" in err
+
+    def test_non_finite_parameter_in_params_file_is_input_error(self, capsys, tmp_path):
+        p = tmp_path / "params.json"
+        p.write_text('{"v0": 0.04, "theta": 0.05, "kappa": Infinity, "sigma": 0.6, "rho": -0.5}')
+        code, out, err = run_cli(capsys, "price", "--params", str(p), "--strike", "1.0", "--expiry", "1.0")
+        assert code == 1
+        assert out == ""
+        assert "kappa must be finite" in err
+
+    @pytest.mark.parametrize("flag", ["--strike", "--expiry", "--forward", "--discount"])
+    def test_non_finite_contract_number_is_input_error(self, capsys, tmp_path, flag):
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps({"v0": 0.04, "theta": 0.05, "kappa": 1.5, "sigma": 0.6, "rho": -0.5}))
+        argv = {"--strike": "1.0", "--expiry": "1.0", "--forward": "1.0", "--discount": "1.0"}
+        argv[flag] = "nan"
+        code, out, err = run_cli(capsys, "price", "--params", str(p), *[a for kv in argv.items() for a in kv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
 
     def test_negative_put_is_numerical_failure(self, capsys, tmp_path):
         p = tmp_path / "params.json"
@@ -356,6 +395,13 @@ class TestMarkdownCommand:
         for r, o in zip(rows, orig):
             w = 0.5 if o.expiry <= 1.0 else 0.8
             assert r.rr25 == pytest.approx(o.rr25 * w, rel=1e-14)
+
+    @pytest.mark.parametrize("curve", ["1:abc", "x:0.5", "1:inf", "nan:0.5"])
+    def test_curve_number_that_is_not_finite_is_input_error(self, capsys, curve):
+        code, out, err = run_cli(capsys, "markdown", "--quotes", str(DATA_CSV), "--curve", curve)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --curve expects a")
 
     def test_markdown_requires_a_weight_source(self, capsys):
         code, _, err = run_cli(capsys, "markdown", "--quotes", str(DATA_CSV))

@@ -1,7 +1,7 @@
 """Kernel-level checks: every CF kernel matches an independent numerical
 integration of its affine ODE system, including cf(0) = cf(-i) = 1; the
-complex log1p matches exact decimal arithmetic; the Heston gradient matches
-central differences of the CF."""
+complex log1p matches exact decimal arithmetic; the Heston and Schobel-Zhu
+gradients match central differences of the CF."""
 
 import math
 
@@ -211,5 +211,54 @@ def test_heston_gradient_matches_central_differences(case):
 def test_heston_gradient_of_the_probe_rows_s_zero_is_zero(sigma):
     # u = 0 and u = -i: phi = 1 for every parameter set, including kappa - rho*sigma < 0
     grad = _kernels.heston_cf_grad(np.array([0.0 + 0j, -1j]), 0.04, 0.09, 1e-4, sigma, 0.9, np.array([1.0, 1.0]))
+    assert np.array_equal(grad[0], [1.0, 1.0])
+    assert np.array_equal(grad[1:], np.zeros((5, 2)))
+
+
+@st.composite
+def _sz_grad_case(draw):
+    v0 = draw(st.floats(0.05, 0.4))
+    theta = v0 * draw(st.sampled_from([0.3, 2.5]))
+    kappa = draw(st.floats(0.2, 8.0))
+    sigma = draw(st.one_of(st.floats(0.05, 1.5), st.floats(1e-6, 1e-4), st.just(0.0)))
+    rho = draw(st.floats(-0.9, 0.9).filter(lambda r: abs(r) > 0.05))
+    T = draw(st.floats(0.1, 3.0))
+    return (v0, theta, kappa, sigma, rho), T
+
+
+def _one_sided_five_point(f, p, i, h):
+    def at(dh):
+        q = list(p)
+        q[i] += dh
+        return f(*q)
+
+    return (-25 * at(0.0) + 48 * at(h) - 36 * at(2 * h) + 16 * at(3 * h) - 3 * at(4 * h)) / (12 * h)
+
+
+@_grad_props
+@given(case=_sz_grad_case())
+def test_schobel_zhu_gradient_matches_central_differences(case):
+    # sigma = 0 is the deterministic-volatility branch: row 0 is that CF, and the
+    # sigma row is checked one-sided since the CF is only defined for sigma >= 0
+    p, T = case
+    Ts = np.full(_U_GRAD.shape, T)
+    grad = _kernels.schobel_zhu_cf_grad(_U_GRAD, *p, Ts)
+    phi = _kernels.schobel_zhu_cf_vals(_U_GRAD, *p, Ts)
+    np.testing.assert_allclose(grad[0], phi, rtol=1e-12, atol=1e-300)
+    assert np.isfinite(grad).all()
+    for i in range(5):
+        if i == 3 and p[3] == 0.0:
+            h = 1e-6
+            want = _one_sided_five_point(lambda *q: _kernels.schobel_zhu_cf_vals(_U_GRAD, *q, Ts), p, i, h)
+        else:
+            h = 0.2 * p[3] if i == 3 and p[3] < 1e-3 else 1e-4 * abs(p[i])
+            want = _five_point(lambda *q: _kernels.schobel_zhu_cf_vals(_U_GRAD, *q, Ts), p, i, h)
+        noise = 1e-14 / h
+        assert np.max(np.abs(grad[i + 1] - want)) <= 1e-6 * np.max(np.abs(want)) + noise
+
+
+@pytest.mark.parametrize("sigma", [0.0, 5e-5, 0.5])
+def test_schobel_zhu_gradient_of_the_probe_rows_s_zero_is_zero(sigma):
+    grad = _kernels.schobel_zhu_cf_grad(np.array([0.0 + 0j, -1j]), 0.2, 0.3, 1e-4, sigma, 0.9, np.array([1.0, 1.0]))
     assert np.array_equal(grad[0], [1.0, 1.0])
     assert np.array_equal(grad[1:], np.zeros((5, 2)))

@@ -46,6 +46,27 @@ class TestInvariants:
         with pytest.raises(DomainError):
             BatesParams(h, jump_intensity=0.1, mean_jump=0.0, jump_vol=-0.1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, bad):
+        h = HestonParams(0.04, 0.04, 1.0, 0.5, -0.5)
+        makers = [
+            *(lambda i=i: HestonParams(*[bad if j == i else v for j, v in enumerate(h.as_dict().values())])
+              for i in range(5)),
+            *(lambda i=i: SchobelZhuParams(*[bad if j == i else v for j, v in enumerate((0.2, 0.2, 1.0, 0.3, -0.3))])
+              for i in range(5)),
+            lambda: BatesParams(h, jump_intensity=bad, mean_jump=0.0, jump_vol=0.1),
+            lambda: BatesParams(h, jump_intensity=0.1, mean_jump=bad, jump_vol=0.1),
+            lambda: BatesParams(h, jump_intensity=0.1, mean_jump=0.0, jump_vol=bad),
+            lambda: PiecewiseHestonParams(v0=bad, breakpoints=(1.0,), segments=((0.04, 1, 0.5, -0.5),)),
+            lambda: PiecewiseHestonParams(v0=0.04, breakpoints=(1.0, bad), segments=((0.04, 1, 0.5, -0.5),) * 2),
+            lambda: PiecewiseHestonParams(v0=0.04, breakpoints=(1.0,), segments=((0.04, bad, 0.5, -0.5),)),
+            lambda: MarketSlice(forward=bad, discount=1.0, expiry=1.0),
+            lambda: MarketSlice(forward=1.0, discount=1.0, expiry=bad),
+        ]
+        for make in makers:
+            with pytest.raises(DomainError, match="finite"):
+                make()
+
     def test_schobel_zhu_allows_zero_theta(self):
         SchobelZhuParams(v0=0.2, theta=0.0, kappa=1.0, sigma=0.3, rho=-0.3)
 
