@@ -60,9 +60,7 @@ from .pricing import (
     QuadratureConfig,
     bs_implied_vol,
     bs_price,
-    cf_surface_prices,
     cf_vanilla_price,
-    cf_vanilla_prices,
     model_implied_vol,
     model_smile,
 )
@@ -119,9 +117,7 @@ __all__ = [
     "cf_heston",
     "cf_piecewise_heston",
     "cf_schobel_zhu",
-    "cf_surface_prices",
     "cf_vanilla_price",
-    "cf_vanilla_prices",
     "clark_markdown",
     "expected_mean_variance",
     "feller_ratio",

@@ -8,11 +8,13 @@ All kernels evaluate E[exp(i*u*ln(F_T/F_0))] under the forward measure
 an array broadcast against ``u`` (one entry per frequency).  The
 Heston-family coefficients use the trap-free branch of the complex square
 root together with the algebraic identity (b - d) = -sigma^2*s/(b + d),
-which keeps the formulas stable down to sigma = 0 without catastrophic
-cancellation.
+which keeps the formulas stable as sigma -> 0 without catastrophic
+cancellation; sigma = 0 itself takes the closed form of the linear equation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,12 +60,28 @@ def _heston_seg(u, A, D, theta, kappa, sigma, rho, tau):
 
         D' = sigma^2/2 * D^2 - (kappa - i*rho*sigma*u) * D - s/2
         A' = kappa*theta*D,           s = u^2 + i*u.
+
+    At sigma = 0 the equation is linear: with E = exp(-kappa*tau) and
+    e1 = (1 - E)/kappa, D -> D*E - (s/2)*e1 and A gains
+    theta*(D*(1 - E) - (s/2)*(tau - e1)), exact down to kappa = 0.
     """
     u = np.asarray(u, dtype=np.complex128)
     A = np.asarray(A, dtype=np.complex128)
     D = np.asarray(D, dtype=np.complex128)
     s = u * u + 1j * u
     sig2 = sigma * sigma
+    if sig2 == 0.0:
+        x = np.asarray(kappa * tau, dtype=float)
+        E, omE = np.exp(-x), -np.expm1(-x)
+        # tau - e1 = tau * (x/2 - x^2/6 + x^3/24 - ...), summed where it would cancel
+        ser = np.zeros_like(x)
+        for n in range(10, 0, -1):
+            ser = ser * -x + 1.0 / math.factorial(n + 1)
+        small = x < 0.1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e1 = np.where(small, tau - tau * x * ser, omE / kappa)
+        tme1 = np.where(small, tau * x * ser, tau - e1)
+        return A + theta * (D * omE - 0.5 * s * tme1), D * E - 0.5 * s * e1
     b = kappa - 1j * (rho * sigma) * u
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = np.sqrt(b * b + sig2 * s)
@@ -75,21 +93,13 @@ def _heston_seg(u, A, D, theta, kappa, sigma, rho, tau):
         Dn = (-s * (1.0 - E) + D * (bpd * E - bmd)) / (den - E * (bmd - D * sig2))
         # _clog1p keeps full relative precision for small arguments, so the log
         # form serves every sigma > 0, however small or large the argument x
-        if sig2 > 0.0:
-            x = gt * (1.0 - E) / (1.0 - gt)
-            An = A + (kappa * theta / sig2) * (bmd * tau - 2.0 * _clog1p(x))
-        else:  # the limit: log(1+x)/x -> 1 with x = sigma^2*y*(1-E)/(1-g)
-            An = A + kappa * theta * (-s * tau / bpd - 2.0 * (-s / bpd - D) / den * (1.0 - E))
-    # s == 0 (u in {0, -i}) keeps D = 0 segments inert; sigma = kappa = 0
-    # degenerates to a drift-free linear ODE.
+        x = gt * (1.0 - E) / (1.0 - gt)
+        An = A + (kappa * theta / sig2) * (bmd * tau - 2.0 * _clog1p(x))
+    # s == 0 (u in {0, -i}) keeps D = 0 segments inert
     inert = (s == 0) & (D == 0)
     if np.any(inert):
         An = np.where(inert, A, An)
         Dn = np.where(inert, D, Dn)
-    degen = (bpd == 0) & ~inert
-    if np.any(degen):
-        Dn = np.where(degen, D - 0.5 * s * tau, Dn)
-        An = np.where(degen, A, An)
     return An, Dn
 
 

@@ -218,12 +218,7 @@ def cf_heston(u: ArrayLike, p: HestonParams, T: ArrayLike) -> ArrayLike:
     to the quadrature truncation bound.
     """
     arr, T, scalar = _as_u_array(u, T)
-    if p.sigma == 0.0:
-        # deterministic variance: exact lognormal limit
-        s = arr * arr + 1j * arr
-        out = np.exp(-0.5 * s * _kernels.per_expiry(T, lambda t: expected_mean_variance(p, t)) * T)
-    else:
-        out = _kernels.heston_cf_vals(arr, p.v0, p.theta, p.kappa, p.sigma, p.rho, T)
+    out = _kernels.heston_cf_vals(arr, p.v0, p.theta, p.kappa, p.sigma, p.rho, T)
     return out[0] if scalar else out
 
 

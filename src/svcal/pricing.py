@@ -256,13 +256,6 @@ def _panel_nodes(los: np.ndarray, his: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     return (0.5 * (los + his))[:, None] + half[:, None] * _XGK, half
 
 
-def _gk(fv: np.ndarray, half: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and |K15 - G7| estimates of panels from integrand values ``fv[..., 15]``."""
-    k15 = (fv * _WGK).sum(axis=-1) * half
-    g7 = (fv * _WG15).sum(axis=-1) * half
-    return k15, np.abs(k15 - g7)
-
-
 def _split(los: np.ndarray, his: np.ndarray, errs: np.ndarray, tol: float):
     """One round of the split rule: panels (los, his) refined for the integrands short of ``tol``.
 
@@ -426,13 +419,13 @@ class SurfaceGrid:
     def _freeze(self) -> None:
         """Build the CF call's arguments and the strike matrices for the current panels.
 
-        Block b's nodes are ``_u[_nodes[b]:_nodes[b + 1]]``.  Its strike
-        matrix ``_k15[b]``, shape (nodes, strikes), holds e^{iuk}/(u^2 + 1/4)
-        times the Kronrod weights and half-widths: it contracts the
-        integrand to each strike's integral.  For the error estimates,
-        ``_weights`` holds one row of 15 entries e^{iuk}/(u^2 + 1/4) per
-        (strike, panel), strikes in order; ``_gather`` picks each entry's
-        node and ``_row_edges`` bounds each strike's rows.
+        Block b's nodes are ``_u[_nodes[b]:_nodes[b + 1]]``.  From the strike
+        weights e^{iuk}/(u^2 + 1/4) of each (strike, panel, node) it builds
+        two matrices: ``_k15[b]``, shape (nodes, strikes), times the Kronrod
+        weights and half-widths, contracts the integrand to each strike's
+        integral; ``_dk[b]``, shape (panels, 15, strikes), times the
+        Kronrod-minus-Gauss weights and half-widths, contracts it to each
+        (panel, strike)'s K15 - G7.
         """
         self.version += 1
         nodes, halves = zip(*(_panel_nodes(los, his) for los, his in self._panels))
@@ -447,12 +440,8 @@ class SurfaceGrid:
         weights = [_strike_weights(nd, self._k[self._first[b]:self._first[b + 1], None, None])
                    for b, nd in enumerate(nodes)]  # (strikes, panels, 15) per block
         self._k15 = [(w * (_WGK * half[:, None])).reshape(len(w), -1).T for w, half in zip(weights, halves)]
-        counts = np.diff(self._first)  # strikes of each block
-        self._weights = np.concatenate([w.ravel() for w in weights])
-        self._gather = np.concatenate([np.tile(np.arange(self._nodes[b], self._nodes[b + 1]), m)
-                                       for b, m in enumerate(counts)])
-        self._half = np.concatenate([np.tile(halves[b], m) for b, m in enumerate(counts)])
-        self._row_edges = np.concatenate([[0], np.cumsum([len(halves[b]) for b in self._block])])
+        self._dk = [np.ascontiguousarray((w * ((_WGK - _WG15) * half[:, None])).transpose(1, 2, 0))
+                    for w, half in zip(weights, halves)]
 
     def _evaluate(self, cf: CharFn) -> Tuple[np.ndarray, np.ndarray]:
         """Prices, shape (rows, options), and control-variate vols, in block order.
@@ -477,10 +466,11 @@ class SurfaceGrid:
             # phi_cv - phi at u - i/2, phi_cv the lognormal CF of total variance w, and its derivatives
             cv = np.exp(-0.5 * w[self._node_block] * self._uu)
             gap = np.concatenate([cv[None], (-0.5 * self._uu * cv) * dw[:, self._node_block]]) - phi[:, 2 * nb:]
-            fv = (self._weights * gap[0, self._gather]).real.reshape(-1, 15)
-            err = _gk(fv, self._half)[1]  # |K15 - G7| of the CF row on each (strike, panel)
-            errs = np.add.reduceat(err, self._row_edges[:-1])
-            missed = ~(errs <= tol)
+            # |K15 - G7| of the CF row on each (panel, strike) of each block, and each strike's sum
+            errs = [np.abs((gap[0, self._nodes[b]:self._nodes[b + 1]].reshape(-1, 1, 15) @ dk)[:, 0].real)
+                    for b, dk in enumerate(self._dk)]
+            total = np.concatenate([e.sum(axis=0) for e in errs])
+            missed = ~(total <= tol)
             if not missed.any():
                 break
             refined = {}
@@ -489,15 +479,14 @@ class SurfaceGrid:
                 lo, hi = self._first[b], self._first[b + 1]
                 short = missed[lo:hi]
                 used = spent.get(b, los.size * 15)
-                worst = float(errs[lo:hi][short].max())
+                worst = float(total[lo:hi][short].max())
                 if used >= self.cfg.max_evals or not math.isfinite(worst):  # a non-finite CF has no estimate
                     raise QuadratureError(
                         f"quadrature used {used} evaluations without reaching tolerance "
                         f"{tol:g} (residual estimate {worst:g})",
                         residual=worst,
                     )
-                rows = err[self._row_edges[lo]:self._row_edges[hi]].reshape(hi - lo, len(los))
-                refined[b] = _split(los, his, rows[short], tol)
+                refined[b] = _split(los, his, errs[b][:, short].T, tol)
                 spent[b] = used + 30 * (len(refined[b][0]) - len(los))  # two new halves per split panel
             for b, panels in refined.items():
                 self._panels[b] = panels
@@ -529,47 +518,18 @@ class SurfaceGrid:
         return prices, vol_cv
 
 
-def cf_surface_prices(
-    cf: CharFn,
-    legs: Sequence[Tuple[MarketSlice, Sequence[OptionSpec]]],
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> List[np.ndarray]:
-    """European prices of options on several expiries by Fourier inversion of a CF.
-
-    ``legs`` pairs each expiry's market slice with its options; the result
-    holds one price array per leg.  A :class:`SurfaceGrid` over the legs,
-    sized and evaluated once: each strike's error estimate is within
-    ``cfg.tolerance``, and each expiry's prices are bit for bit those it
-    gets priced alone.  Errors as in :class:`SurfaceGrid`.
-    """
-    grid = SurfaceGrid([(slice_, opt) for slice_, opts in legs for opt in opts], cfg)
-    prices = grid.prices(cf)
-    return np.split(prices, np.cumsum([len(opts) for _, opts in legs])[:-1]) if legs else []
-
-
-def cf_vanilla_prices(
-    cf: CharFn,
-    slice_: MarketSlice,
-    opts: Sequence[OptionSpec],
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> np.ndarray:
-    """European prices of options on one expiry: :func:`cf_surface_prices` on one leg.
-
-    ``cf`` is called as in :func:`cf_surface_prices`, with an array ``T`` of
-    expiries broadcast against ``u`` even here, so a caller-supplied CF must
-    accept an array ``T``.
-    """
-    return cf_surface_prices(cf, [(slice_, opts)], cfg)[0]
-
-
 def cf_vanilla_price(
     cf: CharFn,
     slice_: MarketSlice,
     opt: OptionSpec,
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> float:
-    """European price of one option: :func:`cf_vanilla_prices` on a single strike."""
-    return float(cf_vanilla_prices(cf, slice_, [opt], cfg)[0])
+    """European price of one option: a one-strike :class:`SurfaceGrid`, sized and evaluated once.
+
+    ``cf`` is called as in :class:`SurfaceGrid`, with an array ``T`` of
+    expiries broadcast against ``u``.  Errors as there.
+    """
+    return float(SurfaceGrid([(slice_, opt)], cfg).prices(cf)[0])
 
 
 def model_smile(

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.special import ndtr
 
 from .errors import DomainError
@@ -74,19 +73,16 @@ class SmileFunction:
 
 @dataclass(frozen=True)
 class ReplicationConfig:
-    """Strike domain [F/m, F*m], grid size and quadrature rule."""
+    """Strike domain [F/m, F*m] and trapezoid grid size."""
 
     domain_mult: float = 10.0
     grid_size: int = 2048
-    rule: str = "trapezoid"  # trapezoid | simpson
 
     def __post_init__(self):
         if self.domain_mult <= 1:
             raise DomainError(f"domain_mult must be > 1, got {self.domain_mult}")
         if self.grid_size < 16:
             raise DomainError(f"grid_size must be >= 16, got {self.grid_size}")
-        if self.rule not in ("trapezoid", "simpson"):
-            raise DomainError(f"rule must be 'trapezoid' or 'simpson', got {self.rule!r}")
 
 
 DEFAULT_REPLICATION = ReplicationConfig()
@@ -123,11 +119,7 @@ def replicate_varswap(
     otm = np.where(put_side, put, call)
     # integral of OTM(K)/K^2 dK with K = F e^x:  OTM(x) e^{-x} / F dx
     integrand = otm * np.exp(-x) / F
-    if cfg.rule == "trapezoid":
-        val = np.trapezoid(integrand, x)
-    else:
-        val = simpson(integrand, x=x)
-    return 2.0 / T * float(val)
+    return 2.0 / T * float(np.trapezoid(integrand, x))
 
 
 def implied_varswap_curve(

@@ -51,9 +51,9 @@ def adaptive_integrals(f, a, b, n0, tol, max_evals):
         errs = np.concatenate([errs[:, ~split], new_errs], axis=1)
 
 
-def adaptive_prices(cf, slice_, opts, truncation=200.0, tol=1e-10, max_evals=200000):
-    """Prices of the options of one expiry, integrated adaptively from scratch."""
-    F, df, T = slice_.forward, slice_.discount, slice_.expiry
+def fourier_integrand(cf, slice_, opts):
+    """The control-variate integrand of one expiry's options, one row per strike, and its variance w."""
+    F, T = slice_.forward, slice_.expiry
     k = np.array([math.log(F / opt.strike) for opt in opts])[:, None]
     w = max(-8.0 * math.log(abs(complex(cf(np.array([-0.5j]), np.array([T]))[0]))), 1e-14)
 
@@ -61,6 +61,14 @@ def adaptive_prices(cf, slice_, opts, truncation=200.0, tol=1e-10, max_evals=200
         phi = cf(u - 0.5j, np.full(len(u), T))
         return (np.exp(1j * u * k) * (np.exp(-0.5 * w * (u * u + 0.25)) - phi)).real / (u * u + 0.25)
 
+    return f, w
+
+
+def adaptive_prices(cf, slice_, opts, truncation=200.0, tol=1e-10, max_evals=200000):
+    """Prices of the options of one expiry, integrated adaptively from scratch."""
+    F, df, T = slice_.forward, slice_.discount, slice_.expiry
+    k = np.array([math.log(F / opt.strike) for opt in opts])
+    f, w = fourier_integrand(cf, slice_, opts)
     n0 = int(np.clip(math.ceil(truncation * (float(np.abs(k).max()) + 0.5) / 6.0), 8, 96))
     integrals, _ = adaptive_integrals(f, 0.0, truncation, n0, tol, max_evals)
     vol = math.sqrt(w / T)

@@ -231,6 +231,21 @@ class TestPiecewiseHeston:
             b = cf_heston(u, base_heston, T)
             assert np.max(np.abs(a - b) / np.abs(b)) < 1e-10
 
+    @pytest.mark.parametrize("kappa", [0.0, 1e-12, 1e-8, 1e-6, 1e-3, 0.05, 0.3, 1.0, 30.0])
+    @pytest.mark.parametrize("T", [1 / 365, 0.5, 5.0])
+    def test_zero_vol_of_variance_is_the_exact_lognormal_cf(self, kappa, T):
+        # sigma = 0: cf = exp(-(u^2 + iu)/2 * V), V = theta*T + (v0 - theta)(1 - e^{-kappa T})/kappa,
+        # along the real axis and the pricing contour, up to the default truncation
+        v0, theta = 0.04, 0.02
+        e1 = -math.expm1(-kappa * T) / kappa if kappa > 0 else T
+        u = np.concatenate([np.linspace(0.0, 200.0, 401), np.linspace(0.0, 200.0, 401) - 0.5j, [-1j]])
+        want = np.exp(-0.5 * (u * u + 1j * u) * (theta * T + (v0 - theta) * e1))
+        one = PiecewiseHestonParams(v0, (T,), ((theta, kappa, 0.0, -0.3),))
+        two = PiecewiseHestonParams(v0, (T / 3, T), ((theta, kappa, 0.0, -0.3), (theta, kappa, 0.0, 0.5)))
+        for got in (cf_heston(u, HestonParams(v0, theta, kappa, 0.0, -0.3), T),
+                    cf_piecewise_heston(u, one, T), cf_piecewise_heston(u, two, T)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
     def test_martingale_any_structure(self):
         pw = PiecewiseHestonParams(
             v0=0.03,

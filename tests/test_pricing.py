@@ -18,22 +18,18 @@ from svcal.models import (
     cf_heston,
     expected_mean_variance,
 )
-from oracles import adaptive_prices, scalar_black, scalar_implied_vol, scalar_vega
+from oracles import _gk_panels, adaptive_prices, fourier_integrand, scalar_black, scalar_implied_vol, scalar_vega
 from svcal.pricing import (
     DEFAULT_QUAD,
     OptionSpec,
     QuadratureConfig,
     SurfaceGrid,
     _black_undisc,
-    _gk,
     _implied_vols,
-    _panel_nodes,
     _split,
     bs_implied_vol,
     bs_price,
-    cf_surface_prices,
     cf_vanilla_price,
-    cf_vanilla_prices,
     model_implied_vol,
     model_smile,
 )
@@ -58,12 +54,11 @@ def _integrate(f, a, b, n0, tol, max_evals):
     edges = np.linspace(a, b, n0 + 1)
     los, his = edges[:-1], edges[1:]
     while True:
-        nodes, half = _panel_nodes(los, his)
-        assert nodes.size <= max_evals
-        vals, errs = _gk(f(nodes.ravel()).reshape(-1, *nodes.shape), half)
+        assert 15 * len(los) <= max_evals
+        vals, errs = _gk_panels(f, los, his)
         short = ~(errs.sum(axis=1) <= tol)
         if not short.any():
-            return vals.sum(axis=1), errs.sum(axis=1), nodes.size
+            return vals.sum(axis=1), errs.sum(axis=1), 15 * len(los)
         los, his = _split(los, his, errs[short], tol)
 
 
@@ -344,8 +339,14 @@ _bates = st.builds(BatesParams, heston=_heston, jump_intensity=st.floats(0.0, 1.
 _schobel_zhu = st.builds(SchobelZhuParams, v0=st.floats(0.1, 0.45), theta=st.floats(0.1, 0.45),
                          kappa=st.floats(0.2, 5.0), sigma=st.floats(0.05, 0.5), rho=st.floats(-0.9, 0.9))
 _params = st.one_of(_heston, _bates, _schobel_zhu)
-_strikes = st.lists(st.integers(70, 140), min_size=3, max_size=8, unique=True).map(
-    lambda ks: [k / 100.0 for k in sorted(ks)])
+
+
+def _strike_lists(min_size, max_size):
+    return st.lists(st.integers(70, 140), min_size=min_size, max_size=max_size, unique=True).map(
+        lambda ks: [k / 100.0 for k in sorted(ks)])
+
+
+_strikes = _strike_lists(3, 8)
 _slice = st.builds(MarketSlice, forward=st.just(1.0), discount=st.floats(0.9, 1.0),
                    expiry=st.floats(0.25, 2.0))
 _props = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -355,6 +356,15 @@ def _opts(sl, strikes, kind):
     return [OptionSpec(k, sl.expiry, kind) for k in strikes]
 
 
+def _grid_of(legs, cfg=DEFAULT_QUAD):
+    return SurfaceGrid([(sl, opt) for sl, opts in legs for opt in opts], cfg)
+
+
+def _slice_prices(cf, sl, opts, cfg=DEFAULT_QUAD):
+    """Prices of the options of one expiry on their own grid, sized and evaluated once."""
+    return _grid_of([(sl, opts)], cfg).prices(cf)
+
+
 class TestSlicePricerProperties:
     @_props
     @given(params=_params, sl=_slice, strikes=_strikes, kind=st.sampled_from(["call", "put"]))
@@ -362,7 +372,7 @@ class TestSlicePricerProperties:
         cf = cf_for(params)
         opts = _opts(sl, strikes, kind)
         tol = DEFAULT_QUAD.tolerance
-        for opt, got in zip(opts, cf_vanilla_prices(cf, sl, opts)):
+        for opt, got in zip(opts, _slice_prices(cf, sl, opts)):
             alone = cf_vanilla_price(cf, sl, opt)
             assert abs(got - alone) <= 2.0 * tol * math.sqrt(sl.forward * opt.strike) / math.pi
 
@@ -370,8 +380,8 @@ class TestSlicePricerProperties:
     @given(params=_params, sl=_slice, strikes=_strikes)
     def test_parity_monotone_and_convex_in_strike(self, params, sl, strikes):
         cf = cf_for(params)
-        calls = cf_vanilla_prices(cf, sl, _opts(sl, strikes, "call"))
-        puts = cf_vanilla_prices(cf, sl, _opts(sl, strikes, "put"))
+        calls = _slice_prices(cf, sl, _opts(sl, strikes, "call"))
+        puts = _slice_prices(cf, sl, _opts(sl, strikes, "put"))
         ks = np.array(strikes)
         np.testing.assert_allclose(calls - puts, sl.discount * (sl.forward - ks), rtol=0, atol=1e-12)
         slack = 1e-9
@@ -384,7 +394,7 @@ class TestSlicePricerProperties:
     def test_budget_exhaustion_carries_residual(self, params, sl, strikes):
         cfg = QuadratureConfig(tolerance=1e-16, max_evals=200)
         with pytest.raises(QuadratureError) as exc:
-            cf_vanilla_prices(cf_for(params), sl, _opts(sl, strikes, "call"), cfg)
+            _slice_prices(cf_for(params), sl, _opts(sl, strikes, "call"), cfg)
         assert exc.value.residual > 0
 
     @_props
@@ -392,16 +402,16 @@ class TestSlicePricerProperties:
     def test_rejects_non_normalized_cf(self, sl, strikes, scale):
         bad = lambda u, T: scale * np.ones_like(np.asarray(u, dtype=complex))
         with pytest.raises(DomainError, match="cf\\(0\\)=1"):
-            cf_vanilla_prices(bad, sl, _opts(sl, strikes, "call"))
+            _slice_prices(bad, sl, _opts(sl, strikes, "call"))
 
 
 @st.composite
-def _surfaces(draw, max_expiries=7):
+def _surfaces(draw, max_expiries=7, strike_lists=_strikes):
     """1 to ``max_expiries`` distinct expiries, each with its own strikes and a mix of calls and puts."""
     legs = []
     for T in draw(st.lists(st.floats(0.25, 2.0), min_size=1, max_size=max_expiries, unique=True)):
         sl = MarketSlice(forward=1.0, discount=draw(st.floats(0.9, 1.0)), expiry=T)
-        strikes = draw(_strikes)
+        strikes = draw(strike_lists)
         kinds = draw(st.lists(st.sampled_from(["call", "put"]), min_size=len(strikes), max_size=len(strikes)))
         legs.append((sl, [OptionSpec(k, T, kind) for k, kind in zip(strikes, kinds)]))
     return legs
@@ -412,10 +422,10 @@ class TestSurfacePricer:
     @given(params=_params, legs=_surfaces())
     def test_surface_equals_each_expiry_priced_alone(self, params, legs):
         cf = cf_for(params)
-        got = cf_surface_prices(cf, legs)
+        got = np.split(_grid_of(legs).prices(cf), np.cumsum([len(opts) for _, opts in legs])[:-1])
         assert len(got) == len(legs)
         for (sl, opts), prices in zip(legs, got):
-            assert np.array_equal(prices, cf_vanilla_prices(cf, sl, opts))
+            assert np.array_equal(prices, _slice_prices(cf, sl, opts))
 
     def test_every_cf_call_carries_every_probe_and_later_evaluations_make_one(self, base_heston):
         calls = []
@@ -425,7 +435,7 @@ class TestSurfacePricer:
             return cf_heston(u, base_heston, T)
 
         legs = [(MarketSlice(100.0, 1.0, T), [OptionSpec(100.0, T, "call")]) for T in (0.05, 1.0, 2.0)]
-        grid = SurfaceGrid([(sl, opt) for sl, opts in legs for opt in opts])
+        grid = _grid_of(legs)
         first = grid.prices(cf)
         assert len(calls) > 1  # sizing: an expiry refined its start panels
         for u, T in calls:  # each expiry's cf(0) and cf(-i/2) probes lead every call
@@ -436,7 +446,7 @@ class TestSurfacePricer:
         calls.clear()
         assert np.array_equal(grid.prices(cf), first)
         assert len(calls) == 1 and np.array_equal(calls[0][0], u) and np.array_equal(calls[0][1], T)
-        assert np.array_equal(first, np.concatenate(cf_surface_prices(cf, legs)))
+        assert np.array_equal(first, _grid_of(legs).prices(cf))
 
     def test_budget_too_small_for_one_expiry_raises_quadrature_error(self, base_heston):
         # 255 evaluations is the first round of 17 panels: enough for the
@@ -444,24 +454,24 @@ class TestSurfacePricer:
         cfg = QuadratureConfig(max_evals=255)
         short = (MarketSlice(100.0, 1.0, 0.05), [OptionSpec(100.0, 0.05, "call")])
         long = (MarketSlice(100.0, 1.0, 1.0), [OptionSpec(100.0, 1.0, "call")])
-        cf_surface_prices(heston_cf_fn(base_heston), [short], cfg)  # the short expiry fits the budget
+        _grid_of([short], cfg).prices(heston_cf_fn(base_heston))  # the short expiry fits the budget
         with pytest.raises(QuadratureError) as exc:
-            cf_surface_prices(heston_cf_fn(base_heston), [short, long], cfg)
+            _grid_of([short, long], cfg).prices(heston_cf_fn(base_heston))
         assert exc.value.residual > 0
 
     def test_non_normalized_cf_on_one_expiry_raises_domain_error(self, base_heston):
         bad = lambda u, T: np.where(T > 1.5, 2.0, 1.0) * cf_heston(u, base_heston, T)
         legs = [(MarketSlice(100.0, 1.0, T), [OptionSpec(100.0, T, "call")]) for T in (1.0, 2.0)]
-        cf_surface_prices(bad, legs[:1])
+        _grid_of(legs[:1]).prices(bad)
         with pytest.raises(DomainError, match="cf\\(0\\)=1"):
-            cf_surface_prices(bad, legs)
+            _grid_of(legs).prices(bad)
 
     def test_negative_put_on_one_expiry_raises_numerical_error(self):
         p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.5, rho=0.0)
         legs = [(MarketSlice(1.0, 1.0, 1.0), [OptionSpec(1.0, 1.0, "call")]),
                 (MarketSlice(1.0, 1.0, 0.25), [OptionSpec(1.0, 0.25, "call"), OptionSpec(0.5, 0.25, "put")])]
         with pytest.raises(NumericalError, match="strike 0.5"):
-            cf_surface_prices(heston_cf_fn(p), legs)
+            _grid_of(legs).prices(heston_cf_fn(p))
 
 
 # points inside the no-arbitrage bounds with time value: ln(K/F) within 3
@@ -522,10 +532,6 @@ def _param_pairs(draw):
     return draw(family), draw(family)
 
 
-def _grid_of(legs, cfg=DEFAULT_QUAD):
-    return SurfaceGrid([(sl, opt) for sl, opts in legs for opt in opts], cfg)
-
-
 def _oracle_bound(legs):
     """2 * tolerance * sqrt(F*K) / pi per strike: both prices within their error estimate."""
     return np.array([2.0 * DEFAULT_QUAD.tolerance * math.sqrt(sl.forward * opt.strike) / math.pi
@@ -542,6 +548,19 @@ class TestFrozenGrid:
         got = grid.prices(cf_for(priced_at))
         want = np.concatenate([adaptive_prices(cf_for(priced_at), sl, opts) for sl, opts in legs])
         assert np.all(np.abs(got - want) <= _oracle_bound(legs))
+
+    @_props
+    @given(pair=_param_pairs(), legs=_surfaces(max_expiries=5, strike_lists=_strike_lists(1, 9)))
+    def test_every_strike_meets_the_tolerance_on_the_frozen_panels(self, pair, legs):
+        # the grid's per-expiry error contraction against the oracle's per-panel K15 and G7 sums
+        sized_at, priced_at = pair
+        grid = _grid_of(legs)
+        grid.prices(cf_for(sized_at))
+        grid.prices(cf_for(priced_at))
+        for (sl, opts), (los, his) in zip(legs, grid._panels):
+            f, _ = fourier_integrand(cf_for(priced_at), sl, opts)
+            _, errs = _gk_panels(f, los, his)
+            assert np.all(errs.sum(axis=1) <= DEFAULT_QUAD.tolerance)
 
     def test_resizes_where_the_frozen_panels_miss_the_tolerance(self):
         benign = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=0.3, rho=-0.3)

@@ -79,11 +79,6 @@ class TestReplicateVarswap:
         b = replicate_varswap(FLAT_20, sl, ReplicationConfig(grid_size=4096))
         assert abs(a - b) < 1e-6
 
-    def test_simpson_rule(self):
-        sl = MarketSlice(1.0, 1.0, 1.0)
-        got = replicate_varswap(FLAT_20, sl, ReplicationConfig(rule="simpson"))
-        assert got == pytest.approx(0.04, abs=2e-5)
-
     def test_heston_cross_oracle(self):
         sets = [
             HestonParams(0.04, 0.04, 1.0, 0.5, -0.7),
