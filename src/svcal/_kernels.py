@@ -118,8 +118,10 @@ def heston_cf_grad(u, v0, theta, kappa, sigma, rho, T):
     trap-free form of :func:`heston_cf_vals`.  The exponent A + D*v0 has
     A = kappa*theta*a with a = beta*T - 2*chi*log(1+x)/x, where
     beta = (b - d)/sigma^2 and chi = x/sigma^2 stay finite as sigma -> 0.
-    It depends on kappa, sigma and rho only through b = kappa - i*rho*sigma*u
-    and q = sigma^2; its partials in b (at fixed q) and in q (at fixed b)
+    At sigma = 0, a and D come from the closed form of
+    :func:`_heston_seg`, so phi is exact there.  The exponent depends on
+    kappa, sigma and rho only through b = kappa - i*rho*sigma*u and
+    q = sigma^2; its partials in b (at fixed q) and in q (at fixed b)
     chain with db/dkappa = 1, db/dsigma = -i*rho*u, db/drho = -i*sigma*u
     and dq/dsigma = 2*sigma.  Rows with s = u^2 + i*u = 0 are phi = 1 with
     gradient 0.  Needs kappa + sigma > 0, which every calibration box keeps.
@@ -144,7 +146,11 @@ def heston_cf_grad(u, v0, theta, kappa, sigma, rho, T):
         r_M = 1.0 / (bpd - (q * beta) * E)
         D = -s * omE * r_M
         log1px = _clog1p(x)
-        a = beta * T - ((2.0 / q) * log1px if q > 0.0 else 2.0 * chi)
+        if q > 0.0:
+            a = beta * T - (2.0 / q) * log1px
+        else:  # the linear equation's closed form, free of the cancellation in beta*T - 2*chi
+            A1, D = _heston_seg(u, 0.0, 0.0, 1.0, kappa, 0.0, rho, T)  # A1 = kappa * a
+            a = A1 / kappa
         phi = np.exp(kt * a + D * v0)
         # d/dx of log(1+x)/x, by its series where |x| < 0.01
         r_1px = 1.0 / (1.0 + x)
@@ -209,33 +215,10 @@ def schobel_zhu_cf_vals(u, v0, theta, kappa, sigma, rho, T):
 
     Exponent A1 + A2 + B*v0 + C*v0^2/2 where C solves the Riccati equation
     C' = sigma^2 C^2 - 2 b C - s and B, A follow by quadrature; all
-    integrals reduce to elementary functions of E = exp(-d*T).
+    integrals reduce to elementary functions of E = exp(-d*T).  Row 0 of
+    :func:`schobel_zhu_cf_grad`, computed without the gradient.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    s = u * u + 1j * u
-    if sigma < _SZ_DET_SIGMA:
-        return np.exp(-0.5 * s * per_expiry(T, lambda t: _sz_integrated_var(v0, theta, kappa, t)))
-    sig2 = sigma * sigma
-    b = kappa - 1j * (rho * sigma) * u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.sqrt(b * b + sig2 * s)
-        bpd = b + d
-        bmd = -sig2 * s / bpd
-        g = bmd / bpd
-        E = np.exp(-d * T)
-        E2 = E * E
-        one_m_gE2 = 1.0 - g * E2
-        C = -s / bpd * (1.0 - E2) / one_m_gE2
-        B = -kappa * theta * s * (1.0 - E) ** 2 / (d * bpd * one_m_gE2)
-        A1 = 0.5 * (bmd * T - _clog1p(g * (1.0 - E2) / (1.0 - g)))
-        A2 = -(kappa * theta) ** 2 * s / (2.0 * d * d) * (
-            T - (g * (3.0 * E2 + 1.0) + (E2 + 3.0) - 4.0 * E * (1.0 + g)) / (2.0 * d * one_m_gE2)
-        )
-        out = np.exp(A1 + A2 + B * v0 + 0.5 * C * v0 * v0)
-    zero = s == 0
-    if np.any(zero):
-        out = np.where(zero, 1.0 + 0j, out)
-    return out
+    return _schobel_zhu(u, v0, theta, kappa, sigma, rho, T, grad=False)
 
 
 def schobel_zhu_cf_grad(u, v0, theta, kappa, sigma, rho, T):
@@ -248,15 +231,25 @@ def schobel_zhu_cf_grad(u, v0, theta, kappa, sigma, rho, T):
     partials in b (at fixed q) and in q (at fixed b) chain as in
     :func:`heston_cf_grad`.  No term divides by q, so the gradient holds
     down to sigma = 0; below ``_SZ_DET_SIGMA`` row 0 is the
-    deterministic-volatility CF of :func:`schobel_zhu_cf_vals`.  Rows with
-    s = u^2 + i*u = 0 are phi = 1 with gradient 0.  Needs kappa + sigma > 0.
+    deterministic-volatility CF.  Rows with s = u^2 + i*u = 0 are phi = 1
+    with gradient 0.  Needs kappa + sigma > 0.
     """
+    return _schobel_zhu(u, v0, theta, kappa, sigma, rho, T, grad=True)
+
+
+def _schobel_zhu(u, v0, theta, kappa, sigma, rho, T, grad):
+    """The Schobel-Zhu CF, stacked over its gradient when ``grad``: one set of
+    intermediates serves both, so the CF is the same with or without it."""
     u = np.asarray(u, dtype=np.complex128)
     s = u * u + 1j * u
+    det = sigma < _SZ_DET_SIGMA
+    if det:
+        phi = np.exp(-0.5 * s * per_expiry(T, lambda t: _sz_integrated_var(v0, theta, kappa, t)))
+        if not grad:
+            return phi
     q = sigma * sigma
     b = kappa - 1j * (rho * sigma) * u
     k = kappa * theta
-    out = np.empty((6,) + u.shape, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = np.sqrt(b * b + q * s)
         r_d = 1.0 / d
@@ -272,17 +265,18 @@ def schobel_zhu_cf_grad(u, v0, theta, kappa, sigma, rho, T):
         omE2 = 1.0 - E2
         r_M = 1.0 / (1.0 - g * E2)
         x = g * omE2 * r_omg
-        r_1px = 1.0 / (1.0 + x)
         C = beta * omE2 * r_M
         B = beta * omE * omE * r_d * r_M
         N = g * (3.0 * E2 + 1.0) + (E2 + 3.0) - 4.0 * E * (1.0 + g)
         R = 0.5 * N * r_d * r_M
         A2 = -0.5 * s * r_d * r_d * (T - R)
-        if sigma < _SZ_DET_SIGMA:
-            phi = schobel_zhu_cf_vals(u, v0, theta, kappa, sigma, rho, T)
-        else:
+        if not det:
             A1 = 0.5 * (q * beta * T - _clog1p(x))
             phi = np.exp(A1 + (k * k) * A2 + (k * v0) * B + (0.5 * v0 * v0) * C)
+        inert = s == 0
+        if not grad:
+            return np.where(inert, 1.0 + 0j, phi)
+        r_1px = 1.0 / (1.0 + x)
 
         def partial(d_x, beta_x, g_x, qbT_x):
             """The exponent's partial, given those of d, beta, g and q*beta*T/2."""
@@ -305,13 +299,13 @@ def schobel_zhu_cf_grad(u, v0, theta, kappa, sigma, rho, T):
         e_b = partial(b * r_d, beta_b, -2.0 * g * r_d, 0.5 * q * T * beta_b)
         e_q = partial(d_q, beta_q, gam * (1.0 - 2.0 * q * d_q * r_bpd), 0.5 * T * (beta + q * beta_q))
         lin = 2.0 * k * A2 + v0 * B  # d exponent / dk
+        out = np.empty((6,) + u.shape, dtype=np.complex128)
         out[0] = phi
         np.multiply(phi, k * B + v0 * C, out=out[1])
         np.multiply(phi, kappa * lin, out=out[2])
         np.multiply(phi, theta * lin + e_b, out=out[3])
         np.multiply(phi, 2.0 * sigma * e_q - (1j * rho) * u * e_b, out=out[4])
         np.multiply(phi, (-1j * sigma) * u * e_b, out=out[5])
-    inert = s == 0
     if inert.any():
         out[:, inert] = 0.0
         out[0, inert] = 1.0

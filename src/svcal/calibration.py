@@ -14,14 +14,15 @@ one both converged with costs within 1e-8 relative and parameters within
 1e-6 of the box width, so a fit with one clear minimum costs two solves.
 The lowest-cost start wins.
 
-Every solve uses an analytic Jacobian: the CF's closed-form parameter
-gradient (Heston, Bates and Schobel-Zhu), priced on the residuals' frozen
-grid in the same evaluation steps as the prices (divided by the Black vega
-at the residual evaluation's own vols in vol space) and chained through
-ties, fixed parameters and the box map.  An iteration costs one residual
-evaluation and one CF-and-gradient pass.  ``iterations`` reports scipy's
-``nfev``, which never counted Jacobian work.  A fit whose reported residuals
-hold a failed price is not converged.
+Every solve uses an analytic Jacobian from the CF's closed-form parameter
+gradient (Heston, Bates and Schobel-Zhu).  Each trial point is priced by one
+CF-and-gradient pass on the frozen grid: its CF row gives the residuals, and
+its derivative rows, in the same evaluation steps (divided by the Black vega
+at the evaluation's own vols in vol space) and chained through ties, fixed
+parameters and the box map, give the Jacobian.  scipy asks for the Jacobian
+only at the x of its last residual evaluation, so an iteration costs one
+pass.  ``iterations`` reports scipy's ``nfev``.  A fit whose reported
+residuals hold a failed price is not converged.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .models import (
     HestonParams,
     MarketSlice,
     SchobelZhuParams,
-    cf_for,
     cf_grad_for,
     expected_mean_variance,
     feller_ratio,
@@ -261,24 +261,20 @@ def _box_arrays(names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _model_values(params: AffineParams, target: CalibrationTarget, grid: SurfaceGrid) -> np.ndarray:
-    """Model vols or OTM prices at the target points: one array computation on
-    the grid's frozen panels."""
-    cf = cf_for(params)
-    return grid.vols(cf) if target.space == "vol" else grid.prices(cf)
-
-
-def _model_jacobian(params: AffineParams, target: CalibrationTarget, grid: SurfaceGrid, known=None) -> np.ndarray:
-    """Derivatives of :func:`_model_values` in the parameters of ``params.as_dict()``,
-    shape (points, parameters): one CF-and-gradient pass on the same grid.
-
-    ``known`` is passed on to :meth:`SurfaceGrid.vol_jacobian` in vol space.
-    """
+    """Model vols or OTM prices at the target points (row 0) over their derivatives
+    in the parameters of ``params.as_dict()`` (the rows below), shape
+    (1 + parameters, points): one CF-and-gradient pass on the grid's frozen panels."""
     cf_grad = cf_grad_for(params)
-    return grid.vol_jacobian(cf_grad, known) if target.space == "vol" else grid.price_jacobian(cf_grad)
+    return grid.vols(cf_grad) if target.space == "vol" else grid.prices(cf_grad)
 
 
 class _Problem:
-    """Free-parameter vector <-> residual vector for one calibration."""
+    """Free-parameter vector <-> residual vector and its Jacobian for one calibration.
+
+    One evaluation gives both: :meth:`residuals` and :meth:`jac` at the x of
+    the last evaluation reuse it, as scipy calls ``jac`` right after an
+    accepted ``fun`` at the same x.
+    """
 
     def __init__(
         self,
@@ -316,8 +312,7 @@ class _Problem:
             src = self.ties.get(name, name)
             if src in self.free:
                 self._chain[i, self.free.index(src)] = 1.0
-        # (x, grid version, vols) of the last successful vol-space residual evaluation
-        self._last_vols = None
+        self._last = None  # (x, residuals, Jacobian) of the last evaluation
 
     def build_params(self, x: np.ndarray) -> AffineParams:
         vals = dict(zip(self.free, _to_box(np.asarray(x, dtype=float), self.lo, self.hi)))
@@ -330,15 +325,7 @@ class _Problem:
         return _from_box(np.array([vals[n] for n in self.free]), self.lo, self.hi)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        params = self.build_params(x)
-        self._last_vols = None
-        try:
-            model_vals = _model_values(params, self.target, self.grid)
-        except (NumericalError, DomainError):
-            return np.full(len(self.market), _FAILED_RESIDUAL)
-        if self.target.space == "vol":
-            self._last_vols = (np.array(x, dtype=float), self.grid.version, model_vals)
-        return self.weights * (model_vals - self.market)
+        return self._evaluate(x)[1]
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         """Jacobian of :meth:`residuals` in x, from the model's CF gradient.
@@ -346,18 +333,23 @@ class _Problem:
         The chain rule runs through the ties, the fixed parameters and the
         logistic box map.  Where pricing fails, as in :meth:`residuals`, it
         is 0, as a finite difference of the constant failed residual is.
-        Right after :meth:`residuals` at the same x, as scipy calls it, the
-        vols of that evaluation stand in for a second inversion.
         """
-        x = np.asarray(x, dtype=float)
+        return self._evaluate(x)[2]
+
+    def _evaluate(self, x: np.ndarray):
+        """(x, residuals, Jacobian) at ``x``: the last evaluation's if x is equal."""
+        x = np.array(x, dtype=float)
+        if self._last is not None and np.array_equal(self._last[0], x):
+            return self._last
         params = self.build_params(x)
-        last = self._last_vols
-        known = last[1:] if last is not None and np.array_equal(last[0], x) else None
         try:
-            dvals = _model_jacobian(params, self.target, self.grid, known)
+            rows = _model_values(params, self.target, self.grid)
         except (NumericalError, DomainError):
-            return np.zeros((len(self.market), len(self.free)))
-        return self.weights[:, None] * (dvals @ self._chain) * _box_slope(x, self.lo, self.hi)
+            self._last = (x, np.full(len(self.market), _FAILED_RESIDUAL), np.zeros((len(self.market), len(self.free))))
+            return self._last
+        jac = self.weights[:, None] * (rows[1:].T @ self._chain) * _box_slope(x, self.lo, self.hi)
+        self._last = (x, self.weights * (rows[0] - self.market), jac)
+        return self._last
 
 
 def objective(
@@ -476,6 +468,19 @@ def _result_from(prob: _Problem, res, nfev: int, flags=(), penalty_weight=None) 
     )
 
 
+def _fit(prob: _Problem, init: Optional[AffineParams], config: OptimizerConfig) -> CalibrationResult:
+    """Best fit on ``prob`` from the default start, with ``init``'s parameters over it."""
+    if len(prob.free) > len(prob.target.points):
+        raise DomainError(
+            f"{len(prob.free)} free parameters exceed {len(prob.target.points)} target points"
+        )
+    init_vals = _default_init(prob.model.kind, prob.target)
+    if init is not None:
+        init_vals.update(init.as_dict())
+    res, nfev = _minimize(prob, prob.x_from_params(init_vals), config)
+    return _result_from(prob, res, nfev)
+
+
 def calibrate(
     target: CalibrationTarget,
     model_kind: str = "heston",
@@ -488,19 +493,8 @@ def calibrate(
     Returns the best parameters found even on non-convergence (flagged via
     ``converged``); deterministic for fixed inputs and config.
     """
-    model = _model_spec(model_kind)
-    fixed = (fix or FixSet()).resolve()
-    prob = _Problem(target, model, fixed, {}, config.quad)
-    if len(prob.free) > len(target.points):
-        raise DomainError(
-            f"{len(prob.free)} free parameters exceed {len(target.points)} target points"
-        )
-    init_vals = _default_init(model_kind, target)
-    if init is not None:
-        init_vals.update(init.as_dict())
-    x0 = prob.x_from_params(init_vals)
-    res, nfev = _minimize(prob, x0, config)
-    return _result_from(prob, res, nfev)
+    prob = _Problem(target, _model_spec(model_kind), (fix or FixSet()).resolve(), {}, config.quad)
+    return _fit(prob, init, config)
 
 
 # ---------------------------------------------------------------------------
@@ -541,16 +535,14 @@ def calibrate_penalized(
     because prev already fits well) return the unpenalized solution with an
     explanatory flag; bisection failure falls back to w = 0 with a warning
     flag.  ``iterations`` counts the function evaluations of the base fit
-    and of every penalized solve.
+    and of every penalized solve, which all run on one problem.
     """
-    base = calibrate(target, model_kind, fix=fix, init=prev, config=config)
+    prob = _Problem(target, _model_spec(model_kind), (fix or FixSet()).resolve(), {}, config.quad)
+    base = _fit(prob, prev, config)
     e0 = base.sse
     if e0 < 1e-12:
         return replace(base, penalty_weight=0.0)
 
-    model = _model_spec(model_kind)
-    fixed = (fix or FixSet()).resolve()
-    prob = _Problem(target, model, fixed, {}, config.quad)
     prev_vals = prev.as_dict()
     prev_box = np.array([prev_vals[n] for n in prob.free])
     x_prev = prob.x_from_params(prev_vals)

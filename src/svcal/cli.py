@@ -121,10 +121,6 @@ def _run_config(args, rows) -> RunConfig:
         model_kind = pick(getattr(args, "model", None), "model", "heston")
         prev_params = _params_from_payload(json.loads(Path(prev_path).read_text()), model_kind)
 
-    mixing = None
-    if filecfg.get("mixing"):
-        mixing = MixingCurve(tuple(filecfg["mixing"]["breakpoints"]), tuple(filecfg["mixing"]["values"]))
-
     vs_curve = None
     vs_path = getattr(args, "vs_curve", None)
     if vs_path:
@@ -136,7 +132,6 @@ def _run_config(args, rows) -> RunConfig:
         conventions=conv,
         rules=rules,
         fix=fix,
-        mixing=mixing,
         varswap_mode=pick(getattr(args, "varswap_mode", None), "varswap_mode", "fix"),
         optimizer=optimizer,
         prev_params=prev_params,

@@ -16,16 +16,17 @@ vectorized Black control variate and, for vols, one vectorized inversion.
 Every evaluation checks the estimate again and re-sizes any expiry that
 misses the tolerance at the new parameters, so each price keeps the bound.
 A CF that returns its parameter derivatives as extra rows gets the prices'
-derivatives from the same evaluation steps, for calibration Jacobians.
-A calibration sizes once and evaluates on every residual evaluation;
-one-shot pricing sizes and evaluates once.
+(or vols') derivatives from the same evaluation steps, so a calibration
+prices and differentiates the surface in one evaluation per parameter set.
+A calibration sizes once and evaluates at every trial point; one-shot
+pricing sizes and evaluates once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -341,7 +342,6 @@ class SurfaceGrid:
         self._call = np.array([opt.kind == "call" for opt in opts], dtype=bool)
         self._k = np.log(self._F / self._K)
         self._panels: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.version = 0  # bumped whenever the panels are (re-)sized
 
     @property
     def panels(self) -> List[int]:
@@ -349,51 +349,35 @@ class SurfaceGrid:
         return [len(los) for los, _ in self._panels]
 
     def prices(self, cf: CharFn) -> np.ndarray:
-        """Prices of the options, in the order given."""
-        return self._in_input_order(self._evaluate(cf)[0][0])
+        """Prices of the options, in the order given.
+
+        A ``cf`` of shape (n,) gives shape (options,).  One that returns the
+        CF stacked over its parameter derivatives, shape (1 + parameters, n),
+        gives the prices stacked over theirs, shape (1 + parameters, options):
+        the derivative rows go through the same evaluation, with
+        dw = -8 Re(dcf(-i/2)/cf(-i/2)) for the control variate, and the panels
+        are sized on the CF row alone.  A floored call has derivative 0.
+        """
+        return self._in_input_order(self._evaluate(cf)[0])
 
     def vols(self, cf: CharFn) -> np.ndarray:
         """Implied vols of the options' prices, in the order given.
 
         Inverted together, each seeded at its block's control-variate vol.
         A price without time value raises :class:`NumericalError` as in
-        :func:`model_implied_vol`.
+        :func:`model_implied_vol`.  Rows as in :meth:`prices`: the price
+        derivatives are divided by the Black vega at the vols.
         """
-        return self._in_input_order(self._vols(*self._evaluate(cf)))
-
-    def price_jacobian(self, cf_grad: CharFn) -> np.ndarray:
-        """Derivatives of the prices in the CF's parameters, shape (options, parameters).
-
-        ``cf_grad(u, T)`` returns the CF stacked over its parameter
-        derivatives, shape (1 + parameters, len(u)).  The derivative rows go
-        through the same evaluation as the prices, with
-        dw = -8 Re(dcf(-i/2)/cf(-i/2)) for the control variate; the panels
-        are sized on the CF row alone.  A floored call has derivative 0.
-        """
-        return self._in_input_order(self._evaluate(cf_grad)[0][1:].T)
-
-    def vol_jacobian(self, cf_grad: CharFn, known: Optional[Tuple[int, np.ndarray]] = None) -> np.ndarray:
-        """Derivatives of the implied vols in the CF's parameters, shape (options, parameters).
-
-        The price derivatives of :meth:`price_jacobian` divided by the Black
-        vega at the implied vols.  ``known`` may pair a :attr:`version` with
-        the result of :meth:`vols` at the same parameters: while the panels
-        have not been re-sized since, those vols are used; otherwise the vols
-        are inverted from the CF row as in :meth:`vols` and raise as there.
-        """
-        rows, vol_cv = self._evaluate(cf_grad)
-        if known is not None and known[0] == self.version:
-            vols = known[1][self._order]
-        else:
-            vols = self._vols(rows, vol_cv)
-        st = vols * np.sqrt(self._T)
-        d1 = _black_d1(self._k, st)
+        rows, vol_cv = self._evaluate(cf)
+        if rows.ndim == 1:
+            return self._in_input_order(self._vols(rows, vol_cv))
+        vols = self._vols(rows[0], vol_cv)
+        d1 = _black_d1(self._k, vols * np.sqrt(self._T))
         vega = self._df * self._F * np.sqrt(self._T) * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-        return self._in_input_order((rows[1:] / vega).T)
+        return self._in_input_order(np.concatenate([vols[None], rows[1:] / vega]))
 
-    def _vols(self, rows: np.ndarray, vol_cv: np.ndarray) -> np.ndarray:
-        """Implied vols of the price row of an evaluation, in block order."""
-        prices = rows[0]
+    def _vols(self, prices: np.ndarray, vol_cv: np.ndarray) -> np.ndarray:
+        """Implied vols of an evaluation's prices, in block order."""
         intrinsic = self._df * np.maximum(np.where(self._call, self._F - self._K, self._K - self._F), 0.0)
         flat = ~(prices > intrinsic)
         if not flat.any():
@@ -407,7 +391,7 @@ class SurfaceGrid:
 
     def _in_input_order(self, values: np.ndarray) -> np.ndarray:
         out = np.empty_like(values)
-        out[self._order] = values
+        out[..., self._order] = values
         return out
 
     def _start_panels(self, b: int):
@@ -427,7 +411,6 @@ class SurfaceGrid:
         Kronrod-minus-Gauss weights and half-widths, contracts it to each
         (panel, strike)'s K15 - G7.
         """
-        self.version += 1
         nodes, halves = zip(*(_panel_nodes(los, his) for los, his in self._panels))
         sizes = [nd.size for nd in nodes]
         expiries = np.array([sl.expiry for sl in self._slices])
@@ -444,13 +427,9 @@ class SurfaceGrid:
                     for w, half in zip(weights, halves)]
 
     def _evaluate(self, cf: CharFn) -> Tuple[np.ndarray, np.ndarray]:
-        """Prices, shape (rows, options), and control-variate vols, in block order.
-
-        Row 0 holds the prices; a ``cf`` that returns derivative rows under
-        its own row gives the prices' derivatives in the rows below.
-        """
+        """Prices, with the rows of :meth:`prices`, and control-variate vols, in block order."""
         if not self._K.size:
-            return np.empty((1, 0)), np.empty(0)
+            return np.empty(0), np.empty(0)
         if not self._panels:
             self._panels = [self._start_panels(b) for b in range(len(self._slices))]
             self._freeze()
@@ -459,6 +438,7 @@ class SurfaceGrid:
         spent: Dict[int, int] = {}  # evaluations of each block being sized, from its panels at the start
         while True:
             phi = np.asarray(cf(self._z, self._Tz))
+            stacked = phi.ndim > 1
             phi = phi.reshape(-1, phi.shape[-1])  # the CF, then any derivative rows
             probe = phi[:, 1:2 * nb:2]  # cf(-i/2) of each block
             w = _cv_variances(phi[0, :2 * nb].reshape(nb, 2))
@@ -515,7 +495,7 @@ class SurfaceGrid:
                 f"{'call' if self._call[i] else 'put'} at strike {float(K[i])} priced at "
                 f"{float(prices[0, i]):.6g} < 0: Fourier quadrature error exceeds the option value"
             )
-        return prices, vol_cv
+        return (prices if stacked else prices[0]), vol_cv
 
 
 def cf_vanilla_price(

@@ -46,7 +46,6 @@ class RunConfig:
     conventions: Conventions = field(default_factory=Conventions)
     rules: TenorRules = field(default_factory=TenorRules)
     fix: Optional[FixSet] = None
-    mixing: Optional[MixingCurve] = None
     varswap_mode: str = "fix"
     replication: ReplicationConfig = DEFAULT_REPLICATION
     optimizer: OptimizerConfig = DEFAULT_OPT

@@ -146,31 +146,38 @@ class TestSurfaceResidual:
         target = surface_target(load_quotes(DATA_CSV), Conventions())
         assert len(target.slices) == 7
         sizes = []
-        kernel = svcal._kernels.heston_cf_vals
+        kernel = svcal._kernels.heston_cf_grad
 
         def counted(u, *args):
             sizes.append(len(u))
             return kernel(u, *args)
 
-        monkeypatch.setattr(svcal._kernels, "heston_cf_vals", counted)
+        def unexpected(*args):
+            raise AssertionError("calibration called the value kernel")
+
+        monkeypatch.setattr(svcal._kernels, "heston_cf_grad", counted)
+        monkeypatch.setattr(svcal._kernels, "heston_cf_vals", unexpected)
         prob = _Problem(target, MODELS["heston"], {}, {}, DEFAULT_QUAD)
         x = prob.x_from_params(self.EURUSD_FIT.as_dict())
         rng = np.random.default_rng(5)
         per_eval = []
-        for step in range(8):  # the fit, then steps and Jacobian-sized bumps around it
+        for step in range(8):  # the fit, then steps around it, each with its Jacobian
             sizes.clear()
-            prob.residuals(x + (rng.normal(0.0, 0.05, 5) if step else 0.0))
+            y = x + (rng.normal(0.0, 0.05, 5) if step else 0.0)
+            prob.residuals(y)
+            prob.jac(y)
             per_eval.append(list(sizes))
         assert len(per_eval[0]) >= 1  # the first sizes the panels: one call per refinement round
         assert all(len(calls) == 1 for calls in per_eval[1:])
         assert min(n for calls in per_eval for n in calls) > 2  # no separate cf(0)/cf(-i/2) probe call
 
         surface = _model_values(self.EURUSD_FIT, target, prob.grid)
+        assert surface.shape == (6, len(target.points))
         for expiry, sl in target.slices.items():
             alone = CalibrationTarget(tuple(pt for pt in target.points if pt.expiry == expiry), "vol",
                                       {expiry: sl})
             want = _model_values(self.EURUSD_FIT, alone, _Problem(alone, MODELS["heston"], {}, {}, DEFAULT_QUAD).grid)
-            got = [v for pt, v in zip(target.points, surface) if pt.expiry == expiry]
+            got = surface[:, [pt.expiry == expiry for pt in target.points]]
             assert np.array_equal(got, want)
 
     def test_a_floored_call_fails_the_vol_residual_instead_of_vol_zero(self):
@@ -210,11 +217,11 @@ class TestSurfaceResidual:
     def test_non_normalized_cf_on_one_expiry_fails_the_residual(self, monkeypatch, base_heston):
         import svcal.calibration
         from svcal.calibration import _FAILED_RESIDUAL
-        from svcal.models import cf_heston
+        from svcal.models import cf_heston_grad
 
         target = self._price_target([(1.0, 100.0, 100.0), (2.0, 100.0, 100.0)])
-        monkeypatch.setattr(svcal.calibration, "cf_for", lambda p: (
-            lambda u, T: np.where(T > 1.5, 2.0, 1.0) * cf_heston(u, p, T)))
+        monkeypatch.setattr(svcal.calibration, "cf_grad_for", lambda p: (
+            lambda u, T: np.where(T > 1.5, 2.0, 1.0) * cf_heston_grad(u, p, T)))
         assert np.all(self._residuals(target, base_heston) == _FAILED_RESIDUAL)
 
     def test_negative_put_on_one_expiry_fails_the_residual(self):
@@ -446,82 +453,73 @@ class TestAnalyticJacobian:
         assert calls == nfev + 1
 
 
-class TestVolReuse:
-    """_Problem.jac right after _Problem.residuals at the same x reuses that
-    evaluation's vols instead of inverting the gradient pass's price row again."""
+class TestOneEvaluationPerX:
+    """_Problem.residuals and _Problem.jac share one CF-and-gradient evaluation
+    per x: at the x of the last evaluation neither prices nor inverts again."""
 
     X = {"v0": 0.0178, "theta": 0.0135, "kappa": 1.3, "sigma": 0.29, "rho": -0.14}
 
     @pytest.fixture()
-    def inversions(self, monkeypatch):
+    def calls(self, monkeypatch):
+        """Kernel passes and implied-vol inversions, in the order made."""
+        import svcal._kernels
         import svcal.pricing
 
-        calls = []
-        real = svcal.pricing._implied_vols
-        monkeypatch.setattr(svcal.pricing, "_implied_vols", lambda *a, **k: calls.append(1) or real(*a, **k))
-        return calls
+        made = []
+        kernel, invert = svcal._kernels.heston_cf_grad, svcal.pricing._implied_vols
+        monkeypatch.setattr(svcal._kernels, "heston_cf_grad", lambda *a: made.append("kernel") or kernel(*a))
+        monkeypatch.setattr(svcal.pricing, "_implied_vols", lambda *a, **k: made.append("invert") or invert(*a, **k))
+        return made
 
     def _problem(self):
         from svcal.calibration import MODELS, _Problem
 
         prob = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
         x = prob.x_from_params(self.X)
+        prob.residuals(x)  # sizes the panels
         return prob, x, x + np.array([0.1, -0.1, 0.05, 0.0, 0.02])
 
-    @staticmethod
-    def _fresh_jac(prob, x, y):
-        prob.residuals(y)
-        return prob.jac(x)
+    def test_jac_at_the_last_residual_x_evaluates_nothing(self, calls):
+        from svcal.calibration import MODELS, _Problem
 
-    def test_jac_after_residuals_reuses_their_vols(self, inversions):
         prob, x, y = self._problem()
-        fresh = self._fresh_jac(prob, x, y)
+        prob.residuals(y)
+        calls.clear()
+        got = prob.jac(y)
+        assert calls == []
+        fresh = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
+        fresh.residuals(x)  # the same panels as prob's
+        np.testing.assert_allclose(got, fresh.jac(y), rtol=1e-12, atol=0)
+
+    def test_a_new_x_evaluates_once(self, calls):
+        prob, x, y = self._problem()
+        calls.clear()
+        res = prob.residuals(y)
+        assert calls == ["kernel", "invert"]
+        jac = prob.jac(y)
+        prob.residuals(y)
+        assert calls == ["kernel", "invert"]
+        assert jac.shape == (len(res), 5)
+        calls.clear()
+        prob.jac(x)  # a Jacobian at a new x evaluates, and its residuals come with it
         prob.residuals(x)
-        before = len(inversions)
-        reused = prob.jac(x)
-        assert len(inversions) == before
-        np.testing.assert_allclose(reused, fresh, rtol=1e-12, atol=0)
-        before = len(inversions)
-        self._fresh_jac(prob, x, y)
-        assert len(inversions) == before + 2  # the residual's and the gradient pass's own
+        assert calls == ["kernel", "invert"]
 
-    def test_no_reuse_after_a_different_x(self, inversions):
-        prob, x, y = self._problem()
-        prob.residuals(y)
-        before = len(inversions)
-        prob.jac(x)
-        assert len(inversions) == before + 1
-
-    def test_no_reuse_after_a_failed_residual(self, inversions, monkeypatch):
+    def test_a_failed_x_gives_zeros_without_a_second_evaluation(self, monkeypatch):
         import svcal.calibration
         from svcal.errors import NumericalError
 
+        prob, x, y = self._problem()
+        failures = []
+
         def fail(*args):
+            failures.append(1)
             raise NumericalError("pricing failed")
 
-        prob, x, _ = self._problem()
-        prob.residuals(x)
-        real = svcal.calibration._model_values
         monkeypatch.setattr(svcal.calibration, "_model_values", fail)
-        assert np.all(prob.residuals(x) == svcal.calibration._FAILED_RESIDUAL)
-        monkeypatch.setattr(svcal.calibration, "_model_values", real)
-        before = len(inversions)
-        prob.jac(x)
-        assert len(inversions) == before + 1
-
-    def test_no_reuse_after_a_resize(self, inversions):
-        from svcal.models import cf_for
-
-        prob, x, y = self._problem()
-        fresh = self._fresh_jac(prob, x, y)
-        prob.residuals(x)
-        version = prob.grid.version
-        prob.grid.vols(cf_for(HestonParams(0.002, 0.002, 1.0, 0.5, -0.5)))  # splits panels
-        assert prob.grid.version > version
-        before = len(inversions)
-        got = prob.jac(x)
-        assert len(inversions) == before + 1
-        np.testing.assert_allclose(got, fresh, rtol=1e-6, atol=0)  # the re-sized panels move it within tolerance
+        assert np.all(prob.residuals(y) == svcal.calibration._FAILED_RESIDUAL)
+        assert np.array_equal(prob.jac(y), np.zeros((len(prob.market), 5)))
+        assert len(failures) == 1
 
 
 def _count_solves(monkeypatch, fake=None):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svcal._kernels import _SZ_DET_SIGMA
@@ -15,6 +15,8 @@ from svcal.models import (
     SchobelZhuParams,
     cf_bates,
     cf_bates_grad,
+    cf_for,
+    cf_grad_for,
     cf_heston,
     cf_piecewise_heston,
     cf_schobel_zhu,
@@ -357,6 +359,31 @@ class TestCharacteristicFunctionInvariants:
         assert abs(cf(-1j, p, T) - 1.0) <= 1e-12
         u = np.concatenate([np.linspace(0.1, 150.0, 25), np.linspace(0.1, 150.0, 25) - 0.5j])
         np.testing.assert_allclose(cf(-np.conj(u), p, T), np.conj(cf(u, p, T)), rtol=1e-12, atol=1e-15)
+
+
+class TestGradientRowZero:
+    """Row 0 of every CF-and-gradient is the value CF, which calibration residuals
+    are read from: vol-of-variance 0, tiny or ordinary, kappa from 1e-12 up,
+    expiries from one day."""
+
+    U = np.concatenate([[0.0, -1j, -0.5j], np.linspace(0.05, 200.0, 60) - 0.5j, np.linspace(0.1, 30.0, 10)])
+    _kappa = st.floats(-12.0, 1.5).map(lambda e: 10.0**e)
+    _any_kappa = st.builds(HestonParams, v0=_var, theta=_var, kappa=_kappa, sigma=_sigma, rho=_rho)
+
+    @_cf_props
+    @given(p=st.one_of(
+        _any_kappa,
+        st.builds(BatesParams, heston=_any_kappa, jump_intensity=st.floats(0.0, 3.0),
+                  mean_jump=st.floats(-0.5, 0.5), jump_vol=st.floats(0.0, 0.5)),
+        st.builds(SchobelZhuParams, v0=st.floats(0.05, 0.7), theta=st.floats(0.0, 0.7), kappa=_kappa,
+                  sigma=_sigma, rho=_rho)),
+        T=st.floats(1.0 / 365.0, 5.0))
+    @example(p=HestonParams(0.04, 0.02, 1e-12, 0.0, -0.5), T=1.0 / 365.0)
+    @example(p=HestonParams(0.04, 0.02, 1e-6, 0.0, -0.5), T=1.0 / 365.0)
+    @example(p=SchobelZhuParams(0.2, 0.14, 1e-6, 2.0 * _SZ_DET_SIGMA, -0.9), T=0.02)
+    def test_row_zero_is_the_value_cf(self, p, T):
+        # |phi| <= 1 here; atol covers exponents of some -400, which round to 1e-12 relative in a phi of 1e-190
+        np.testing.assert_allclose(cf_grad_for(p)(self.U, T)[0], cf_for(p)(self.U, T), rtol=1e-12, atol=1e-15)
 
 
 class TestBatesGradient:

@@ -580,8 +580,9 @@ class TestFrozenGrid:
 
 
 class TestGridJacobian:
-    """Price and vol derivatives on the frozen grid against central differences
-    of prices and vols on the same panels.  The short low-vol expiry makes the
+    """The derivative rows of prices and vols from a CF-and-gradient, on the
+    frozen grid, against central differences of prices and vols on the same
+    panels; row 0 against the value CF's.  The short low-vol expiry makes the
     control variate's truncated tail, and so its dw terms, matter."""
 
     LEGS = [(MarketSlice(1.0, 0.999, 0.02), [OptionSpec(0.99, 0.02, "put"), OptionSpec(1.0, 0.02, "call"),
@@ -595,13 +596,12 @@ class TestGridJacobian:
 
         grid = _grid_of(self.LEGS)
         p = HestonParams(*self.PARAMS)
-        if space == "price":
-            got = grid.price_jacobian(lambda u, T: cf_heston_grad(u, p, T))
-            value = grid.prices
-        else:
-            got = grid.vol_jacobian(lambda u, T: cf_heston_grad(u, p, T))
-            value = grid.vols
+        value = grid.prices if space == "price" else grid.vols
+        rows = value(lambda u, T: cf_heston_grad(u, p, T))
+        assert rows.shape == (6, 5)
+        got = rows[1:].T
         panels = grid.panels
+        np.testing.assert_allclose(rows[0], value(cf_for(p)), rtol=1e-12, atol=0)
         for i, v in enumerate(self.PARAMS):
             h = 1e-5 * v if i != 4 else 1e-5
             up, down = list(self.PARAMS), list(self.PARAMS)
