@@ -52,6 +52,32 @@ def _clog1p(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _decay_terms(kappa, T):
+    """(E, e1, T - e1, e1 - T*E) with E = exp(-kappa*T) and e1 = (1 - E)/kappa,
+    elementwise over ``T``.
+
+    The last two cancel in closed form as x = kappa*T -> 0.  Below x = 0.1,
+    T - e1 comes from its series in x, e1 = T - (T - e1), and
+    e1 - T*E = T*(1 - E) - (T - e1), which loses at most a bit there; so all
+    four are exact down to kappa = 0.
+    """
+    x = np.asarray(kappa * T, dtype=float)
+    E, omE = np.exp(-x), -np.expm1(-x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = omE / kappa
+    tme1, e1mTE = T - e1, e1 - T * E
+    small = x < 0.1
+    if small.any():
+        # T - e1 = T * (x/2 - x^2/6 + x^3/24 - ...)
+        ser = np.zeros_like(x)
+        for n in range(10, 0, -1):
+            ser = ser * -x + 1.0 / math.factorial(n + 1)
+        tme1 = np.where(small, T * x * ser, tme1)
+        e1 = np.where(small, T - tme1, e1)
+        e1mTE = np.where(small, T * omE - tme1, e1mTE)
+    return E, e1, tme1, e1mTE
+
+
 def _heston_seg(u, A, D, theta, kappa, sigma, rho, tau):
     """Propagate the Heston affine coefficients (A, D) across one segment.
 
@@ -62,8 +88,8 @@ def _heston_seg(u, A, D, theta, kappa, sigma, rho, tau):
         A' = kappa*theta*D,           s = u^2 + i*u.
 
     At sigma = 0 the equation is linear: with E = exp(-kappa*tau) and
-    e1 = (1 - E)/kappa, D -> D*E - (s/2)*e1 and A gains
-    theta*(D*(1 - E) - (s/2)*(tau - e1)), exact down to kappa = 0.
+    e1 = (1 - E)/kappa from :func:`_decay_terms`, D -> D*E - (s/2)*e1 and A
+    gains theta*(D*kappa*e1 - (s/2)*(tau - e1)), exact down to kappa = 0.
     """
     u = np.asarray(u, dtype=np.complex128)
     A = np.asarray(A, dtype=np.complex128)
@@ -71,17 +97,8 @@ def _heston_seg(u, A, D, theta, kappa, sigma, rho, tau):
     s = u * u + 1j * u
     sig2 = sigma * sigma
     if sig2 == 0.0:
-        x = np.asarray(kappa * tau, dtype=float)
-        E, omE = np.exp(-x), -np.expm1(-x)
-        # tau - e1 = tau * (x/2 - x^2/6 + x^3/24 - ...), summed where it would cancel
-        ser = np.zeros_like(x)
-        for n in range(10, 0, -1):
-            ser = ser * -x + 1.0 / math.factorial(n + 1)
-        small = x < 0.1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e1 = np.where(small, tau - tau * x * ser, omE / kappa)
-        tme1 = np.where(small, tau * x * ser, tau - e1)
-        return A + theta * (D * omE - 0.5 * s * tme1), D * E - 0.5 * s * e1
+        E, e1, tme1, _ = _decay_terms(kappa, tau)
+        return A + theta * (D * (kappa * e1) - 0.5 * s * tme1), D * E - 0.5 * s * e1
     b = kappa - 1j * (rho * sigma) * u
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = np.sqrt(b * b + sig2 * s)
@@ -118,8 +135,9 @@ def heston_cf_grad(u, v0, theta, kappa, sigma, rho, T):
     trap-free form of :func:`heston_cf_vals`.  The exponent A + D*v0 has
     A = kappa*theta*a with a = beta*T - 2*chi*log(1+x)/x, where
     beta = (b - d)/sigma^2 and chi = x/sigma^2 stay finite as sigma -> 0.
-    At sigma = 0, a and D come from the closed form of
-    :func:`_heston_seg`, so phi is exact there.  The exponent depends on
+    At sigma = 0 the exponent is -(s/2)*(theta*T + (v0 - theta)*e1(b)),
+    e1(b) = (1 - exp(-b*T))/b, and every row is its closed form in the terms
+    of :func:`_decay_terms`, exact down to kappa -> 0.  The exponent depends on
     kappa, sigma and rho only through b = kappa - i*rho*sigma*u and
     q = sigma^2; its partials in b (at fixed q) and in q (at fixed b)
     chain with db/dkappa = 1, db/dsigma = -i*rho*u, db/drho = -i*sigma*u
@@ -129,9 +147,21 @@ def heston_cf_grad(u, v0, theta, kappa, sigma, rho, T):
     u = np.asarray(u, dtype=np.complex128)
     s = u * u + 1j * u
     q = sigma * sigma
+    out = np.empty((6,) + u.shape, dtype=np.complex128)
+    if q == 0.0:
+        _, e1, tme1, e1mTE = _decay_terms(kappa, T)
+        hs = 0.5 * s
+        e_b = hs * ((v0 - theta) * e1mTE + theta * tme1) / kappa  # d exponent / db
+        out[0] = np.exp(-hs * (theta * tme1 + v0 * e1))
+        out[1] = -hs * e1
+        out[2] = -hs * tme1
+        out[3] = hs * (v0 - theta) * e1mTE / kappa  # theta*a + e_b
+        out[4] = (-1j * rho) * u * e_b
+        out[5] = 0.0
+        out[1:] *= out[0]
+        return out
     b = kappa - 1j * (rho * sigma) * u
     kt = kappa * theta
-    out = np.empty((6,) + u.shape, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = np.sqrt(b * b + q * s)
         bpd = b + d
@@ -146,11 +176,7 @@ def heston_cf_grad(u, v0, theta, kappa, sigma, rho, T):
         r_M = 1.0 / (bpd - (q * beta) * E)
         D = -s * omE * r_M
         log1px = _clog1p(x)
-        if q > 0.0:
-            a = beta * T - (2.0 / q) * log1px
-        else:  # the linear equation's closed form, free of the cancellation in beta*T - 2*chi
-            A1, D = _heston_seg(u, 0.0, 0.0, 1.0, kappa, 0.0, rho, T)  # A1 = kappa * a
-            a = A1 / kappa
+        a = beta * T - (2.0 / q) * log1px
         phi = np.exp(kt * a + D * v0)
         # d/dx of log(1+x)/x, by its series where |x| < 0.01
         r_1px = 1.0 / (1.0 + x)

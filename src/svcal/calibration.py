@@ -529,13 +529,17 @@ def calibrate_penalized(
     """Calibration anchored to previously calibrated parameters.
 
     Minimizes data error plus w * ||p - prev||^2 (componentwise normalized
-    by the box width), with w chosen by bisection so the total error equals
-    twice the unpenalized error within 5% relative.  Degenerate cases
-    (unpenalized error below 1e-12, or the doubling target unreachable
-    because prev already fits well) return the unpenalized solution with an
-    explanatory flag; bisection failure falls back to w = 0 with a warning
-    flag.  ``iterations`` counts the function evaluations of the base fit
-    and of every penalized solve, which all run on one problem.
+    by the box width), with w chosen so the total error equals twice the
+    unpenalized error e0 within 5% relative.  The search starts at w = e0
+    and multiplies w by 8 until a total reaches 2*e0; from then on it
+    bisects between the last weight that fell short and the last that
+    reached, or halves while none has fallen short.  It accepts the first
+    total inside the band.  Degenerate cases (unpenalized error below
+    1e-12, or the doubling target unreachable because prev already fits
+    well) return the unpenalized solution with an explanatory flag; a
+    search that passes w = 1e18 or bisects 80 times falls back to w = 0
+    with a warning flag.  ``iterations`` counts the function evaluations of
+    the base fit and of every penalized solve, which all run on one problem.
     """
     prob = _Problem(target, _model_spec(model_kind), (fix or FixSet()).resolve(), {}, config.quad)
     base = _fit(prob, prev, config)
@@ -551,55 +555,29 @@ def calibrate_penalized(
     if e_prev <= target_total * 0.95:
         return replace(base, penalty_weight=0.0, flags=base.flags + ("penalty_degenerate",))
 
+    # the total is capped at the prev-parameter error, so a stall inside the
+    # 5% band is an acceptable solution rather than a failure
     x_warm = prob.x_from_params(base.params.as_dict())
-    solve_cfg = replace(config, starts=1)
     nfev = base.iterations  # the base fit plus every penalized solve
-
-    def solve(weight: float):
-        nonlocal nfev
-        res = _run_least_squares(*_penalized(prob, prev_box, weight), x_warm, solve_cfg)
+    w, short, reached, bisections = e0, 0.0, None, 0  # short/reached: the last weights below/above 2*e0
+    while True:
+        res = _run_least_squares(*_penalized(prob, prev_box, w), x_warm, config)
         nfev += res.nfev
-        return res, 2.0 * res.cost  # total error: data SSE + w * penalty
-
-    def in_band(total: float) -> bool:
-        return abs(total / target_total - 1.0) <= 0.05
-
-    # bracket the doubling weight upward from the data-error scale; the total
-    # is capped at the prev-parameter error, so a stall inside the 5% band is
-    # an acceptable solution rather than a failure
-    w_lo = 0.0
-    w_hi, best = e0, None
-    for _ in range(60):
-        res_hi, t_hi = solve(w_hi)
-        best = (w_hi, res_hi, t_hi)
-        if t_hi >= target_total or in_band(t_hi):
-            break
-        w_lo = w_hi
-        w_hi *= 8.0
-        if w_hi > 1e18:
-            break
-    w, res, total = best
-    if not (total >= target_total or in_band(total)):
-        return replace(base, iterations=nfev, penalty_weight=0.0,
-                       flags=base.flags + ("penalty_bisection_failed",))
-
-    for _ in range(80):
-        if in_band(total):
-            break
-        mid = 0.5 * (w_lo + w) if w_lo > 0 else 0.5 * w
-        res_mid, t_mid = solve(mid)
-        if t_mid >= target_total:
-            w, res, total = mid, res_mid, t_mid
+        total = 2.0 * res.cost  # data SSE + w * penalty
+        if abs(total / target_total - 1.0) <= 0.05:
+            return _result_from(prob, res, nfev, penalty_weight=w)
+        if total >= target_total:
+            reached = w
         else:
-            w_lo = mid
-            if in_band(t_mid):
-                w, res, total = mid, res_mid, t_mid
-                break
-    else:
-        return replace(base, iterations=nfev, penalty_weight=0.0,
-                       flags=base.flags + ("penalty_bisection_failed",))
-
-    return _result_from(prob, res, nfev, penalty_weight=w)
+            short = w
+        if reached is None:
+            w *= 8.0
+        else:
+            w = 0.5 * (short + reached) if short > 0 else 0.5 * reached
+            bisections += 1
+        if w > 1e18 or bisections > 80:
+            break
+    return replace(base, iterations=nfev, penalty_weight=0.0, flags=base.flags + ("penalty_bisection_failed",))
 
 
 # ---------------------------------------------------------------------------

@@ -185,15 +185,12 @@ def feller_ratio(p: HestonParams) -> float:
 def expected_mean_variance(p: HestonParams, T: float) -> float:
     """Mean variance over [0, T]: theta + (v0 - theta)(1 - e^{-kappa T})/(kappa T).
 
-    Continuous at kappa = 0 where the limit is v0.
+    Continuous at kappa = 0 where the limit is v0; expm1 keeps full relative
+    precision however small kappa*T is.
     """
     _require(T > 0, f"T must be > 0, got {T}")
     x = p.kappa * T
-    if x < 1e-8:
-        # series of (1 - e^{-x})/x around 0 avoids 0/0
-        phi1 = 1.0 - x / 2.0 + x * x / 6.0
-    else:
-        phi1 = -math.expm1(-x) / x
+    phi1 = -math.expm1(-x) / x if x > 0.0 else 1.0
     return p.theta + (p.v0 - p.theta) * phi1
 
 

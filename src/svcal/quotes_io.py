@@ -47,43 +47,52 @@ def parse_number(text: str) -> float:
     return float(t)
 
 
-def parse_quotes(text: str) -> List[QuoteRow]:
-    lines = [ln for ln in text.splitlines()]
-    rows: List[QuoteRow] = []
+def _read_rows(text: str, header: Tuple[str, ...], what: str, none: str, parse, check=None) -> list:
+    """The rows of a CSV with ``header``, each ``parse(fields)`` -> (expiry, row).
+
+    Blank lines are skipped, expiries must strictly increase, and a file
+    with no rows raises ``none`` on its last line.  A row's first fault is
+    reported, in this order: its field count, what ``parse`` raises (a
+    ``ValueError``, :class:`DomainError` included), its expiry order, then
+    what ``check(row)`` raises; each as a :class:`QuoteParseError` on its line.
+    """
+    lines = text.splitlines()
     if not lines:
-        raise QuoteParseError(1, "empty quote file")
-    header = tuple(f.strip() for f in lines[0].split(","))
-    if header != HEADER:
-        raise QuoteParseError(1, f"expected header {','.join(HEADER)!r}, got {lines[0]!r}")
-    prev_expiry = 0.0
+        raise QuoteParseError(1, f"empty {what} file")
+    if tuple(f.strip() for f in lines[0].split(",")) != header:
+        raise QuoteParseError(1, f"expected header {','.join(header)!r}, got {lines[0]!r}")
+    rows = []
+    prev = 0.0
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = tuple(f.strip() for f in line.split(","))
-        if len(fields) != 7:
-            raise QuoteParseError(i, f"expected 7 fields, got {len(fields)}")
+        if len(fields) != len(header):
+            raise QuoteParseError(i, f"expected {len(header)} fields, got {len(fields)}")
         try:
-            expiry = parse_number(fields[1])
-            forward = parse_number(fields[2])
-            discount = parse_number(fields[3])
-            atm = parse_number(fields[4])
-            ms = parse_number(fields[5])
-            rr = parse_number(fields[6])
+            expiry, row = parse(fields)
+            if expiry <= prev:
+                raise DomainError(f"expiries must be strictly increasing, got {expiry}")
+            if check is not None:
+                check(row)
         except ValueError as exc:
             raise QuoteParseError(i, str(exc)) from exc
-        row = QuoteRow(fields[0], expiry, forward, discount, atm, ms, rr, fields)
-        try:
-            row.quote()
-            row.slice()
-        except DomainError as exc:
-            raise QuoteParseError(i, str(exc)) from exc
-        if expiry <= prev_expiry:
-            raise QuoteParseError(i, f"expiries must be strictly increasing, got {expiry}")
-        prev_expiry = expiry
+        prev = expiry
         rows.append(row)
     if not rows:
-        raise QuoteParseError(len(lines), "no quotes")
+        raise QuoteParseError(len(lines), none)
     return rows
+
+
+def _quote_row(fields: Tuple[str, ...]) -> Tuple[float, QuoteRow]:
+    row = QuoteRow(fields[0], *(parse_number(f) for f in fields[1:]), fields)
+    row.quote()
+    row.slice()
+    return row.expiry, row
+
+
+def parse_quotes(text: str) -> List[QuoteRow]:
+    return _read_rows(text, HEADER, "quote", "no quotes", _quote_row)
 
 
 def load_quotes(path: Union[str, Path]) -> List[QuoteRow]:
@@ -122,35 +131,19 @@ def quotes_digest(data: Union[str, bytes, Path]) -> str:
 VARSWAP_HEADER = ("expiry_years", "fair_variance")
 
 
+def _varswap_point(fields: Tuple[str, ...]) -> Tuple[float, Tuple[float, float]]:
+    point = (parse_number(fields[0]), parse_number(fields[1]))
+    return point[0], point
+
+
+def _check_variance(point: Tuple[float, float]) -> None:
+    if point[1] <= 0:
+        raise DomainError(f"fair variance must be > 0, got {point[1]}")
+
+
 def parse_varswap_curve(text: str) -> List[Tuple[float, float]]:
     """Quoted variance-swap curve CSV: header + (expiry_years, fair_variance) rows."""
-    lines = text.splitlines()
-    if not lines:
-        raise QuoteParseError(1, "empty variance-swap file")
-    header = tuple(f.strip() for f in lines[0].split(","))
-    if header != VARSWAP_HEADER:
-        raise QuoteParseError(1, f"expected header {','.join(VARSWAP_HEADER)!r}, got {lines[0]!r}")
-    out: List[Tuple[float, float]] = []
-    prev = 0.0
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2:
-            raise QuoteParseError(i, f"expected 2 fields, got {len(fields)}")
-        try:
-            expiry, var = parse_number(fields[0]), parse_number(fields[1])
-        except ValueError as exc:
-            raise QuoteParseError(i, str(exc)) from exc
-        if expiry <= prev:
-            raise QuoteParseError(i, f"expiries must be strictly increasing, got {expiry}")
-        if var <= 0:
-            raise QuoteParseError(i, f"fair variance must be > 0, got {var}")
-        prev = expiry
-        out.append((expiry, var))
-    if not out:
-        raise QuoteParseError(len(lines), "no variance-swap points")
-    return out
+    return _read_rows(text, VARSWAP_HEADER, "variance-swap", "no variance-swap points", _varswap_point, _check_variance)
 
 
 def load_varswap_curve(path: Union[str, Path]) -> List[Tuple[float, float]]:

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError
 from .fx_quotes import Conventions, TenorQuote, resolve_smile
 from .models import HestonParams, MarketSlice, expected_mean_variance
+from .pricing import _black_undisc
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,7 @@ def replicate_varswap(
     if np.any(vols <= 0):
         raise DomainError("interpolated smile vol not positive on the replication domain")
     K = F * np.exp(x)
-    put_side = K < F
-    st = vols * math.sqrt(T)
-    d1 = np.log(F / K) / st + 0.5 * st
-    d2 = d1 - st
-    call = F * ndtr(d1) - K * ndtr(d2)
-    put = K * ndtr(-d2) - F * ndtr(-d1)
-    otm = np.where(put_side, put, call)
+    otm = _black_undisc(F, K, T, vols, K >= F)
     # integral of OTM(K)/K^2 dK with K = F e^x:  OTM(x) e^{-x} / F dx
     integrand = otm * np.exp(-x) / F
     return 2.0 / T * float(np.trapezoid(integrand, x))

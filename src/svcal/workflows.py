@@ -25,7 +25,7 @@ from .calibration import (
 )
 from .errors import DomainError
 from .fx_quotes import Conventions, resolve_smile
-from .mixing import MixingCurve, mix_at
+from .mixing import MixingCurve, _check_weight, mix_at
 from .models import AffineParams
 from .quotes_io import QuoteRow
 from .varswap import DEFAULT_REPLICATION, ReplicationConfig, implied_varswap_curve
@@ -77,6 +77,17 @@ def surface_target(rows: Sequence[QuoteRow], conv: Conventions) -> CalibrationTa
     return CalibrationTarget(points=tuple(points), space="vol", slices=slices)
 
 
+def _varswap_curve(rows: Sequence[QuoteRow], cfg: RunConfig) -> List[Tuple[float, float]]:
+    """The quoted variance-swap curve if there is one, else the one replicated from the rows."""
+    if cfg.vs_curve is not None:
+        return list(cfg.vs_curve)
+    if not rows:
+        raise DomainError("no quotes")
+    return implied_varswap_curve(
+        [r.quote() for r in rows], [r.slice() for r in rows], cfg.conventions, cfg.replication
+    )
+
+
 def run_strategy(
     rows: Sequence[QuoteRow], cfg: RunConfig
 ) -> List[Tuple[str, CalibrationResult]]:
@@ -96,13 +107,7 @@ def run_strategy(
     elif cfg.strategy == "penalized":
         res = calibrate_penalized(target, cfg.prev_params, cfg.model_kind, fix=cfg.fix, config=cfg.optimizer)
     else:  # varswap
-        if cfg.vs_curve is not None:
-            curve = list(cfg.vs_curve)
-        else:
-            curve = implied_varswap_curve(
-                [r.quote() for r in rows], [r.slice() for r in rows], cfg.conventions, cfg.replication
-            )
-        fit = calibrate_varswap(curve, mode=cfg.varswap_mode, config=cfg.optimizer)
+        fit = calibrate_varswap(_varswap_curve(rows, cfg), mode=cfg.varswap_mode, config=cfg.optimizer)
         if cfg.varswap_mode == "fix":
             res = calibrate(target, cfg.model_kind, fix=fit.as_fixset(), config=cfg.optimizer)
         else:
@@ -170,14 +175,7 @@ def varswap_report(
     fit_mode: Optional[str],
 ) -> dict:
     """Variance-swap curve (implied or quoted) with an optional triple fit."""
-    if cfg.vs_curve is not None:
-        curve = list(cfg.vs_curve)
-    else:
-        if not rows:
-            raise DomainError("no quotes")
-        curve = implied_varswap_curve(
-            [r.quote() for r in rows], [r.slice() for r in rows], cfg.conventions, cfg.replication
-        )
+    curve = _varswap_curve(rows, cfg)
     report = {
         "schema": REPORT_SCHEMA,
         "quote_digest": quote_digest,
@@ -208,7 +206,6 @@ def markdown_rows(rows: Sequence[QuoteRow], lam: Optional[float], curve: Optiona
     out = []
     for row in rows:
         w = lam if lam is not None else mix_at(curve, row.expiry)
-        if not 0.0 <= w <= 1.0:
-            raise DomainError(f"mixing weight must lie in [0, 1], got {w}")
+        _check_weight(w)
         out.append(scale_row(row, w))
     return out

@@ -684,6 +684,107 @@ class TestCalibratePenalized:
             assert 1.85 * unpen.sse <= total <= 2.15 * unpen.sse
 
 
+    def test_prev_that_already_doubles_nothing_is_degenerate(self, rng):
+        # prev at the day's own optimum: its error is below the 2x target, so
+        # no weight can reach it and the base fit comes back flagged
+        day2 = self._day2(rng)
+        prev = calibrate(day2, "heston").params
+        pen = calibrate_penalized(day2, prev, "heston")
+        assert pen.flags == ("penalty_degenerate",)
+        assert pen.penalty_weight == 0.0
+        assert pen.sse > 1e-12
+        assert pen.params == calibrate(day2, "heston", init=prev).params
+
+
+def _record_weights(monkeypatch):
+    """The weights of the penalized solves, in the order they run."""
+    import svcal.calibration as cal
+
+    seen, penalized = [], cal._penalized
+
+    def recording(prob, prev_box, weight):
+        seen.append(weight)
+        return penalized(prob, prev_box, weight)
+
+    monkeypatch.setattr(cal, "_penalized", recording)
+    return seen
+
+
+# CI's inline --prev, and perfbench's book --prev (a fixed draw around the reference fit)
+CI_PREV = HestonParams(v0=0.02, theta=0.015, kappa=1.0, sigma=0.35, rho=-0.2)
+BOOK_PREV = HestonParams(v0=0.015831238117476876, theta=0.012567521227194896, kappa=1.075790855212923,
+                         sigma=0.3056804908769005, rho=-0.45453322493066706)
+
+
+@pytest.mark.parametrize("prev,ratios", [
+    (CI_PREV, [1.0, 8.0, 64.0, 512.0, 4096.0, 32768.0, 262144.0]),  # x8 until the band
+    (BOOK_PREV, [1.0, 8.0, 64.0, 512.0, 288.0]),  # x8 past 2*e0, then one bisection
+])
+def test_penalized_search_solves_the_same_weights_on_the_bundled_file(monkeypatch, prev, ratios):
+    from svcal.quotes_io import load_quotes
+    from svcal.workflows import surface_target
+
+    seen = _record_weights(monkeypatch)
+    target = surface_target(load_quotes(DATA_CSV), Conventions())
+    res = calibrate_penalized(target, prev, "heston")
+    assert res.converged and res.flags == ()
+    # the first weight is the base fit's data error e0
+    assert [w / seen[0] for w in seen] == pytest.approx(ratios, rel=1e-12)
+    assert res.penalty_weight == seen[-1]
+
+
+class TestPenalizedSearchPolicy:
+    """The weight search on a stand-in total: where it steps, accepts and gives up."""
+
+    E0 = 2.0**-14  # a power of four, so that its root and every weight ratio below are exact
+
+    def _search(self, monkeypatch, total):
+        import types
+
+        import svcal.calibration as cal
+
+        seen = _record_weights(monkeypatch)
+        base = cal.CalibrationResult(TRUTH, 1.0, 5, True, None, (self.E0**0.5,))
+        monkeypatch.setattr(cal, "_fit", lambda prob, init, config: base)
+        monkeypatch.setattr(
+            cal, "_run_least_squares",
+            lambda fun, jac, x0, cfg: types.SimpleNamespace(x=x0, cost=0.5 * total(seen[-1]), nfev=1, status=1),
+        )
+        target = make_target(TRUTH, tenors=(0.5, 2.0), z_grid=(-1.0, 0.0, 1.0))
+        prev = HestonParams(0.09, 0.02, 4.0, 0.2, 0.3)  # far from TRUTH: its error is far above 2*e0
+        res = cal.calibrate_penalized(target, prev, "heston")
+        return [w / self.E0 for w in seen], res
+
+    def test_halves_while_no_weight_fell_short(self, monkeypatch):
+        ratios, res = self._search(monkeypatch, lambda w: 2 * self.E0 * (1.0 + w / self.E0))
+        assert ratios == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
+        assert res.penalty_weight == 0.03125 * self.E0
+        assert res.iterations == 5 + 6
+
+    def test_brackets_by_eight_then_bisects(self, monkeypatch):
+        ratios, res = self._search(monkeypatch, lambda w: 2 * self.E0 * w / (100 * self.E0))
+        assert ratios == [1.0, 8.0, 64.0, 512.0, 288.0, 176.0, 120.0, 92.0, 106.0, 99.0]
+        assert res.penalty_weight == 99.0 * self.E0
+        assert res.flags == ()
+
+    def test_accepts_a_short_total_inside_the_band(self, monkeypatch):
+        ratios, res = self._search(monkeypatch, lambda w: 2 * self.E0 * (0.5 if w < 60 * self.E0 else 0.96))
+        assert ratios == [1.0, 8.0, 64.0]
+        assert res.penalty_weight == 64.0 * self.E0
+
+    def test_gives_up_past_1e18(self, monkeypatch):
+        ratios, res = self._search(monkeypatch, lambda w: self.E0)
+        assert ratios == [8.0**k for k in range(len(ratios))]
+        assert ratios[-1] * self.E0 <= 1e18 < 8.0 * ratios[-1] * self.E0
+        assert res.flags == ("penalty_bisection_failed",) and res.penalty_weight == 0.0
+        assert res.iterations == 5 + len(ratios)
+
+    def test_gives_up_after_80_bisections(self, monkeypatch):
+        ratios, res = self._search(monkeypatch, lambda w: 2 * self.E0 * (0.5 if w < 3.3 * self.E0 else 2.0))
+        assert ratios[:2] == [1.0, 8.0] and len(ratios) == 2 + 80
+        assert res.flags == ("penalty_bisection_failed",) and res.penalty_weight == 0.0
+
+
 EURUSD_3M = TenorQuote("3M", 1.5 / 6.02, 0.1270, 0.0028, -0.0055)
 
 

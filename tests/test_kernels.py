@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -207,7 +207,7 @@ def test_heston_gradient_matches_central_differences(case):
         assert np.max(np.abs(grad[i + 1] - want)) <= 1e-6 * np.max(np.abs(want)) + noise
 
 
-@pytest.mark.parametrize("sigma", [5e-5, 0.5])
+@pytest.mark.parametrize("sigma", [0.0, 5e-5, 0.5])
 def test_heston_gradient_of_the_probe_rows_s_zero_is_zero(sigma):
     # u = 0 and u = -i: phi = 1 for every parameter set, including kappa - rho*sigma < 0
     grad = _kernels.heston_cf_grad(np.array([0.0 + 0j, -1j]), 0.04, 0.09, 1e-4, sigma, 0.9, np.array([1.0, 1.0]))
@@ -262,3 +262,52 @@ def test_schobel_zhu_gradient_of_the_probe_rows_s_zero_is_zero(sigma):
     grad = _kernels.schobel_zhu_cf_grad(np.array([0.0 + 0j, -1j]), 0.2, 0.3, 1e-4, sigma, 0.9, np.array([1.0, 1.0]))
     assert np.array_equal(grad[0], [1.0, 1.0])
     assert np.array_equal(grad[1:], np.zeros((5, 2)))
+
+
+def _heston_sigma0_mp(u, T, v0, theta, kappa, sigma, rho):
+    """The sigma = 0 Heston CF in mpmath: the linear equation D' = -b*D - s/2,
+    A' = kappa*theta*D solved with b = kappa - i*rho*sigma*u, which is how sigma
+    enters the CF to first order (the sigma^2 terms do not).  At sigma = 0 it is
+    exp(-(s/2)*(theta*T + (v0 - theta)*e1)), e1 = (1 - exp(-kappa*T))/kappa."""
+    import mpmath as mp
+
+    s = u * u + 1j * u
+    b = kappa - 1j * rho * sigma * u
+    e1 = -mp.expm1(-b * T) / b
+    return mp.exp(-0.5 * s * (kappa * theta * (T - e1) / b + v0 * e1))
+
+
+_U_SIGMA0 = [0.4 + 0j, 3.0 - 0.5j, 25.0 - 0.5j, 60.0]
+
+
+@st.composite
+def _heston_sigma0_case(draw):
+    v0 = draw(st.floats(0.005, 0.2))
+    theta = draw(st.floats(0.005, 0.2))
+    kappa = 10.0 ** draw(st.floats(-12.0, math.log10(30.0)))
+    rho = draw(st.floats(-0.95, 0.95))
+    T = draw(st.floats(1 / 365, 5.0))
+    return v0, theta, kappa, rho, T
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=_heston_sigma0_case())
+@example(case=(0.04, 0.02, 1e-12, -0.5, 1 / 365))
+@example(case=(0.04, 0.02, 1e-6, 0.3, 1 / 365))
+@example(case=(0.04, 0.02, 30.0, -0.7, 5.0))
+def test_heston_gradient_at_sigma_zero_matches_mpmath(case):
+    import mpmath as mp
+
+    v0, theta, kappa, rho, T = case
+    u = np.array(_U_SIGMA0)
+    got = _kernels.heston_cf_grad(u, v0, theta, kappa, 0.0, rho, np.full(u.shape, T))
+    p = [v0, theta, kappa, 0.0, rho]
+    with mp.workdps(50):
+        for j, uj in enumerate(_U_SIGMA0):
+            f = lambda *q: _heston_sigma0_mp(mp.mpc(uj), mp.mpf(T), *q)  # noqa: E731
+            want = [f(*p)] + [mp.diff(f, p, tuple(int(k == i) for k in range(5))) for i in range(5)]
+            # mp.diff's own error, about 1e-60 of phi, is the floor where a row is 0
+            floor = 1e-40 * abs(complex(want[0]))
+            for i, w in enumerate(want):
+                w = complex(w)
+                assert abs(got[i, j] - w) <= 1e-12 * abs(w) + floor, (i, uj)

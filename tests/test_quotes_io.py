@@ -5,6 +5,7 @@ from svcal.quotes_io import (
     emit_quotes,
     parse_number,
     parse_quotes,
+    parse_varswap_curve,
     quotes_digest,
     scale_row,
 )
@@ -53,6 +54,87 @@ class TestParse:
     def test_blank_lines_skipped(self):
         rows = parse_quotes(GOOD + "\n\n")
         assert len(rows) == 2
+
+
+QUOTE_HEADER = "tenor,expiry_years,forward,discount,atm_vol,ms25,rr25\n"
+
+
+def _parse_error(parse, text) -> str:
+    with pytest.raises(QuoteParseError) as info:
+        parse(text)
+    return str(info.value)
+
+
+class TestFirstFault:
+    # a row with several faults reports the first in a fixed order: field
+    # count, then numbers, then the row's own invariants, then the expiry order
+    def test_quote_row_invariant_before_expiry_order(self):
+        text = QUOTE_HEADER + "1Y,1.0,1.0,1.0,11%,0%,0%\n6M,-0.5,1.0,1.0,12%,0%,0%\n"
+        assert _parse_error(parse_quotes, text) == "line 3: expiry must be > 0, got -0.5"
+
+    def test_quote_number_before_row_invariant(self):
+        text = QUOTE_HEADER + "1Y,1.0,1.0,1.0,-11%,x,0%\n"
+        assert _parse_error(parse_quotes, text) == "line 2: could not convert string to float: 'x'"
+
+    def test_quote_file_messages(self):
+        assert _parse_error(parse_quotes, "") == "line 1: empty quote file"
+        assert _parse_error(parse_quotes, QUOTE_HEADER + "\n") == "line 2: no quotes"
+        assert _parse_error(parse_quotes, QUOTE_HEADER + "1Y,1.0\n") == "line 2: expected 7 fields, got 2"
+        assert _parse_error(parse_quotes, QUOTE_HEADER + "1Y,1.0,1.0,1.0,11%,0%,0%\n6M,0.5,1.0,1.0,12%,0%,0%\n") == (
+            "line 3: expiries must be strictly increasing, got 0.5"
+        )
+
+
+VS_HEADER = "expiry_years,fair_variance\n"
+
+
+class TestParseVarswapCurve:
+    def test_good_curve_with_percent_and_blank_lines(self):
+        assert parse_varswap_curve(VS_HEADER + "0.25,1.5%\n\n1.0,0.02\n\n") == [(0.25, 0.015), (1.0, 0.02)]
+
+    def test_bad_header(self):
+        assert _parse_error(parse_varswap_curve, "expiry,variance\n0.25,0.01\n") == (
+            "line 1: expected header 'expiry_years,fair_variance', got 'expiry,variance'"
+        )
+
+    def test_wrong_field_count(self):
+        assert _parse_error(parse_varswap_curve, VS_HEADER + "0.25,0.01\n0.5,0.01,7\n") == (
+            "line 3: expected 2 fields, got 3"
+        )
+
+    def test_non_numeric_field(self):
+        assert _parse_error(parse_varswap_curve, VS_HEADER + "0.25,abc\n") == (
+            "line 2: could not convert string to float: 'abc'"
+        )
+
+    def test_non_increasing_expiry(self):
+        assert _parse_error(parse_varswap_curve, VS_HEADER + "0.5,0.01\n\n0.5,0.02\n") == (
+            "line 4: expiries must be strictly increasing, got 0.5"
+        )
+
+    def test_variance_not_positive(self):
+        assert _parse_error(parse_varswap_curve, VS_HEADER + "0.25,0.01\n0.5,0\n") == (
+            "line 3: fair variance must be > 0, got 0.0"
+        )
+
+    def test_expiry_order_before_variance_sign(self):
+        assert _parse_error(parse_varswap_curve, VS_HEADER + "0.5,0.01\n0.25,-0.01\n") == (
+            "line 3: expiries must be strictly increasing, got 0.25"
+        )
+        assert _parse_error(parse_varswap_curve, VS_HEADER + "-0.25,-0.01\n") == (
+            "line 2: expiries must be strictly increasing, got -0.25"
+        )
+
+    def test_empty_file(self):
+        assert _parse_error(parse_varswap_curve, "") == "line 1: empty variance-swap file"
+
+    def test_no_rows(self):
+        assert _parse_error(parse_varswap_curve, VS_HEADER + "\n\n") == "line 3: no variance-swap points"
+
+    def test_line_number_attribute(self):
+        with pytest.raises(QuoteParseError) as info:
+            parse_varswap_curve(VS_HEADER + "0.25,0.01\n0.5\n")
+        assert info.value.line_no == 3
 
 
 class TestEmit:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from svcal.errors import DomainError
 from svcal.fx_quotes import TenorQuote
@@ -114,6 +115,32 @@ class TestReplicateVarswap:
         p = HestonParams(0.04, 0.09, 1.0, 0.5, -0.5)
         assert varswap_from_heston(p, 1.0) == expected_mean_variance(p, 1.0)
         assert varswap_from_heston(p, 1.0) == pytest.approx(0.05839397205857212, rel=1e-12)
+
+
+def _replicate_by_d1_d2(smile, slice_, cfg=ReplicationConfig()):
+    """Replication with the Black call and put written out in d1 and d2."""
+    F, T = slice_.forward, slice_.expiry
+    x = np.linspace(-math.log(cfg.domain_mult), math.log(cfg.domain_mult), cfg.grid_size)
+    vols = smile(x)
+    K = F * np.exp(x)
+    st = vols * math.sqrt(T)
+    d1 = np.log(F / K) / st + 0.5 * st
+    d2 = d1 - st
+    call = F * ndtr(d1) - K * ndtr(d2)
+    put = K * ndtr(-d2) - F * ndtr(-d1)
+    otm = np.where(K < F, put, call)
+    return 2.0 / T * float(np.trapezoid(otm * np.exp(-x) / F, x))
+
+
+def test_replication_equals_the_d1_d2_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        knots = np.sort(rng.uniform(-1.5, 1.5, 3))
+        smile = SmileFunction(tuple(knots), tuple(rng.uniform(0.03, 0.6, 3)), rng.choice(["parabola", "linear"]))
+        if np.any(smile(np.linspace(-math.log(10.0), math.log(10.0), 2048)) <= 0):
+            continue  # a parabola dipping below zero is refused by both
+        sl = MarketSlice(float(rng.uniform(0.5, 150.0)), 1.0, float(rng.uniform(1 / 52, 10.0)))
+        assert replicate_varswap(smile, sl) == _replicate_by_d1_d2(smile, sl)
 
 
 class TestImpliedVarswapCurve:
