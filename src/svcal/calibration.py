@@ -141,6 +141,10 @@ class OptimizerConfig:
     retry_rmse: float = 1e-5
     quad: QuadratureConfig = DEFAULT_QUAD
 
+    def __post_init__(self):
+        if self.max_nfev < 1:
+            raise DomainError(f"max_nfev must be >= 1, got {self.max_nfev}")
+
 
 DEFAULT_OPT = OptimizerConfig()
 
@@ -294,7 +298,8 @@ class _Problem:
         self.fixed = dict(fixed)
         self.ties = dict(ties)
         # out-of-the-money options at the target points, on panels sized at the first
-        # residual evaluation and re-sized only where they miss the tolerance
+        # residual evaluation, re-sized only where they miss the tolerance and
+        # trimmed where their tail has died out
         options = []
         for pt in target.points:
             sl = target.slices[pt.expiry]
@@ -408,14 +413,22 @@ def _run_least_squares(fun: Callable[[np.ndarray], np.ndarray], jac, x0: np.ndar
 
 
 def _agree(prob: _Problem, a, b) -> bool:
-    """Whether solves ``a`` and ``b`` both converged, to the same minimum."""
+    """Whether solves ``a`` and ``b`` both converged, to the same minimum.
+
+    Costs that differ are compared again on the grid as it stands: a later
+    solve can have re-sized or trimmed it, which moves a cost by up to the
+    quadrature tolerance, far more than ``_AGREE_COST``.
+    """
     if a.status <= 0 or b.status <= 0:
-        return False
-    if abs(a.cost - b.cost) > _AGREE_COST * max(a.cost, b.cost):
         return False
     width = prob.hi - prob.lo
     dist = np.abs(_to_box(a.x, prob.lo, prob.hi) - _to_box(b.x, prob.lo, prob.hi)) / width
-    return float(np.max(dist)) <= _AGREE_BOX
+    if float(np.max(dist)) > _AGREE_BOX:
+        return False
+    costs = (a.cost, b.cost)
+    if abs(costs[0] - costs[1]) > _AGREE_COST * max(costs):
+        costs = tuple(0.5 * float(np.sum(prob.residuals(s.x) ** 2)) for s in (b, a))
+    return abs(costs[0] - costs[1]) <= _AGREE_COST * max(costs)
 
 
 def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
@@ -449,22 +462,48 @@ def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
     return best, nfev
 
 
+def _feller(params: AffineParams) -> Optional[float]:
+    heston = params.heston if isinstance(params, BatesParams) else params
+    return feller_ratio(heston) if isinstance(heston, HestonParams) else None
+
+
 def _result_from(prob: _Problem, res, nfev: int, flags=(), penalty_weight=None) -> CalibrationResult:
     """The result at ``res.x``; not converged where any price failed there."""
     params = prob.build_params(res.x)
     residuals = prob.residuals(res.x)
-    rmse = float(np.sqrt(np.mean(residuals**2)))
-    heston = params.heston if isinstance(params, BatesParams) else params
-    feller = feller_ratio(heston) if isinstance(heston, HestonParams) else None
     return CalibrationResult(
         params=params,
-        rmse=rmse,
+        rmse=float(np.sqrt(np.mean(residuals**2))),
         iterations=nfev,
         converged=bool(res.status > 0) and not np.any(residuals == _FAILED_RESIDUAL),
-        feller=feller,
+        feller=_feller(params),
         residuals=tuple(float(r) for r in residuals),
         flags=tuple(flags),
         penalty_weight=penalty_weight,
+    )
+
+
+# below this vol-of-vol the smile carries no correlation information: a free
+# rho is reported at its canonical value 0 and flagged
+_RHO_UNIDENTIFIED_SIGMA = 1e-3
+
+
+def _settle_rho(prob: _Problem, result: CalibrationResult) -> CalibrationResult:
+    """``result`` with a free rho set to 0 and flagged ``rho_unidentified`` where
+    sigma is below ``_RHO_UNIDENTIFIED_SIGMA``, its residuals repriced there."""
+    vals = result.params.as_dict()
+    if "rho" not in prob.free or vals["sigma"] >= _RHO_UNIDENTIFIED_SIGMA or vals["rho"] == 0.0:
+        return result
+    vals["rho"] = 0.0
+    params = prob.model.build(vals)
+    residuals = prob.residuals(prob.x_from_params(vals))
+    return replace(
+        result,
+        params=params,
+        rmse=float(np.sqrt(np.mean(residuals**2))),
+        residuals=tuple(float(r) for r in residuals),
+        feller=_feller(params),
+        flags=result.flags + ("rho_unidentified",),
     )
 
 
@@ -478,7 +517,7 @@ def _fit(prob: _Problem, init: Optional[AffineParams], config: OptimizerConfig) 
     if init is not None:
         init_vals.update(init.as_dict())
     res, nfev = _minimize(prob, prob.x_from_params(init_vals), config)
-    return _result_from(prob, res, nfev)
+    return _settle_rho(prob, _result_from(prob, res, nfev))
 
 
 def calibrate(
@@ -584,11 +623,6 @@ def calibrate_penalized(
 # per-tenor strategy
 # ---------------------------------------------------------------------------
 
-# below this fitted vol-of-vol the smile carries no correlation information;
-# rho is reported at its canonical value 0 and flagged
-_RHO_UNIDENTIFIED_SIGMA = 1e-3
-
-
 def calibrate_tenor(
     q: TenorQuote,
     slice_: MarketSlice,
@@ -619,22 +653,7 @@ def calibrate_tenor(
     init_vals = {"v0": q.atm_vol**2, "sigma": 0.5, "rho": -0.5}
     x0 = prob.x_from_params(init_vals)
     res, nfev = _minimize(prob, x0, config)
-    result = _result_from(prob, res, nfev)
-
-    params = result.params
-    if params.sigma < _RHO_UNIDENTIFIED_SIGMA and params.rho != 0.0:
-        params = replace(params, rho=0.0)
-        x_new = prob.x_from_params(params.as_dict())
-        residuals = prob.residuals(x_new)
-        result = replace(
-            result,
-            params=params,
-            rmse=float(np.sqrt(np.mean(residuals**2))),
-            residuals=tuple(float(r) for r in residuals),
-            feller=feller_ratio(params),
-            flags=result.flags + ("rho_unidentified",),
-        )
-    return result
+    return _settle_rho(prob, _result_from(prob, res, nfev))
 
 
 # ---------------------------------------------------------------------------

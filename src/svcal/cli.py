@@ -86,6 +86,28 @@ def _load_config_file(path: Optional[str]) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _config_section(cls, filecfg: dict, name: str):
+    """``cls`` from the numeric settings of config-file section ``name``, over its defaults.
+
+    Raises :class:`DomainError` naming the first key that is not a numeric
+    field of ``cls``, or whose value is not a finite number (an integer
+    where the field's default is one).
+    """
+    section = filecfg.get(name, {})
+    if not isinstance(section, dict):
+        raise DomainError(f"config section {name!r} must be an object, got {section!r}")
+    defaults = cls()
+    for key, value in section.items():
+        default = getattr(defaults, key, None)
+        if key.startswith("_") or isinstance(default, bool) or not isinstance(default, (int, float)):
+            raise DomainError(f"config section {name!r} has no setting {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) \
+                or (isinstance(default, int) and not isinstance(value, int)):
+            kind = "an integer" if isinstance(default, int) else "a finite number"
+            raise DomainError(f"config setting {name}.{key} must be {kind}, got {value!r}")
+    return cls(**section)
+
+
 def _run_config(args, rows) -> RunConfig:
     """Flags-plus-file configuration; flag values override file values."""
     filecfg = _load_config_file(getattr(args, "config", None))
@@ -111,9 +133,8 @@ def _run_config(args, rows) -> RunConfig:
         v0_from_atm_vol = one_month.atm_vol
     fix = FixSet(fixed=fix_map, v0_from_atm_vol=v0_from_atm_vol) if (fix_map or v0_from_atm_vol) else None
 
-    optimizer = OptimizerConfig(**filecfg.get("optimizer", {}))
-    if "quadrature" in filecfg:
-        optimizer = replace(optimizer, quad=QuadratureConfig(**filecfg["quadrature"]))
+    optimizer = _config_section(OptimizerConfig, filecfg, "optimizer")
+    optimizer = replace(optimizer, quad=_config_section(QuadratureConfig, filecfg, "quadrature"))
 
     prev_params = None
     prev_path = getattr(args, "prev", None)

@@ -212,7 +212,7 @@ def cf_heston(u: ArrayLike, p: HestonParams, T: ArrayLike) -> ArrayLike:
 
     Accepts scalar or array ``u`` (complex allowed) and a scalar ``T`` or an
     array of expiries broadcast against ``u``; must stay finite for |u| up
-    to the quadrature truncation bound.
+    to the end of the pricer's integration range.
     """
     arr, T, scalar = _as_u_array(u, T)
     out = _kernels.heston_cf_vals(arr, p.v0, p.theta, p.kappa, p.sigma, p.rho, T)

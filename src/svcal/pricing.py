@@ -7,14 +7,21 @@ identically whenever the model degenerates to deterministic variance.  The
 characteristic function does not depend on the strike, so every strike of
 an expiry integrates on the same Gauss-Kronrod 15(7) panels.
 
-Pricing is "size, then evaluate".  Sizing splits each expiry's panels until
-every strike's summed |K15 - G7| estimate is within the tolerance, then
-freezes them.  An evaluation is one array computation over the frozen
-panels of every expiry: one CF call (with each expiry's cf(0) and cf(-i/2)
-probes), a contraction against strike matrices built at freezing, the
-vectorized Black control variate and, for vols, one vectorized inversion.
-Every evaluation checks the estimate again and re-sizes any expiry that
-misses the tolerance at the new parameters, so each price keeps the bound.
+Pricing is "size, then evaluate".  Each expiry integrates over its own
+range [0, U_b], and a strike's error is its summed |K15 - G7| estimate
+plus an estimate of the integral's tail beyond U_b (:func:`_tail_estimates`).
+Sizing splits an expiry's panels where the estimate misses the tolerance,
+and appends panels past U_b where the tail does, until every strike's sum
+is within it, then freezes them; each sizing round evaluates the CF at the
+new panels' nodes only.  An evaluation is one array computation
+over the frozen panels of every expiry: one CF call (with each expiry's
+cf(0) and cf(-i/2) probes), a contraction against strike matrices built at
+freezing, the vectorized Black control variate and, for vols, one
+vectorized inversion.  Every evaluation checks the sum again and re-sizes
+any expiry that misses the tolerance at the new parameters, so each price
+keeps its error estimate within the tolerance; an expiry whose tail
+estimate has fallen well inside the tolerance drops its trailing panels,
+so its range follows the CF's decay both ways.
 A CF that returns its parameter derivatives as extra rows gets the prices'
 (or vols') derivatives from the same evaluation steps, so a calibration
 prices and differentiates the surface in one evaluation per parameter set.
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -56,20 +63,21 @@ class OptionSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Frequency truncation, absolute tolerance and evaluation budget.
+    """Absolute tolerance and evaluation budget.
 
-    ``tolerance`` bounds each strike's summed |K15 - G7| estimate on every
-    evaluation; ``max_evals`` bounds each expiry's sizing, counting the
-    nodes of the panels it starts from and of every half it splits off.
+    ``tolerance`` bounds, on every evaluation, each strike's summed
+    |K15 - G7| estimate plus the estimated tail beyond its expiry's range:
+    the error of the integral, so a price is within df * sqrt(F*K) / pi
+    times it.  Each expiry's range starts at ``_START_RANGE`` and then
+    follows the tail estimate.  ``max_evals`` bounds each expiry's sizing,
+    counting the nodes of the panels it starts from, of every half it
+    splits off and of every panel it appends.
     """
 
-    truncation: float = 200.0
     tolerance: float = 1e-10
     max_evals: int = 20000
 
     def __post_init__(self):
-        if self.truncation <= 0:
-            raise DomainError(f"truncation must be > 0, got {self.truncation}")
         if self.tolerance <= 0:
             raise DomainError(f"tolerance must be > 0, got {self.tolerance}")
 
@@ -247,8 +255,25 @@ _WG15[[1, 3, 5, 7, 9, 11, 13]] = [
     0.129484966168870,
 ]
 
+# least-squares line through 15 values at the Kronrod nodes of a panel: its
+# value at the right end, and its rise over the half-width
+_LINE = np.stack([1.0 / 15.0 + _XGK / (_XGK @ _XGK), _XGK / (_XGK @ _XGK)], axis=1)
+
 # cf(0) = 1 checks the CF; cf(-i/2) gives the control-variate variance
 _PROBE = np.array([0.0 + 0j, -0.5j])
+
+# the range [0, _START_RANGE] each expiry's first sizing starts from: of 50, 100,
+# 200 and 400, the fewest nodes over one-shot prices from 1W to 5Y, and within
+# 8% of the fewest (at 400) over a Heston fit
+_START_RANGE = 200.0
+# a block drops trailing panels while the tail estimate at its new end stays within
+# this share of the tolerance, and an extension aims its tail estimate there.  It
+# extends only once a strike misses the whole tolerance, so a range keeps the
+# rest of the tolerance as margin and does not flip between the two.
+_TRIM_SHARE = 1.0 / 32.0
+# |phi| at or below this counts as 0
+_TINY = 1e-300
+_LOG_TINY = math.log(_TINY)
 
 
 def _panel_nodes(los: np.ndarray, his: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -263,14 +288,56 @@ def _split(los: np.ndarray, his: np.ndarray, errs: np.ndarray, tol: float):
     ``errs`` holds the |K15 - G7| estimate of each short integrand (row) on
     each panel.  Every panel on which one of them has an error above its
     share of ``tol`` is split in half; failing that, the worst panel is.
-    Returns the kept panels followed by the new halves.
+    Returns the panels in ascending order.
     """
     split = (errs > tol / (2.0 * len(los))).any(axis=0)
     if not split.any():
         split[int(np.argmax(errs.max(axis=0)))] = True
     mids = 0.5 * (los[split] + his[split])
-    return (np.concatenate([los[~split], los[split], mids]),
-            np.concatenate([his[~split], mids, his[split]]))
+    los = np.concatenate([los[~split], los[split], mids])
+    order = np.argsort(los, kind="stable")
+    return los[order], np.concatenate([his[~split], mids, his[split]])[order]
+
+
+def _tail_estimates(absphi: np.ndarray, half: np.ndarray, right: np.ndarray, w):
+    """Estimates of int_U^inf |phi_cv - phi|(u - i/2) / (u^2 + 1/4) du beyond the right end U of each panel.
+
+    ``absphi``, shape (panels, 15), holds |phi| at each panel's nodes,
+    ``half`` and ``right`` each panel's half-width and right end U, and
+    ``w`` the control-variate variance of each panel's block.  The estimate is the sum of two parts.  The control variate's is
+    closed form: |phi_cv(u - i/2)| = exp(-w (u^2 + 1/4) / 2).  The model's
+    extrapolates |phi| beyond U at the exponential rate r of a least-squares
+    line through log|phi| on the panel: |phi(U)| / ((U^2 + 1/4) r).  That
+    is an upper bound where log|phi| is concave beyond U, as for Heston;
+    for other models it is an estimate.  A panel on which |phi| does not
+    decay gives an infinite estimate, one on which it is 0 an estimate of
+    0.  Returns the model parts, the control-variate parts and the fitted
+    rates.
+    """
+    line = np.log(np.maximum(absphi, _TINY)) @ _LINE  # the line at U, and its rise over the half-width
+    rate = -line[:, 1] / half
+    uu = right * right + 0.25
+    model = np.divide(np.exp(line[:, 0]), uu * rate, out=np.full(len(rate), np.inf), where=rate > 0.0)
+    model[line[:, 0] <= _LOG_TINY] = 0.0
+    sw = np.sqrt(w)
+    cv = np.exp(-0.125 * w) * math.sqrt(2.0 * math.pi) / sw * ndtr(-right * sw) / uu
+    return model, cv, rate
+
+
+def _reach(U: float, model: float, cv: float, rate: float, w: float, target: float) -> float:
+    """Where a block's range should end for its tail estimate beyond U to fall to ``target``.
+
+    Each part of the estimate aims at half of it: the model's at its fitted
+    rate, the control variate's by its Gaussian decay.  A model part that
+    does not decay doubles the range.
+    """
+    reach = U
+    if model > 0.5 * target:
+        decays = rate > 0.0 and math.isfinite(model)
+        reach = U + math.log(2.0 * model / target) / rate if decays else 2.0 * U
+    if cv > 0.5 * target:
+        reach = max(reach, math.sqrt(U * U + 2.0 * math.log(2.0 * cv / target) / w))
+    return reach
 
 
 def _strike_weights(u: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -299,25 +366,35 @@ class SurfaceGrid:
     The call value at strike K is
 
         C = df * [ Black(F, K, T, vol_cv)
-                   + sqrt(F*K)/pi * int_0^trunc Re[e^{iuk}(phi_cv - phi)(u - i/2)]
+                   + sqrt(F*K)/pi * int_0^U_b Re[e^{iuk}(phi_cv - phi)(u - i/2)]
                                       / (u^2 + 1/4) du ],   k = ln(F/K),
 
     with the control-variate variance w = -8 ln cf(-i/2), which matches the
-    model's lognormal limit exactly; puts follow by parity.
+    model's lognormal limit exactly; puts follow by parity.  U_b is the
+    upper limit of expiry block b's panels.
 
     Every evaluation makes one CF call over the frozen nodes of every block,
     each block's cf(0) and cf(-i/2) probes first, and checks each strike's
-    summed |K15 - G7| estimate against ``cfg.tolerance``.  A block that
-    misses it is sized: :func:`_split` refines its panels and the
-    evaluation repeats until every strike meets the tolerance.  The first
-    evaluation sizes every block from uniform start panels; later ones keep
-    the panels, so prices depend on the CFs evaluated before, each within
-    the tolerance.  A block's panels never depend on the other blocks.
+    summed |K15 - G7| estimate plus its block's tail estimate beyond U_b
+    (:func:`_tail_estimates`; |e^{iuk}| = 1, so one estimate serves every
+    strike) against ``cfg.tolerance``.  A block that misses it is sized:
+    where the tail estimate is above its share of the tolerance, panels
+    appended past U_b extend the range (:func:`_reach`), and :func:`_split`
+    refines the panels of the strikes whose estimate misses the rest; the
+    evaluation repeats, calling the CF at the probes and at the nodes of the
+    new panels only, until every strike meets the tolerance.  A block
+    whose tail estimate beyond its last two panels has fallen within
+    ``_TRIM_SHARE`` of the tolerance drops the panels it no longer needs
+    (:meth:`_trim`) before the prices are taken.  The first evaluation sizes every block from uniform start
+    panels on [0, ``_START_RANGE``]; later ones keep the panels, so prices
+    depend on the CFs evaluated before, each within the tolerance.  A
+    block's panels never depend on the other blocks.
 
     Raises the first failure, in block order: :class:`DomainError` when
     cf(0) != 1, :class:`QuadratureError` with the largest residual
     estimate when sizing a block spends ``cfg.max_evals`` evaluations,
-    counted from the panels it started from, short of the tolerance,
+    counted from the panels it started from, short of the tolerance, or
+    when the range its tail estimate asks for would spend more,
     :class:`NumericalError` naming the strike when a put comes out
     negative (quadrature error larger than its value).  Calls are floored
     at 0.
@@ -395,85 +472,111 @@ class SurfaceGrid:
         return out
 
     def _start_panels(self, b: int):
+        """Block b's uniform start panels on [0, _START_RANGE], sized to its widest strike's oscillation."""
         k_max = float(np.abs(self._k[self._first[b]:self._first[b + 1]]).max())
-        n0 = int(np.clip(math.ceil(self.cfg.truncation * (k_max + 0.5) / 6.0), 8, 96))
-        edges = np.linspace(0.0, self.cfg.truncation, n0 + 1)
+        n0 = int(np.clip(math.ceil(_START_RANGE * (k_max + 0.5) / 6.0), 8, 96))
+        edges = np.linspace(0.0, _START_RANGE, n0 + 1)
         return edges[:-1], edges[1:]
 
-    def _freeze(self) -> None:
-        """Build the CF call's arguments and the strike matrices for the current panels.
+    def _freeze(self, changed) -> None:
+        """Build the CF call's arguments for the current panels, and the strike matrices of the ``changed`` blocks.
 
-        Block b's nodes are ``_u[_nodes[b]:_nodes[b + 1]]``.  From the strike
-        weights e^{iuk}/(u^2 + 1/4) of each (strike, panel, node) it builds
-        two matrices: ``_k15[b]``, shape (nodes, strikes), times the Kronrod
-        weights and half-widths, contracts the integrand to each strike's
-        integral; ``_dk[b]``, shape (panels, 15, strikes), times the
+        Block b's panels are ``_pfirst[b]:_pfirst[b + 1]`` and its nodes
+        ``_u[15 * _pfirst[b]:15 * _pfirst[b + 1]]``, panel by panel.  From the
+        strike weights e^{iuk}/(u^2 + 1/4) of each (strike, panel, node) it
+        builds two matrices: ``_k15[b]``, shape (nodes, strikes), times the
+        Kronrod weights and half-widths, contracts the integrand to each
+        strike's integral; ``_dk[b]``, shape (panels, 15, strikes), times the
         Kronrod-minus-Gauss weights and half-widths, contracts it to each
         (panel, strike)'s K15 - G7.
         """
-        nodes, halves = zip(*(_panel_nodes(los, his) for los, his in self._panels))
-        sizes = [nd.size for nd in nodes]
-        expiries = np.array([sl.expiry for sl in self._slices])
-        self._nodes = np.concatenate([[0], np.cumsum(sizes)])
-        self._u = np.concatenate([nd.ravel() for nd in nodes])
+        counts = [len(los) for los, _ in self._panels]
+        self._pfirst = np.concatenate([[0], np.cumsum(counts)])
+        self._right = np.concatenate([his for _, his in self._panels])
+        nodes, self._half = _panel_nodes(np.concatenate([los for los, _ in self._panels]), self._right)
+        self._set_ends()
+        self._u = nodes.ravel()
         self._uu = self._u * self._u + 0.25
-        self._node_block = np.repeat(np.arange(len(nodes)), sizes)
-        self._z = np.concatenate([np.tile(_PROBE, len(nodes)), self._u - 0.5j])
+        self._node_block = np.repeat(np.arange(len(counts)), 15 * np.array(counts))
+        expiries = np.array([sl.expiry for sl in self._slices])
+        self._z = np.concatenate([np.tile(_PROBE, len(counts)), self._u - 0.5j])
         self._Tz = np.concatenate([np.repeat(expiries, 2), expiries[self._node_block]])
-        weights = [_strike_weights(nd, self._k[self._first[b]:self._first[b + 1], None, None])
-                   for b, nd in enumerate(nodes)]  # (strikes, panels, 15) per block
-        self._k15 = [(w * (_WGK * half[:, None])).reshape(len(w), -1).T for w, half in zip(weights, halves)]
-        self._dk = [np.ascontiguousarray((w * ((_WGK - _WG15) * half[:, None])).transpose(1, 2, 0))
-                    for w, half in zip(weights, halves)]
+        for b in changed:
+            p0, p1 = self._pfirst[b], self._pfirst[b + 1]
+            w = _strike_weights(nodes[p0:p1], self._k[self._first[b]:self._first[b + 1], None, None])
+            half = self._half[p0:p1, None]  # w: (strikes, panels, 15)
+            self._k15[b] = (w * (_WGK * half)).reshape(len(w), -1).T
+            self._dk[b] = np.ascontiguousarray((w * ((_WGK - _WG15) * half)).transpose(1, 2, 0))
+
+    def _set_ends(self) -> None:
+        """Where each block's last panel, then the one before it (the last again in a
+        one-panel block), sits in the CF call, with the panels' half-widths and right ends."""
+        plast = self._pfirst[1:] - 1
+        ends = np.concatenate([plast, np.maximum(plast - 1, self._pfirst[:-1])])
+        self._ends = (2 * len(plast) + 15 * ends[:, None] + np.arange(15), self._half[ends], self._right[ends])
+
+    def _keep(self, kept: np.ndarray) -> None:
+        """The node layout after a trim: every array of the CF call's layout at the nodes ``kept``."""
+        panels = kept[::15]
+        self._pfirst = np.concatenate([[0], np.cumsum([len(los) for los, _ in self._panels])])
+        self._right, self._half = self._right[panels], self._half[panels]
+        self._u, self._uu, self._node_block = self._u[kept], self._uu[kept], self._node_block[kept]
+        call = np.concatenate([np.ones(2 * len(self._panels), dtype=bool), kept])
+        self._z, self._Tz = self._z[call], self._Tz[call]
+        self._set_ends()
 
     def _evaluate(self, cf: CharFn) -> Tuple[np.ndarray, np.ndarray]:
         """Prices, with the rows of :meth:`prices`, and control-variate vols, in block order."""
         if not self._K.size:
             return np.empty(0), np.empty(0)
-        if not self._panels:
-            self._panels = [self._start_panels(b) for b in range(len(self._slices))]
-            self._freeze()
         nb = len(self._slices)
+        if not self._panels:
+            self._panels = [self._start_panels(b) for b in range(nb)]
+            self._width = [float(his[0] - los[0]) for los, his in self._panels]
+            self._k15, self._dk = [None] * nb, [None] * nb
+            self._freeze(range(nb))
         tol = self.cfg.tolerance
         spent: Dict[int, int] = {}  # evaluations of each block being sized, from its panels at the start
+        phi = old = None
         while True:
-            phi = np.asarray(cf(self._z, self._Tz))
-            stacked = phi.ndim > 1
-            phi = phi.reshape(-1, phi.shape[-1])  # the CF, then any derivative rows
+            phi, stacked = self._cf_values(cf, phi, old)  # the CF, then any derivative rows
             probe = phi[:, 1:2 * nb:2]  # cf(-i/2) of each block
             w = _cv_variances(phi[0, :2 * nb].reshape(nb, 2))
             dw = -8.0 * (probe[1:] / probe[0]).real
             # phi_cv - phi at u - i/2, phi_cv the lognormal CF of total variance w, and its derivatives
             cv = np.exp(-0.5 * w[self._node_block] * self._uu)
-            gap = np.concatenate([cv[None], (-0.5 * self._uu * cv) * dw[:, self._node_block]]) - phi[:, 2 * nb:]
+            gap = -phi[:, 2 * nb:]
+            gap[0] += cv
+            gap[1:] += (-0.5 * self._uu * cv) * dw[:, self._node_block]
             # |K15 - G7| of the CF row on each (panel, strike) of each block, and each strike's sum
-            errs = [np.abs((gap[0, self._nodes[b]:self._nodes[b + 1]].reshape(-1, 1, 15) @ dk)[:, 0].real)
+            errs = [np.abs((gap[0, 15 * self._pfirst[b]:15 * self._pfirst[b + 1]].reshape(-1, 1, 15) @ dk)[:, 0].real)
                     for b, dk in enumerate(self._dk)]
             total = np.concatenate([e.sum(axis=0) for e in errs])
-            missed = ~(total <= tol)
+            # the tail estimate beyond each block's last panel (its own) and the one before
+            nodes, half, right = self._ends
+            model, cv_tail, rate = _tail_estimates(np.abs(phi[0, nodes]), half, right, np.concatenate([w, w]))
+            tail = model[:nb] + cv_tail[:nb]
+            missed = ~(total + tail[self._block] <= tol)
+            # blocks whose last two panels could go
+            trims = np.flatnonzero((model + cv_tail).reshape(2, nb).max(axis=0) <= _TRIM_SHARE * tol)
             if not missed.any():
+                kept = self._trim(trims, phi[0], w, errs, tol)
+                if kept is not None:  # the prices come from the panels kept
+                    gap = gap[:, kept]
+                    self._keep(kept)
                 break
-            refined = {}
-            for b in np.unique(self._block[missed]):
-                los, his = self._panels[b]
-                lo, hi = self._first[b], self._first[b + 1]
-                short = missed[lo:hi]
-                used = spent.get(b, los.size * 15)
-                worst = float(total[lo:hi][short].max())
-                if used >= self.cfg.max_evals or not math.isfinite(worst):  # a non-finite CF has no estimate
-                    raise QuadratureError(
-                        f"quadrature used {used} evaluations without reaching tolerance "
-                        f"{tol:g} (residual estimate {worst:g})",
-                        residual=worst,
-                    )
-                refined[b] = _split(los, his, errs[b][:, short].T, tol)
-                spent[b] = used + 30 * (len(refined[b][0]) - len(los))  # two new halves per split panel
-            for b, panels in refined.items():
-                self._panels[b] = panels
-            self._freeze()
+            old = list(self._panels)  # the panels phi holds, before this round changes them
+            resized = np.unique(self._block[missed])
+            sized = {b: self._resize(b, errs[b], total, tail[b], (model[b], cv_tail[b], rate[b]), float(w[b]),
+                                     spent.get(b, self._panels[b][0].size * 15)) for b in resized}
+            self._trim(np.setdiff1d(trims, resized), phi[0], w, errs, tol)
+            for b, (los, his, used) in sized.items():
+                self._panels[b] = (los, his)
+                spent[b] = used
+            self._freeze(resized)
         integrals = np.empty((len(phi), self._K.size))
         for b in range(nb):  # the same contraction for every row
-            g = gap[:, self._nodes[b]:self._nodes[b + 1]]
+            g = gap[:, 15 * self._pfirst[b]:15 * self._pfirst[b + 1]]
             integrals[:, self._first[b]:self._first[b + 1]] = (g @ self._k15[b]).real
         F, K = self._F, self._K
         w = w[self._block]
@@ -496,6 +599,107 @@ class SurfaceGrid:
                 f"{float(prices[0, i]):.6g} < 0: Fourier quadrature error exceeds the option value"
             )
         return (prices if stacked else prices[0]), vol_cv
+
+    def _cf_values(self, cf: CharFn, phi: Optional[np.ndarray], old) -> Tuple[np.ndarray, bool]:
+        """The CF's rows at the probes and at every node of the current panels, and whether it stacks rows.
+
+        After a sizing round, ``phi`` holds the rows on the panels ``old``:
+        ``cf`` is then called at the probes and at the nodes of the panels
+        not in ``old`` only, and the rest are copied, as the parameters have
+        not changed.
+        """
+        if phi is None:
+            values = np.asarray(cf(self._z, self._Tz))
+            return values.reshape(-1, values.shape[-1]), values.ndim > 1
+        src, start = [], 0  # each current panel's index in the old layout, or -1
+        for (los, his), (lo, hi) in zip(old, self._panels):
+            i = np.minimum(np.searchsorted(los, lo), len(los) - 1)
+            src.append(np.where((los[i] == lo) & (his[i] == hi), start + i, -1))
+            start += len(los)
+        src = np.concatenate(src)
+        new = np.concatenate([np.ones(2 * len(old), dtype=bool), np.repeat(src < 0, 15)])
+        values = np.asarray(cf(self._z[new], self._Tz[new]))
+        out = np.empty((len(phi), new.size), dtype=complex)
+        out[:, new] = values.reshape(len(phi), -1)
+        out[:, ~new] = phi[:, 2 * len(old):].reshape(len(phi), -1, 15)[:, src[src >= 0]].reshape(len(phi), -1)
+        return out, values.ndim > 1
+
+    def _resize(self, b: int, errs: np.ndarray, total: np.ndarray, tail: float, parts, w: float, used: int):
+        """Block b's panels sized once more, and the evaluations its sizing has then spent.
+
+        ``errs`` holds the block's |K15 - G7| estimates per (panel, strike),
+        ``total`` every strike's sum, ``tail`` the block's tail estimate and
+        ``parts`` its model part, control-variate part and fitted rate at the
+        last panel.  Where the tail estimate is above its share of the
+        tolerance, panels appended past U_b extend the range to where
+        :func:`_reach` puts it; :func:`_split` refines the panels of the
+        strikes whose estimate misses the rest.  Changes nothing on the grid.
+
+        Raises :class:`QuadratureError` when the sizing has already spent
+        ``cfg.max_evals``, when the estimate is not finite (a non-finite CF
+        has none), or when the extension would spend more than the rest of
+        the budget.
+        """
+        tol, budget = self.cfg.tolerance, self.cfg.max_evals
+        los, his = self._panels[b]
+        total = total[self._first[b]:self._first[b + 1]]
+        # the tail's share of the tolerance: its estimate, or the trim share once the range extends
+        share = min(tail, _TRIM_SHARE * tol)
+        n = 0
+        if tail > share:
+            U = float(his[-1])
+            reach = _reach(U, *(float(x) for x in parts), w, _TRIM_SHARE * tol)
+            n = max(1, math.ceil((reach - U) / self._width[b]))  # panels no wider than at the start
+        if used >= budget or not np.isfinite(total).all() or used + 15 * n > budget:
+            worst = float(np.max(total + tail))
+            raise QuadratureError(
+                f"quadrature used {used} evaluations without reaching tolerance "
+                f"{tol:g} (residual estimate {worst:g})",
+                residual=worst,
+            )
+        short = total > tol - share
+        if short.any():
+            n_before = len(los)
+            los, his = _split(los, his, errs[:, short].T, tol - share)
+            used += 30 * (len(los) - n_before)  # two new halves per split panel
+        if n:
+            U = float(his[-1])
+            edges = U + max(reach - U, self._width[b]) / n * np.arange(n + 1)
+            los, his = np.concatenate([los, edges[:-1]]), np.concatenate([his, edges[1:]])
+            used += 15 * n
+        return los, his, used
+
+    def _trim(self, blocks, phi: np.ndarray, w: np.ndarray, errs: List[np.ndarray], tol: float) -> Optional[np.ndarray]:
+        """Drop, from each of ``blocks``, the trailing panels it no longer needs.
+
+        ``phi`` holds the CF call's values and ``w`` each block's
+        control-variate variance.  A cut after panel p holds when the tail
+        estimate beyond p is within the trim share of ``tol`` and, added to
+        each strike's |K15 - G7| sum over the panels up to p, within ``tol``.
+        A block keeps its panels up to the first cut from which every later
+        cut holds too, so a trimmed block trims no further at the same CF.
+        The strike matrices keep their rows for the panels kept; the node
+        layout is left to the caller (:meth:`_keep`, or :meth:`_freeze` in a
+        sizing round).  Returns the mask of the nodes kept, in the layout
+        before the trim, or None when nothing goes.
+        """
+        kept = None
+        for b in blocks:
+            p0, p1 = self._pfirst[b], self._pfirst[b + 1]
+            absphi = np.abs(phi[2 * len(w) + 15 * p0:2 * len(w) + 15 * p1]).reshape(-1, 15)
+            model, cv, _ = _tail_estimates(absphi, self._half[p0:p1], self._right[p0:p1], w[b])
+            tails = model + cv
+            holds = (tails <= _TRIM_SHARE * tol) & (np.cumsum(errs[b], axis=0).max(axis=1) + tails <= tol)
+            fails = np.flatnonzero(~holds)
+            n = int(fails[-1]) + 2 if fails.size else 1
+            if n >= p1 - p0:
+                continue
+            if kept is None:
+                kept = np.ones(self._u.size, dtype=bool)
+            kept[15 * (p0 + n):15 * p1] = False
+            self._panels[b] = tuple(x[:n] for x in self._panels[b])
+            self._k15[b], self._dk[b] = self._k15[b][:15 * n], self._dk[b][:n]
+        return kept
 
 
 def cf_vanilla_price(

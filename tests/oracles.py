@@ -64,8 +64,8 @@ def fourier_integrand(cf, slice_, opts):
     return f, w
 
 
-def adaptive_prices(cf, slice_, opts, truncation=200.0, tol=1e-10, max_evals=200000):
-    """Prices of the options of one expiry, integrated adaptively from scratch."""
+def adaptive_prices(cf, slice_, opts, truncation=800.0, tol=1e-10, max_evals=200000):
+    """Prices of the options of one expiry, integrated adaptively from scratch on [0, truncation]."""
     F, df, T = slice_.forward, slice_.discount, slice_.expiry
     k = np.array([math.log(F / opt.strike) for opt in opts])
     f, w = fourier_integrand(cf, slice_, opts)

@@ -161,9 +161,9 @@ class TestSurfaceResidual:
         x = prob.x_from_params(self.EURUSD_FIT.as_dict())
         rng = np.random.default_rng(5)
         per_eval = []
-        for step in range(8):  # the fit, then steps around it, each with its Jacobian
+        steps = [x + (rng.normal(0.0, 0.05, 5) if step else 0.0) for step in range(8)]
+        for y in steps:  # the fit, then steps around it, each with its Jacobian
             sizes.clear()
-            y = x + (rng.normal(0.0, 0.05, 5) if step else 0.0)
             prob.residuals(y)
             prob.jac(y)
             per_eval.append(list(sizes))
@@ -176,7 +176,10 @@ class TestSurfaceResidual:
         for expiry, sl in target.slices.items():
             alone = CalibrationTarget(tuple(pt for pt in target.points if pt.expiry == expiry), "vol",
                                       {expiry: sl})
-            want = _model_values(self.EURUSD_FIT, alone, _Problem(alone, MODELS["heston"], {}, {}, DEFAULT_QUAD).grid)
+            alone_prob = _Problem(alone, MODELS["heston"], {}, {}, DEFAULT_QUAD)
+            for y in steps:  # the same history: a block's range follows only its own tail
+                alone_prob.residuals(y)
+            want = _model_values(self.EURUSD_FIT, alone, alone_prob.grid)
             got = surface[:, [pt.expiry == expiry for pt in target.points]]
             assert np.array_equal(got, want)
 
@@ -227,8 +230,8 @@ class TestSurfaceResidual:
     def test_negative_put_on_one_expiry_fails_the_residual(self):
         from svcal.calibration import _FAILED_RESIDUAL
 
-        p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.5, rho=0.0)
-        target = self._price_target([(1.0, 1.0, 1.0), (0.25, 1.0, 1.0), (0.25, 1.0, 0.5)])
+        p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.1, rho=0.0)
+        target = self._price_target([(1.0, 1.0, 1.0), (0.1, 1.0, 1.0), (0.1, 1.0, 0.7)])
         assert np.all(self._residuals(target, p) == _FAILED_RESIDUAL)
         assert np.all(self._residuals(self._price_target([(1.0, 1.0, 1.0)]), p) != _FAILED_RESIDUAL)
 
@@ -250,6 +253,16 @@ class TestCalibrate:
             assert res.converged
             for n in PARAM_NAMES:
                 assert getattr(res.params, n) == pytest.approx(getattr(truth, n), abs=1e-4)
+
+    def test_rho_is_reported_at_zero_and_flagged_where_sigma_is_fixed_at_zero(self):
+        # rho's Jacobian column is exactly 0 at sigma = 0, so the solver leaves it at its start
+        res = calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 0.0}), config=OptimizerConfig(starts=1))
+        assert res.params.sigma == 0.0 and res.params.rho == 0.0
+        assert "rho_unidentified" in res.flags
+        rho_fixed = calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 0.0, "rho": -0.3}),
+                              config=OptimizerConfig(starts=1))
+        assert rho_fixed.params.rho == -0.3 and "rho_unidentified" not in rho_fixed.flags
+        assert rho_fixed.rmse == pytest.approx(res.rmse, rel=1e-6)
 
     def test_fixed_kappa_recovery(self):
         truth = HestonParams(0.04, 0.05, 2.0, 0.6, -0.55)
@@ -433,24 +446,31 @@ class TestAnalyticJacobian:
             cf_grad_for(PiecewiseHestonParams(0.04, (1.0,), ((0.04, 1.0, 0.5, -0.5),)))
 
     @staticmethod
-    def _residual_evaluations(monkeypatch, model):
+    def _assert_evaluations_only_at_its_steps(monkeypatch, model):
+        """No finite-difference columns: one evaluation per change of x among the
+        residual and Jacobian requests, and a residual request per nfev plus the
+        reported one."""
         import svcal.calibration
+        from svcal.calibration import _Problem
 
-        calls = []
+        calls, asked = [], []
         values = svcal.calibration._model_values
         monkeypatch.setattr(svcal.calibration, "_model_values", lambda *a: calls.append(1) or values(*a))
+        for name in ("residuals", "jac"):
+            method = getattr(_Problem, name)
+            monkeypatch.setattr(_Problem, name, lambda self, x, m=method, n=name: asked.append(
+                (n, np.array(x, dtype=float))) or m(self, x))
         fit = calibrate(_BUNDLED[0], model, config=OptimizerConfig(starts=1))
         assert fit.converged
-        return len(calls), fit.iterations
+        assert sum(n == "residuals" for n, _ in asked) == fit.iterations + 1
+        changes = 1 + sum(not np.array_equal(a, b) for (_, a), (_, b) in zip(asked, asked[1:]))
+        assert len(calls) == changes
 
     def test_a_heston_fit_evaluates_residuals_only_at_its_steps(self, monkeypatch):
-        # no finite-difference columns: one residual evaluation per nfev, plus the reported one
-        calls, nfev = self._residual_evaluations(monkeypatch, "heston")
-        assert calls == nfev + 1
+        self._assert_evaluations_only_at_its_steps(monkeypatch, "heston")
 
     def test_a_schobel_zhu_fit_evaluates_residuals_only_at_its_steps(self, monkeypatch):
-        calls, nfev = self._residual_evaluations(monkeypatch, "schobel_zhu")
-        assert calls == nfev + 1
+        self._assert_evaluations_only_at_its_steps(monkeypatch, "schobel_zhu")
 
 
 class TestOneEvaluationPerX:
@@ -539,7 +559,8 @@ def _count_solves(monkeypatch, fake=None):
 
 class TestRestarts:
     """_minimize stops restarting once the best start so far and a new start
-    both converged to the same cost and parameters, or at the rmse floor."""
+    both converged to the same parameters and, on the grid as it stands, the
+    same cost, or at the rmse floor."""
 
     X = np.array([-1.0, -0.5, 0.2, 0.3, -0.4])
 
@@ -554,6 +575,9 @@ class TestRestarts:
 
         calls = _count_solves(monkeypatch, iter(results))
         prob = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
+        # the grid's residuals at each result's x carry that result's cost
+        costs = {tuple(r.x): r.cost for r in results}
+        prob.residuals = lambda x: np.array([math.sqrt(2.0 * costs[tuple(np.asarray(x, dtype=float))])])
         best, nfev = _minimize(prob, np.zeros(5), OptimizerConfig(starts=starts))
         return best, nfev, len(calls)
 
@@ -579,7 +603,7 @@ class TestRestarts:
         assert solves == 2 and best is results[0]
 
     @pytest.mark.parametrize("second", [
-        dict(x=X, cost=1.0 + 1e-6),  # costs disagree
+        dict(x=X + 1e-9, cost=1.0 + 1e-6),  # costs disagree
         dict(x=X + np.array([0.0, 0.0, 0.0, 1e-3, 0.0]), cost=1.0),  # parameters disagree
     ])
     def test_disagreeing_starts_lead_to_a_third(self, monkeypatch, second):
@@ -607,7 +631,7 @@ class TestRestarts:
     def test_the_perturbed_starts_are_drawn_from_the_seed(self, monkeypatch):
         from svcal.calibration import MODELS, _minimize, _Problem
 
-        calls = _count_solves(monkeypatch, iter([self._result(self.X, float(c)) for c in (3, 2, 1)]))
+        calls = _count_solves(monkeypatch, iter([self._result(self.X + c, float(c)) for c in (3, 2, 1)]))
         prob = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
         _minimize(prob, self.X, OptimizerConfig(seed=4))
         rng = np.random.default_rng(4)

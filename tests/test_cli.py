@@ -77,6 +77,33 @@ class TestCalibrateCommand:
         assert out == ""
         assert err.startswith("error: --fix expects a")
 
+    @pytest.mark.parametrize("section, message", [
+        ({"quadrature": {"bogus": 1}}, "section 'quadrature' has no setting 'bogus'"),
+        ({"quadrature": {"truncation": 400}}, "section 'quadrature' has no setting 'truncation'"),
+        ({"optimizer": {"starts": "x"}}, "optimizer.starts must be an integer"),
+        ({"optimizer": {"starts": 2.5}}, "optimizer.starts must be an integer"),
+        ({"optimizer": {"quad": {}}}, "section 'optimizer' has no setting 'quad'"),
+        ({"quadrature": {"tolerance": "tight"}}, "quadrature.tolerance must be a finite number"),
+        ({"quadrature": {"max_evals": True}}, "quadrature.max_evals must be an integer"),
+        ({"quadrature": [1]}, "section 'quadrature' must be an object"),
+        ({"optimizer": {"max_nfev": 0}}, "max_nfev must be >= 1"),
+    ])
+    def test_bad_config_section_is_input_error_naming_the_key(self, capsys, tmp_path, flat_file, section, message):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(section))
+        code, out, err = run_cli(capsys, "calibrate", "--quotes", str(flat_file), "--config", str(cfgp))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_config_sections_set_optimizer_and_quadrature(self, capsys, tmp_path, flat_file):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"optimizer": {"starts": 1, "retry_rmse": 1e-4},
+                                    "quadrature": {"tolerance": 1e-9, "max_evals": 30000}}))
+        code, out, _ = run_cli(capsys, "calibrate", "--quotes", str(flat_file), "--config", str(cfgp))
+        assert code == 0
+        assert json.loads(out)["records"]
+
     def test_a_fit_whose_every_price_failed_exits_2(self, capsys):
         code, out, _ = run_cli(
             capsys, "calibrate", "--quotes", str(DATA_CSV),
@@ -195,12 +222,13 @@ class TestPriceCommand:
 
     def test_negative_put_is_numerical_failure(self, capsys, tmp_path):
         p = tmp_path / "params.json"
-        p.write_text(json.dumps({"v0": 0.01, "theta": 0.01, "kappa": 1.0, "sigma": 0.5, "rho": 0.0}))
+        # quadrature error within the tolerance exceeds the put's value of about 1e-28
+        p.write_text(json.dumps({"v0": 0.01, "theta": 0.01, "kappa": 1.0, "sigma": 0.1, "rho": 0.0}))
         code, out, err = run_cli(capsys, "price", "--params", str(p),
-                                 "--strike", "0.5", "--expiry", "0.25", "--kind", "put")
+                                 "--strike", "0.7", "--expiry", "0.1", "--kind", "put")
         assert code == 2
         assert out == ""
-        assert err.startswith("numerical failure:") and "strike 0.5" in err
+        assert err.startswith("numerical failure:") and "strike 0.7" in err
 
     @pytest.mark.parametrize("kind", ["call", "put"])
     def test_no_time_value_is_numerical_failure_not_vol_zero(self, capsys, tmp_path, kind):

@@ -24,9 +24,11 @@ from svcal.pricing import (
     OptionSpec,
     QuadratureConfig,
     SurfaceGrid,
+    _XGK,
     _black_undisc,
     _implied_vols,
     _split,
+    _tail_estimates,
     bs_implied_vol,
     bs_price,
     cf_vanilla_price,
@@ -44,6 +46,11 @@ HESTON_ATM_PIN = 6.792914739874955
 
 def heston_cf_fn(p):
     return lambda u, T: cf_heston(u, p, T)
+
+
+def _stated_bound(sl, opt, cfg=DEFAULT_QUAD):
+    """df * sqrt(F*K) / pi * tolerance: the price error the tolerance on the integral allows."""
+    return sl.discount * math.sqrt(sl.forward * opt.strike) / math.pi * cfg.tolerance
 
 
 def _integrate(f, a, b, n0, tol, max_evals):
@@ -173,7 +180,7 @@ class TestFourierPricer:
             assert calls[i - 1] - 2 * calls[i] + calls[i + 1] > -1e-8
 
     def test_eval_budget_failure_carries_residual(self, base_heston):
-        cfg = QuadratureConfig(truncation=200.0, tolerance=1e-14, max_evals=200)
+        cfg = QuadratureConfig(tolerance=1e-14, max_evals=200)
         with pytest.raises(QuadratureError) as exc:
             cf_vanilla_price(heston_cf_fn(base_heston), SLICE_100, OptionSpec(100.0, 1.0, "call"), cfg)
         assert exc.value.residual > 0
@@ -188,12 +195,88 @@ class TestFourierPricer:
         np.testing.assert_allclose(vals, [1.0, want], rtol=0, atol=1e-10)
 
     def test_negative_put_raises_instead_of_returning(self):
-        # truncation error at the default 200 exceeds this deep OTM put's value:
-        # the raw price is -2.0e-8, which must not reach a caller
+        # quadrature error within the tolerance exceeds this deep OTM put's
+        # value of about 1e-28: the raw price is -3.0e-12, which must not reach a caller
+        p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.1, rho=0.0)
+        sl = MarketSlice(forward=1.0, discount=1.0, expiry=0.1)
+        with pytest.raises(NumericalError, match="strike 0.7"):
+            cf_vanilla_price(heston_cf_fn(p), sl, OptionSpec(0.7, 0.1, "put"))
+
+    def test_deep_otm_put_with_a_slow_cf_tail_matches_the_oracle(self):
+        # once priced at -2.0e-8 by truncating at u = 200, where this CF's tail
+        # was still 2e-8 of the integral: the range now follows the tail
         p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.5, rho=0.0)
         sl = MarketSlice(forward=1.0, discount=1.0, expiry=0.25)
-        with pytest.raises(NumericalError, match="strike 0.5"):
-            cf_vanilla_price(heston_cf_fn(p), sl, OptionSpec(0.5, 0.25, "put"))
+        opt = OptionSpec(0.5, 0.25, "put")
+        want = adaptive_prices(heston_cf_fn(p), sl, [opt], truncation=800.0)[0]
+        got = cf_vanilla_price(heston_cf_fn(p), sl, opt)
+        assert abs(got - want) <= _stated_bound(sl, opt)
+
+    def test_one_week_atm_within_the_stated_bound(self):
+        # the EUR/USD Heston fit one week out: truncating at u = 200 gave
+        # 0.0073417932, 1.0e-7 off; the reference integrates to u = 800
+        p = HestonParams(v0=0.0178, theta=0.0135, kappa=1.31, sigma=0.29, rho=-0.14)
+        sl = MarketSlice(forward=1.0, discount=1.0, expiry=1.0 / 52.0)
+        opt = OptionSpec(1.0, 1.0 / 52.0, "call")
+        got = cf_vanilla_price(heston_cf_fn(p), sl, opt)
+        assert abs(got - 0.0073416914376) <= _stated_bound(sl, opt)
+
+    def test_far_wing_within_the_stated_bound_or_no_vol(self):
+        # truncating at u = 200 gave 3.68e-8 and a vol of 71.0%; the reference
+        # (u = 800) is 1.38e-14, a vol of about 48%, far below the bound
+        p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.5, rho=0.0)
+        sl = MarketSlice(forward=1.0, discount=1.0, expiry=0.1)
+        opt = OptionSpec(3.0, 0.1, "call")
+        got = cf_vanilla_price(heston_cf_fn(p), sl, opt)
+        assert abs(got - 1.38e-14) <= _stated_bound(sl, opt)
+        try:
+            vol = model_implied_vol(sl, opt, got)
+        except NumericalError:
+            return  # no time value above the quadrature's resolution
+        assert vol == pytest.approx(0.48, abs=0.01)
+
+    @pytest.mark.parametrize("params, expiry, right", [
+        (HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.5, rho=0.0), 0.1, 400.0),
+        (HestonParams(v0=0.0178, theta=0.0135, kappa=1.31, sigma=0.29, rho=-0.14), 1.0 / 52.0, 3600.0),
+        (HestonParams(v0=0.0178, theta=0.0135, kappa=1.31, sigma=0.29, rho=-0.14), 5.0, 100.0),
+        (HestonParams(v0=0.04, theta=0.09, kappa=3.0, sigma=1.0, rho=-0.9), 1.0, 100.0),
+    ])
+    def test_fitted_tail_rate_matches_the_heston_asymptote(self, params, expiry, right):
+        # log|phi(u)| ~ -u (v0 + kappa theta T) sqrt(1 - rho^2) / sigma for large u
+        # (Lord & Kahl 2007), fitted on a panel of width 1 ending where sigma u T >= 20
+        p = params
+        want = (p.v0 + p.kappa * p.theta * expiry) * math.sqrt(1.0 - p.rho**2) / p.sigma
+        u = right - 0.5 + 0.5 * _XGK
+        absphi = np.abs(cf_heston(u - 0.5j, p, np.full(15, expiry)))[None]
+        _, _, rate = _tail_estimates(absphi, np.array([0.5]), np.array([right]), 0.01)
+        assert rate[0] == pytest.approx(want, rel=0.02)
+
+    @pytest.mark.parametrize("params, expiry, strike", [
+        (BatesParams(HestonParams(0.01, 0.04, 1.0, 0.8, -0.6), 1.0, -0.1, 0.15), 1.0 / 52.0, 1.0),
+        (BatesParams(HestonParams(0.04, 0.02, 3.0, 0.3, 0.2), 1.5, 0.05, 0.05), 0.1, 0.7),
+        (SchobelZhuParams(v0=0.1, theta=0.2, kappa=1.0, sigma=0.4, rho=-0.5), 1.0 / 52.0, 1.0),
+        (SchobelZhuParams(v0=0.3, theta=0.15, kappa=4.0, sigma=0.1, rho=0.6), 0.25, 1.4),
+    ])
+    def test_tail_estimate_against_the_tail_integrated_to_ten_times_the_range(self, params, expiry, strike):
+        # log|phi| is not concave in u for these models, so the fitted rate is an
+        # estimate: at short expiries it must not understate the tail by more than 25%
+        cf = cf_for(params)
+        sl = MarketSlice(forward=1.0, discount=1.0, expiry=expiry)
+        grid = SurfaceGrid([(sl, OptionSpec(strike, expiry, "call"))])
+        grid.prices(cf)
+        los, his = grid._panels[0]
+        right, half = float(his[-1]), 0.5 * float(his[-1] - los[-1])
+        w = -8.0 * math.log(abs(cf(np.array([-0.5j]), np.array([expiry]))[0]))
+        absphi = np.abs(cf(right - half + half * _XGK - 0.5j, np.full(15, expiry)))[None]
+        model, cv, _ = _tail_estimates(absphi, np.array([half]), np.array([right]), w)
+
+        def gap(u):
+            return abs(math.exp(-0.5 * w * (u * u + 0.25)) - cf(np.array([u - 0.5j]), np.array([expiry]))[0]) \
+                / (u * u + 0.25)
+
+        edges = np.linspace(right, 10.0 * right, 101)
+        tail = sum(quad(gap, a, b, limit=200, epsabs=1e-20)[0] for a, b in zip(edges[:-1], edges[1:]))
+        assert 0.0 < tail <= 1.25 * (model[0] + cv[0])
 
     def test_cf_receives_an_array_of_expiries_broadcast_against_u(self, base_heston):
         seen = []
@@ -329,8 +412,7 @@ class TestBruteForceOracles:
         assert expected_mean_variance(p, T) == pytest.approx(mc, abs=3 * se + 2e-5)
 
 
-# random admissible parameters for the slice-pricer properties; kept away from
-# the low-variance short-expiry corner where truncation at 200 is visible
+# random admissible parameters for the slice-pricer properties
 _vol_var = st.floats(0.01, 0.2)
 _heston = st.builds(HestonParams, v0=_vol_var, theta=_vol_var, kappa=st.floats(0.2, 5.0),
                     sigma=st.floats(0.1, 1.0), rho=st.floats(-0.9, 0.9))
@@ -348,7 +430,7 @@ def _strike_lists(min_size, max_size):
 
 _strikes = _strike_lists(3, 8)
 _slice = st.builds(MarketSlice, forward=st.just(1.0), discount=st.floats(0.9, 1.0),
-                   expiry=st.floats(0.25, 2.0))
+                   expiry=st.floats(1.0 / 52.0, 2.0))
 _props = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
@@ -381,9 +463,16 @@ class TestSlicePricerProperties:
     def test_parity_monotone_and_convex_in_strike(self, params, sl, strikes):
         cf = cf_for(params)
         calls = _slice_prices(cf, sl, _opts(sl, strikes, "call"))
-        puts = _slice_prices(cf, sl, _opts(sl, strikes, "put"))
         ks = np.array(strikes)
-        np.testing.assert_allclose(calls - puts, sl.discount * (sl.forward - ks), rtol=0, atol=1e-12)
+        for k in strikes:  # each pair on its own grid, where a put that raises takes no other put with it
+            call = _slice_prices(cf, sl, _opts(sl, [k], "call"))[0]
+            try:
+                put = _slice_prices(cf, sl, _opts(sl, [k], "put"))[0]
+            except NumericalError:
+                # a deep out-of-the-money put below the quadrature's resolution comes out negative
+                assert k < sl.forward and call < sl.discount * (sl.forward - k)
+                continue
+            assert abs(call - put - sl.discount * (sl.forward - k)) <= 1e-12
         slack = 1e-9
         assert np.all(np.diff(calls) <= slack)
         slopes = np.diff(calls) / np.diff(ks)
@@ -392,7 +481,7 @@ class TestSlicePricerProperties:
     @_props
     @given(params=_params, sl=_slice, strikes=_strikes)
     def test_budget_exhaustion_carries_residual(self, params, sl, strikes):
-        cfg = QuadratureConfig(tolerance=1e-16, max_evals=200)
+        cfg = QuadratureConfig(tolerance=1e-30, max_evals=200)
         with pytest.raises(QuadratureError) as exc:
             _slice_prices(cf_for(params), sl, _opts(sl, strikes, "call"), cfg)
         assert exc.value.residual > 0
@@ -406,14 +495,15 @@ class TestSlicePricerProperties:
 
 
 @st.composite
-def _surfaces(draw, max_expiries=7, strike_lists=_strikes):
-    """1 to ``max_expiries`` distinct expiries, each with its own strikes and a mix of calls and puts."""
+def _surfaces(draw, max_expiries=7, strike_lists=_strikes, expiries=st.floats(0.25, 2.0),
+              kinds=st.sampled_from(["call", "put"])):
+    """1 to ``max_expiries`` distinct expiries, each with its own strikes and a mix of ``kinds``."""
     legs = []
-    for T in draw(st.lists(st.floats(0.25, 2.0), min_size=1, max_size=max_expiries, unique=True)):
+    for T in draw(st.lists(expiries, min_size=1, max_size=max_expiries, unique=True)):
         sl = MarketSlice(forward=1.0, discount=draw(st.floats(0.9, 1.0)), expiry=T)
         strikes = draw(strike_lists)
-        kinds = draw(st.lists(st.sampled_from(["call", "put"]), min_size=len(strikes), max_size=len(strikes)))
-        legs.append((sl, [OptionSpec(k, T, kind) for k, kind in zip(strikes, kinds)]))
+        drawn = draw(st.lists(kinds, min_size=len(strikes), max_size=len(strikes)))
+        legs.append((sl, [OptionSpec(k, T, kind) for k, kind in zip(strikes, drawn)]))
     return legs
 
 
@@ -431,33 +521,54 @@ class TestSurfacePricer:
         calls = []
 
         def cf(u, T):
-            calls.append((u.copy(), T.copy()))
+            calls.append((u.copy(), T.copy(), sum(grid.panels)))
             return cf_heston(u, base_heston, T)
 
         legs = [(MarketSlice(100.0, 1.0, T), [OptionSpec(100.0, T, "call")]) for T in (0.05, 1.0, 2.0)]
         grid = _grid_of(legs)
         first = grid.prices(cf)
         assert len(calls) > 1  # sizing: an expiry refined its start panels
-        for u, T in calls:  # each expiry's cf(0) and cf(-i/2) probes lead every call
+        for u, T, _ in calls:  # each expiry's cf(0) and cf(-i/2) probes lead every call
             np.testing.assert_array_equal(u[:6], np.tile([0.0, -0.5j], 3))
             np.testing.assert_array_equal(T[:6], np.repeat([0.05, 1.0, 2.0], 2))
-        u, T = calls[-1]
-        assert len(u) == 6 + 15 * sum(grid.panels)  # the last call covers the frozen panels
+        # the first call covers every panel; a sizing round's call only the nodes no earlier call had
+        assert len(calls[0][0]) == 6 + 15 * calls[0][2]
+        for i, (u, _, panels) in enumerate(calls[1:], 1):
+            assert 6 < len(u) < 6 + 15 * panels
+            assert not np.isin(u[6:], np.concatenate([v[6:] for v, _, _ in calls[:i]])).any()
         calls.clear()
+        assert np.array_equal(grid.prices(cf), first)
+        assert len(calls) == 1 and len(calls[0][0]) == 6 + 15 * sum(grid.panels)
+        u, T, _ = calls.pop()
         assert np.array_equal(grid.prices(cf), first)
         assert len(calls) == 1 and np.array_equal(calls[0][0], u) and np.array_equal(calls[0][1], T)
         assert np.array_equal(first, _grid_of(legs).prices(cf))
 
     def test_budget_too_small_for_one_expiry_raises_quadrature_error(self, base_heston):
-        # 255 evaluations is the first round of 17 panels: enough for the
-        # short expiry, not for the long one
-        cfg = QuadratureConfig(max_evals=255)
+        # 300 evaluations are the first round of 17 panels and three splits: enough
+        # for the long expiry, not for the short one's range extension of 9 panels
+        cfg = QuadratureConfig(max_evals=300)
         short = (MarketSlice(100.0, 1.0, 0.05), [OptionSpec(100.0, 0.05, "call")])
         long = (MarketSlice(100.0, 1.0, 1.0), [OptionSpec(100.0, 1.0, "call")])
-        _grid_of([short], cfg).prices(heston_cf_fn(base_heston))  # the short expiry fits the budget
+        _grid_of([long], cfg).prices(heston_cf_fn(base_heston))  # the long expiry fits the budget
         with pytest.raises(QuadratureError) as exc:
-            _grid_of([short, long], cfg).prices(heston_cf_fn(base_heston))
+            _grid_of([long, short], cfg).prices(heston_cf_fn(base_heston))
         assert exc.value.residual > 0
+
+    def test_a_budget_failure_leaves_the_grid_consistent(self):
+        # at ``wild`` the one-week expiry's range runs out of budget in a round in
+        # which other expiries re-size or trim: the failing round changes no panels
+        benign = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=0.3, rho=0.0)
+        wild = HestonParams(v0=0.0005, theta=0.5, kappa=5.0, sigma=3.0, rho=0.97)
+        legs = [(MarketSlice(1.0, 1.0, T), [OptionSpec(K, T, "call") for K in (0.9, 1.0, 1.1)])
+                for T in (1.0 / 52.0, 0.5, 5.0)]
+        grid = _grid_of(legs, QuadratureConfig(max_evals=1000))
+        grid.prices(cf_for(benign))
+        with pytest.raises(QuadratureError):
+            grid.prices(cf_for(wild))
+        got = grid.prices(cf_for(benign))
+        want = np.concatenate([adaptive_prices(cf_for(benign), sl, opts) for sl, opts in legs])
+        assert np.all(np.abs(got - want) <= _oracle_bound(legs))
 
     def test_non_normalized_cf_on_one_expiry_raises_domain_error(self, base_heston):
         bad = lambda u, T: np.where(T > 1.5, 2.0, 1.0) * cf_heston(u, base_heston, T)
@@ -467,10 +578,10 @@ class TestSurfacePricer:
             _grid_of(legs).prices(bad)
 
     def test_negative_put_on_one_expiry_raises_numerical_error(self):
-        p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.5, rho=0.0)
+        p = HestonParams(v0=0.01, theta=0.01, kappa=1.0, sigma=0.1, rho=0.0)
         legs = [(MarketSlice(1.0, 1.0, 1.0), [OptionSpec(1.0, 1.0, "call")]),
-                (MarketSlice(1.0, 1.0, 0.25), [OptionSpec(1.0, 0.25, "call"), OptionSpec(0.5, 0.25, "put")])]
-        with pytest.raises(NumericalError, match="strike 0.5"):
+                (MarketSlice(1.0, 1.0, 0.1), [OptionSpec(1.0, 0.1, "call"), OptionSpec(0.7, 0.1, "put")])]
+        with pytest.raises(NumericalError, match="strike 0.7"):
             _grid_of(legs).prices(heston_cf_fn(p))
 
 
@@ -526,10 +637,15 @@ _families = (_heston, _bates, _schobel_zhu, _piecewise())
 
 
 @st.composite
-def _param_pairs(draw):
+def _param_pairs(draw, families=_families):
     """Two parameter sets of one model family: where a grid is sized, and where it prices."""
-    family = draw(st.sampled_from(_families))
+    family = draw(st.sampled_from(families))
     return draw(family), draw(family)
+
+
+_calibrated = (_heston, _bates, _schobel_zhu)
+# calls from one week to ten years
+_wide_surfaces = _surfaces(max_expiries=3, expiries=st.floats(1.0 / 52.0, 10.0), kinds=st.just("call"))
 
 
 def _oracle_bound(legs):
@@ -561,6 +677,30 @@ class TestFrozenGrid:
             f, _ = fourier_integrand(cf_for(priced_at), sl, opts)
             _, errs = _gk_panels(f, los, his)
             assert np.all(errs.sum(axis=1) <= DEFAULT_QUAD.tolerance)
+
+    @_props
+    @given(pair=_param_pairs(_calibrated), legs=_wide_surfaces)
+    def test_one_week_to_ten_years_agrees_with_the_oracle_past_the_range(self, pair, legs):
+        # the oracle integrates from scratch to twice each expiry's range, and at least to u = 800
+        sized_at, priced_at = pair
+        grid = _grid_of(legs)
+        grid.prices(cf_for(sized_at))
+        got = grid.prices(cf_for(priced_at))
+        want = np.concatenate([adaptive_prices(cf_for(priced_at), sl, opts, truncation=max(800.0, 2.0 * his[-1]))
+                               for (sl, opts), (_, his) in zip(legs, grid._panels)])
+        assert np.all(np.abs(got - want) <= _oracle_bound(legs))
+
+    @_props
+    @given(params=st.one_of(*_calibrated), legs=_wide_surfaces)
+    def test_calls_within_the_no_arbitrage_bounds(self, params, legs):
+        # in [df max(F - K, 0), df F], where a deep in-the-money call may sit up to
+        # the stated bound under its intrinsic value: its time value is below the
+        # quadrature's resolution, and its parity put comes out negative and raises
+        calls = _grid_of(legs).prices(cf_for(params))
+        pairs = [(sl, opt) for sl, opts in legs for opt in opts]
+        lo = np.array([sl.discount * max(sl.forward - opt.strike, 0.0) for sl, opt in pairs])
+        hi = np.array([sl.discount * sl.forward for sl, _ in pairs])
+        assert np.all((lo - 0.5 * _oracle_bound(legs) <= calls) & (calls >= 0.0) & (calls <= hi))
 
     def test_resizes_where_the_frozen_panels_miss_the_tolerance(self):
         benign = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=0.3, rho=-0.3)
