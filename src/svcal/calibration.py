@@ -27,12 +27,12 @@ residuals hold a failed price is not converged.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, NumericalError
 from .fx_quotes import Conventions, TenorQuote, resolve_smile
@@ -399,6 +399,13 @@ def _default_init(model_kind: str, target: CalibrationTarget) -> dict:
     return vals
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported at the first call: commands that do not solve never load it."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
+
+
 def _run_least_squares(fun: Callable[[np.ndarray], np.ndarray], jac, x0: np.ndarray, cfg: OptimizerConfig):
     return least_squares(
         fun,
@@ -439,8 +446,6 @@ def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
     new start agrees with it (:func:`_agree`).  Returns the lowest-cost
     start and the summed ``nfev`` of the starts that ran.
     """
-    import logging  # local, so that importing the module does no more work
-
     rng = np.random.default_rng(cfg.seed)
     floor = len(prob.market) * (cfg.retry_rmse * max(1.0, float(np.mean(np.abs(prob.market))))) ** 2
     starts = max(cfg.starts, 1)

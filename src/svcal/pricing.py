@@ -27,6 +27,9 @@ A CF that returns its parameter derivatives as extra rows gets the prices'
 prices and differentiates the surface in one evaluation per parameter set.
 A calibration sizes once and evaluates at every trial point; one-shot
 pricing sizes and evaluates once.
+
+The Black formula, the control variate's tail and the implied-vol
+inversion take the normal CDF from ``scipy.special.ndtr``.
 """
 
 from __future__ import annotations
