@@ -10,6 +10,7 @@ Heston-family coefficients use the trap-free branch of the complex square
 root together with the algebraic identity (b - d) = -sigma^2*s/(b + d),
 which keeps the formulas stable as sigma -> 0 without catastrophic
 cancellation; sigma = 0 itself takes the closed form of the linear equation.
+The Schobel-Zhu terms that cancel as d*T -> 0 come from their series in d*T.
 """
 
 from __future__ import annotations
@@ -263,6 +264,31 @@ def schobel_zhu_cf_grad(u, v0, theta, kappa, sigma, rho, T):
     return _schobel_zhu(u, v0, theta, kappa, sigma, rho, T, grad=True)
 
 
+# Below |d*T| = _SZ_SERIES_DT, _schobel_zhu takes its terms from the Taylor
+# series in y = d*T of f1 = (1 - e^-y)/y, f2 = (1 - e^-2y)/y, p1 = h1/y^3 and
+# p2 = h2/y^3, where h1 = 2y - 3 + 4e^-y - e^-2y and
+# h2 = 2y*e^-2y - 4e^-y + 1 + 3e^-2y (2y*M - N = h1 - g*h2).  Rows 0-3 of
+# _SZ_SERIES hold their coefficients of y^0 .. y^19, rows 4-7 those of their
+# derivatives; the terms left out are below 1e-17 of each sum there.
+_SZ_SERIES_DT = 0.5
+_SZ_TAYLOR = [
+    [(-1) ** m / math.factorial(m + 1) for m in range(21)],
+    [(-1) ** m * 2 ** (m + 1) / math.factorial(m + 1) for m in range(21)],
+    [(-1) ** (m + 1) * (4 - 2 ** (m + 3)) / math.factorial(m + 3) for m in range(21)],
+    [(-1) ** (m + 1) * (-m * 2 ** (m + 3) - 4) / math.factorial(m + 3) for m in range(21)],
+]
+_SZ_SERIES = np.array([c[:20] for c in _SZ_TAYLOR] + [[(m + 1) * c[m + 1] for m in range(20)] for c in _SZ_TAYLOR])
+
+
+def _sz_series(y):
+    """(f1, f2, p1, p2) at ``y`` over their derivatives in y, shape (8,) + y.shape,
+    by Horner's rule: elementwise, so each node gets the same bits in any array."""
+    out = np.repeat(_SZ_SERIES[:, -1:], len(y), axis=1).astype(np.complex128)
+    for c in _SZ_SERIES[:, -2::-1].T:
+        out = out * y + c[:, None]
+    return out
+
+
 def _schobel_zhu(u, v0, theta, kappa, sigma, rho, T, grad):
     """The Schobel-Zhu CF, stacked over its gradient when ``grad``: one set of
     intermediates serves both, so the CF is the same with or without it."""
@@ -289,6 +315,20 @@ def _schobel_zhu(u, v0, theta, kappa, sigma, rho, T, grad):
         E2 = E * E
         omE = 1.0 - E
         omE2 = 1.0 - E2
+        # as y = d*T -> 0, 1 - E^2 and T - R lose their digits, and B, C and their
+        # partials are differences of terms of order 1/d: at those nodes they come
+        # from the series of _sz_series, with C = -s*T*f2/D and B = -s*T^2*f1^2/D,
+        # D = b*T*f2 + 1 + E^2, which hold no 1/d
+        y = d * T
+        small = np.abs(y) < _SZ_SERIES_DT
+        series = small.any()
+        if series:
+            idx = np.nonzero(small)
+            ys, Ts, gs, ss, bs = y[idx], np.broadcast_to(T, y.shape)[idx], g[idx], s[idx], b[idx]
+            f1, f2, p1, p2, f1_y, f2_y, p1_y, p2_y = _sz_series(ys)
+            omE2[idx] = ys * f2
+            P = p1 - gs * p2
+            Ds = bs * Ts * f2 + 1.0 + E2[idx]
         r_M = 1.0 / (1.0 - g * E2)
         x = g * omE2 * r_omg
         C = beta * omE2 * r_M
@@ -296,6 +336,12 @@ def _schobel_zhu(u, v0, theta, kappa, sigma, rho, T, grad):
         N = g * (3.0 * E2 + 1.0) + (E2 + 3.0) - 4.0 * E * (1.0 + g)
         R = 0.5 * N * r_d * r_M
         A2 = -0.5 * s * r_d * r_d * (T - R)
+        if series:
+            # T - R = T^3 d^2 P/(2M), so A2 = -(s*T^3/4)*P/M
+            sT3, r_Ms = -0.25 * ss * Ts**3, r_M[idx]
+            A2[idx] = sT3 * P * r_Ms
+            C[idx] = -ss * Ts * f2 / Ds
+            B[idx] = -ss * Ts * Ts * f1 * f1 / Ds
         if not det:
             A1 = 0.5 * (q * beta * T - _clog1p(x))
             phi = np.exp(A1 + (k * k) * A2 + (k * v0) * B + (0.5 * v0 * v0) * C)
@@ -304,8 +350,8 @@ def _schobel_zhu(u, v0, theta, kappa, sigma, rho, T, grad):
             return np.where(inert, 1.0 + 0j, phi)
         r_1px = 1.0 / (1.0 + x)
 
-        def partial(d_x, beta_x, g_x, qbT_x):
-            """The exponent's partial, given those of d, beta, g and q*beta*T/2."""
+        def partial(d_x, beta_x, g_x, qbT_x, b_x):
+            """The exponent's partial, given those of d, beta, g, q*beta*T/2 and b."""
             E_x = -T * E * d_x
             E2_x = 2.0 * E * E_x
             M_x = -(g_x * E2 + g * E2_x)
@@ -315,6 +361,14 @@ def _schobel_zhu(u, v0, theta, kappa, sigma, rho, T, grad):
             N_x = g_x * (3.0 * E2 + 1.0 - 4.0 * E) + (3.0 * g + 1.0) * E2_x - 4.0 * (1.0 + g) * E_x
             R_x = 0.5 * N_x * r_d * r_M - R * dM
             A2_x = 0.5 * s * r_d * r_d * R_x - 2.0 * A2 * d_x * r_d
+            if series:
+                # the partials of A2, C and B in their series forms, with y_x = T*d_x
+                y_x = Ts * d_x[idx]
+                D_x = Ts * (b_x * f2 + bs * f2_y * y_x) + E2_x[idx]
+                C_x[idx] = -ss * Ts * (f2_y * y_x - f2 * D_x / Ds) / Ds
+                B_x[idx] = -ss * Ts * Ts * f1 * (2.0 * f1_y * y_x - f1 * D_x / Ds) / Ds
+                P_x = (p1_y - gs * p2_y) * y_x - g_x[idx] * p2
+                A2_x[idx] = sT3 * (P_x - P * M_x[idx] * r_Ms) * r_Ms
             x_x = (g_x * (omE2 + x) - g * E2_x) * r_omg
             return (qbT_x - 0.5 * x_x * r_1px) + (k * k) * A2_x + (k * v0) * B_x + (0.5 * v0 * v0) * C_x
 
@@ -322,8 +376,8 @@ def _schobel_zhu(u, v0, theta, kappa, sigma, rho, T, grad):
         d_q = 0.5 * s * r_d
         beta_b = -beta * r_d
         beta_q = -beta * d_q * r_bpd
-        e_b = partial(b * r_d, beta_b, -2.0 * g * r_d, 0.5 * q * T * beta_b)
-        e_q = partial(d_q, beta_q, gam * (1.0 - 2.0 * q * d_q * r_bpd), 0.5 * T * (beta + q * beta_q))
+        e_b = partial(b * r_d, beta_b, -2.0 * g * r_d, 0.5 * q * T * beta_b, 1.0)
+        e_q = partial(d_q, beta_q, gam * (1.0 - 2.0 * q * d_q * r_bpd), 0.5 * T * (beta + q * beta_q), 0.0)
         lin = 2.0 * k * A2 + v0 * B  # d exponent / dk
         out = np.empty((6,) + u.shape, dtype=np.complex128)
         out[0] = phi

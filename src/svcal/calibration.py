@@ -7,6 +7,13 @@ admissible.  Strategies: full surface, fixed parameters, penalized
 (previous-day anchor with the error-doubling rule), per-tenor with a
 kappa rule, and variance-swap term-structure fits.
 
+A solve stops on scipy's ``xtol`` or ``gtol`` test at 1e-12, or its
+``ftol`` test at 1e-13 (``OptimizerConfig`` says why): the cost of a
+converged fit scatters by about 1e-12 relative about a smooth curve (the
+quadrature's rounding), so a tighter step test is met only by chance,
+after rejected steps that cannot lower the cost.  Each solve logs why it
+stopped on the ``svcal`` logger at DEBUG level.
+
 Each fit runs up to ``OptimizerConfig.starts`` starts: the initial guess,
 then seeded perturbations of it.  It stops once the best start so far
 reaches the ``retry_rmse`` floor, or once a new start and the best earlier
@@ -130,12 +137,24 @@ class TenorRules:
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Trust-region settings; ``starts`` is the most starts a fit runs (see the
-    module docstring for when it stops early), ``seed`` draws the perturbed ones."""
+    module docstring for when it stops early), ``seed`` draws the perturbed ones.
+
+    ``ftol``, ``xtol`` and ``gtol`` are scipy's stop tests.  ``xtol`` and
+    ``gtol`` default to 1e-12, the resolution of the cost: a converged dense
+    fit's cost scatters by 1.2-2.0e-12 relative about a smooth curve, and at
+    1e-14 over half of a fit's evaluations came after its cost was within
+    1e-10 of its final value, most of them rejected steps before an ``xtol``
+    stop.  ``ftol`` defaults to 1e-13: along the bundled surface's flat
+    kappa valley a step still lowers the cost by about 1e-12 relative, and
+    an ``ftol`` of 1e-12 stops there 2e-8 box widths short of the minimum.
+    Looser is not safe: scipy's ``gtol`` test is absolute, and at 1e-10 a
+    fit's argmin moves when its weights are rescaled.
+    """
 
     max_nfev: int = 600
-    ftol: float = 1e-14
-    xtol: float = 1e-14
-    gtol: float = 1e-14
+    ftol: float = 1e-13
+    xtol: float = 1e-12
+    gtol: float = 1e-12
     starts: int = 3
     seed: int = 0
     retry_rmse: float = 1e-5
@@ -406,8 +425,15 @@ def least_squares(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def _run_least_squares(fun: Callable[[np.ndarray], np.ndarray], jac, x0: np.ndarray, cfg: OptimizerConfig):
-    return least_squares(
+# scipy's least_squares status codes, for the per-solve debug record
+_STOP_REASONS = {0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol and xtol"}
+
+
+def _run_least_squares(
+    fun: Callable[[np.ndarray], np.ndarray], jac, x0: np.ndarray, cfg: OptimizerConfig, label: str
+):
+    """One trust-region solve, logged at DEBUG on ``svcal`` with why it stopped."""
+    res = least_squares(
         fun,
         x0,
         method="trf",
@@ -417,6 +443,11 @@ def _run_least_squares(fun: Callable[[np.ndarray], np.ndarray], jac, x0: np.ndar
         gtol=cfg.gtol,
         max_nfev=cfg.max_nfev,
     )
+    logging.getLogger("svcal").debug(
+        "%s: status=%d (%s), nfev=%d, njev=%d, cost=%.6e",
+        label, res.status, _STOP_REASONS.get(res.status, "?"), res.nfev, res.njev, res.cost,
+    )
+    return res
 
 
 def _agree(prob: _Problem, a, b) -> bool:
@@ -452,7 +483,7 @@ def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
     best, nfev, stop = None, 0, "exhausted"
     for attempt in range(starts):
         start = x0 if attempt == 0 else x0 + rng.normal(0.0, 0.7, size=len(x0))
-        res = _run_least_squares(prob.residuals, prob.jac, start, cfg)
+        res = _run_least_squares(prob.residuals, prob.jac, start, cfg, f"start {attempt + 1} of {starts}")
         nfev += res.nfev
         agree = best is not None and _agree(prob, best, res)
         if best is None or res.cost < best.cost:
@@ -605,7 +636,7 @@ def calibrate_penalized(
     nfev = base.iterations  # the base fit plus every penalized solve
     w, short, reached, bisections = e0, 0.0, None, 0  # short/reached: the last weights below/above 2*e0
     while True:
-        res = _run_least_squares(*_penalized(prob, prev_box, w), x_warm, config)
+        res = _run_least_squares(*_penalized(prob, prev_box, w), x_warm, config, f"penalized w={w:.6g}")
         nfev += res.nfev
         total = 2.0 * res.cost  # data SSE + w * penalty
         if abs(total / target_total - 1.0) <= 0.05:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input error, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -320,7 +321,10 @@ def cmd_store(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` reads it
+    and fills a fresh namespace on each call, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="svcal", description="Stochastic-volatility calibration toolkit"
     )

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -549,9 +550,9 @@ def _count_solves(monkeypatch, fake=None):
     calls = []
     real = svcal.calibration._run_least_squares
 
-    def solve(fun, jac, x0, cfg):
+    def solve(fun, jac, x0, cfg, label="solve"):
         calls.append(np.array(x0))
-        return next(fake) if fake is not None else real(fun, jac, x0, cfg)
+        return next(fake) if fake is not None else real(fun, jac, x0, cfg, label)
 
     monkeypatch.setattr(svcal.calibration, "_run_least_squares", solve)
     return calls
@@ -657,6 +658,49 @@ class TestRestarts:
             self._minimize(monkeypatch, results)
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
         assert records == ["minimize: 2 of 3 starts ran, stop=agree"]
+
+    def test_each_solve_logs_why_it_stopped(self, monkeypatch, caplog):
+        calls = _count_solves(monkeypatch)
+        with caplog.at_level("DEBUG", logger="svcal"):
+            fit = calibrate(_BUNDLED[0], "heston")
+        records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
+        solves = [re.fullmatch(r"start (\d) of 3: status=(\d) \((\w+)\), nfev=(\d+), njev=(\d+), cost=\S+", m)
+                  for m in records[:-1]]
+        assert len(solves) == len(calls) == 2 and all(solves)
+        assert [int(m.group(1)) for m in solves] == [1, 2]
+        assert all(int(m.group(2)) > 0 for m in solves)
+        assert sum(int(m.group(4)) for m in solves) == fit.iterations
+        assert records[-1] == "minimize: 2 of 3 starts ran, stop=agree"
+
+
+class TestStopRule:
+    """The default stop tests end each solve where its cost stops resolving: at
+    1e-14 a fit lands on the same minimum with the same solves, for more nfev."""
+
+    TIGHT = OptimizerConfig(ftol=1e-14, xtol=1e-14, gtol=1e-14)
+
+    @staticmethod
+    def _noisy_surface():
+        """A seeded 3-expiry x 9-strike surface with 5 bp of vol noise."""
+        rng = np.random.default_rng(11)
+        z_grid = tuple(np.linspace(-1.6, 1.6, 9))
+        return make_target(HestonParams(0.03, 0.045, 1.2, 0.5, -0.4), tenors=(0.25, 1.0, 3.0),
+                           z_grid=z_grid, vol_bumps=5e-4 * rng.standard_normal(27))
+
+    @pytest.mark.parametrize("surface", ["bundled", "noisy 3x9"])
+    def test_the_default_stop_reaches_the_tight_fit_for_fewer_evaluations(self, monkeypatch, surface):
+        target = _BUNDLED[0] if surface == "bundled" else self._noisy_surface()
+        calls = _count_solves(monkeypatch)
+        fit = calibrate(target, "heston")
+        solves = len(calls)
+        tight = calibrate(target, "heston", config=self.TIGHT)
+        assert fit.converged and tight.converged
+        assert len(calls) - solves == solves
+        assert fit.iterations < tight.iterations
+        assert fit.rmse == pytest.approx(tight.rmse, rel=1e-6)
+        for n in PARAM_NAMES:
+            width = _BOXES[n][1] - _BOXES[n][0]
+            assert abs(getattr(fit.params, n) - getattr(tight.params, n)) <= 1e-8 * width, n
 
 
 class TestCalibratePenalized:
@@ -772,7 +816,7 @@ class TestPenalizedSearchPolicy:
         monkeypatch.setattr(cal, "_fit", lambda prob, init, config: base)
         monkeypatch.setattr(
             cal, "_run_least_squares",
-            lambda fun, jac, x0, cfg: types.SimpleNamespace(x=x0, cost=0.5 * total(seen[-1]), nfev=1, status=1),
+            lambda fun, jac, x0, cfg, label: types.SimpleNamespace(x=x0, cost=0.5 * total(seen[-1]), nfev=1, status=1),
         )
         target = make_target(TRUTH, tenors=(0.5, 2.0), z_grid=(-1.0, 0.0, 1.0))
         prev = HestonParams(0.09, 0.02, 4.0, 0.2, 0.3)  # far from TRUTH: its error is far above 2*e0

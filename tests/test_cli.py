@@ -165,6 +165,41 @@ class TestCalibrateCommand:
         assert "penalty_weight" in report["records"][0]
 
 
+class TestOneParserPerProcess:
+    """main builds its parser once; each call still parses only its own flags."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path, flat_file):
+        import os
+        import subprocess
+        import sys
+
+        import svcal
+        from svcal.cli import _build_parser
+
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"model_kind": "heston", "params": {
+            "v0": 0.0178, "theta": 0.0135, "kappa": 1.31, "sigma": 0.29, "rho": -0.14}}))
+        commands = [
+            ["calibrate", "--quotes", str(flat_file), "--strategy", "fixed", "--fix", "kappa=2"],
+            ["price", "--params", str(params), "--strike", "1.05", "--expiry", "0.5"],
+            # without --fix: a kappa=2 carried over from the first call would make this exit 0
+            ["calibrate", "--quotes", str(flat_file), "--strategy", "fixed"],
+            ["calibrate", "--quotes", str(flat_file)],
+        ]
+        in_process = [run_cli(capsys, *argv)[:2] for argv in commands]
+        assert _build_parser() is _build_parser()
+        src = str(Path(svcal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "svcal.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            fresh.append((proc.returncode, proc.stdout))
+        assert in_process == fresh
+        assert [code for code, _ in in_process] == [0, 0, 1, 0]
+        assert json.loads(in_process[0][1])["strategy"]["fix"] == {"kappa": 2.0}
+
+
 class TestPriceCommand:
     def test_deterministic_variance_matches_black(self, capsys, tmp_path):
         params = {"v0": 0.04, "theta": 0.04, "kappa": 1.0, "sigma": 0.0, "rho": 0.0}

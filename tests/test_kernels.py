@@ -311,3 +311,80 @@ def test_heston_gradient_at_sigma_zero_matches_mpmath(case):
             for i, w in enumerate(want):
                 w = complex(w)
                 assert abs(got[i, j] - w) <= 1e-12 * abs(w) + floor, (i, uj)
+
+
+def _schobel_zhu_sigma0_mp(u, T, v0, theta, kappa, sigma, rho):
+    """The Schobel-Zhu CF in mpmath with its sigma^2 terms dropped: C' = -2b*C - s,
+    B' = kappa*theta*C - b*B, A' = kappa*theta*B with b = kappa - i*rho*sigma*u,
+    which is how sigma enters the CF to first order.  At sigma = 0 it is the
+    deterministic-volatility CF."""
+    import mpmath as mp
+
+    s = u * u + 1j * u
+    b = kappa - 1j * rho * sigma * u
+    k = kappa * theta
+    em1, em2 = mp.expm1(-b * T), mp.expm1(-2 * b * T)  # E - 1 and E^2 - 1
+    C = s * em2 / (2 * b)
+    B = -k * s * em1 * em1 / (2 * b * b)
+    A = -k * k * s / (2 * b * b) * (T + 2 * em1 / b - em2 / (2 * b))
+    return mp.exp(A + B * v0 + 0.5 * C * v0 * v0)
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e-4, 1e-2])
+@pytest.mark.parametrize("T", [1 / 52, 1 / 365])
+def test_schobel_zhu_gradient_at_sigma_zero_and_small_kappa_matches_mpmath(kappa, T):
+    # kappa*T and sigma small: T - N/(2dM) in A2, 1 - E and the partials of B and C
+    # cancel there unless taken from their series in d*T
+    import mpmath as mp
+
+    v0, theta, rho = 0.2, 0.15, -0.5
+    u = np.array(_U_SIGMA0)
+    got = _kernels.schobel_zhu_cf_grad(u, v0, theta, kappa, 0.0, rho, np.full(u.shape, T))
+    p = [v0, theta, kappa, 0.0, rho]
+    with mp.workdps(50):
+        for j, uj in enumerate(_U_SIGMA0):
+            f = lambda *q: _schobel_zhu_sigma0_mp(mp.mpc(uj), mp.mpf(T), *q)  # noqa: E731
+            want = [f(*p)] + [mp.diff(f, p, tuple(int(k == i) for k in range(5))) for i in range(5)]
+            floor = 1e-40 * abs(complex(want[0]))  # the rho row is 0 at sigma = 0
+            for i, w in enumerate(want):
+                w = complex(w)
+                assert abs(got[i, j] - w) <= 1e-10 * abs(w) + floor, (i, uj)
+
+
+def _schobel_zhu_mp(u, T, v0, theta, kappa, sigma, rho):
+    """The closed-form Schobel-Zhu CF of the kernel's docstring in mpmath, whose
+    working precision absorbs the cancellations as d*T -> 0."""
+    import mpmath as mp
+
+    s = u * u + 1j * u
+    q = sigma * sigma
+    b = kappa - 1j * rho * sigma * u
+    k = kappa * theta
+    d = mp.sqrt(b * b + q * s)
+    beta = -s / (b + d)
+    g = q * beta / (b + d)
+    E = mp.exp(-d * T)
+    M = 1 - g * E * E
+    C = beta * (1 - E * E) / M
+    B = beta * (1 - E) ** 2 / (d * M)
+    N = g * (3 * E * E + 1) + (E * E + 3) - 4 * E * (1 + g)
+    A2 = -s / (2 * d * d) * (T - N / (2 * d * M))
+    A1 = 0.5 * (q * beta * T - mp.log(1 + g * (1 - E * E) / (1 - g)))
+    return mp.exp(A1 + k * k * A2 + k * v0 * B + 0.5 * v0 * v0 * C)
+
+
+@pytest.mark.parametrize("kappa,sigma", [(1e-6, 1e-6), (1e-6, 1e-3), (1e-2, 1e-6)])
+def test_schobel_zhu_gradient_at_small_kappa_and_sigma_matches_mpmath(kappa, sigma):
+    import mpmath as mp
+
+    v0, theta, rho, T = 0.2, 0.15, -0.5, 1 / 52
+    u = np.array(_U_SIGMA0)
+    got = _kernels.schobel_zhu_cf_grad(u, v0, theta, kappa, sigma, rho, np.full(u.shape, T))
+    p = [v0, theta, kappa, sigma, rho]
+    with mp.workdps(80):
+        for j, uj in enumerate(_U_SIGMA0):
+            f = lambda *q: _schobel_zhu_mp(mp.mpc(uj), mp.mpf(T), *q)  # noqa: E731
+            want = [f(*p)] + [mp.diff(f, p, tuple(int(k == i) for k in range(5))) for i in range(5)]
+            for i, w in enumerate(want):
+                w = complex(w)
+                assert abs(got[i, j] - w) <= 1e-10 * abs(w), (i, uj)
