@@ -225,6 +225,7 @@ class ModelSpec:
     kind: str
     names: Tuple[str, ...]
     make: Callable[[Mapping[str, float]], AffineParams]
+    params_type: type
 
     def build(self, vals: Mapping[str, float]) -> AffineParams:
         """Parameters from a mapping holding exactly ``names``.
@@ -239,9 +240,9 @@ class ModelSpec:
 
 
 MODELS: Mapping[str, ModelSpec] = {
-    "heston": ModelSpec("heston", _HESTON_NAMES, _build_heston),
-    "bates": ModelSpec("bates", _BATES_NAMES, _build_bates),
-    "schobel_zhu": ModelSpec("schobel_zhu", _HESTON_NAMES, _build_schobel_zhu),
+    "heston": ModelSpec("heston", _HESTON_NAMES, _build_heston, HestonParams),
+    "bates": ModelSpec("bates", _BATES_NAMES, _build_bates, BatesParams),
+    "schobel_zhu": ModelSpec("schobel_zhu", _HESTON_NAMES, _build_schobel_zhu, SchobelZhuParams),
 }
 
 
@@ -615,8 +616,13 @@ def calibrate_penalized(
     search that passes w = 1e18 or bisects 80 times falls back to w = 0
     with a warning flag.  ``iterations`` counts the function evaluations of
     the base fit and of every penalized solve, which all run on one problem.
+    Raises :class:`DomainError`, before any solve, when ``prev`` is not of
+    ``model_kind``'s parameter type.
     """
-    prob = _Problem(target, _model_spec(model_kind), (fix or FixSet()).resolve(), {}, config.quad)
+    spec = _model_spec(model_kind)
+    if not isinstance(prev, spec.params_type):
+        raise DomainError(f"previous parameters are {type(prev).__name__}, not {model_kind} parameters")
+    prob = _Problem(target, spec, (fix or FixSet()).resolve(), {}, config.quad)
     base = _fit(prob, prev, config)
     e0 = base.sse
     if e0 < 1e-12:

@@ -137,11 +137,11 @@ def _run_config(args, rows) -> RunConfig:
     optimizer = _config_section(OptimizerConfig, filecfg, "optimizer")
     optimizer = replace(optimizer, quad=_config_section(QuadratureConfig, filecfg, "quadrature"))
 
+    model_kind = pick(getattr(args, "model", None), "model", "heston")
     prev_params = None
     prev_path = getattr(args, "prev", None)
     if prev_path:
-        model_kind = pick(getattr(args, "model", None), "model", "heston")
-        prev_params = _params_from_payload(json.loads(Path(prev_path).read_text()), model_kind)
+        prev_params = _params_from_payload(json.loads(Path(prev_path).read_text()), model_kind)[1]
 
     vs_curve = None
     vs_path = getattr(args, "vs_curve", None)
@@ -149,7 +149,7 @@ def _run_config(args, rows) -> RunConfig:
         vs_curve = tuple(load_varswap_curve(vs_path))
 
     return RunConfig(
-        model_kind=pick(getattr(args, "model", None), "model", "heston"),
+        model_kind=model_kind,
         strategy=pick(getattr(args, "strategy", None), "strategy", "tenor"),
         conventions=conv,
         rules=rules,
@@ -161,13 +161,18 @@ def _run_config(args, rows) -> RunConfig:
     )
 
 
-def _params_from_payload(payload: dict, default_model: str = "heston"):
-    """Accept {'model_kind': ..., 'params': {...}} or a bare params dict."""
-    model_kind = payload.get("model_kind", default_model)
-    raw = payload.get("params", payload)
+def _params_from_payload(payload: dict, model: Optional[str]):
+    """The model kind and parameters of {'model_kind': ..., 'params': {...}} or of a bare params dict.
+
+    A bare dict is built as ``model`` (heston when None).  A payload that
+    names a kind other than ``model`` raises :class:`DomainError`.
+    """
+    model_kind = payload.get("model_kind", model or "heston")
+    if model is not None and model_kind != model:
+        raise DomainError(f"the parameters are {model_kind!r}, but the model is {model!r}")
     if model_kind not in MODELS:
         raise DomainError(f"unknown model kind {model_kind!r}")
-    return MODELS[model_kind].build(raw)
+    return model_kind, MODELS[model_kind].build(payload.get("params", payload))
 
 
 def _store(args) -> ParamStore:
@@ -214,15 +219,12 @@ def cmd_calibrate(args) -> int:
 def cmd_price(args) -> int:
     if args.latest:
         record = _store(args).latest(args.latest)
-        flat = record.flat_params(args.tenor)
-        params = MODELS[record.model_kind].build(flat)
-        model_kind = record.model_kind
+        payload = {"model_kind": record.model_kind, "params": record.flat_params(args.tenor)}
     else:
         payload = json.loads(Path(args.params).read_text())
         if args.tenor and "params" not in payload and args.tenor in payload:
             payload = payload[args.tenor]
-        params = _params_from_payload(payload, args.model or "heston")
-        model_kind = args.model or payload.get("model_kind", "heston")
+    model_kind, params = _params_from_payload(payload, args.model)
     slice_ = MarketSlice(forward=args.forward, discount=args.discount, expiry=args.expiry)
     opt = OptionSpec(strike=args.strike, expiry=args.expiry, kind=args.kind)
     price = cf_vanilla_price(cf_for(params), slice_, opt)

@@ -19,9 +19,10 @@ cf(0) and cf(-i/2) probes), a contraction against strike matrices built at
 freezing, the vectorized Black control variate and, for vols, one
 vectorized inversion.  Every evaluation checks the sum again and re-sizes
 any expiry that misses the tolerance at the new parameters, so each price
-keeps its error estimate within the tolerance; an expiry whose tail
-estimate has fallen well inside the tolerance drops its trailing panels,
-so its range follows the CF's decay both ways.
+keeps its error estimate within the tolerance.  Once the sizing meets it,
+an expiry whose tail estimate has fallen well inside the tolerance drops
+its trailing panels, so its range follows the CF's decay both ways.  One
+table of tail estimates, beyond every panel, serves both range checks.
 A CF that returns its parameter derivatives as extra rows gets the prices'
 (or vols') derivatives from the same evaluation steps, so a calibration
 prices and differentiates the surface in one evaluation per parameter set.
@@ -385,13 +386,16 @@ class SurfaceGrid:
     appended past U_b extend the range (:func:`_reach`), and :func:`_split`
     refines the panels of the strikes whose estimate misses the rest; the
     evaluation repeats, calling the CF at the probes and at the nodes of the
-    new panels only, until every strike meets the tolerance.  A block
-    whose tail estimate beyond its last two panels has fallen within
+    new panels only, until every strike meets the tolerance.  Each round
+    estimates the tail beyond every panel in one table; a block's own is
+    its last panel's.  Once every strike meets the tolerance, a block whose
+    tail estimate beyond its last two panels has fallen within
     ``_TRIM_SHARE`` of the tolerance drops the panels it no longer needs
-    (:meth:`_trim`) before the prices are taken.  The first evaluation sizes every block from uniform start
-    panels on [0, ``_START_RANGE``]; later ones keep the panels, so prices
-    depend on the CFs evaluated before, each within the tolerance.  A
-    block's panels never depend on the other blocks.
+    (:meth:`_trim`) before the prices are taken.  The first evaluation
+    sizes every block from uniform start panels on [0, ``_START_RANGE``];
+    later ones keep the panels, so prices depend on the CFs evaluated
+    before, each within the tolerance.  A block's panels never depend on
+    the other blocks.
 
     Raises the first failure, in block order: :class:`DomainError` when
     cf(0) != 1, :class:`QuadratureError` with the largest residual
@@ -497,7 +501,6 @@ class SurfaceGrid:
         self._pfirst = np.concatenate([[0], np.cumsum(counts)])
         self._right = np.concatenate([his for _, his in self._panels])
         nodes, self._half = _panel_nodes(np.concatenate([los for los, _ in self._panels]), self._right)
-        self._set_ends()
         self._u = nodes.ravel()
         self._uu = self._u * self._u + 0.25
         self._node_block = np.repeat(np.arange(len(counts)), 15 * np.array(counts))
@@ -510,23 +513,6 @@ class SurfaceGrid:
             half = self._half[p0:p1, None]  # w: (strikes, panels, 15)
             self._k15[b] = (w * (_WGK * half)).reshape(len(w), -1).T
             self._dk[b] = np.ascontiguousarray((w * ((_WGK - _WG15) * half)).transpose(1, 2, 0))
-
-    def _set_ends(self) -> None:
-        """Where each block's last panel, then the one before it (the last again in a
-        one-panel block), sits in the CF call, with the panels' half-widths and right ends."""
-        plast = self._pfirst[1:] - 1
-        ends = np.concatenate([plast, np.maximum(plast - 1, self._pfirst[:-1])])
-        self._ends = (2 * len(plast) + 15 * ends[:, None] + np.arange(15), self._half[ends], self._right[ends])
-
-    def _keep(self, kept: np.ndarray) -> None:
-        """The node layout after a trim: every array of the CF call's layout at the nodes ``kept``."""
-        panels = kept[::15]
-        self._pfirst = np.concatenate([[0], np.cumsum([len(los) for los, _ in self._panels])])
-        self._right, self._half = self._right[panels], self._half[panels]
-        self._u, self._uu, self._node_block = self._u[kept], self._uu[kept], self._node_block[kept]
-        call = np.concatenate([np.ones(2 * len(self._panels), dtype=bool), kept])
-        self._z, self._Tz = self._z[call], self._Tz[call]
-        self._set_ends()
 
     def _evaluate(self, cf: CharFn) -> Tuple[np.ndarray, np.ndarray]:
         """Prices, with the rows of :meth:`prices`, and control-variate vols, in block order."""
@@ -555,28 +541,27 @@ class SurfaceGrid:
             errs = [np.abs((gap[0, 15 * self._pfirst[b]:15 * self._pfirst[b + 1]].reshape(-1, 1, 15) @ dk)[:, 0].real)
                     for b, dk in enumerate(self._dk)]
             total = np.concatenate([e.sum(axis=0) for e in errs])
-            # the tail estimate beyond each block's last panel (its own) and the one before
-            nodes, half, right = self._ends
-            model, cv_tail, rate = _tail_estimates(np.abs(phi[0, nodes]), half, right, np.concatenate([w, w]))
-            tail = model[:nb] + cv_tail[:nb]
-            missed = ~(total + tail[self._block] <= tol)
-            # blocks whose last two panels could go
-            trims = np.flatnonzero((model + cv_tail).reshape(2, nb).max(axis=0) <= _TRIM_SHARE * tol)
+            # the tail estimate beyond every panel: a block's own is its last panel's
+            model, cv_tail, rate = _tail_estimates(np.abs(phi[0, 2 * nb:]).reshape(-1, 15), self._half, self._right,
+                                                   w[self._node_block[::15]])
+            tails = model + cv_tail
+            last = self._pfirst[1:] - 1
+            missed = ~(total + tails[last][self._block] <= tol)
             if not missed.any():
-                kept = self._trim(trims, phi[0], w, errs, tol)
-                if kept is not None:  # the prices come from the panels kept
-                    gap = gap[:, kept]
-                    self._keep(kept)
                 break
             old = list(self._panels)  # the panels phi holds, before this round changes them
             resized = np.unique(self._block[missed])
-            sized = {b: self._resize(b, errs[b], total, tail[b], (model[b], cv_tail[b], rate[b]), float(w[b]),
-                                     spent.get(b, self._panels[b][0].size * 15)) for b in resized}
-            self._trim(np.setdiff1d(trims, resized), phi[0], w, errs, tol)
+            sized = {b: self._resize(b, errs[b], total, tails[p], (model[p], cv_tail[p], rate[p]), float(w[b]),
+                                     spent.get(b, self._panels[b][0].size * 15))
+                     for b, p in zip(resized, last[resized])}
             for b, (los, his, used) in sized.items():
                 self._panels[b] = (los, his)
                 spent[b] = used
             self._freeze(resized)
+        kept = self._trim(tails, errs, tol)
+        if not kept.all():  # the prices come from the panels kept
+            gap = gap[:, kept]
+            self._freeze(())
         integrals = np.empty((len(phi), self._K.size))
         for b in range(nb):  # the same contraction for every row
             g = gap[:, 15 * self._pfirst[b]:15 * self._pfirst[b + 1]]
@@ -672,33 +657,32 @@ class SurfaceGrid:
             used += 15 * n
         return los, his, used
 
-    def _trim(self, blocks, phi: np.ndarray, w: np.ndarray, errs: List[np.ndarray], tol: float) -> Optional[np.ndarray]:
-        """Drop, from each of ``blocks``, the trailing panels it no longer needs.
+    def _trim(self, tails: np.ndarray, errs: List[np.ndarray], tol: float) -> np.ndarray:
+        """Drop, from each block, the trailing panels it no longer needs.
 
-        ``phi`` holds the CF call's values and ``w`` each block's
-        control-variate variance.  A cut after panel p holds when the tail
+        ``tails`` holds the tail estimate beyond each panel and ``errs`` each
+        block's |K15 - G7| estimates per (panel, strike), all at one CF that
+        meets the tolerance.  A cut after panel p holds when the tail
         estimate beyond p is within the trim share of ``tol`` and, added to
         each strike's |K15 - G7| sum over the panels up to p, within ``tol``.
         A block keeps its panels up to the first cut from which every later
         cut holds too, so a trimmed block trims no further at the same CF.
         The strike matrices keep their rows for the panels kept; the node
-        layout is left to the caller (:meth:`_keep`, or :meth:`_freeze` in a
-        sizing round).  Returns the mask of the nodes kept, in the layout
-        before the trim, or None when nothing goes.
+        layout is left to the caller (:meth:`_freeze`).  Returns the mask of
+        the nodes kept, in the layout before the trim.
         """
-        kept = None
-        for b in blocks:
+        # a cut needs the estimates beyond the last two panels (the last again in a one-panel block) within the share
+        last = self._pfirst[1:] - 1
+        ends = np.maximum(tails[last], tails[np.maximum(last - 1, self._pfirst[:-1])])
+        kept = np.ones(self._u.size, dtype=bool)
+        for b in np.flatnonzero(ends <= _TRIM_SHARE * tol):
             p0, p1 = self._pfirst[b], self._pfirst[b + 1]
-            absphi = np.abs(phi[2 * len(w) + 15 * p0:2 * len(w) + 15 * p1]).reshape(-1, 15)
-            model, cv, _ = _tail_estimates(absphi, self._half[p0:p1], self._right[p0:p1], w[b])
-            tails = model + cv
-            holds = (tails <= _TRIM_SHARE * tol) & (np.cumsum(errs[b], axis=0).max(axis=1) + tails <= tol)
+            t = tails[p0:p1]
+            holds = (t <= _TRIM_SHARE * tol) & (np.cumsum(errs[b], axis=0).max(axis=1) + t <= tol)
             fails = np.flatnonzero(~holds)
             n = int(fails[-1]) + 2 if fails.size else 1
             if n >= p1 - p0:
                 continue
-            if kept is None:
-                kept = np.ones(self._u.size, dtype=bool)
             kept[15 * (p0 + n):15 * p1] = False
             self._panels[b] = tuple(x[:n] for x in self._panels[b])
             self._k15[b], self._dk[b] = self._k15[b][:15 * n], self._dk[b][:n]

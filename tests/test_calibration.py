@@ -763,6 +763,19 @@ class TestCalibratePenalized:
         assert pen.sse > 1e-12
         assert pen.params == calibrate(day2, "heston", init=prev).params
 
+    @pytest.mark.parametrize("model_kind", ["bates", "schobel_zhu"])
+    def test_prev_of_another_model_raises_before_any_solve(self, monkeypatch, model_kind):
+        # a Heston prev would anchor Schobel-Zhu's vol parameters to variances, and
+        # has no jump parameters for Bates
+        import svcal.calibration as cal
+
+        solves = []
+        monkeypatch.setattr(cal, "least_squares", lambda *a, **k: solves.append(1))
+        day1 = make_target(TRUTH, tenors=(0.5, 2.0), z_grid=(-1.0, 0.0, 1.0))
+        with pytest.raises(DomainError, match=f"HestonParams, not {model_kind} parameters"):
+            calibrate_penalized(day1, TRUTH, model_kind)
+        assert solves == []
+
 
 def _record_weights(monkeypatch):
     """The weights of the penalized solves, in the order they run."""

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from svcal.cli import main
-from svcal.models import HestonParams, MarketSlice
-from svcal.pricing import OptionSpec, bs_price
+from svcal.models import HestonParams, MarketSlice, SchobelZhuParams, cf_for
+from svcal.pricing import OptionSpec, bs_price, cf_vanilla_price
 
 DATA_CSV = Path(__file__).resolve().parent.parent / "data" / "eurusd_2008-09-16.csv"
 
@@ -164,6 +164,21 @@ class TestCalibrateCommand:
         report = json.loads(out)
         assert "penalty_weight" in report["records"][0]
 
+    @pytest.mark.parametrize("model", ["bates", "schobel_zhu"])
+    def test_prev_of_another_model_is_input_error(self, capsys, tmp_path, flat_file, model):
+        prev = tmp_path / "prev.json"
+        prev.write_text(json.dumps({
+            "model_kind": "heston",
+            "params": {"v0": 0.0161, "theta": 0.0161, "kappa": 2.0, "sigma": 0.2, "rho": -0.1},
+        }))
+        code, out, err = run_cli(
+            capsys, "calibrate", "--quotes", str(flat_file),
+            "--strategy", "penalized", "--model", model, "--prev", str(prev),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: the parameters are 'heston', but the model is '{model}'\n"
+
 
 class TestOneParserPerProcess:
     """main builds its parser once; each call still parses only its own flags."""
@@ -228,6 +243,31 @@ class TestPriceCommand:
             prices[kind] = json.loads(out)["price"]
         assert abs(prices["call"] - prices["put"] - (1.0 - 1.1)) < 1e-10
 
+    def test_model_that_contradicts_the_params_file_is_input_error(self, capsys, tmp_path):
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps({"model_kind": "heston", "params": {
+            "v0": 0.0178, "theta": 0.0135, "kappa": 1.31, "sigma": 0.29, "rho": -0.14}}))
+        argv = ["price", "--params", str(p), "--strike", "1.0", "--expiry", "0.5"]
+        code, out, err = run_cli(capsys, *argv, "--model", "schobel_zhu")
+        assert code == 1
+        assert out == ""
+        assert err == "error: the parameters are 'heston', but the model is 'schobel_zhu'\n"
+        code, out, _ = run_cli(capsys, *argv, "--model", "heston")
+        assert code == 0 and json.loads(out)["model"] == "heston"
+
+    def test_model_flag_builds_a_bare_params_dict(self, capsys, tmp_path):
+        params = {"v0": 0.12, "theta": 0.11, "kappa": 1.31, "sigma": 0.29, "rho": -0.14}
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps(params))
+        code, out, _ = run_cli(capsys, "price", "--params", str(p), "--model", "schobel_zhu",
+                               "--strike", "1.0", "--expiry", "0.5")
+        assert code == 0
+        got = json.loads(out)
+        assert got["model"] == "schobel_zhu"
+        want = cf_vanilla_price(cf_for(SchobelZhuParams(**params)), MarketSlice(1.0, 1.0, 0.5),
+                                OptionSpec(1.0, 0.5, "call"))
+        assert got["price"] == want
+
     def test_missing_parameter_key_is_input_error(self, capsys, tmp_path):
         p = tmp_path / "params.json"
         p.write_text(json.dumps({"v0": 0.04, "theta": 0.05, "kappa": 1.5, "sigma": 0.6}))
@@ -289,6 +329,13 @@ class TestPriceCommand:
         assert code == 0
         got = json.loads(out)
         assert got["implied_vol"] == pytest.approx(0.127, abs=2e-3)
+        code, out, err = run_cli(
+            capsys, "price", "--latest", "heston", "--model", "schobel_zhu", "--tenor", "1Y",
+            "--strike", "1.0", "--expiry", "1.0", "--store-path", str(store_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: the parameters are 'heston', but the model is 'schobel_zhu'\n"
 
     def test_torn_store_tail_neither_breaks_price_nor_the_next_save(self, capsys, tmp_path, flat_file):
         store_dir = tmp_path / "store"

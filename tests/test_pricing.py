@@ -702,6 +702,16 @@ class TestFrozenGrid:
         hi = np.array([sl.discount * sl.forward for sl, _ in pairs])
         assert np.all((lo - 0.5 * _oracle_bound(legs) <= calls) & (calls >= 0.0) & (calls <= hi))
 
+    @_props
+    @given(params=st.one_of(*_calibrated), legs=_surfaces(max_expiries=4))
+    def test_sizing_settles_a_second_evaluation_at_the_same_cf_changes_nothing(self, params, legs):
+        # a block trimmed once the sizing meets the tolerance trims no further at the same CF
+        grid = _grid_of(legs)
+        first = grid.prices(cf_for(params))
+        panels = grid.panels
+        assert np.array_equal(grid.prices(cf_for(params)), first)
+        assert grid.panels == panels
+
     def test_resizes_where_the_frozen_panels_miss_the_tolerance(self):
         benign = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=0.3, rho=-0.3)
         wild = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=1.5, rho=-0.7)
