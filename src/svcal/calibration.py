@@ -5,7 +5,9 @@ unconstrained space; every model parameter is mapped through a logistic
 transform onto an open box, so intermediate parameter sets are always
 admissible.  Strategies: full surface, fixed parameters, penalized
 (previous-day anchor with the error-doubling rule), per-tenor with a
-kappa rule, and variance-swap term-structure fits.
+kappa rule, and variance-swap term-structure fits.  The models a fit can
+calibrate, and the parameter names each one frees or fixes, are the
+``MODELS`` table of :mod:`svcal.models`.
 
 A solve stops on scipy's ``xtol`` or ``gtol`` test at 1e-12, or its
 ``ftol`` test at 1e-13 (``OptimizerConfig`` says why): the cost of a
@@ -44,14 +46,16 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .fx_quotes import Conventions, TenorQuote, resolve_smile
 from .models import (
+    MODELS,
     AffineParams,
     BatesParams,
     HestonParams,
     MarketSlice,
-    SchobelZhuParams,
+    ModelSpec,
     cf_grad_for,
     expected_mean_variance,
     feller_ratio,
+    model_spec,
 )
 from .pricing import DEFAULT_QUAD, OptionSpec, QuadratureConfig, SurfaceGrid
 
@@ -185,7 +189,7 @@ class CalibrationResult:
 
 
 # ---------------------------------------------------------------------------
-# model registry and box transforms
+# box transforms
 # ---------------------------------------------------------------------------
 
 _BOXES = {
@@ -198,59 +202,6 @@ _BOXES = {
     "mean_jump": (-0.95, 5.0),
     "jump_vol": (1e-6, 5.0),
 }
-
-_HESTON_NAMES = ("v0", "theta", "kappa", "sigma", "rho")
-_BATES_NAMES = _HESTON_NAMES + ("jump_intensity", "mean_jump", "jump_vol")
-
-
-def _build_heston(vals: Mapping[str, float]) -> HestonParams:
-    return HestonParams(**{k: vals[k] for k in _HESTON_NAMES})
-
-
-def _build_bates(vals: Mapping[str, float]) -> BatesParams:
-    return BatesParams(
-        heston=_build_heston(vals),
-        jump_intensity=vals["jump_intensity"],
-        mean_jump=vals["mean_jump"],
-        jump_vol=vals["jump_vol"],
-    )
-
-
-def _build_schobel_zhu(vals: Mapping[str, float]) -> SchobelZhuParams:
-    return SchobelZhuParams(**{k: vals[k] for k in _HESTON_NAMES})
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str
-    names: Tuple[str, ...]
-    make: Callable[[Mapping[str, float]], AffineParams]
-    params_type: type
-
-    def build(self, vals: Mapping[str, float]) -> AffineParams:
-        """Parameters from a mapping holding exactly ``names``.
-
-        Raises :class:`DomainError` naming any missing or unexpected key.
-        """
-        missing = [n for n in self.names if n not in vals]
-        unexpected = sorted(set(vals) - set(self.names))
-        if missing or unexpected:
-            raise DomainError(f"{self.kind} parameters: missing {missing}, unexpected {unexpected}")
-        return self.make(vals)
-
-
-MODELS: Mapping[str, ModelSpec] = {
-    "heston": ModelSpec("heston", _HESTON_NAMES, _build_heston, HestonParams),
-    "bates": ModelSpec("bates", _BATES_NAMES, _build_bates, BatesParams),
-    "schobel_zhu": ModelSpec("schobel_zhu", _HESTON_NAMES, _build_schobel_zhu, SchobelZhuParams),
-}
-
-
-def _model_spec(model_kind: str) -> ModelSpec:
-    try:
-        return MODELS[model_kind]
-    except KeyError:
-        raise DomainError(f"unknown model kind {model_kind!r}; choose from {sorted(MODELS)}")
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -391,7 +342,7 @@ def objective(
     the optimizer rejects the step.
     """
     fixed = (fix or FixSet()).resolve()
-    prob = _Problem(target, _model_spec(model_kind), fixed, {}, quad)
+    prob = _Problem(target, model_spec(model_kind), fixed, {}, quad)
     x = np.asarray(x, dtype=float)
     if x.shape != (len(prob.free),):
         raise DomainError(f"expected {len(prob.free)} free parameters {prob.free}, got shape {x.shape}")
@@ -569,7 +520,7 @@ def calibrate(
     Returns the best parameters found even on non-convergence (flagged via
     ``converged``); deterministic for fixed inputs and config.
     """
-    prob = _Problem(target, _model_spec(model_kind), (fix or FixSet()).resolve(), {}, config.quad)
+    prob = _Problem(target, model_spec(model_kind), (fix or FixSet()).resolve(), {}, config.quad)
     return _fit(prob, init, config)
 
 
@@ -619,7 +570,7 @@ def calibrate_penalized(
     Raises :class:`DomainError`, before any solve, when ``prev`` is not of
     ``model_kind``'s parameter type.
     """
-    spec = _model_spec(model_kind)
+    spec = model_spec(model_kind)
     if not isinstance(prev, spec.params_type):
         raise DomainError(f"previous parameters are {type(prev).__name__}, not {model_kind} parameters")
     prob = _Problem(target, spec, (fix or FixSet()).resolve(), {}, config.quad)
@@ -767,10 +718,7 @@ def calibrate_varswap(
         return vals - ws
 
     x0 = _from_box(np.array([max(ws[0], 1.5e-6), max(ws[-1], 1.5e-6), 1.0]), lo, hi)
-    res = least_squares(
-        residuals, x0, method="trf", jac="2-point",
-        ftol=config.ftol, xtol=config.xtol, gtol=config.gtol, max_nfev=config.max_nfev,
-    )
+    res = _run_least_squares(residuals, "2-point", x0, config, "varswap")
     v0, theta, kappa = (float(v) for v in _to_box(res.x, lo, hi))
     rmse = float(np.sqrt(np.mean(res.fun**2)))
     return VarswapFit(

@@ -5,7 +5,8 @@ Subcommands: ``calibrate``, ``price``, ``varswap``, ``markdown``,
 keys and full-precision floats, so identical inputs produce byte-identical
 output; timestamps exist only in the parameter store.
 
-Exit codes: 0 success, 1 input error, 2 numerical non-convergence.
+Exit codes: 0 success, 1 input error (a malformed command line too),
+2 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .calibration import MODELS, FixSet, OptimizerConfig, TenorRules
+from .calibration import FixSet, OptimizerConfig, TenorRules
 from .errors import (
     DomainError,
     NumericalError,
@@ -29,9 +30,8 @@ from .errors import (
 )
 from .fx_quotes import Conventions
 from .mixing import MixingCurve
-from .models import MarketSlice
+from .models import MODELS, MarketSlice, cf_for, model_spec
 from .pricing import OptionSpec, QuadratureConfig, cf_vanilla_price, model_implied_vol
-from .models import cf_for
 from .quotes_io import emit_quotes, load_quotes, load_varswap_curve, quotes_digest
 from .store import ENV_STORE, ParamRecord, ParamStore
 from .workflows import STRATEGIES, RunConfig, calibrate_report, markdown_rows, varswap_report
@@ -47,6 +47,13 @@ _INPUT_ERRORS = (
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _finite(value, where: str, integer: bool = False):
+    """``value`` if it is a finite JSON number (an integer if ``integer``); :class:`DomainError` naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)) or not math.isfinite(value):
+        raise DomainError(f"{where} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+    return value
 
 
 def _number(text: str, flag: str) -> float:
@@ -84,7 +91,18 @@ def _parse_curve(text: str) -> MixingCurve:
 def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
-    return json.loads(Path(path).read_text())
+    filecfg = json.loads(Path(path).read_text())
+    if not isinstance(filecfg, dict):
+        raise DomainError(f"config file {path} must hold a JSON object, got {filecfg!r}")
+    return filecfg
+
+
+def _config_object(filecfg: dict, name: str) -> dict:
+    """Config-file section ``name`` ({} when absent); :class:`DomainError` unless it is an object."""
+    section = filecfg.get(name, {})
+    if not isinstance(section, dict):
+        raise DomainError(f"config section {name!r} must be an object, got {section!r}")
+    return section
 
 
 def _config_section(cls, filecfg: dict, name: str):
@@ -94,18 +112,13 @@ def _config_section(cls, filecfg: dict, name: str):
     field of ``cls``, or whose value is not a finite number (an integer
     where the field's default is one).
     """
-    section = filecfg.get(name, {})
-    if not isinstance(section, dict):
-        raise DomainError(f"config section {name!r} must be an object, got {section!r}")
+    section = _config_object(filecfg, name)
     defaults = cls()
     for key, value in section.items():
         default = getattr(defaults, key, None)
         if key.startswith("_") or isinstance(default, bool) or not isinstance(default, (int, float)):
             raise DomainError(f"config section {name!r} has no setting {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) \
-                or (isinstance(default, int) and not isinstance(value, int)):
-            kind = "an integer" if isinstance(default, int) else "a finite number"
-            raise DomainError(f"config setting {name}.{key} must be {kind}, got {value!r}")
+        _finite(value, f"config setting {name}.{key}", isinstance(default, int))
     return cls(**section)
 
 
@@ -114,22 +127,22 @@ def _run_config(args, rows) -> RunConfig:
     filecfg = _load_config_file(getattr(args, "config", None))
 
     def pick(flag_value, file_key, default):
-        if flag_value is not None:
-            return flag_value
-        return filecfg.get(file_key, default)
+        return flag_value if flag_value is not None else filecfg.get(file_key, default)
 
     conv = Conventions(
         delta_kind=pick(getattr(args, "delta_kind", None), "delta_kind", "forward"),
         atm_kind=pick(getattr(args, "atm_kind", None), "atm_kind", "dns"),
     )
+    kappa_rule_constant = pick(getattr(args, "kappa_rule_c", None), "kappa_rule_constant", 1.5)
     rules = TenorRules(
-        kappa_rule_constant=float(pick(getattr(args, "kappa_rule_c", None), "kappa_rule_constant", 1.5)),
+        kappa_rule_constant=float(_finite(kappa_rule_constant, "kappa_rule_constant")),
         theta_rule=pick(getattr(args, "theta_rule", None), "theta_rule", "v0"),
     )
-    fix_map = dict(filecfg.get("fix", {}))
+    fix_map = {name: _finite(value, f"config setting fix.{name}")
+               for name, value in _config_object(filecfg, "fix").items()}
     fix_map.update(_parse_fix(getattr(args, "fix", []) or []))
     v0_from_atm_vol = None
-    if getattr(args, "v0_from_atm", False) or filecfg.get("v0_from_atm", False):
+    if rows and (getattr(args, "v0_from_atm", False) or filecfg.get("v0_from_atm", False)):
         one_month = min(rows, key=lambda r: abs(r.expiry - 1.0 / 12.0))
         v0_from_atm_vol = one_month.atm_vol
     fix = FixSet(fixed=fix_map, v0_from_atm_vol=v0_from_atm_vol) if (fix_map or v0_from_atm_vol) else None
@@ -138,15 +151,9 @@ def _run_config(args, rows) -> RunConfig:
     optimizer = replace(optimizer, quad=_config_section(QuadratureConfig, filecfg, "quadrature"))
 
     model_kind = pick(getattr(args, "model", None), "model", "heston")
-    prev_params = None
-    prev_path = getattr(args, "prev", None)
-    if prev_path:
-        prev_params = _params_from_payload(json.loads(Path(prev_path).read_text()), model_kind)[1]
-
-    vs_curve = None
-    vs_path = getattr(args, "vs_curve", None)
-    if vs_path:
-        vs_curve = tuple(load_varswap_curve(vs_path))
+    prev_path, vs_path = getattr(args, "prev", None), getattr(args, "vs_curve", None)
+    prev_params = _params_from_payload(json.loads(Path(prev_path).read_text()), model_kind)[1] if prev_path else None
+    vs_curve = tuple(load_varswap_curve(vs_path)) if vs_path else None
 
     return RunConfig(
         model_kind=model_kind,
@@ -165,14 +172,15 @@ def _params_from_payload(payload: dict, model: Optional[str]):
     """The model kind and parameters of {'model_kind': ..., 'params': {...}} or of a bare params dict.
 
     A bare dict is built as ``model`` (heston when None).  A payload that
-    names a kind other than ``model`` raises :class:`DomainError`.
+    is not an object, names a kind other than ``model`` or does not build
+    (:meth:`ModelSpec.build`) raises :class:`DomainError`.
     """
+    if not isinstance(payload, dict):
+        raise DomainError(f"parameters must be a JSON object, got {payload!r}")
     model_kind = payload.get("model_kind", model or "heston")
     if model is not None and model_kind != model:
         raise DomainError(f"the parameters are {model_kind!r}, but the model is {model!r}")
-    if model_kind not in MODELS:
-        raise DomainError(f"unknown model kind {model_kind!r}")
-    return model_kind, MODELS[model_kind].build(payload.get("params", payload))
+    return model_kind, model_spec(model_kind).build(payload.get("params", payload))
 
 
 def _store(args) -> ParamStore:
@@ -193,16 +201,11 @@ def cmd_calibrate(args) -> int:
     _emit(report)
     if args.save:
         store = _store(args)
-        if cfg.strategy == "tenor":
-            params = {rec["tenor"]: rec["params"] for rec in report["records"]}
-            diagnostics = {
-                rec["tenor"]: {"rmse": rec["rmse"], "feller": rec["feller"]}
-                for rec in report["records"]
-            }
-        else:
-            rec = report["records"][0]
-            params = rec["params"]
-            diagnostics = {"rmse": rec["rmse"], "feller": rec["feller"]}
+        # per tenor for the tenor strategy, else the one record's ("all")
+        params = {rec["tenor"]: rec["params"] for rec in report["records"]}
+        diagnostics = {rec["tenor"]: {"rmse": rec["rmse"], "feller": rec["feller"]} for rec in report["records"]}
+        if cfg.strategy != "tenor":
+            params, diagnostics = params["all"], diagnostics["all"]
         record = ParamRecord(
             model_kind=cfg.model_kind,
             params=params,
@@ -222,7 +225,7 @@ def cmd_price(args) -> int:
         payload = {"model_kind": record.model_kind, "params": record.flat_params(args.tenor)}
     else:
         payload = json.loads(Path(args.params).read_text())
-        if args.tenor and "params" not in payload and args.tenor in payload:
+        if args.tenor and isinstance(payload, dict) and "params" not in payload and args.tenor in payload:
             payload = payload[args.tenor]
     model_kind, params = _params_from_payload(payload, args.model)
     slice_ = MarketSlice(forward=args.forward, discount=args.discount, expiry=args.expiry)
@@ -264,13 +267,13 @@ def cmd_markdown(args) -> int:
     rows = load_quotes(args.quotes)
     curve = _parse_curve(args.curve) if args.curve else None
     if args.lam is None and curve is None:
-        filecfg = _load_config_file(args.config)
-        if filecfg.get("mixing"):
-            curve = MixingCurve(
-                tuple(filecfg["mixing"]["breakpoints"]), tuple(filecfg["mixing"]["values"])
-            )
-        else:
+        mixing = _config_object(_load_config_file(args.config), "mixing")
+        if not mixing:
             raise DomainError("supply --lam, --curve, or a config file with a mixing curve")
+        keys = ("breakpoints", "values")
+        if not all(isinstance(mixing.get(k), list) for k in keys):
+            raise DomainError(f"config section 'mixing' needs lists 'breakpoints' and 'values', got {mixing!r}")
+        curve = MixingCurve(*(tuple(_finite(v, f"config setting mixing.{k}") for v in mixing[k]) for k in keys))
     out_rows = markdown_rows(rows, args.lam, curve)
     text = emit_quotes(out_rows)
     if args.output:
@@ -406,7 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (status 2) or the help (status 0)
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except _INPUT_ERRORS as exc:

@@ -1,16 +1,18 @@
-"""Model parameter types and affine characteristic functions.
+"""Model parameter types, the calibrated-model table and affine characteristic functions.
 
 Parameter containers are immutable and validate their admissibility bounds
-on construction.  Characteristic functions are of ln(F_T/F_0) under the
-forward measure (zero drift); discounting and the forward level live in
-:class:`MarketSlice`.
+on construction.  :data:`MODELS` maps each calibrated model kind (heston,
+bates, schobel_zhu) to the parameter type it builds and the flat parameter
+names of its ``as_dict``; :func:`model_spec` looks a kind up.  Characteristic
+functions are of ln(F_T/F_0) under the forward measure (zero drift);
+discounting and the forward level live in :class:`MarketSlice`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Tuple, Union
+from typing import Mapping, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +29,13 @@ def _require(cond: bool, msg: str) -> None:
 
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = None
+        if finite is None or isinstance(value, bool):
+            raise DomainError(f"{name} must be a number, got {value!r}")
+        if not finite:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
@@ -106,6 +114,47 @@ class SchobelZhuParams:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A calibrated model: its kind, the parameter type it builds and the
+    names of that type's ``as_dict``, in order."""
+
+    kind: str
+    params_type: type
+    names: Tuple[str, ...]
+
+    def build(self, vals: Mapping[str, float]) -> "AffineParams":
+        """Parameters from a mapping holding exactly ``names``; :class:`DomainError` for
+        anything else, naming any missing or unexpected key or a value that is not a
+        finite number or breaks a bound."""
+        if not isinstance(vals, Mapping):
+            raise DomainError(f"{self.kind} parameters must be a mapping, got {vals!r}")
+        missing = [n for n in self.names if n not in vals]
+        unexpected = sorted(set(vals) - set(self.names))
+        if missing or unexpected:
+            raise DomainError(f"{self.kind} parameters: missing {missing}, unexpected {unexpected}")
+        if self.params_type is BatesParams:
+            heston = HestonParams(**{n: vals[n] for n in _HESTON_NAMES})
+            return BatesParams(heston, **{n: vals[n] for n in self.names[len(_HESTON_NAMES):]})
+        return self.params_type(**vals)
+
+
+_HESTON_NAMES = tuple(f.name for f in fields(HestonParams))
+
+MODELS: Mapping[str, ModelSpec] = {
+    "heston": ModelSpec("heston", HestonParams, _HESTON_NAMES),
+    "bates": ModelSpec("bates", BatesParams, _HESTON_NAMES + ("jump_intensity", "mean_jump", "jump_vol")),
+    "schobel_zhu": ModelSpec("schobel_zhu", SchobelZhuParams, tuple(f.name for f in fields(SchobelZhuParams))),
+}
+
+
+def model_spec(kind: str) -> ModelSpec:
+    """The :data:`MODELS` entry of ``kind``; :class:`DomainError` for any other value."""
+    if isinstance(kind, str) and kind in MODELS:
+        return MODELS[kind]
+    raise DomainError(f"unknown model kind {kind!r}; choose from {sorted(MODELS)}")
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ try:
 except ImportError:  # pragma: no cover - no flock (Windows): saves are serialized per process only
     fcntl = None
 
-from .calibration import MODELS
 from .errors import DomainError, RecordNotFoundError
+from .models import model_spec
 from .quotes_io import QuoteRow, quotes_digest
 
 log = logging.getLogger(__name__)
@@ -89,7 +89,7 @@ class ParamRecord:
 
     @property
     def is_per_tenor(self) -> bool:
-        return any(isinstance(v, dict) for v in self.params.values())
+        return isinstance(self.params, Mapping) and any(isinstance(v, dict) for v in self.params.values())
 
 
 def _record_to_json(rec: ParamRecord) -> str:
@@ -142,14 +142,10 @@ def _start_fresh_line(fh) -> None:
 
 def _validate_params(rec: ParamRecord) -> None:
     """Raise :class:`DomainError` unless the params build a model of the record's kind."""
-    spec = MODELS.get(rec.model_kind)
-    if spec is None:
-        raise DomainError(f"unknown model kind {rec.model_kind!r}; choose from {sorted(MODELS)}")
+    spec = model_spec(rec.model_kind)
     sets = rec.params.items() if rec.is_per_tenor else [(None, rec.params)]
     for tenor, vals in sets:
         where = "" if tenor is None else f"tenor {tenor!r}: "
-        if not isinstance(vals, Mapping):
-            raise DomainError(f"{where}{rec.model_kind} parameters must be a mapping, got {vals!r}")
         try:
             spec.build(vals)
         except DomainError as exc:

@@ -26,9 +26,9 @@ from .calibration import (
 from .errors import DomainError
 from .fx_quotes import Conventions, resolve_smile
 from .mixing import MixingCurve, _check_weight, mix_at
-from .models import AffineParams
+from .models import AffineParams, model_spec
 from .quotes_io import QuoteRow
-from .varswap import DEFAULT_REPLICATION, ReplicationConfig, implied_varswap_curve
+from .varswap import implied_varswap_curve
 
 STRATEGIES = ("full", "fixed", "penalized", "tenor", "varswap")
 REPORT_SCHEMA = 1
@@ -47,7 +47,6 @@ class RunConfig:
     rules: TenorRules = field(default_factory=TenorRules)
     fix: Optional[FixSet] = None
     varswap_mode: str = "fix"
-    replication: ReplicationConfig = DEFAULT_REPLICATION
     optimizer: OptimizerConfig = DEFAULT_OPT
     prev_params: Optional[AffineParams] = None
     # quoted variance-swap curve; when present the varswap strategy uses it
@@ -55,6 +54,7 @@ class RunConfig:
     vs_curve: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self):
+        model_spec(self.model_kind)  # DomainError for an unknown kind
         if self.strategy not in STRATEGIES:
             raise DomainError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.strategy == "fixed" and (self.fix is None or not self.fix.resolve()):
@@ -83,9 +83,7 @@ def _varswap_curve(rows: Sequence[QuoteRow], cfg: RunConfig) -> List[Tuple[float
         return list(cfg.vs_curve)
     if not rows:
         raise DomainError("no quotes")
-    return implied_varswap_curve(
-        [r.quote() for r in rows], [r.slice() for r in rows], cfg.conventions, cfg.replication
-    )
+    return implied_varswap_curve([r.quote() for r in rows], [r.slice() for r in rows], cfg.conventions)
 
 
 def run_strategy(

@@ -934,6 +934,28 @@ class TestCalibrateVarswap:
         with pytest.raises(DomainError):
             calibrate_varswap([(0.5, 0.04), (0.5, 0.05), (2.0, 0.06)])
 
+    def test_the_solve_uses_the_optimizer_settings_and_logs_why_it_stopped(self, monkeypatch, caplog):
+        import svcal.calibration
+
+        settings = []
+        real = svcal.calibration.least_squares
+
+        def spy(*args, **kwargs):
+            settings.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(svcal.calibration, "least_squares", spy)
+        truth = HestonParams(0.04, 0.09, 1.0, 0.0, 0.0)
+        curve = [(T, expected_mean_variance(truth, T)) for T in (0.5, 1.0, 2.0, 5.0)]
+        config = OptimizerConfig(ftol=1e-11, xtol=1e-10, gtol=1e-9, max_nfev=77)
+        with caplog.at_level("DEBUG", logger="svcal"):
+            fit = calibrate_varswap(curve, config=config)
+        assert fit.converged
+        assert settings == [dict(method="trf", jac="2-point", ftol=1e-11, xtol=1e-10, gtol=1e-9, max_nfev=77)]
+        records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
+        assert len(records) == 1
+        assert re.fullmatch(r"varswap: status=[1-4] \([a-z ]+\), nfev=\d+, njev=\d+, cost=\S+", records[0])
+
     def test_fix_and_init_adapters(self):
         truth = HestonParams(0.04, 0.09, 1.0, 0.0, 0.0)
         curve = [(T, expected_mean_variance(truth, T)) for T in (0.5, 1.0, 2.0, 5.0)]

@@ -10,6 +10,8 @@ from svcal.pricing import OptionSpec, bs_price, cf_vanilla_price
 
 DATA_CSV = Path(__file__).resolve().parent.parent / "data" / "eurusd_2008-09-16.csv"
 
+HESTON = {"v0": 0.0161, "theta": 0.0161, "kappa": 2.0, "sigma": 0.2, "rho": -0.1}
+
 FLAT_CSV = """tenor,expiry_years,forward,discount,atm_vol,ms25,rr25
 6M,0.5,1.0,1.0,12.70%,0.00%,0.00%
 1Y,1.0,1.0,1.0,12.70%,0.00%,0.00%
@@ -96,6 +98,24 @@ class TestCalibrateCommand:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("config, flags, message", [
+        ([1], [], "must hold a JSON object, got [1]"),
+        ({"fix": [1, 2]}, [], "config section 'fix' must be an object, got [1, 2]"),
+        ({"fix": {"kappa": None}}, ["--strategy", "fixed"], "config setting fix.kappa must be a finite number, got None"),
+        ({"fix": {"kappa": "2"}}, ["--strategy", "fixed"], "config setting fix.kappa must be a finite number, got '2'"),
+        ({"kappa_rule_constant": "x"}, [], "kappa_rule_constant must be a finite number, got 'x'"),
+        ({"model": ["heston"]}, [], "unknown model kind ['heston']"),
+        ({"model": "sabr"}, [], "unknown model kind 'sabr'"),
+    ], ids=["top_level_list", "fix_list", "fix_null", "fix_string", "kappa_rule_string", "model_list", "model_unknown"])
+    def test_malformed_config_file_is_input_error_naming_the_key(self, capsys, tmp_path, flat_file,
+                                                                  config, flags, message):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "calibrate", "--quotes", str(flat_file), "--config", str(cfgp), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_config_sections_set_optimizer_and_quadrature(self, capsys, tmp_path, flat_file):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"optimizer": {"starts": 1, "retry_rmse": 1e-4},
@@ -178,6 +198,59 @@ class TestCalibrateCommand:
         assert code == 1
         assert out == ""
         assert err == f"error: the parameters are 'heston', but the model is '{model}'\n"
+
+
+    @pytest.mark.parametrize("payload, message", [
+        ([1, 2], "parameters must be a JSON object, got [1, 2]"),
+        ({"model_kind": "heston", "params": dict(HESTON, v0="0.02")}, "v0 must be a number, got '0.02'"),
+    ])
+    def test_malformed_prev_file_is_input_error(self, capsys, tmp_path, flat_file, payload, message):
+        prev = tmp_path / "prev.json"
+        prev.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, "calibrate", "--quotes", str(flat_file), "--strategy", "penalized", "--prev", str(prev),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestUsageErrors:
+    """A malformed command line is an input error: exit 1 with argparse's usage message, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--params", "params.json", "--strike", "abc", "--expiry", "0.5"],
+        ["calibrate", "--quotes", str(DATA_CSV), "--model", "foo"],
+        ["price", "--strike", "1.0", "--expiry", "0.5"],
+        ["store", "show", "abc"],
+        ["frobnicate"],
+        [],
+    ], ids=["strike_not_a_number", "unknown_model", "no_params_source", "record_id_not_an_int",
+            "unknown_command", "no_command"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: svcal") and "error: " in err and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "price", "--help")
+        assert code == 0
+        assert out.startswith("usage: svcal price") and err == ""
+
+    def test_fresh_process_exit_codes(self):
+        import os
+        import subprocess
+        import sys
+
+        import svcal
+
+        src = str(Path(svcal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv, want in [(["price", "--strike", "abc"], 1), (["--help"], 0)]:
+            proc = subprocess.run([sys.executable, "-m", "svcal.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == want and "Traceback" not in proc.stderr
 
 
 class TestOneParserPerProcess:
@@ -275,6 +348,39 @@ class TestPriceCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "'rho'" in err
+
+    @pytest.mark.parametrize("payload, flags, message", [
+        ([1, 2], [], "parameters must be a JSON object, got [1, 2]"),
+        ([1, 2], ["--tenor", "1Y"], "parameters must be a JSON object, got [1, 2]"),
+        ("abc", ["--tenor", "a"], "parameters must be a JSON object, got 'abc'"),
+        ({"model_kind": ["heston"], "params": HESTON}, [], "unknown model kind ['heston']; choose from"),
+        ({"model_kind": "heston", "params": dict(HESTON, v0="0.02")}, [], "v0 must be a number, got '0.02'"),
+        (dict(HESTON, rho=None), [], "rho must be a number, got None"),
+        ({"model_kind": "heston", "params": [1, 2]}, [], "heston parameters must be a mapping, got [1, 2]"),
+        ({"model_kind": "bates", "params": dict(HESTON, jump_intensity=0.1, mean_jump=0.0, jump_vol=[0.1])}, [],
+         "jump_vol must be a number, got [0.1]"),
+    ], ids=["list", "list_with_tenor", "string_with_tenor", "unhashable_kind", "string_value", "null_value",
+            "list_params", "bates_list_value"])
+    def test_malformed_params_file_is_input_error(self, capsys, tmp_path, payload, flags, message):
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "price", "--params", str(p), "--strike", "1.0", "--expiry", "1.0", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    def test_malformed_stored_record_is_input_error(self, capsys, tmp_path):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        record = {"record_id": 1, "model_kind": "heston", "params": dict(HESTON, v0="0.02"),
+                  "timestamp": "2008-09-16T08:00:00+00:00", "quote_digest": "digest"}
+        (store_dir / "params.jsonl").write_text(json.dumps(record) + "\n")  # written by hand, past save's checks
+        code, out, err = run_cli(
+            capsys, "price", "--latest", "heston", "--strike", "1.0", "--expiry", "1.0", "--store-path", str(store_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: v0 must be a number, got '0.02'\n"
 
     def test_non_finite_parameter_in_params_file_is_input_error(self, capsys, tmp_path):
         p = tmp_path / "params.json"
@@ -435,6 +541,16 @@ class TestQuotedVarswapCurve:
         assert rep["fit"]["theta"] == pytest.approx(0.09, abs=1e-6)
         assert rep["fit"]["kappa"] == pytest.approx(1.0, abs=1e-5)
 
+    def test_quoted_curve_ignores_a_shared_config_that_pins_v0(self, capsys, tmp_path):
+        # v0_from_atm reads the vanilla quotes, which a quoted curve alone does not have
+        p = tmp_path / "vs.csv"
+        p.write_text(self.CURVE_CSV)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"v0_from_atm": True}))
+        code, out, _ = run_cli(capsys, "varswap", "--vs-curve", str(p), "--config", str(cfgp))
+        plain = run_cli(capsys, "varswap", "--vs-curve", str(p))
+        assert (code, out) == plain[:2] and code == 0
+
     def test_calibrate_varswap_strategy_with_quoted_curve(self, capsys, tmp_path, flat_file):
         p = tmp_path / "vs.csv"
         p.write_text(
@@ -512,6 +628,21 @@ class TestMarkdownCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: --curve expects a")
+
+    @pytest.mark.parametrize("config, message", [
+        ([1], "must hold a JSON object, got [1]"),
+        ({"mixing": [1]}, "config section 'mixing' must be an object, got [1]"),
+        ({"mixing": {"breakpoints": [1.0]}}, "config section 'mixing' needs lists 'breakpoints' and 'values'"),
+        ({"mixing": {"breakpoints": ["a"], "values": [0.5]}}, "mixing.breakpoints must be a finite number, got 'a'"),
+        ({"mixing": {"breakpoints": [1.0], "values": [None]}}, "mixing.values must be a finite number, got None"),
+    ], ids=["top_level_list", "mixing_list", "values_missing", "breakpoint_string", "value_null"])
+    def test_malformed_mixing_config_is_input_error(self, capsys, tmp_path, config, message):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "markdown", "--quotes", str(DATA_CSV), "--config", str(cfgp))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_markdown_requires_a_weight_source(self, capsys):
         code, _, err = run_cli(capsys, "markdown", "--quotes", str(DATA_CSV))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from svcal._kernels import _SZ_DET_SIGMA
 from svcal.errors import DomainError
 from svcal.models import (
+    MODELS,
     BatesParams,
     HestonParams,
     MarketSlice,
@@ -22,6 +23,7 @@ from svcal.models import (
     cf_schobel_zhu,
     expected_mean_variance,
     feller_ratio,
+    model_spec,
 )
 from conftest import random_heston
 
@@ -87,6 +89,54 @@ class TestInvariants:
             MarketSlice(forward=1.0, discount=1.2, expiry=1.0)
         with pytest.raises(DomainError):
             MarketSlice(forward=1.0, discount=1.0, expiry=0.0)
+
+
+_MODEL_PARAMS = {
+    "heston": HestonParams(0.04, 0.05, 1.5, 0.6, -0.5),
+    "bates": BatesParams(HestonParams(0.04, 0.05, 1.5, 0.6, -0.5), 0.2, -0.05, 0.1),
+    "schobel_zhu": SchobelZhuParams(0.2, 0.22, 1.5, 0.3, -0.5),
+}
+
+
+class TestModelTable:
+    @pytest.mark.parametrize("kind", sorted(_MODEL_PARAMS))
+    def test_build_inverts_as_dict(self, kind):
+        spec = model_spec(kind)
+        p = _MODEL_PARAMS[kind]
+        assert spec is MODELS[kind] and spec.kind == kind
+        assert type(p) is spec.params_type
+        assert tuple(p.as_dict()) == spec.names
+        assert spec.build(p.as_dict()) == p
+
+    @pytest.mark.parametrize("kind", ["sabr", ["heston"], None, 1, ""])
+    def test_unknown_kind_is_one_domain_error(self, kind):
+        with pytest.raises(DomainError, match=r"unknown model kind .*; choose from \['bates', 'heston', 'schobel_zhu'\]"):
+            model_spec(kind)
+
+    def test_calibration_reexports_the_table(self):
+        import svcal.calibration
+
+        assert svcal.calibration.MODELS is MODELS
+
+    @pytest.mark.parametrize("kind", sorted(_MODEL_PARAMS))
+    @pytest.mark.parametrize("bad, match", [
+        ("0.02", "must be a number, got '0.02'"),
+        (None, "must be a number, got None"),
+        (True, "must be a number, got True"),
+        ([0.02], "must be a number"),
+        (math.nan, "must be finite"),
+    ])
+    def test_every_value_must_be_a_finite_number(self, kind, bad, match):
+        spec = model_spec(kind)
+        vals = _MODEL_PARAMS[kind].as_dict()
+        for name in spec.names:
+            with pytest.raises(DomainError, match=f"{name} {match}"):
+                spec.build(dict(vals, **{name: bad}))
+
+    @pytest.mark.parametrize("vals", [[1, 2], "v0", None, 0.04])
+    def test_parameters_that_are_not_a_mapping_are_rejected(self, vals):
+        with pytest.raises(DomainError, match="heston parameters must be a mapping"):
+            model_spec("heston").build(vals)
 
 
 class TestFellerRatio:

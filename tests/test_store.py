@@ -137,8 +137,12 @@ class TestSaveValidation:
             ("heston", {"3M": PARAMS, "1Y": dict(PARAMS, rho=1.5)}, "tenor '1Y'.*rho"),
             ("heston", {"3M": PARAMS, "1Y": 0.5}, "tenor '1Y'"),
             ("sabr", PARAMS, "unknown model kind 'sabr'"),
+            (["heston"], PARAMS, "unknown model kind \\['heston'\\]"),
+            ("heston", [1, 2], "must be a mapping"),
+            ("heston", dict(PARAMS, v0="0.02"), "v0 must be a number"),
         ],
-        ids=["missing_key", "extra_key", "bad_tenor", "non_mapping_tenor", "unknown_kind"],
+        ids=["missing_key", "extra_key", "bad_tenor", "non_mapping_tenor", "unknown_kind",
+             "unhashable_kind", "non_mapping_params", "string_value"],
     )
     def test_rejected_save_leaves_file_unchanged(self, tmp_path, model, params, match):
         store = ParamStore(tmp_path)
