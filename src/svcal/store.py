@@ -5,20 +5,30 @@ are serialized as shortest round-trip decimal text, so a store round trip
 is bit-exact.  A save holds an exclusive ``fcntl.flock`` on the store
 file from reading the last id to the end of its append, so saves from
 threads and from separate processes are serialized.  The append is not
-fsynced.  Every read reads the whole file, but each distinct line is
-decoded once per process: a module-level memo maps each store file to its
-current lines' records, keyed by the line text, so a rewritten, truncated
-or externally appended file reads back exactly what is on disk.  Returned
-records are shared between calls and are read-only.
+fsynced.
 
-A last line that is not JSON is the torn tail of an interrupted write:
-reads skip it with a warning and the next save cuts it off before
-appending, so every record starts on a fresh line.  Any other line that
-does not decode is an error naming its line number.
+Every read reads the whole file as bytes and compares them with a
+module-level memo, one immutable entry per store file: the bytes as last
+read, their records, and the latest record of each model kind.  Bytes
+equal to the entry's cost no decoding; bytes that extend the entry's
+newline-terminated bytes (an append) decode only the new lines; anything
+else (a rewrite, a truncation) decodes the whole file.  So a rewritten,
+truncated or externally appended file reads back exactly what is on disk,
+and ``latest(kind)`` and the next id of a save come from the entry.
+Lines are read as text mode reads them (universal newlines, UTF-8 with
+undecodable bytes replaced).  Returned records are shared between calls
+and are read-only.
+
+A last non-blank line that is not JSON is the torn tail of an interrupted
+write: reads skip it with a warning and the next save, splitting lines as
+reads do, cuts it off before appending, so every record starts on a fresh
+line.  Any other line that does not decode is an error naming its line
+number.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
@@ -42,11 +52,10 @@ log = logging.getLogger(__name__)
 ENV_STORE = "SVCAL_STORE"
 _FILE_NAME = "params.jsonl"
 
-# store file -> {line text: record decoded from it}, holding only the lines
-# the file held at its last read.  A read takes the map out, moves each line
-# it finds into a fresh map and puts that back, so concurrent readers can at
-# worst miss the memo and decode again, never return a wrong record.
-_DECODED: Dict[Path, Dict[str, "ParamRecord"]] = {}
+# store file -> _Decoded entry of its bytes at the last read.  Entries are
+# never changed, only replaced in one assignment, so concurrent readers can
+# at worst miss the memo and decode again, never return a wrong record.
+_DECODED: Dict[Path, "_Decoded"] = {}
 
 
 @dataclass(frozen=True)
@@ -120,23 +129,105 @@ def _record_from_json(line: str) -> ParamRecord:
     )
 
 
+def _order(rec: ParamRecord) -> tuple:
+    """The key ``latest`` ranks a kind's records by: (timestamp, record id)."""
+    return datetime.fromisoformat(rec.timestamp), rec.record_id
+
+
+@dataclass(frozen=True)
+class _Decoded:
+    """A store file's bytes as last read and what they decode to."""
+
+    data: bytes
+    records: Tuple[ParamRecord, ...]
+    lines: int  # lines read, blank ones included
+    torn: Optional[Tuple[int, Exception]]  # (line number, error) of a last line that is not JSON
+    # model kind -> its latest record; None where the kind's keys do not
+    # compare (naive against aware times), so latest() scans and says why
+    newest: Mapping[str, Optional[ParamRecord]]
+    # 1 + the largest record id; None unless every id is an int or missing, so save() scans
+    next_id: Optional[int]
+
+
+_NO_RECORDS = _Decoded(b"", (), 0, None, {}, 1)
+
+
+def _newest(newest: Mapping[str, Optional[ParamRecord]],
+            records: Sequence[ParamRecord]) -> Dict[str, Optional[ParamRecord]]:
+    """``newest`` moved on by ``records`` in file order, as latest() scans them."""
+    out = dict(newest)
+    for rec in records:
+        kind = rec.model_kind
+        if not isinstance(kind, str):
+            continue
+        if kind not in out:
+            out[kind] = rec
+        elif out[kind] is not None:
+            try:
+                if _order(rec) > _order(out[kind]):
+                    out[kind] = rec
+            except TypeError:
+                out[kind] = None
+    return out
+
+
+def _next_id(base: _Decoded, records: Sequence[ParamRecord]) -> Optional[int]:
+    """1 + the largest id of ``base``'s records and ``records``, as save() scans them."""
+    ids = [rec.record_id or 0 for rec in records]
+    if base.next_id is None or any(type(i) is not int for i in ids):
+        return None
+    if base.records:
+        ids.append(base.next_id - 1)
+    return 1 + max(ids) if ids else 1
+
+
+def _decode(path: Path, data: bytes, base: _Decoded) -> _Decoded:
+    """The entry for ``data``, whose first bytes are ``base.data``: only the lines after those are decoded.
+
+    A last non-blank line that is not JSON is kept as the torn tail (a torn
+    write); any other undecodable line raises :class:`DomainError` naming
+    its line number.
+    """
+    new = []
+    torn = None
+    line_no = base.lines
+    text = io.TextIOWrapper(io.BytesIO(data[len(base.data):]), encoding="utf-8", errors="replace")
+    for line_no, line in enumerate(text, base.lines + 1):  # line by line, so no decoded copy of the text is held
+        if not line.strip():
+            continue
+        if torn is not None:
+            raise DomainError(f"{path} line {torn[0]}: not a parameter record: {torn[1]}")
+        try:
+            new.append(_record_from_json(line))
+        except json.JSONDecodeError as exc:
+            torn = (line_no, exc)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DomainError(f"{path} line {line_no}: not a parameter record: {exc!r}") from exc
+    return _Decoded(data, base.records + tuple(new), line_no, torn, _newest(base.newest, new), _next_id(base, new))
+
+
 def _start_fresh_line(fh) -> None:
     """Ready a store file, opened for binary append and read, for a record on a fresh line.
 
-    A last line that is not JSON (the torn tail of an interrupted write) is
-    cut off; a complete last line without its newline gets one.
+    Lines end as reads end them ("\\n", "\\r" or "\\r\\n").  A last non-blank
+    line that is not JSON (the torn tail of an interrupted write) is cut off
+    with the blank lines after it; a complete last line without its line end
+    gets a newline.
     """
     fh.seek(0)
     data = fh.read()
-    start = data.rfind(b"\n", 0, len(data) - 1) + 1
-    if data[start:].strip():
+    end = len(data)
+    while end and data[end - 1:end].isspace():  # no stripped copy of the file
+        end -= 1
+    start = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+    if end:
         try:
-            json.loads(data[start:])
+            json.loads(data[start:end].decode("utf-8", "replace"))
         except ValueError:
             fh.truncate(start)
             log.warning("%s: cut torn last line (an interrupted write) before appending", fh.name)
             return
-    if data and not data.endswith(b"\n"):
+    if data and not data.endswith((b"\n", b"\r")):
         fh.write(b"\n")
 
 
@@ -167,40 +258,31 @@ class ParamStore:
     def path(self) -> Path:
         return self.root / _FILE_NAME
 
-    def _read_all(self) -> List[ParamRecord]:
-        """Every record in file order; only lines not seen before are decoded.
+    def _read_all(self) -> Tuple[ParamRecord, ...]:
+        """Every record in file order; the memo decodes only what changed on disk.
 
-        A last line that is not JSON is skipped with a warning (a torn
+        A last non-blank line that is not JSON is skipped with a warning (a torn
         write); any other undecodable line raises :class:`DomainError`
         naming its line number.
         """
-        if not self.path.exists():
-            return []
-        seen = _DECODED.pop(self.path, {})
-        current: Dict[str, ParamRecord] = {}
-        out = []
-        torn = None  # (line number, error) of a line that is not JSON: fatal unless it is the last
-        with self.path.open(errors="replace") as fh:
-            for line_no, line in enumerate(fh, 1):  # line by line, so no second copy of the text is held
-                if not line.strip():
-                    continue
-                if torn is not None:
-                    raise DomainError(f"{self.path} line {torn[0]}: not a parameter record: {torn[1]}")
-                rec = seen.pop(line, None)
-                if rec is None:
-                    try:
-                        rec = _record_from_json(line)
-                    except json.JSONDecodeError as exc:
-                        torn = (line_no, exc)
-                        continue
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise DomainError(f"{self.path} line {line_no}: not a parameter record: {exc!r}") from exc
-                current[line] = rec
-                out.append(rec)
-        if torn is not None:
-            log.warning("%s: skipped torn last line %d (an interrupted write): %s", self.path, *torn)
-        _DECODED[self.path] = current
-        return out
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            _DECODED.pop(self.path, None)
+            return ()
+        entry = _DECODED.get(self.path, _NO_RECORDS)
+        if data != entry.data:
+            appended = entry.torn is None and entry.data.endswith(b"\n") and data.startswith(entry.data)
+            entry = _decode(self.path, data, entry if appended else _NO_RECORDS)
+            _DECODED[self.path] = entry
+        if entry.torn is not None:
+            log.warning("%s: skipped torn last line %d (an interrupted write): %s", self.path, *entry.torn)
+        return entry.records
+
+    def _entry_of(self, records: Tuple[ParamRecord, ...]) -> Optional[_Decoded]:
+        """The memo entry a read returned ``records`` from, unless another read has replaced it since."""
+        entry = _DECODED.get(self.path)
+        return entry if entry is not None and entry.records is records else None
 
     def save(self, record: ParamRecord, quotes: Union[str, bytes, Path, None] = None) -> int:
         """Persist the record; returns its id (unique, monotone).
@@ -220,7 +302,10 @@ class ParamStore:
                     if fcntl is not None:
                         fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes, after the write
                     existing = self._read_all()
-                    next_id = 1 + max((r.record_id or 0) for r in existing) if existing else 1
+                    entry = self._entry_of(existing)
+                    next_id = entry.next_id if entry is not None else None
+                    if next_id is None:
+                        next_id = 1 + max((r.record_id or 0) for r in existing) if existing else 1
                     rec = replace(record, record_id=next_id)
                     if mismatch:
                         rec = replace(rec, warnings=rec.warnings + ("digest_mismatch",))
@@ -242,18 +327,26 @@ class ParamStore:
 
         The record is shared with other reads of the store: read-only.
         """
+        records = self._read_all()
+        if as_of is None and isinstance(model_kind, str):
+            entry = self._entry_of(records)
+            newest = entry.newest.get(model_kind) if entry is not None else None
+            if newest is not None:
+                return newest
         cutoff = None
         if as_of is not None:
             cutoff = as_of if isinstance(as_of, datetime) else datetime.fromisoformat(as_of)
         best = None
-        for rec in self._read_all():
+        for rec in records:
             if rec.model_kind != model_kind:
                 continue
-            ts = datetime.fromisoformat(rec.timestamp)
-            if cutoff is not None and ts > cutoff:
-                continue
-            if best is None or (ts, rec.record_id) > best[0]:
-                best = ((ts, rec.record_id), rec)
+            key = _order(rec)
+            try:
+                if (cutoff is None or key[0] <= cutoff) and (best is None or key > best[0]):
+                    best = (key, rec)
+            except TypeError as exc:  # a time without a UTC offset against one with it
+                raise DomainError(f"{self.path}: the time of record {rec.record_id} does not order "
+                                  f"against the other {model_kind!r} records or the cutoff: {exc}") from None
         if best is None:
             raise RecordNotFoundError(
                 f"no {model_kind!r} record at or before {as_of}" if as_of

@@ -93,6 +93,13 @@ def run_strategy(
     if not rows:
         raise DomainError("no quotes")
     if cfg.strategy == "tenor":
+        # checked here, not in RunConfig: `svcal varswap` builds its config with this
+        # default strategy and may share a config file that pins parameters
+        if cfg.model_kind != "heston":
+            raise DomainError(f"the 'tenor' strategy fits heston only, got model {cfg.model_kind!r}")
+        if cfg.fix is not None:
+            raise DomainError("the 'tenor' strategy takes no fix set: its rules set kappa and theta "
+                              "(use the 'fixed' strategy to pin parameters)")
         return [
             (row.tenor_label,
              calibrate_tenor(row.quote(), row.slice(), cfg.rules, cfg.conventions, cfg.optimizer))

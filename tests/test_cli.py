@@ -199,6 +199,34 @@ class TestCalibrateCommand:
         assert out == ""
         assert err == f"error: the parameters are 'heston', but the model is '{model}'\n"
 
+    @pytest.mark.parametrize("model", ["bates", "schobel_zhu"])
+    def test_tenor_strategy_refuses_a_model_it_does_not_fit(self, capsys, tmp_path, flat_file, model):
+        # the tenor rules fit Heston; a Schobel-Zhu record of its variances would be read as vols
+        store_dir = tmp_path / "store"
+        code, out, err = run_cli(
+            capsys, "calibrate", "--quotes", str(flat_file), "--strategy", "tenor", "--model", model,
+            "--save", "--store-path", str(store_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: the 'tenor' strategy fits heston only, got model '{model}'\n"
+        assert not store_dir.exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--fix", "kappa=2"], None),
+        (["--v0-from-atm"], None),
+        ([], {"fix": {"kappa": 2.0}}),
+        ([], {"v0_from_atm": True}),
+    ], ids=["fix_flag", "v0_from_atm_flag", "config_fix", "config_v0_from_atm"])
+    def test_tenor_strategy_refuses_a_fix_set(self, capsys, tmp_path, flat_file, flags, config):
+        if config is not None:
+            cfgp = tmp_path / "cfg.json"
+            cfgp.write_text(json.dumps(config))
+            flags = flags + ["--config", str(cfgp)]
+        code, out, err = run_cli(capsys, "calibrate", "--quotes", str(flat_file), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the 'tenor' strategy takes no fix set")
 
     @pytest.mark.parametrize("payload, message", [
         ([1, 2], "parameters must be a JSON object, got [1, 2]"),
@@ -382,6 +410,20 @@ class TestPriceCommand:
         assert out == ""
         assert err == "error: v0 must be a number, got '0.02'\n"
 
+    def test_stored_times_that_do_not_order_are_input_error(self, capsys, tmp_path):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        lines = [json.dumps({"record_id": k, "model_kind": "heston", "params": HESTON, "timestamp": ts,
+                             "quote_digest": "digest"}) + "\n"
+                 for k, ts in [(1, "2008-09-16T08:00:00+00:00"), (2, "2008-09-17T08:00:00")]]
+        (store_dir / "params.jsonl").write_text("".join(lines))  # the second time has no UTC offset
+        code, out, err = run_cli(
+            capsys, "price", "--latest", "heston", "--strike", "1.0", "--expiry", "1.0", "--store-path", str(store_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "the time of record 2 does not order" in err
+
     def test_non_finite_parameter_in_params_file_is_input_error(self, capsys, tmp_path):
         p = tmp_path / "params.json"
         p.write_text('{"v0": 0.04, "theta": 0.05, "kappa": Infinity, "sigma": 0.6, "rho": -0.5}')
@@ -478,6 +520,13 @@ class TestVarswapCommand:
             assert w == pytest.approx(0.127**2, abs=2e-5)
         assert rep["fit"]["kappa_identified"] is False
         assert rep["fit"]["theta"] == pytest.approx(0.127**2, abs=2e-5)
+
+    def test_a_shared_config_that_pins_parameters_is_not_a_tenor_misuse(self, capsys, tmp_path, flat_file):
+        # the tenor strategy refuses a fix set and other models, but `varswap` runs no strategy
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"v0_from_atm": True, "fix": {"kappa": 2.0}, "model": "schobel_zhu"}))
+        code, out, _ = run_cli(capsys, "varswap", "--quotes", str(flat_file), "--config", str(cfgp))
+        assert (code, out) == run_cli(capsys, "varswap", "--quotes", str(flat_file))[:2] and code == 0
 
     def test_two_tenor_fit_rejected(self, capsys, tmp_path):
         p = tmp_path / "two.csv"

@@ -1,10 +1,14 @@
 import json
+import logging
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svcal.store
 from svcal.errors import DomainError, RecordNotFoundError
@@ -257,8 +261,229 @@ class TestDecodeMemo:
         first = store.path.read_text().splitlines(keepends=True)[0]
         store.path.write_text(first)
         assert [r.record_id for r in store.list_records()] == [1]
-        assert len(svcal.store._DECODED[store.path]) == 1  # memo holds only current lines
+        entry = svcal.store._DECODED[store.path]  # the memo holds the current file's one record only
+        assert entry.data == store.path.read_bytes() and [r.record_id for r in entry.records] == [1]
         assert store.save(make_record()) == 2
+
+    @pytest.mark.parametrize("bad", ['{"record_id": 5, "model_kind": "hes', '{"record_id": 5}'],
+                             ids=["not_json", "not_a_record"])
+    def test_corrupt_line_appended_after_a_cached_read_names_its_line(self, tmp_path, bad):
+        store = ParamStore(tmp_path)
+        for _ in range(3):
+            store.save(make_record())
+        store.latest("heston")
+        good = svcal.store._record_to_json(replace(make_record(), record_id=6))
+        with store.path.open("a") as fh:  # a blank line 4, the bad line 5, then a good line
+            fh.write("\n" + bad + "\n" + good + "\n")
+        with pytest.raises(DomainError, match=r"params\.jsonl line 5: not a parameter record"):
+            store.latest("heston")
+        with pytest.raises(DomainError, match="line 5"):
+            store.save(make_record())
+
+    def test_torn_tail_completed_by_a_later_write_is_decoded(self, tmp_path):
+        store = ParamStore(tmp_path)
+        store.save(make_record())
+        rec = make_record(ts="2008-09-17T08:00:00+00:00", params=dict(PARAMS, v0=0.05))
+        line = svcal.store._record_to_json(replace(rec, record_id=2)) + "\n"
+        with store.path.open("a") as fh:
+            fh.write(line[:40])
+        assert [r.record_id for r in store.list_records()] == [1]
+        assert store.latest("heston").record_id == 1
+        with store.path.open("a") as fh:
+            fh.write(line[40:])
+        assert store.latest("heston") == replace(rec, record_id=2)
+        assert [r.record_id for r in store.list_records()] == [1, 2]
+
+    def test_latest_after_an_external_append_is_the_appended_record(self, tmp_path, decoded):
+        store = ParamStore(tmp_path)
+        store.save(make_record())
+        sz = make_record(model="schobel_zhu", params=dict(PARAMS, v0=0.1, theta=0.1))
+        store.save(sz)
+        assert store.latest("heston").record_id == 1
+        newer = replace(make_record(ts="2008-09-17T08:00:00+00:00", params=dict(PARAMS, v0=0.03)), record_id=3)
+        older = replace(make_record(ts="2008-09-15T08:00:00+00:00", params=dict(PARAMS, v0=0.04)), record_id=4)
+        with store.path.open("a") as fh:  # another writer's appends, the second one dated earlier
+            fh.write(svcal.store._record_to_json(newer) + "\n" + svcal.store._record_to_json(older) + "\n")
+        decoded.clear()
+        assert store.latest("heston") == newer
+        assert store.latest("schobel_zhu").record_id == 2
+        assert len(decoded) == 2
+
+    def test_a_last_line_without_its_line_end_is_not_an_append_point(self, tmp_path):
+        store = ParamStore(tmp_path)
+        store.save(make_record())
+        second = svcal.store._record_to_json(replace(make_record(), record_id=2))
+        with store.path.open("a") as fh:  # a whole record, but no newline after it
+            fh.write(second)
+        assert [r.record_id for r in store.list_records()] == [1, 2]
+        with store.path.open("a") as fh:  # another writer's line runs on from it: one line, not JSON
+            fh.write(second + "\n")
+        assert [r.record_id for r in store.list_records()] == [1]
+
+    def test_a_line_end_split_by_an_append_is_counted_once(self, tmp_path):
+        store = ParamStore(tmp_path)
+        store.save(make_record())
+        second = svcal.store._record_to_json(replace(make_record(), record_id=2)).encode()
+        with store.path.open("ab") as fh:  # "\r" ends a line in text mode, and so does "\r\n"
+            fh.write(second + b"\r")
+        assert [r.record_id for r in store.list_records()] == [1, 2]
+        with store.path.open("ab") as fh:
+            fh.write(b'\n{"record_id": 3}\n' + second + b"\n")
+        with pytest.raises(DomainError, match="line 3"):
+            store.list_records()
+
+    def test_reads_ignore_an_entry_another_reader_put_in_since(self, tmp_path, monkeypatch):
+        store = ParamStore(tmp_path)
+        store.save(make_record(params=dict(PARAMS, v0=0.01)))
+        store.latest("heston")
+        stale = svcal.store._DECODED[store.path]
+        store.save(make_record(ts="2008-09-17T08:00:00+00:00", params=dict(PARAMS, v0=0.02)))
+        read = ParamStore._read_all
+
+        def racing(self):  # a reader of the one-record file puts its entry in after this read
+            out = read(self)
+            svcal.store._DECODED[self.path] = stale
+            return out
+
+        monkeypatch.setattr(ParamStore, "_read_all", racing)
+        assert store.latest("heston").params["v0"] == 0.02
+        assert store.save(make_record()) == 3
+
+    def test_times_that_do_not_compare_fail_only_that_kinds_latest(self, tmp_path):
+        store = ParamStore(tmp_path)
+        store.save(make_record(model="schobel_zhu", params=dict(PARAMS, v0=0.1, theta=0.1)))
+        store.save(make_record())
+        store.latest("heston")
+        with store.path.open("a") as fh:  # a time without a UTC offset does not order against one with it
+            fh.write(svcal.store._record_to_json(replace(make_record(ts="2008-09-17T08:00:00"), record_id=3)) + "\n")
+        assert [r.record_id for r in store.list_records()] == [1, 2, 3]
+        assert store.latest("schobel_zhu").record_id == 1
+        assert store.save(make_record()) == 4
+        with pytest.raises(DomainError, match="time of record 3 does not order against the other 'heston'"):
+            store.latest("heston")
+        with pytest.raises(DomainError, match="time of record 3 does not order"):
+            store.latest("heston", as_of="2008-09-18T00:00:00+00:00")
+
+    def test_a_record_of_a_kind_that_is_not_a_string_reads_back(self, tmp_path):
+        store = ParamStore(tmp_path)
+        store.save(make_record())
+        store.latest("heston")
+        with store.path.open("a") as fh:  # written by hand, past save's checks
+            fh.write(svcal.store._record_to_json(replace(make_record(model=["heston"]), record_id=2)) + "\n")
+        assert [r.record_id for r in store.list_records()] == [1, 2]
+        assert store.latest("heston").record_id == 1
+        assert store.save(make_record()) == 3
+
+    def test_save_after_cached_reads_takes_the_next_id(self, tmp_path):
+        store = ParamStore(tmp_path)
+        for _ in range(3):
+            store.save(make_record())
+        store.latest("heston")
+        with store.path.open("a") as fh:  # other writers' records: one with a lower id, then a higher one
+            fh.write(svcal.store._record_to_json(replace(make_record(), record_id=2)) + "\n")
+        assert [r.record_id for r in store.list_records()] == [1, 2, 3, 2]
+        assert store.save(make_record()) == 4
+        with store.path.open("a") as fh:
+            fh.write(svcal.store._record_to_json(replace(make_record(), record_id=7)) + "\n")
+        assert store.latest("heston").record_id == 7
+        assert ParamStore(tmp_path).save(make_record()) == 8
+        assert [r.record_id for r in store.list_records()] == [1, 2, 3, 2, 4, 7, 8]
+
+
+KINDS = ("heston", "schobel_zhu")
+STAMPS = tuple(f"2008-09-1{d}T08:00:00+00:00" for d in range(4))
+ENDINGS = st.sampled_from([b"\n", b"\r\n", b"\r"])  # text mode reads all three as line ends
+STORE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("save"), st.sampled_from(KINDS), st.sampled_from(STAMPS)),
+    st.tuples(st.just("append"), st.sampled_from(KINDS), st.sampled_from(STAMPS), st.integers(1, 9), ENDINGS),
+    st.tuples(st.just("truncate"), st.integers(0, 30)),
+    st.tuples(st.just("digit"), st.integers(0, 10**4), st.integers(1, 9)),
+    st.tuples(st.just("tear"), st.sampled_from(KINDS), st.sampled_from(STAMPS), st.integers(0, 10**4), ENDINGS),
+    st.tuples(st.just("complete")),
+), max_size=12)
+
+
+class TestReadsMatchAFreshDecode:
+    """Whatever happens to the file, a read through the memo equals a read with the memo cleared."""
+
+    @staticmethod
+    def _line(kind, ts, record_id, ending=b"\n") -> bytes:
+        rec = replace(make_record(ts=ts, model=kind), record_id=record_id)
+        return svcal.store._record_to_json(rec).encode() + ending
+
+    @staticmethod
+    def _observe(store):
+        """What the reads return, or the message of the DomainError they raise."""
+        def latest(kind, as_of=None):
+            try:
+                return store.latest(kind, as_of)
+            except RecordNotFoundError:
+                return None
+
+        try:
+            return ([latest(k) for k in KINDS], [latest(k, STAMPS[2]) for k in KINDS], store.list_records())
+        except DomainError as exc:
+            return str(exc)
+
+    def _apply(self, store, op, pending):
+        """Run one operation on the store file; returns the rest of a torn line, if one was just torn."""
+        path = store.path
+        data = path.read_bytes() if path.exists() else b""
+        if op[0] == "save":
+            try:
+                record_id = store.save(make_record(ts=op[2], model=op[1]))
+            except DomainError:
+                return None  # the file holds a corrupt line: the save leaves it as it is
+            ids = [r.record_id for r in store.list_records()]
+            assert ids[-1] == record_id == 1 + max(ids[:-1], default=0)
+        elif op[0] == "append":
+            with path.open("ab") as fh:  # another writer's line, glued to a last line without its newline
+                fh.write(self._line(*op[1:]))
+        elif op[0] == "truncate":
+            lines = data.splitlines(keepends=True)
+            path.write_bytes(b"".join(lines[:op[1] % (len(lines) + 1)]))
+        elif op[0] == "digit":
+            at = [i for i, byte in enumerate(data) if 48 <= byte <= 57]
+            if at:
+                i = at[op[1] % len(at)]
+                path.write_bytes(data[:i] + str((data[i] - 48 + op[2]) % 10).encode() + data[i + 1:])
+        elif op[0] == "tear":
+            line = self._line(op[1], op[2], 99, op[4])
+            cut = len(line) - 1 - op[3] % (len(line) - 1)  # down to the whole record without its line end
+            with path.open("ab") as fh:
+                fh.write(line[:cut])
+            return line[cut:]
+        elif pending is not None:  # complete the torn line
+            with path.open("ab") as fh:
+                fh.write(pending)
+        return None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ops=STORE_OPS)
+    def test_every_read_matches_a_fresh_decode(self, ops):
+        logging.getLogger("svcal.store").disabled = True  # torn-line warnings are expected here
+        try:
+            with tempfile.TemporaryDirectory() as root:
+                store = ParamStore(root)
+                store.save(make_record())
+                pending = None
+                for op in ops:
+                    pending = self._apply(store, op, pending)
+                    cached = self._observe(store)
+                    kept = dict(svcal.store._DECODED)
+                    svcal.store._DECODED.clear()
+                    fresh = self._observe(store)
+                    svcal.store._DECODED.clear()
+                    svcal.store._DECODED.update(kept)  # the next operation reads through this memo
+                    assert cached == fresh, op
+                    if not isinstance(fresh, str):
+                        records = fresh[2]
+                        for kind, got in zip(KINDS, fresh[0]):  # latest is the greatest (time, id), first in file order
+                            mine = [r for r in records if r.model_kind == kind]
+                            keys = [(datetime.fromisoformat(r.timestamp), r.record_id) for r in mine]
+                            assert got == (mine[keys.index(max(keys))] if mine else None)
+        finally:
+            logging.getLogger("svcal.store").disabled = False
 
 
 class TestTornTail:
@@ -279,6 +504,16 @@ class TestTornTail:
             assert [r.record_id for r in store.list_records()] == [1]
         assert "torn last line 2" in caplog.text
 
+    def test_a_line_after_a_skipped_torn_line_makes_it_corrupt(self, tmp_path):
+        store = self._store_with(tmp_path)
+        with store.path.open("a") as fh:
+            fh.write(self.TORN + "\n")
+        assert [r.record_id for r in store.list_records()] == [1]
+        with store.path.open("a") as fh:
+            fh.write(svcal.store._record_to_json(replace(make_record(), record_id=3)) + "\n")
+        with pytest.raises(DomainError, match="line 2"):
+            store.list_records()
+
     @pytest.mark.parametrize("newline", ["", "\n"])
     def test_save_cuts_a_torn_tail_and_starts_a_fresh_line(self, tmp_path, newline):
         store = self._store_with(tmp_path)
@@ -287,6 +522,23 @@ class TestTornTail:
         assert store.save(make_record()) == 2
         lines = store.path.read_text().splitlines(keepends=True)
         assert len(lines) == 2 and all(line.endswith("}\n") for line in lines)
+        assert [r.record_id for r in ParamStore(tmp_path).list_records()] == [1, 2]
+
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"])
+    def test_save_keeps_records_whose_lines_end_in_a_carriage_return(self, tmp_path, end):
+        store = ParamStore(tmp_path)
+        store.path.parent.mkdir(exist_ok=True)
+        line = lambda k: svcal.store._record_to_json(replace(make_record(), record_id=k)).encode()
+        store.path.write_bytes(line(1) + end + line(2) + end)
+        assert store.save(make_record()) == 3
+        assert [r.record_id for r in ParamStore(tmp_path).list_records()] == [1, 2, 3]
+
+    def test_save_cuts_a_torn_line_that_blank_lines_follow(self, tmp_path):
+        store = self._store_with(tmp_path)
+        with store.path.open("a") as fh:
+            fh.write(self.TORN + "\n\n \n")
+        assert [r.record_id for r in store.list_records()] == [1]
+        assert store.save(make_record()) == 2
         assert [r.record_id for r in ParamStore(tmp_path).list_records()] == [1, 2]
 
     def test_complete_last_line_without_its_newline_is_kept(self, tmp_path):
@@ -375,3 +627,12 @@ class TestLiveCalibrate:
         assert res.params.kappa == pytest.approx(1.5 / 0.2491694, rel=1e-12)
         with pytest.raises(DomainError):
             live_calibrate(rows, cfg, tenor="9M")
+
+    def test_tenor_strategy_refuses_another_model_and_a_fix_set(self):
+        from svcal.calibration import FixSet
+
+        rows = parse_quotes(QUOTES_CSV)
+        with pytest.raises(DomainError, match="'tenor' strategy fits heston only"):
+            live_calibrate(rows, RunConfig(strategy="tenor", model_kind="schobel_zhu"), tenor="3M")
+        with pytest.raises(DomainError, match="'tenor' strategy takes no fix set"):
+            live_calibrate(rows, RunConfig(strategy="tenor", fix=FixSet(fixed={"kappa": 2.0})))
