@@ -9,15 +9,13 @@ fsynced.
 
 Every read reads the whole file as bytes and compares them with a
 module-level memo, one immutable entry per store file: the bytes as last
-read, their records, and the latest record of each model kind.  Bytes
-equal to the entry's cost no decoding; bytes that extend the entry's
-newline-terminated bytes (an append) decode only the new lines; anything
-else (a rewrite, a truncation) decodes the whole file.  So a rewritten,
-truncated or externally appended file reads back exactly what is on disk,
-and ``latest(kind)`` and the next id of a save come from the entry.
-Lines are read as text mode reads them (universal newlines, UTF-8 with
-undecodable bytes replaced).  Returned records are shared between calls
-and are read-only.
+read and their records.  Bytes equal to the entry's cost no decoding;
+bytes that extend the entry's newline-terminated bytes (an append) decode
+only the new lines; anything else (a rewrite, a truncation) decodes the
+whole file.  So a rewritten, truncated or externally appended file reads
+back exactly what is on disk.  Lines are read as text mode reads them
+(universal newlines, UTF-8 with undecodable bytes replaced).  Returned
+records are shared between calls and are read-only.
 
 A last non-blank line that is not JSON is the torn tail of an interrupted
 write: reads skip it with a warning and the next save, splitting lines as
@@ -129,11 +127,6 @@ def _record_from_json(line: str) -> ParamRecord:
     )
 
 
-def _order(rec: ParamRecord) -> tuple:
-    """The key ``latest`` ranks a kind's records by: (timestamp, record id)."""
-    return datetime.fromisoformat(rec.timestamp), rec.record_id
-
-
 @dataclass(frozen=True)
 class _Decoded:
     """A store file's bytes as last read and what they decode to."""
@@ -142,43 +135,9 @@ class _Decoded:
     records: Tuple[ParamRecord, ...]
     lines: int  # lines read, blank ones included
     torn: Optional[Tuple[int, Exception]]  # (line number, error) of a last line that is not JSON
-    # model kind -> its latest record; None where the kind's keys do not
-    # compare (naive against aware times), so latest() scans and says why
-    newest: Mapping[str, Optional[ParamRecord]]
-    # 1 + the largest record id; None unless every id is an int or missing, so save() scans
-    next_id: Optional[int]
 
 
-_NO_RECORDS = _Decoded(b"", (), 0, None, {}, 1)
-
-
-def _newest(newest: Mapping[str, Optional[ParamRecord]],
-            records: Sequence[ParamRecord]) -> Dict[str, Optional[ParamRecord]]:
-    """``newest`` moved on by ``records`` in file order, as latest() scans them."""
-    out = dict(newest)
-    for rec in records:
-        kind = rec.model_kind
-        if not isinstance(kind, str):
-            continue
-        if kind not in out:
-            out[kind] = rec
-        elif out[kind] is not None:
-            try:
-                if _order(rec) > _order(out[kind]):
-                    out[kind] = rec
-            except TypeError:
-                out[kind] = None
-    return out
-
-
-def _next_id(base: _Decoded, records: Sequence[ParamRecord]) -> Optional[int]:
-    """1 + the largest id of ``base``'s records and ``records``, as save() scans them."""
-    ids = [rec.record_id or 0 for rec in records]
-    if base.next_id is None or any(type(i) is not int for i in ids):
-        return None
-    if base.records:
-        ids.append(base.next_id - 1)
-    return 1 + max(ids) if ids else 1
+_NO_RECORDS = _Decoded(b"", (), 0, None)
 
 
 def _decode(path: Path, data: bytes, base: _Decoded) -> _Decoded:
@@ -203,7 +162,7 @@ def _decode(path: Path, data: bytes, base: _Decoded) -> _Decoded:
             torn = (line_no, exc)
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"{path} line {line_no}: not a parameter record: {exc!r}") from exc
-    return _Decoded(data, base.records + tuple(new), line_no, torn, _newest(base.newest, new), _next_id(base, new))
+    return _Decoded(data, base.records + tuple(new), line_no, torn)
 
 
 def _start_fresh_line(fh) -> None:
@@ -279,11 +238,6 @@ class ParamStore:
             log.warning("%s: skipped torn last line %d (an interrupted write): %s", self.path, *entry.torn)
         return entry.records
 
-    def _entry_of(self, records: Tuple[ParamRecord, ...]) -> Optional[_Decoded]:
-        """The memo entry a read returned ``records`` from, unless another read has replaced it since."""
-        entry = _DECODED.get(self.path)
-        return entry if entry is not None and entry.records is records else None
-
     def save(self, record: ParamRecord, quotes: Union[str, bytes, Path, None] = None) -> int:
         """Persist the record; returns its id (unique, monotone).
 
@@ -302,10 +256,7 @@ class ParamStore:
                     if fcntl is not None:
                         fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes, after the write
                     existing = self._read_all()
-                    entry = self._entry_of(existing)
-                    next_id = entry.next_id if entry is not None else None
-                    if next_id is None:
-                        next_id = 1 + max((r.record_id or 0) for r in existing) if existing else 1
+                    next_id = 1 + max((r.record_id or 0) for r in existing) if existing else 1
                     rec = replace(record, record_id=next_id)
                     if mismatch:
                         rec = replace(rec, warnings=rec.warnings + ("digest_mismatch",))
@@ -327,25 +278,19 @@ class ParamStore:
 
         The record is shared with other reads of the store: read-only.
         """
-        records = self._read_all()
-        if as_of is None and isinstance(model_kind, str):
-            entry = self._entry_of(records)
-            newest = entry.newest.get(model_kind) if entry is not None else None
-            if newest is not None:
-                return newest
         cutoff = None
         if as_of is not None:
             cutoff = as_of if isinstance(as_of, datetime) else datetime.fromisoformat(as_of)
         best = None
-        for rec in records:
+        for rec in self._read_all():
             if rec.model_kind != model_kind:
                 continue
-            key = _order(rec)
+            key = (datetime.fromisoformat(rec.timestamp), rec.record_id)
             try:
                 if (cutoff is None or key[0] <= cutoff) and (best is None or key > best[0]):
                     best = (key, rec)
-            except TypeError as exc:  # a time without a UTC offset against one with it
-                raise DomainError(f"{self.path}: the time of record {rec.record_id} does not order "
+            except TypeError as exc:  # naive against aware times, or ids that do not compare at equal times
+                raise DomainError(f"{self.path}: the (time, id) of record {rec.record_id} does not order "
                                   f"against the other {model_kind!r} records or the cutoff: {exc}") from None
         if best is None:
             raise RecordNotFoundError(

@@ -422,7 +422,7 @@ class TestPriceCommand:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "the time of record 2 does not order" in err
+        assert err.startswith("error: ") and "the (time, id) of record 2 does not order" in err
 
     def test_non_finite_parameter_in_params_file_is_input_error(self, capsys, tmp_path):
         p = tmp_path / "params.json"

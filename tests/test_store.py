@@ -332,23 +332,6 @@ class TestDecodeMemo:
         with pytest.raises(DomainError, match="line 3"):
             store.list_records()
 
-    def test_reads_ignore_an_entry_another_reader_put_in_since(self, tmp_path, monkeypatch):
-        store = ParamStore(tmp_path)
-        store.save(make_record(params=dict(PARAMS, v0=0.01)))
-        store.latest("heston")
-        stale = svcal.store._DECODED[store.path]
-        store.save(make_record(ts="2008-09-17T08:00:00+00:00", params=dict(PARAMS, v0=0.02)))
-        read = ParamStore._read_all
-
-        def racing(self):  # a reader of the one-record file puts its entry in after this read
-            out = read(self)
-            svcal.store._DECODED[self.path] = stale
-            return out
-
-        monkeypatch.setattr(ParamStore, "_read_all", racing)
-        assert store.latest("heston").params["v0"] == 0.02
-        assert store.save(make_record()) == 3
-
     def test_times_that_do_not_compare_fail_only_that_kinds_latest(self, tmp_path):
         store = ParamStore(tmp_path)
         store.save(make_record(model="schobel_zhu", params=dict(PARAMS, v0=0.1, theta=0.1)))
@@ -359,10 +342,19 @@ class TestDecodeMemo:
         assert [r.record_id for r in store.list_records()] == [1, 2, 3]
         assert store.latest("schobel_zhu").record_id == 1
         assert store.save(make_record()) == 4
-        with pytest.raises(DomainError, match="time of record 3 does not order against the other 'heston'"):
+        with pytest.raises(DomainError, match=r"\(time, id\) of record 3 does not order against the other 'heston'"):
             store.latest("heston")
-        with pytest.raises(DomainError, match="time of record 3 does not order"):
+        with pytest.raises(DomainError, match=r"\(time, id\) of record 3 does not order"):
             store.latest("heston", as_of="2008-09-18T00:00:00+00:00")
+
+    def test_ids_that_do_not_compare_at_one_time_fail_that_kinds_latest(self, tmp_path):
+        store = ParamStore(tmp_path)
+        store.save(make_record())
+        with store.path.open("a") as fh:  # written by hand at the same time, with no record_id
+            fh.write(svcal.store._record_to_json(make_record()) + "\n")
+        assert [r.record_id for r in store.list_records()] == [1, None]
+        with pytest.raises(DomainError, match=r"\(time, id\) of record None does not order against the other 'heston'"):
+            store.latest("heston")
 
     def test_a_record_of_a_kind_that_is_not_a_string_reads_back(self, tmp_path):
         store = ParamStore(tmp_path)
