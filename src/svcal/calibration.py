@@ -18,10 +18,13 @@ stopped on the ``svcal`` logger at DEBUG level.
 
 Each fit runs up to ``OptimizerConfig.starts`` starts: the initial guess,
 then seeded perturbations of it.  It stops once the best start so far
-reaches the ``retry_rmse`` floor, or once a new start and the best earlier
-one both converged with costs within 1e-8 relative and parameters within
-1e-6 of the box width, so a fit with one clear minimum costs two solves.
-The lowest-cost start wins.
+reaches the ``retry_rmse`` floor.  It also stops after the first start when
+that start gives no reason to doubt it: it converged, priced every target,
+and its box-scaled Jacobian's sigma_min/sigma_max is at least 1e-4
+(``_WELL_POSED_RATIO`` says where that comes from), so a fit with one clear
+minimum costs one solve.  In doubt, it stops once a new start and the best
+earlier one both converged with costs within 1e-8 relative and parameters
+within 1e-6 of the box width.  The lowest-cost start wins.
 
 Every solve uses an analytic Jacobian from the CF's closed-form parameter
 gradient (Heston, Bates and Schobel-Zhu).  Each trial point is priced by one
@@ -66,6 +69,13 @@ _FAILED_RESIDUAL = 1e6
 # _AGREE_COST relative and their parameters within _AGREE_BOX of the box width
 _AGREE_COST = 1e-8
 _AGREE_BOX = 1e-6
+# a converged first start stands alone when sigma_min/sigma_max of its box-scaled
+# Jacobian is at least this.  Each of a fit's three starts was run alone: over
+# 621 starts of perfbench dense surfaces and the bundled surface's book fits the
+# ratio was 2.3e-3 to 1.1e-2 and none ended worse than the best of three; over
+# the 9 starts of the sigma = 0 and Bates full fits it was at most 4.9e-6, and 6
+# ended worse.  1e-4 sits near the middle of that gap on a log scale
+_WELL_POSED_RATIO = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +151,8 @@ class TenorRules:
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Trust-region settings; ``starts`` is the most starts a fit runs (see the
-    module docstring for when it stops early), ``seed`` draws the perturbed ones.
+    module docstring for when it stops early: a well-posed first start runs
+    alone), ``seed`` draws the perturbed ones.
 
     ``ftol``, ``xtol`` and ``gtol`` are scipy's stop tests.  ``xtol`` and
     ``gtol`` default to 1e-12, the resolution of the cost: a converged dense
@@ -421,13 +432,32 @@ def _agree(prob: _Problem, a, b) -> bool:
     return abs(costs[0] - costs[1]) <= _AGREE_COST * max(costs)
 
 
+def _well_posed(prob: _Problem, res) -> bool:
+    """Whether solve ``res`` gives no reason to doubt it: it converged, no price
+    failed at its x, and sigma_min/sigma_max of the Jacobian in parameter over
+    box width is at least ``_WELL_POSED_RATIO`` (NaN or 0 is doubt).
+
+    The residuals and Jacobian are the last evaluation's when it was at
+    ``res.x``; otherwise they cost one gradient pass.
+    """
+    if res.status <= 0 or np.any(prob.residuals(res.x) == _FAILED_RESIDUAL):
+        return False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = prob.jac(res.x) * ((prob.hi - prob.lo) / _box_slope(res.x, prob.lo, prob.hi))
+        if not np.all(np.isfinite(scaled)):
+            return False
+        sv = np.linalg.svd(scaled, compute_uv=False)
+        return bool(sv[-1] / sv[0] >= _WELL_POSED_RATIO)
+
+
 def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
     """Trust-region solve with deterministic perturbed restarts.
 
     Runs at most ``cfg.starts`` starts, the first at ``x0``, and stops early
-    once the best start so far converged to the ``retry_rmse`` floor, or a
-    new start agrees with it (:func:`_agree`).  Returns the lowest-cost
-    start and the summed ``nfev`` of the starts that ran.
+    once the best start so far converged to the ``retry_rmse`` floor, once
+    the first start is well posed (:func:`_well_posed`), or once a new start
+    agrees with the best earlier one (:func:`_agree`).  Returns the
+    lowest-cost start and the summed ``nfev`` of the starts that ran.
     """
     rng = np.random.default_rng(cfg.seed)
     floor = len(prob.market) * (cfg.retry_rmse * max(1.0, float(np.mean(np.abs(prob.market))))) ** 2
@@ -445,6 +475,9 @@ def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
             break
         if agree:
             stop = "agree"
+            break
+        if attempt == 0 and starts > 1 and _well_posed(prob, res):
+            stop = "well_posed"
             break
     logging.getLogger("svcal").debug("minimize: %d of %d starts ran, stop=%s", attempt + 1, starts, stop)
     return best, nfev

@@ -382,7 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also fit (kappa, theta, v0) to the curve")
     vs.add_argument("--delta-kind", dest="delta_kind", choices=("forward", "spot"), default=None)
     vs.add_argument("--atm-kind", dest="atm_kind", choices=("dns", "forward"), default=None)
-    vs.set_defaults(fn=cmd_varswap)
+    # a shared --config's calibrate strategy, and the settings it requires, do not apply here
+    vs.set_defaults(fn=cmd_varswap, strategy="varswap")
 
     md = sub.add_parser("markdown", help="mark down strangle/risk-reversal quotes")
     md.add_argument("--quotes", required=True)

@@ -115,7 +115,7 @@ def _record_to_json(rec: ParamRecord) -> str:
 
 def _record_from_json(line: str) -> ParamRecord:
     d = json.loads(line)
-    return ParamRecord(
+    rec = ParamRecord(
         model_kind=d["model_kind"],
         params=d["params"],
         timestamp=d["timestamp"],
@@ -125,6 +125,10 @@ def _record_from_json(line: str) -> ParamRecord:
         record_id=d.get("record_id"),
         warnings=tuple(d.get("warnings", ())),
     )
+    # save numbers the next record from the largest id, so an id must be an int (not a bool)
+    if rec.record_id is not None and type(rec.record_id) is not int:
+        raise ValueError(f"record_id must be an integer, got {rec.record_id!r}")
+    return rec
 
 
 @dataclass(frozen=True)

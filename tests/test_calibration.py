@@ -559,11 +559,14 @@ def _count_solves(monkeypatch, fake=None):
 
 
 class TestRestarts:
-    """_minimize stops restarting once the best start so far and a new start
-    both converged to the same parameters and, on the grid as it stands, the
-    same cost, or at the rmse floor."""
+    """_minimize stops after the first start when that start is well posed; in
+    doubt, it stops once the best start so far and a new start both converged
+    to the same parameters and, on the grid as it stands, the same cost, or at
+    the rmse floor."""
 
     X = np.array([-1.0, -0.5, 0.2, 0.3, -0.4])
+    # the Jacobian in parameter over box width of a start in doubt: one direction is flat
+    FLAT = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
 
     @staticmethod
     def _result(x, cost, status=1, nfev=10):
@@ -571,22 +574,68 @@ class TestRestarts:
 
         return SimpleNamespace(x=np.array(x, dtype=float), cost=cost, status=status, nfev=nfev)
 
-    def _minimize(self, monkeypatch, results, starts=3):
-        from svcal.calibration import MODELS, _minimize, _Problem
+    @staticmethod
+    def _problem(results, scaled_jac):
+        """The bundled Heston problem, its residuals at each result's x carrying that result's
+        cost and its Jacobian in parameter over box width ``scaled_jac`` everywhere."""
+        from svcal.calibration import MODELS, _box_slope, _Problem
 
-        calls = _count_solves(monkeypatch, iter(results))
         prob = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
-        # the grid's residuals at each result's x carry that result's cost
         costs = {tuple(r.x): r.cost for r in results}
         prob.residuals = lambda x: np.array([math.sqrt(2.0 * costs[tuple(np.asarray(x, dtype=float))])])
+        prob.jac = lambda x: scaled_jac * _box_slope(np.asarray(x, dtype=float), prob.lo, prob.hi) / (prob.hi - prob.lo)
+        return prob
+
+    def _minimize(self, monkeypatch, results, starts=3, scaled_jac=FLAT):
+        from svcal.calibration import _minimize
+
+        calls = _count_solves(monkeypatch, iter(results))
+        prob = self._problem(results, scaled_jac)
         best, nfev = _minimize(prob, np.zeros(5), OptimizerConfig(starts=starts))
         return best, nfev, len(calls)
 
-    def test_a_heston_full_fit_of_the_bundled_surface_makes_two_solves(self, monkeypatch):
+    def test_a_heston_full_fit_of_the_bundled_surface_makes_one_well_posed_solve(self, monkeypatch, caplog):
         calls = _count_solves(monkeypatch)
-        fit = calibrate(_BUNDLED[0], "heston")
+        with caplog.at_level("DEBUG", logger="svcal"):
+            fit = calibrate(_BUNDLED[0], "heston")
         assert fit.converged
-        assert len(calls) == 2
+        assert len(calls) == 1
+        records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
+        assert records[-1] == "minimize: 1 of 3 starts ran, stop=well_posed"
+
+    def test_a_fit_with_sigma_fixed_at_zero_is_confirmed(self, monkeypatch):
+        # rho's Jacobian column is 0 at sigma = 0: sigma_min is 0, so the first start is in doubt
+        calls = _count_solves(monkeypatch)
+        calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 0.0}))
+        assert len(calls) >= 2
+
+    def test_a_first_start_with_a_failed_price_at_its_answer_is_confirmed(self, monkeypatch):
+        import svcal.calibration as cal
+        from svcal.errors import NumericalError
+
+        def problem():
+            return cal._Problem(_BUNDLED[0], cal.MODELS["heston"], {}, {}, DEFAULT_QUAD)
+
+        prob = problem()
+        x0 = prob.x_from_params(cal._default_init("heston", _BUNDLED[0]))
+        first = cal._run_least_squares(prob.residuals, prob.jac, x0, cal.DEFAULT_OPT, "first")
+        assert cal._well_posed(prob, first)
+        # the same first start, on a problem whose pricing fails at its answer
+        prob = problem()
+        failing = prob.build_params(first.x)
+        values = cal._model_values
+
+        def model_values(params, target, grid):
+            if params == failing:
+                raise NumericalError("pricing failed")
+            return values(params, target, grid)
+
+        monkeypatch.setattr(cal, "_model_values", model_values)
+        solves, real = [], cal._run_least_squares
+        monkeypatch.setattr(cal, "_run_least_squares", lambda *a: solves.append(a[2]) or (
+            first if len(solves) == 1 else real(*a)))
+        cal._minimize(prob, x0, cal.DEFAULT_OPT)
+        assert len(solves) >= 2
 
     def test_the_tenor_strategy_makes_one_solve_per_tenor(self, monkeypatch):
         from svcal.quotes_io import load_quotes
@@ -597,6 +646,21 @@ class TestRestarts:
         results = run_strategy(rows, RunConfig(strategy="tenor"))
         assert len(rows) == len(results) == 7
         assert len(calls) == 7
+
+    @pytest.mark.parametrize("scaled_jac,solves", [
+        (np.eye(5), 1),
+        (np.diag([1.0, 1.0, 1.0, 1.0, 1e-4]), 1),  # sigma_min / sigma_max at the threshold
+        (np.diag([1.0, 1.0, 1.0, 1.0, 0.99e-4]), 2),
+        (np.diag([1e6, 1.0, 1.0, 1.0, 1.0]), 2),
+        (np.zeros((5, 5)), 2),  # 0 / 0
+        (np.full((5, 5), np.nan), 2),
+    ])
+    def test_a_converged_first_start_runs_alone_where_its_jacobian_is_well_conditioned(
+        self, monkeypatch, scaled_jac, solves
+    ):
+        results = [self._result(self.X, 1.0), self._result(self.X, 1.0)]
+        _, _, ran = self._minimize(monkeypatch, results, scaled_jac=scaled_jac)
+        assert ran == solves
 
     def test_agreeing_converged_starts_stop_after_two(self, monkeypatch):
         results = [self._result(self.X, 1.0), self._result(self.X + 1e-9, 1.0 + 1e-12)]
@@ -612,9 +676,10 @@ class TestRestarts:
         _, _, solves = self._minimize(monkeypatch, results)
         assert solves == 3
 
-    def test_an_unconverged_first_start_is_never_confirmed(self, monkeypatch):
+    @pytest.mark.parametrize("scaled_jac", [np.eye(5), FLAT])
+    def test_an_unconverged_first_start_is_never_confirmed(self, monkeypatch, scaled_jac):
         results = [self._result(self.X, 1.0, status=0), self._result(self.X, 1.0), self._result(self.X, 1.0)]
-        _, _, solves = self._minimize(monkeypatch, results)
+        _, _, solves = self._minimize(monkeypatch, results, scaled_jac=scaled_jac)
         assert solves == 3
 
     def test_an_unconverged_fit_runs_every_start(self, monkeypatch):
@@ -630,47 +695,55 @@ class TestRestarts:
         assert solves == 3 and best is results[1]
 
     def test_the_perturbed_starts_are_drawn_from_the_seed(self, monkeypatch):
-        from svcal.calibration import MODELS, _minimize, _Problem
+        from svcal.calibration import _minimize
 
-        calls = _count_solves(monkeypatch, iter([self._result(self.X + c, float(c)) for c in (3, 2, 1)]))
-        prob = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
-        _minimize(prob, self.X, OptimizerConfig(seed=4))
+        results = [self._result(self.X + c, float(c)) for c in (3, 2, 1)]
+        calls = _count_solves(monkeypatch, iter(results))
+        _minimize(self._problem(results, self.FLAT), self.X, OptimizerConfig(seed=4))
         rng = np.random.default_rng(4)
         want = [self.X] + [self.X + rng.normal(0.0, 0.7, size=5) for _ in range(2)]
         assert all(np.array_equal(a, b) for a, b in zip(calls, want)) and len(calls) == 3
 
     def test_iterations_sum_the_nfev_of_the_solves_that_ran(self, monkeypatch):
-        results = [self._result(self.X, 1.0, nfev=5), self._result(self.X, 1.0, nfev=7),
+        # an unconverged first start is in doubt whatever its Jacobian
+        results = [self._result(self.X, 1.0, status=0, nfev=5), self._result(self.X, 1.0, nfev=7),
                    self._result(self.X, 1.0, nfev=11)]
         calls = _count_solves(monkeypatch, iter(results))
         fit = calibrate(_BUNDLED[0], "heston")
-        assert len(calls) == 2
-        assert fit.iterations == 5 + 7
+        assert len(calls) == 3
+        assert fit.iterations == 5 + 7 + 11
 
     def test_a_refit_of_the_same_target_is_bit_identical(self):
         a = calibrate(_BUNDLED[0], "heston")
         b = calibrate(_BUNDLED[0], "heston")
         assert a == b
 
-    def test_one_debug_record_says_how_many_starts_ran_and_why_they_stopped(self, monkeypatch, caplog):
+    @pytest.mark.parametrize("scaled_jac,record", [
+        (FLAT, "minimize: 2 of 3 starts ran, stop=agree"),
+        (np.eye(5), "minimize: 1 of 3 starts ran, stop=well_posed"),
+    ])
+    def test_one_debug_record_says_how_many_starts_ran_and_why_they_stopped(
+        self, monkeypatch, caplog, scaled_jac, record
+    ):
         results = [self._result(self.X, 1.0), self._result(self.X, 1.0)]
         with caplog.at_level("DEBUG", logger="svcal"):
-            self._minimize(monkeypatch, results)
+            self._minimize(monkeypatch, results, scaled_jac=scaled_jac)
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
-        assert records == ["minimize: 2 of 3 starts ran, stop=agree"]
+        assert records == [record]
 
     def test_each_solve_logs_why_it_stopped(self, monkeypatch, caplog):
+        # sigma fixed at 0 leaves the first start in doubt, so more than one solve runs
         calls = _count_solves(monkeypatch)
         with caplog.at_level("DEBUG", logger="svcal"):
-            fit = calibrate(_BUNDLED[0], "heston")
+            fit = calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 0.0}))
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
         solves = [re.fullmatch(r"start (\d) of 3: status=(\d) \((\w+)\), nfev=(\d+), njev=(\d+), cost=\S+", m)
                   for m in records[:-1]]
-        assert len(solves) == len(calls) == 2 and all(solves)
-        assert [int(m.group(1)) for m in solves] == [1, 2]
+        assert len(solves) == len(calls) >= 2 and all(solves)
+        assert [int(m.group(1)) for m in solves] == list(range(1, len(calls) + 1))
         assert all(int(m.group(2)) > 0 for m in solves)
         assert sum(int(m.group(4)) for m in solves) == fit.iterations
-        assert records[-1] == "minimize: 2 of 3 starts ran, stop=agree"
+        assert re.fullmatch(rf"minimize: {len(calls)} of 3 starts ran, stop=(agree|exhausted)", records[-1])
 
 
 class TestStopRule:

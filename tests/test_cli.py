@@ -501,6 +501,20 @@ class TestPriceCommand:
         code, out, _ = run_cli(capsys, "store", "show", "2", "--store-path", str(store_dir))
         assert code == 0 and json.loads(out)["record_id"] == 2
 
+    def test_a_stored_record_id_that_is_not_an_integer_fails_the_next_save_as_input_error(
+        self, capsys, tmp_path, flat_file
+    ):
+        store_dir = tmp_path / "store"
+        save = ("calibrate", "--quotes", str(flat_file), "--save", "--store-path", str(store_dir))
+        assert run_cli(capsys, *save)[0] == 0
+        path = store_dir / "params.jsonl"
+        record = dict(json.loads(path.read_text()), record_id="7")  # written by hand, past save's checks
+        with path.open("a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        code, _, err = run_cli(capsys, *save)
+        assert code == 1
+        assert err.startswith("error: ") and "line 2" in err and "record_id must be an integer, got '7'" in err
+
     def test_missing_store_record_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "price", "--latest", "heston",
@@ -527,6 +541,14 @@ class TestVarswapCommand:
         cfgp.write_text(json.dumps({"v0_from_atm": True, "fix": {"kappa": 2.0}, "model": "schobel_zhu"}))
         code, out, _ = run_cli(capsys, "varswap", "--quotes", str(flat_file), "--config", str(cfgp))
         assert (code, out) == run_cli(capsys, "varswap", "--quotes", str(flat_file))[:2] and code == 0
+
+    @pytest.mark.parametrize("config", [{"strategy": "penalized"}, {"strategy": "fixed"}])
+    def test_a_shared_config_whose_strategy_needs_calibrate_settings_is_ignored(self, capsys, tmp_path, config):
+        # 'penalized' needs --prev and 'fixed' a fix set: settings of calibrate, which varswap never runs
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "varswap", "--quotes", str(DATA_CSV), "--config", str(cfgp))
+        assert (code, out) == run_cli(capsys, "varswap", "--quotes", str(DATA_CSV))[:2] and code == 0
 
     def test_two_tenor_fit_rejected(self, capsys, tmp_path):
         p = tmp_path / "two.csv"

@@ -550,6 +550,17 @@ class TestTornTail:
             store.save(make_record())
         assert store.path.read_text() == lines[0] + bad + "\n" + lines[1]  # left as it was
 
+    @pytest.mark.parametrize("record_id", ["7", 7.0, True])
+    def test_a_record_id_that_is_not_an_integer_is_a_corrupt_line(self, tmp_path, record_id):
+        store = self._store_with(tmp_path)
+        line = json.dumps(dict(json.loads(svcal.store._record_to_json(make_record())), record_id=record_id))
+        with store.path.open("a") as fh:
+            fh.write(line + "\n")
+        before = store.path.read_text()
+        with pytest.raises(DomainError, match="line 2: not a parameter record: .*record_id must be an integer"):
+            store.save(make_record())
+        assert store.path.read_text() == before
+
     def test_last_line_that_is_json_but_not_a_record_raises(self, tmp_path):
         store = self._store_with(tmp_path)
         with store.path.open("a") as fh:
