@@ -22,9 +22,8 @@ reaches the ``retry_rmse`` floor.  It also stops after the first start when
 that start gives no reason to doubt it: it converged, priced every target,
 and its box-scaled Jacobian's sigma_min/sigma_max is at least 1e-4
 (``_WELL_POSED_RATIO`` says where that comes from), so a fit with one clear
-minimum costs one solve.  In doubt, it stops once a new start and the best
-earlier one both converged with costs within 1e-8 relative and parameters
-within 1e-6 of the box width.  The lowest-cost start wins.
+minimum costs one solve.  In doubt, it runs every start.  The lowest-cost
+start wins.
 
 Every solve uses an analytic Jacobian from the CF's closed-form parameter
 gradient (Heston, Bates and Schobel-Zhu).  Each trial point is priced by one
@@ -65,10 +64,6 @@ from .pricing import DEFAULT_QUAD, OptionSpec, QuadratureConfig, SurfaceGrid
 # residual magnitude standing in for a failed pricing at a trial point; the
 # optimizer sees an exploded cost and rejects the step
 _FAILED_RESIDUAL = 1e6
-# two converged starts agree, and the restarts stop, when their costs are within
-# _AGREE_COST relative and their parameters within _AGREE_BOX of the box width
-_AGREE_COST = 1e-8
-_AGREE_BOX = 1e-6
 # a converged first start stands alone when sigma_min/sigma_max of its box-scaled
 # Jacobian is at least this.  Each of a fit's three starts was run alone: over
 # 621 starts of perfbench dense surfaces and the bundled surface's book fits the
@@ -150,9 +145,10 @@ class TenorRules:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Trust-region settings; ``starts`` is the most starts a fit runs (see the
-    module docstring for when it stops early: a well-posed first start runs
-    alone), ``seed`` draws the perturbed ones.
+    """Trust-region settings; ``starts`` (at least 1) is the most starts a fit
+    runs (see the module docstring for when it stops early: a well-posed first
+    start runs alone, a start in doubt runs them all), ``seed`` (at least 0)
+    draws the perturbed ones.
 
     ``ftol``, ``xtol`` and ``gtol`` are scipy's stop tests.  ``xtol`` and
     ``gtol`` default to 1e-12, the resolution of the cost: a converged dense
@@ -178,6 +174,15 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_nfev < 1:
             raise DomainError(f"max_nfev must be >= 1, got {self.max_nfev}")
+        if self.starts < 1:
+            raise DomainError(f"starts must be >= 1, got {self.starts}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        # scipy refuses a solve whose three stop tests are all below machine epsilon
+        if max(self.ftol, self.xtol, self.gtol) < np.finfo(float).eps:
+            raise DomainError(
+                f"one of ftol, xtol and gtol must be >= machine epsilon, got {self.ftol}, {self.xtol}, {self.gtol}"
+            )
 
 
 DEFAULT_OPT = OptimizerConfig()
@@ -413,25 +418,6 @@ def _run_least_squares(
     return res
 
 
-def _agree(prob: _Problem, a, b) -> bool:
-    """Whether solves ``a`` and ``b`` both converged, to the same minimum.
-
-    Costs that differ are compared again on the grid as it stands: a later
-    solve can have re-sized or trimmed it, which moves a cost by up to the
-    quadrature tolerance, far more than ``_AGREE_COST``.
-    """
-    if a.status <= 0 or b.status <= 0:
-        return False
-    width = prob.hi - prob.lo
-    dist = np.abs(_to_box(a.x, prob.lo, prob.hi) - _to_box(b.x, prob.lo, prob.hi)) / width
-    if float(np.max(dist)) > _AGREE_BOX:
-        return False
-    costs = (a.cost, b.cost)
-    if abs(costs[0] - costs[1]) > _AGREE_COST * max(costs):
-        costs = tuple(0.5 * float(np.sum(prob.residuals(s.x) ** 2)) for s in (b, a))
-    return abs(costs[0] - costs[1]) <= _AGREE_COST * max(costs)
-
-
 def _well_posed(prob: _Problem, res) -> bool:
     """Whether solve ``res`` gives no reason to doubt it: it converged, no price
     failed at its x, and sigma_min/sigma_max of the Jacobian in parameter over
@@ -454,32 +440,27 @@ def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
     """Trust-region solve with deterministic perturbed restarts.
 
     Runs at most ``cfg.starts`` starts, the first at ``x0``, and stops early
-    once the best start so far converged to the ``retry_rmse`` floor, once
-    the first start is well posed (:func:`_well_posed`), or once a new start
-    agrees with the best earlier one (:func:`_agree`).  Returns the
-    lowest-cost start and the summed ``nfev`` of the starts that ran.
+    once the best start so far converged to the ``retry_rmse`` floor, or
+    once the first start is well posed (:func:`_well_posed`); in doubt, it
+    runs every start.  Returns the lowest-cost start and the summed ``nfev``
+    of the starts that ran.
     """
     rng = np.random.default_rng(cfg.seed)
     floor = len(prob.market) * (cfg.retry_rmse * max(1.0, float(np.mean(np.abs(prob.market))))) ** 2
-    starts = max(cfg.starts, 1)
     best, nfev, stop = None, 0, "exhausted"
-    for attempt in range(starts):
+    for attempt in range(cfg.starts):
         start = x0 if attempt == 0 else x0 + rng.normal(0.0, 0.7, size=len(x0))
-        res = _run_least_squares(prob.residuals, prob.jac, start, cfg, f"start {attempt + 1} of {starts}")
+        res = _run_least_squares(prob.residuals, prob.jac, start, cfg, f"start {attempt + 1} of {cfg.starts}")
         nfev += res.nfev
-        agree = best is not None and _agree(prob, best, res)
         if best is None or res.cost < best.cost:
             best = res
         if best.status > 0 and 2.0 * best.cost <= floor:
             stop = "floor"
             break
-        if agree:
-            stop = "agree"
-            break
-        if attempt == 0 and starts > 1 and _well_posed(prob, res):
+        if attempt == 0 and cfg.starts > 1 and _well_posed(prob, res):
             stop = "well_posed"
             break
-    logging.getLogger("svcal").debug("minimize: %d of %d starts ran, stop=%s", attempt + 1, starts, stop)
+    logging.getLogger("svcal").debug("minimize: %d of %d starts ran, stop=%s", attempt + 1, cfg.starts, stop)
     return best, nfev
 
 
@@ -669,17 +650,15 @@ def calibrate_tenor(
         slices={q.expiry: slice_},
     )
     kappa = rules.kappa_rule_constant / q.expiry
+    atm_var = q.atm_vol**2
     fixed = {"kappa": kappa}
     ties = {}
     if rules.theta_rule == "v0":
         ties["theta"] = "v0"
     else:
-        fixed["theta"] = q.atm_vol**2
+        fixed["theta"] = atm_var
     prob = _Problem(target, MODELS["heston"], fixed, ties, config.quad)
-    init_vals = {"v0": q.atm_vol**2, "sigma": 0.5, "rho": -0.5}
-    x0 = prob.x_from_params(init_vals)
-    res, nfev = _minimize(prob, x0, config)
-    return _settle_rho(prob, _result_from(prob, res, nfev))
+    return _fit(prob, HestonParams(atm_var, atm_var, kappa, 0.5, -0.5), config)
 
 
 # ---------------------------------------------------------------------------

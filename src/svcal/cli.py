@@ -33,7 +33,7 @@ from .mixing import MixingCurve
 from .models import MODELS, MarketSlice, cf_for, model_spec
 from .pricing import OptionSpec, QuadratureConfig, cf_vanilla_price, model_implied_vol
 from .quotes_io import emit_quotes, load_quotes, load_varswap_curve, quotes_digest
-from .store import ENV_STORE, ParamRecord, ParamStore
+from .store import ENV_STORE, ParamRecord, ParamStore, select_tenor
 from .workflows import STRATEGIES, RunConfig, calibrate_report, markdown_rows, varswap_report
 
 _INPUT_ERRORS = (
@@ -152,7 +152,10 @@ def _run_config(args, rows) -> RunConfig:
 
     model_kind = pick(getattr(args, "model", None), "model", "heston")
     prev_path, vs_path = getattr(args, "prev", None), getattr(args, "vs_curve", None)
-    prev_params = _params_from_payload(json.loads(Path(prev_path).read_text()), model_kind)[1] if prev_path else None
+    prev_params = None
+    if prev_path:
+        payload = json.loads(Path(prev_path).read_text())
+        prev_params = _params_from_payload(payload, model_kind, None, f"parameter file {prev_path}")[1]
     vs_curve = tuple(load_varswap_curve(vs_path)) if vs_path else None
 
     return RunConfig(
@@ -168,10 +171,12 @@ def _run_config(args, rows) -> RunConfig:
     )
 
 
-def _params_from_payload(payload: dict, model: Optional[str]):
+def _params_from_payload(payload: dict, model: Optional[str], tenor: Optional[str], source: str):
     """The model kind and parameters of {'model_kind': ..., 'params': {...}} or of a bare params dict.
 
-    A bare dict is built as ``model`` (heston when None).  A payload that
+    A bare dict is built as ``model`` (heston when None).  Per-tenor
+    parameters, bare or under 'params', are built at ``tenor``
+    (:func:`select_tenor`, naming ``source`` in its errors).  A payload that
     is not an object, names a kind other than ``model`` or does not build
     (:meth:`ModelSpec.build`) raises :class:`DomainError`.
     """
@@ -180,7 +185,7 @@ def _params_from_payload(payload: dict, model: Optional[str]):
     model_kind = payload.get("model_kind", model or "heston")
     if model is not None and model_kind != model:
         raise DomainError(f"the parameters are {model_kind!r}, but the model is {model!r}")
-    return model_kind, model_spec(model_kind).build(payload.get("params", payload))
+    return model_kind, model_spec(model_kind).build(select_tenor(payload.get("params", payload), tenor, source))
 
 
 def _store(args) -> ParamStore:
@@ -222,12 +227,10 @@ def cmd_calibrate(args) -> int:
 def cmd_price(args) -> int:
     if args.latest:
         record = _store(args).latest(args.latest)
-        payload = {"model_kind": record.model_kind, "params": record.flat_params(args.tenor)}
+        payload, source = {"model_kind": record.model_kind, "params": record.params}, f"record {record.record_id}"
     else:
-        payload = json.loads(Path(args.params).read_text())
-        if args.tenor and isinstance(payload, dict) and "params" not in payload and args.tenor in payload:
-            payload = payload[args.tenor]
-    model_kind, params = _params_from_payload(payload, args.model)
+        payload, source = json.loads(Path(args.params).read_text()), f"parameter file {args.params}"
+    model_kind, params = _params_from_payload(payload, args.model, args.tenor, source)
     slice_ = MarketSlice(forward=args.forward, discount=args.discount, expiry=args.expiry)
     opt = OptionSpec(strike=args.strike, expiry=args.expiry, kind=args.kind)
     price = cf_vanilla_price(cf_for(params), slice_, opt)

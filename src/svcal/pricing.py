@@ -84,6 +84,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise DomainError(f"tolerance must be > 0, got {self.tolerance}")
+        if self.max_evals < 1:
+            raise DomainError(f"max_evals must be >= 1, got {self.max_evals}")
 
 
 DEFAULT_QUAD = QuadratureConfig()

@@ -82,21 +82,27 @@ class ParamRecord:
         if not self.params:
             raise DomainError("params required")
 
-    def flat_params(self, tenor: Optional[str] = None) -> Mapping[str, float]:
-        """The parameter dict, selecting a tenor when the record is per-tenor."""
-        if self.is_per_tenor:
-            if tenor is None:
-                raise DomainError(
-                    f"record {self.record_id} is per-tenor; choose one of {sorted(self.params)}"
-                )
-            if tenor not in self.params:
-                raise DomainError(f"tenor {tenor!r} not in record (has {sorted(self.params)})")
-            return self.params[tenor]
-        return self.params
-
     @property
     def is_per_tenor(self) -> bool:
-        return isinstance(self.params, Mapping) and any(isinstance(v, dict) for v in self.params.values())
+        return _is_per_tenor(self.params)
+
+
+def _is_per_tenor(params) -> bool:
+    return isinstance(params, Mapping) and any(isinstance(v, dict) for v in params.values())
+
+
+def select_tenor(params, tenor: Optional[str], source: str):
+    """``params`` when flat, whatever ``tenor`` is; its ``tenor`` entry when
+    per-tenor (a map holding maps).  A per-tenor ``params`` given no tenor,
+    or one it lacks, raises :class:`DomainError` naming ``source`` and its
+    tenors."""
+    if not _is_per_tenor(params):
+        return params
+    if tenor is None:
+        raise DomainError(f"{source} is per-tenor; choose one of {sorted(params)}")
+    if tenor not in params:
+        raise DomainError(f"tenor {tenor!r} not in {source} (has {sorted(params)})")
+    return params[tenor]
 
 
 def _record_to_json(rec: ParamRecord) -> str:

@@ -559,10 +559,9 @@ def _count_solves(monkeypatch, fake=None):
 
 
 class TestRestarts:
-    """_minimize stops after the first start when that start is well posed; in
-    doubt, it stops once the best start so far and a new start both converged
-    to the same parameters and, on the grid as it stands, the same cost, or at
-    the rmse floor."""
+    """_minimize stops after the first start when that start is well posed, or
+    once the best start so far reaches the rmse floor; in doubt, it runs every
+    start.  The lowest-cost start wins."""
 
     X = np.array([-1.0, -0.5, 0.2, 0.3, -0.4])
     # the Jacobian in parameter over box width of a start in doubt: one direction is flat
@@ -594,20 +593,30 @@ class TestRestarts:
         best, nfev = _minimize(prob, np.zeros(5), OptimizerConfig(starts=starts))
         return best, nfev, len(calls)
 
-    def test_a_heston_full_fit_of_the_bundled_surface_makes_one_well_posed_solve(self, monkeypatch, caplog):
-        calls = _count_solves(monkeypatch)
+    @pytest.mark.parametrize("cfg", [
+        dict(strategy="full"),
+        dict(strategy="fixed", fix=FixSet(fixed={"kappa": 2.0})),
+        dict(strategy="varswap"),
+        dict(strategy="full", model_kind="schobel_zhu"),
+        dict(strategy="fixed", model_kind="bates",
+             fix=FixSet(fixed={"jump_intensity": 0.1, "mean_jump": -0.1, "jump_vol": 0.15})),
+        dict(strategy="penalized", prev_params=HestonParams(0.02, 0.015, 1.0, 0.35, -0.2)),
+    ], ids=["heston_full", "fixed_kappa", "varswap", "schobel_zhu_full", "bates_fixed_jumps", "penalized_base"])
+    def test_each_bundled_surface_fit_makes_one_well_posed_solve(self, caplog, cfg):
+        from svcal.quotes_io import load_quotes
+        from svcal.workflows import RunConfig, run_strategy
+
         with caplog.at_level("DEBUG", logger="svcal"):
-            fit = calibrate(_BUNDLED[0], "heston")
+            [(_, fit)] = run_strategy(load_quotes(DATA_CSV), RunConfig(**cfg))
         assert fit.converged
-        assert len(calls) == 1
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
-        assert records[-1] == "minimize: 1 of 3 starts ran, stop=well_posed"
+        assert [m for m in records if m.startswith("minimize:")] == ["minimize: 1 of 3 starts ran, stop=well_posed"]
 
     def test_a_fit_with_sigma_fixed_at_zero_is_confirmed(self, monkeypatch):
         # rho's Jacobian column is 0 at sigma = 0: sigma_min is 0, so the first start is in doubt
         calls = _count_solves(monkeypatch)
         calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 0.0}))
-        assert len(calls) >= 2
+        assert len(calls) == 3
 
     def test_a_first_start_with_a_failed_price_at_its_answer_is_confirmed(self, monkeypatch):
         import svcal.calibration as cal
@@ -635,46 +644,45 @@ class TestRestarts:
         monkeypatch.setattr(cal, "_run_least_squares", lambda *a: solves.append(a[2]) or (
             first if len(solves) == 1 else real(*a)))
         cal._minimize(prob, x0, cal.DEFAULT_OPT)
-        assert len(solves) >= 2
+        assert len(solves) == 3
 
-    def test_the_tenor_strategy_makes_one_solve_per_tenor(self, monkeypatch):
+    def test_the_tenor_strategy_makes_one_solve_per_tenor(self, monkeypatch, caplog):
         from svcal.quotes_io import load_quotes
         from svcal.workflows import RunConfig, run_strategy
 
         rows = load_quotes(DATA_CSV)
         calls = _count_solves(monkeypatch)
-        results = run_strategy(rows, RunConfig(strategy="tenor"))
+        with caplog.at_level("DEBUG", logger="svcal"):
+            results = run_strategy(rows, RunConfig(strategy="tenor"))
         assert len(rows) == len(results) == 7
         assert len(calls) == 7
+        records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
+        assert [m for m in records if m.startswith("minimize:")] == ["minimize: 1 of 3 starts ran, stop=floor"] * 7
 
     @pytest.mark.parametrize("scaled_jac,solves", [
         (np.eye(5), 1),
         (np.diag([1.0, 1.0, 1.0, 1.0, 1e-4]), 1),  # sigma_min / sigma_max at the threshold
-        (np.diag([1.0, 1.0, 1.0, 1.0, 0.99e-4]), 2),
-        (np.diag([1e6, 1.0, 1.0, 1.0, 1.0]), 2),
-        (np.zeros((5, 5)), 2),  # 0 / 0
-        (np.full((5, 5), np.nan), 2),
+        (np.diag([1.0, 1.0, 1.0, 1.0, 0.99e-4]), 3),
+        (np.diag([1e6, 1.0, 1.0, 1.0, 1.0]), 3),
+        (np.zeros((5, 5)), 3),  # 0 / 0
+        (np.full((5, 5), np.nan), 3),
     ])
     def test_a_converged_first_start_runs_alone_where_its_jacobian_is_well_conditioned(
         self, monkeypatch, scaled_jac, solves
     ):
-        results = [self._result(self.X, 1.0), self._result(self.X, 1.0)]
+        results = [self._result(self.X, 1.0) for _ in range(3)]
         _, _, ran = self._minimize(monkeypatch, results, scaled_jac=scaled_jac)
         assert ran == solves
 
-    def test_agreeing_converged_starts_stop_after_two(self, monkeypatch):
-        results = [self._result(self.X, 1.0), self._result(self.X + 1e-9, 1.0 + 1e-12)]
-        best, nfev, solves = self._minimize(monkeypatch, results)
-        assert solves == 2 and best is results[0]
-
     @pytest.mark.parametrize("second", [
-        dict(x=X + 1e-9, cost=1.0 + 1e-6),  # costs disagree
-        dict(x=X + np.array([0.0, 0.0, 0.0, 1e-3, 0.0]), cost=1.0),  # parameters disagree
-    ])
-    def test_disagreeing_starts_lead_to_a_third(self, monkeypatch, second):
+        dict(x=X + 1e-9, cost=1.0 + 1e-12),  # the second start matches the first
+        dict(x=X + 1e-9, cost=1.0 + 1e-6),  # costs differ
+        dict(x=X + np.array([0.0, 0.0, 0.0, 1e-3, 0.0]), cost=1.0),  # parameters differ
+    ], ids=["matching", "other_cost", "other_parameters"])
+    def test_a_converged_first_start_in_doubt_runs_every_start(self, monkeypatch, second):
         results = [self._result(self.X, 1.0), self._result(**second), self._result(self.X, 1.0)]
-        _, _, solves = self._minimize(monkeypatch, results)
-        assert solves == 3
+        best, _, solves = self._minimize(monkeypatch, results)
+        assert solves == 3 and best is results[0]
 
     @pytest.mark.parametrize("scaled_jac", [np.eye(5), FLAT])
     def test_an_unconverged_first_start_is_never_confirmed(self, monkeypatch, scaled_jac):
@@ -688,7 +696,7 @@ class TestRestarts:
         assert solves == 4
 
     def test_the_lowest_cost_start_wins(self, monkeypatch):
-        # start 1 undercuts start 0; start 2 confirms start 1
+        # start 1 undercuts starts 0 and 2
         results = [self._result(self.X, 2.0), self._result(self.X + 0.5, 1.0),
                    self._result(self.X + 0.5, 1.0 + 1e-12)]
         best, _, solves = self._minimize(monkeypatch, results)
@@ -719,31 +727,31 @@ class TestRestarts:
         assert a == b
 
     @pytest.mark.parametrize("scaled_jac,record", [
-        (FLAT, "minimize: 2 of 3 starts ran, stop=agree"),
+        (FLAT, "minimize: 3 of 3 starts ran, stop=exhausted"),
         (np.eye(5), "minimize: 1 of 3 starts ran, stop=well_posed"),
     ])
     def test_one_debug_record_says_how_many_starts_ran_and_why_they_stopped(
         self, monkeypatch, caplog, scaled_jac, record
     ):
-        results = [self._result(self.X, 1.0), self._result(self.X, 1.0)]
+        results = [self._result(self.X, 1.0) for _ in range(3)]
         with caplog.at_level("DEBUG", logger="svcal"):
             self._minimize(monkeypatch, results, scaled_jac=scaled_jac)
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
         assert records == [record]
 
     def test_each_solve_logs_why_it_stopped(self, monkeypatch, caplog):
-        # sigma fixed at 0 leaves the first start in doubt, so more than one solve runs
+        # sigma fixed at 0 leaves the first start in doubt, so every start runs
         calls = _count_solves(monkeypatch)
         with caplog.at_level("DEBUG", logger="svcal"):
             fit = calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 0.0}))
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
         solves = [re.fullmatch(r"start (\d) of 3: status=(\d) \((\w+)\), nfev=(\d+), njev=(\d+), cost=\S+", m)
                   for m in records[:-1]]
-        assert len(solves) == len(calls) >= 2 and all(solves)
+        assert len(solves) == len(calls) == 3 and all(solves)
         assert [int(m.group(1)) for m in solves] == list(range(1, len(calls) + 1))
         assert all(int(m.group(2)) > 0 for m in solves)
         assert sum(int(m.group(4)) for m in solves) == fit.iterations
-        assert re.fullmatch(rf"minimize: {len(calls)} of 3 starts ran, stop=(agree|exhausted)", records[-1])
+        assert records[-1] == "minimize: 3 of 3 starts ran, stop=exhausted"
 
 
 class TestStopRule:

@@ -89,6 +89,10 @@ class TestCalibrateCommand:
         ({"quadrature": {"max_evals": True}}, "quadrature.max_evals must be an integer"),
         ({"quadrature": [1]}, "section 'quadrature' must be an object"),
         ({"optimizer": {"max_nfev": 0}}, "max_nfev must be >= 1"),
+        ({"optimizer": {"starts": 0}}, "starts must be >= 1, got 0"),
+        ({"optimizer": {"seed": -1}}, "seed must be >= 0, got -1"),
+        ({"quadrature": {"max_evals": 0}}, "max_evals must be >= 1, got 0"),
+        ({"optimizer": {"ftol": 0, "xtol": 0, "gtol": 0}}, "one of ftol, xtol and gtol must be >= machine epsilon"),
     ])
     def test_bad_config_section_is_input_error_naming_the_key(self, capsys, tmp_path, flat_file, section, message):
         cfgp = tmp_path / "cfg.json"
@@ -397,6 +401,32 @@ class TestPriceCommand:
         assert out == ""
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("nest", [lambda p: p, lambda p: {"model_kind": "heston", "params": p}],
+                             ids=["bare", "under_params"])
+    def test_a_per_tenor_params_file_prices_the_chosen_tenor(self, capsys, tmp_path, nest):
+        one_year = dict(HESTON, v0=0.02)
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps(nest({"1M": HESTON, "1Y": one_year})))
+        argv = ["price", "--params", str(p), "--strike", "1.0", "--expiry", "1.0"]
+        code, out, _ = run_cli(capsys, *argv, "--tenor", "1Y")
+        assert code == 0
+        want = cf_vanilla_price(cf_for(HestonParams(**one_year)), MarketSlice(1.0, 1.0, 1.0),
+                                OptionSpec(1.0, 1.0, "call"))
+        assert json.loads(out)["price"] == want
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: parameter file {p} is per-tenor; choose one of ['1M', '1Y']\n"
+        code, out, err = run_cli(capsys, *argv, "--tenor", "2Y")
+        assert code == 1 and out == ""
+        assert err == f"error: tenor '2Y' not in parameter file {p} (has ['1M', '1Y'])\n"
+
+    def test_a_flat_params_file_ignores_the_tenor(self, capsys, tmp_path):
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps({"model_kind": "heston", "params": HESTON}))
+        argv = ["price", "--params", str(p), "--strike", "1.0", "--expiry", "1.0"]
+        flat = run_cli(capsys, *argv)
+        assert flat[0] == 0 and run_cli(capsys, *argv, "--tenor", "7Y") == flat
+
     def test_malformed_stored_record_is_input_error(self, capsys, tmp_path):
         store_dir = tmp_path / "store"
         store_dir.mkdir()
@@ -477,6 +507,11 @@ class TestPriceCommand:
         assert code == 0
         got = json.loads(out)
         assert got["implied_vol"] == pytest.approx(0.127, abs=2e-3)
+        code, out, err = run_cli(
+            capsys, "price", "--latest", "heston", "--strike", "1.0", "--expiry", "1.0", "--store-path", str(store_dir),
+        )
+        assert code == 1 and out == ""
+        assert err == "error: record 1 is per-tenor; choose one of ['1Y', '2Y', '6M']\n"
         code, out, err = run_cli(
             capsys, "price", "--latest", "heston", "--model", "schobel_zhu", "--tenor", "1Y",
             "--strike", "1.0", "--expiry", "1.0", "--store-path", str(store_dir),

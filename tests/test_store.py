@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import svcal.store
 from svcal.errors import DomainError, RecordNotFoundError
 from svcal.quotes_io import parse_quotes, quotes_digest
-from svcal.store import ParamRecord, ParamStore, live_calibrate
+from svcal.store import ParamRecord, ParamStore, live_calibrate, select_tenor
 from svcal.workflows import RunConfig
 
 QUOTES_CSV = """tenor,expiry_years,forward,discount,atm_vol,ms25,rr25
@@ -55,11 +55,12 @@ class TestParamRecord:
     def test_per_tenor_selection(self):
         rec = make_record(params={"3M": PARAMS, "1Y": PARAMS})
         assert rec.is_per_tenor
-        assert rec.flat_params("3M") == PARAMS
-        with pytest.raises(DomainError):
-            rec.flat_params()
-        with pytest.raises(DomainError):
-            rec.flat_params("7Y")
+        assert select_tenor(rec.params, "3M", "record") == PARAMS
+        with pytest.raises(DomainError, match=r"record is per-tenor; choose one of \['1Y', '3M'\]"):
+            select_tenor(rec.params, None, "record")
+        with pytest.raises(DomainError, match=r"tenor '7Y' not in record \(has \['1Y', '3M'\]\)"):
+            select_tenor(rec.params, "7Y", "record")
+        assert select_tenor(PARAMS, "7Y", "record") == PARAMS
 
 
 class TestStoreRoundTrip:
