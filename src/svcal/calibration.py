@@ -148,7 +148,8 @@ class OptimizerConfig:
     """Trust-region settings; ``starts`` (at least 1) is the most starts a fit
     runs (see the module docstring for when it stops early: a well-posed first
     start runs alone, a start in doubt runs them all), ``seed`` (at least 0)
-    draws the perturbed ones.
+    draws the perturbed ones, and ``retry_rmse`` (at least 0) is the rmse
+    floor at which a fit stops.
 
     ``ftol``, ``xtol`` and ``gtol`` are scipy's stop tests.  ``xtol`` and
     ``gtol`` default to 1e-12, the resolution of the cost: a converged dense
@@ -178,6 +179,8 @@ class OptimizerConfig:
             raise DomainError(f"starts must be >= 1, got {self.starts}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if not self.retry_rmse >= 0:
+            raise DomainError(f"retry_rmse must be >= 0, got {self.retry_rmse}")
         # scipy refuses a solve whose three stop tests are all below machine epsilon
         if max(self.ftol, self.xtol, self.gtol) < np.finfo(float).eps:
             raise DomainError(

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Tuple
-
-from scipy.special import ndtri
 
 from .errors import DomainError
 from .models import MarketSlice
@@ -97,9 +96,10 @@ def strike_from_delta(
 ) -> float:
     """Strike with the given Black delta (quoted as a positive fraction).
 
-    Forward-delta convention: K = F*exp(-/+ vol*sqrt(T)*ndtri(delta) + vol^2*T/2)
-    with the minus sign for calls.  The spot convention divides the delta by
-    the foreign discount factor first.
+    Forward-delta convention: K = F*exp(-/+ vol*sqrt(T)*N^-1(delta) + vol^2*T/2)
+    with the minus sign for calls, where N^-1 is the standard library's
+    ``statistics.NormalDist().inv_cdf``.  The spot convention divides the
+    delta by the foreign discount factor first.
     """
     if kind not in ("call", "put"):
         raise DomainError(f"kind must be 'call' or 'put', got {kind!r}")
@@ -118,7 +118,7 @@ def strike_from_delta(
             )
     T = slice_.expiry
     st = vol * math.sqrt(T)
-    z = ndtri(d)
+    z = NormalDist().inv_cdf(d)
     sign = -1.0 if kind == "call" else 1.0
     return slice_.forward * math.exp(sign * st * z + 0.5 * st * st)
 

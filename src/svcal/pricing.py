@@ -30,7 +30,8 @@ A calibration sizes once and evaluates at every trial point; one-shot
 pricing sizes and evaluates once.
 
 The Black formula, the control variate's tail and the implied-vol
-inversion take the normal CDF from ``scipy.special.ndtr``.
+inversion take the normal CDF from :func:`_ncdf`, built on the standard
+library's ``math.erfc``, so pricing never loads scipy.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, NumericalError, QuadratureError
 from .models import AffineParams, MarketSlice, cf_for
@@ -98,13 +98,22 @@ def _check_slice(slice_: MarketSlice, opt: OptionSpec) -> None:
         )
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+def _ncdf(x) -> np.ndarray:
+    """Standard normal CDF, elementwise: 0.5 * erfc(-x / sqrt 2), as accurate as ``scipy.special.ndtr``."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * np.fromiter(map(math.erfc, (x / -_SQRT2).ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _black_d1(lnfk, st):
     return lnfk / st + 0.5 * st
 
 
 def _black_value(F, K, sign, d1, st):
     """sign * (F N(sign d1) - K N(sign d2)): the call for sign 1, the put for sign -1."""
-    return sign * (F * ndtr(sign * d1) - K * ndtr(sign * (d1 - st)))
+    return sign * (F * _ncdf(sign * d1) - K * _ncdf(sign * (d1 - st)))
 
 
 def _black_undisc(F, K, T, vol, call):
@@ -135,11 +144,13 @@ def bs_price(slice_: MarketSlice, opt: OptionSpec, vol: float) -> float:
 def _implied_vols(F, K, T, df, call, price, seed=None) -> np.ndarray:
     """Black implied vols of discounted prices; a safeguarded Newton on arrays.
 
-    Every point iterates inside its own bisection bracket, starting from
-    ``seed`` where that lies inside the bracket, else from the bracket's
-    midpoint, and stops once its repriced value matches within 1e-12
-    relative.  Prices at the lower no-arbitrage bound give 0; the first
-    price outside the bounds raises :class:`DomainError` naming the bound.
+    Every point starts at ``seed`` where that is positive and finite, else
+    at 1, and stops once its repriced value matches within 1e-12 relative.
+    Each repricing narrows the point's bracket.  A Newton step that leaves
+    the bracket or more than doubles the vol is replaced by doubling while
+    the bracket has no upper end, and by bisection once it has.  Prices at
+    the lower no-arbitrage bound give 0; the first price outside the bounds
+    raises :class:`DomainError` naming the bound.
     """
     lo_bound = df * np.maximum(np.where(call, F - K, K - F), 0.0)
     hi_bound = df * np.where(call, F, K)
@@ -165,21 +176,13 @@ def _implied_vols(F, K, T, df, call, price, seed=None) -> np.ndarray:
     lnfk = np.log(F / K)
     sqrt_t = np.sqrt(T)
     vega_scale = F * sqrt_t / math.sqrt(2.0 * math.pi)
+    vol = np.ones_like(target)
+    if seed is not None:
+        vol = np.where((seed > 0.0) & np.isfinite(seed), seed, vol)
     v_lo = np.zeros_like(target)
-    v_hi = np.ones_like(target)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            st = v_hi * sqrt_t
-            short = ~zero & (_black_value(F, K, sign, _black_d1(lnfk, st), st) < target)
-            if not short.any():
-                break
-            v_hi = np.where(short, 2.0 * v_hi, v_hi)
-            if v_hi.max() > 1e6:  # pragma: no cover - unreachable inside the bounds
-                raise NumericalError("implied vol bracket expansion failed")
-        vol = 0.5 * v_hi
-        if seed is not None:
-            vol = np.where((seed > 0.0) & (seed < v_hi), seed, vol)
-        done = zero.copy()
+    v_hi = np.full_like(target, np.inf)
+    done = zero.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(200):
             st = vol * sqrt_t
             d1 = _black_d1(lnfk, st)
@@ -190,9 +193,13 @@ def _implied_vols(F, K, T, df, call, price, seed=None) -> np.ndarray:
             high = diff > 0
             v_hi = np.where(high, vol, v_hi)
             v_lo = np.where(high, v_lo, vol)
-            # Newton where it stays inside the bracket (an underflowed vega leaves it), else bisection
+            if v_lo.max() > 1e6:  # pragma: no cover - unreachable inside the bounds
+                raise NumericalError("implied vol bracket expansion failed")
+            # Newton where it stays inside the bracket and at most doubles the vol (an underflowed vega
+            # leaves it), else doubling while the bracket has no top, else bisection
+            top = np.minimum(v_hi, 2.0 * vol)
             step = vol - diff / (vega_scale * np.exp(-0.5 * d1 * d1))
-            step = np.where((v_lo < step) & (step < v_hi), step, 0.5 * (v_lo + v_hi))
+            step = np.where((v_lo < step) & (step < top), step, np.where(np.isinf(v_hi), top, 0.5 * (v_lo + v_hi)))
             vol = np.where(done, vol, step)
     raise NumericalError("implied vol iteration did not converge")  # pragma: no cover
 
@@ -200,8 +207,8 @@ def _implied_vols(F, K, T, df, call, price, seed=None) -> np.ndarray:
 def bs_implied_vol(slice_: MarketSlice, opt: OptionSpec, price: float) -> float:
     """Invert the Black formula: :func:`_implied_vols` on one point.
 
-    A safeguarded Newton inside a bisection bracket, started at the
-    bracket's midpoint, that exits when the repriced value matches within
+    A safeguarded Newton started at vol 1, inside a bracket that each
+    repricing narrows, that exits when the repriced value matches within
     1e-12 relative.  Prices at the lower no-arbitrage bound return 0; prices
     outside the bounds raise :class:`DomainError` naming the violated bound.
     """
@@ -326,7 +333,7 @@ def _tail_estimates(absphi: np.ndarray, half: np.ndarray, right: np.ndarray, w):
     model = np.divide(np.exp(line[:, 0]), uu * rate, out=np.full(len(rate), np.inf), where=rate > 0.0)
     model[line[:, 0] <= _LOG_TINY] = 0.0
     sw = np.sqrt(w)
-    cv = np.exp(-0.125 * w) * math.sqrt(2.0 * math.pi) / sw * ndtr(-right * sw) / uu
+    cv = np.exp(-0.125 * w) * math.sqrt(2.0 * math.pi) / sw * _ncdf(-right * sw) / uu
     return model, cv, rate
 
 

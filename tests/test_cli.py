@@ -91,6 +91,7 @@ class TestCalibrateCommand:
         ({"optimizer": {"max_nfev": 0}}, "max_nfev must be >= 1"),
         ({"optimizer": {"starts": 0}}, "starts must be >= 1, got 0"),
         ({"optimizer": {"seed": -1}}, "seed must be >= 0, got -1"),
+        ({"optimizer": {"retry_rmse": -1}}, "retry_rmse must be >= 0, got -1"),
         ({"quadrature": {"max_evals": 0}}, "max_evals must be >= 1, got 0"),
         ({"optimizer": {"ftol": 0, "xtol": 0, "gtol": 0}}, "one of ftol, xtol and gtol must be >= machine epsilon"),
     ])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from svcal.errors import DomainError
 from svcal.fx_quotes import (
@@ -85,6 +85,15 @@ class TestStrikeFromDelta:
                 d1 = math.log(sl.forward / k) / st + 0.5 * st
                 black_delta = ndtr(d1) if kind == "call" else ndtr(-d1)
                 assert black_delta == pytest.approx(delta, abs=1e-12)
+
+    @pytest.mark.parametrize("kind, sign", [("call", -1.0), ("put", 1.0)])
+    def test_25_delta_strike_is_the_ndtri_formula_bit_for_bit(self, rng, kind, sign):
+        for _ in range(30):
+            sl = MarketSlice(float(rng.uniform(0.5, 2.0)), 1.0, float(rng.uniform(0.01, 10.0)))
+            vol = float(rng.uniform(0.03, 0.6))
+            st = vol * math.sqrt(sl.expiry)
+            want = sl.forward * math.exp(sign * st * ndtri(0.25) + 0.5 * st * st)
+            assert strike_from_delta(sl, vol, 0.25, kind) == want
 
     def test_spot_delta_divides_by_foreign_discount(self):
         sl = MarketSlice(forward=1.0, discount=1.0, expiry=1.0)

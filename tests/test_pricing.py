@@ -27,6 +27,7 @@ from svcal.pricing import (
     _XGK,
     _black_undisc,
     _implied_vols,
+    _ncdf,
     _split,
     _tail_estimates,
     bs_implied_vol,
@@ -67,6 +68,28 @@ def _integrate(f, a, b, n0, tol, max_evals):
         if not short.any():
             return vals.sum(axis=1), errs.sum(axis=1), 15 * len(los)
         los, his = _split(los, his, errs[short], tol)
+
+
+class TestNormalCdf:
+    @pytest.mark.parametrize("lo, hi, bound", [(-8.0, 8.0, 2e-14), (-37.5, -8.0, 5e-13)])
+    def test_within_the_bound_of_mpmath_and_of_scipy(self, lo, hi, bound):
+        import mpmath as mp
+
+        x = np.linspace(lo, hi, 1201)
+        got = _ncdf(x)
+        with mp.workdps(40):
+            want = np.array([float(mp.ncdf(mp.mpf(v))) for v in x])
+        assert np.max(np.abs(got - want) / want) <= bound
+        assert np.max(np.abs(got - ndtr(x)) / ndtr(x)) <= bound
+
+    @pytest.mark.parametrize("x", [
+        0.3, np.float64(-1.7), np.array(2.5), np.array([np.nan, np.inf, -np.inf, 0.0, -40.0]),
+        np.linspace(-5.0, 5.0, 6).reshape(2, 3), np.zeros(0),
+    ])
+    def test_maps_specials_and_shapes_as_ndtr(self, x):
+        got, want = _ncdf(x), ndtr(x)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=2e-14, atol=0.0)
 
 
 class TestBlackScholes:
@@ -601,7 +624,7 @@ def _black_arrays(points):
 
 class TestArrayInversion:
     @_props
-    @given(points=_black_points, seed_scale=st.none() | st.floats(0.3, 3.0))
+    @given(points=_black_points, seed_scale=st.none() | st.floats(0.3, 3.0) | st.floats(1e-3, 1e3))
     def test_round_trip_within_the_stop_tolerance(self, points, seed_scale):
         F, K, T, df, call, vol, price = _black_arrays(points)
         seed = None if seed_scale is None else seed_scale * vol

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from svcal.errors import DomainError
 from svcal.fx_quotes import TenorQuote
 from svcal.models import HestonParams, MarketSlice
-from svcal.pricing import QuadratureConfig, model_smile
+from svcal.pricing import QuadratureConfig, _ncdf, model_smile
 from svcal.quotes_io import load_quotes
 from svcal.varswap import (
     ReplicationConfig,
@@ -118,7 +117,7 @@ class TestReplicateVarswap:
 
 
 def _replicate_by_d1_d2(smile, slice_, cfg=ReplicationConfig()):
-    """Replication with the Black call and put written out in d1 and d2."""
+    """Replication with the Black call and put written out in d1 and d2, on svcal's normal CDF."""
     F, T = slice_.forward, slice_.expiry
     x = np.linspace(-math.log(cfg.domain_mult), math.log(cfg.domain_mult), cfg.grid_size)
     vols = smile(x)
@@ -126,8 +125,8 @@ def _replicate_by_d1_d2(smile, slice_, cfg=ReplicationConfig()):
     st = vols * math.sqrt(T)
     d1 = np.log(F / K) / st + 0.5 * st
     d2 = d1 - st
-    call = F * ndtr(d1) - K * ndtr(d2)
-    put = K * ndtr(-d2) - F * ndtr(-d1)
+    call = F * _ncdf(d1) - K * _ncdf(d2)
+    put = K * _ncdf(-d2) - F * _ncdf(-d1)
     otm = np.where(K < F, put, call)
     return 2.0 / T * float(np.trapezoid(otm * np.exp(-x) / F, x))
 
