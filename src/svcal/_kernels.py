@@ -144,12 +144,25 @@ def heston_cf_grad(u, v0, theta, kappa, sigma, rho, T):
     chain with db/dkappa = 1, db/dsigma = -i*rho*u, db/drho = -i*sigma*u
     and dq/dsigma = 2*sigma.  Rows with s = u^2 + i*u = 0 are phi = 1 with
     gradient 0.  Needs kappa + sigma > 0, which every calibration box keeps.
+
+    The parameters may also be arrays broadcast against ``u``, one set per
+    frequency (several independent fits in one pass): every operation is
+    elementwise, so each frequency gets bit for bit what a scalar call with
+    its own parameters gives.  Frequencies at sigma = 0 and at sigma > 0 then
+    take their own branch, each on its own subset.
     """
     u = np.asarray(u, dtype=np.complex128)
-    s = u * u + 1j * u
     q = sigma * sigma
+    zero = q == 0.0
+    if np.ndim(zero) and zero.any() and not zero.all():
+        out = np.empty((6,) + u.shape, dtype=np.complex128)
+        for part in (zero, ~zero):
+            args = (np.broadcast_to(a, u.shape)[part] for a in (v0, theta, kappa, sigma, rho, T))
+            out[:, part] = heston_cf_grad(u[part], *args)
+        return out
+    s = u * u + 1j * u
     out = np.empty((6,) + u.shape, dtype=np.complex128)
-    if q == 0.0:
+    if np.all(zero):
         _, e1, tme1, e1mTE = _decay_terms(kappa, T)
         hs = 0.5 * s
         e_b = hs * ((v0 - theta) * e1mTE + theta * tme1) / kappa  # d exponent / db

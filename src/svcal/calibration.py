@@ -1,19 +1,20 @@
 """Objective construction and calibration strategies for affine models.
 
-The optimizer is a trust-region least-squares solve (scipy) run in an
-unconstrained space; every model parameter is mapped through a logistic
-transform onto an open box, so intermediate parameter sets are always
-admissible.  Strategies: full surface, fixed parameters, penalized
-(previous-day anchor with the error-doubling rule), per-tenor with a
-kappa rule, and variance-swap term-structure fits.  The models a fit can
-calibrate, and the parameter names each one frees or fixes, are the
-``MODELS`` table of :mod:`svcal.models`.
+The optimizer is a trust-region least-squares solve (:func:`least_squares`,
+scipy's ``trf`` reproduced in-house) run in an unconstrained space; every
+model parameter is mapped through a logistic transform onto an open box,
+so intermediate parameter sets are always admissible.  Strategies: full
+surface, fixed parameters, penalized (previous-day anchor with the
+error-doubling rule), per-tenor with a kappa rule, and variance-swap
+term-structure fits.  The models a fit can calibrate, and the parameter
+names each one frees or fixes, are the ``MODELS`` table of
+:mod:`svcal.models`.
 
-A solve stops on scipy's ``xtol`` or ``gtol`` test at 1e-12, or its
-``ftol`` test at 1e-13 (``OptimizerConfig`` says why): the cost of a
-converged fit scatters by about 1e-12 relative about a smooth curve (the
-quadrature's rounding), so a tighter step test is met only by chance,
-after rejected steps that cannot lower the cost.  Each solve logs why it
+A solve stops on its ``xtol`` or ``gtol`` test at 1e-12, or its ``ftol``
+test at 1e-13, each as ``trf`` defines it (``OptimizerConfig`` says why):
+the cost of a converged fit scatters by about 1e-12 relative about a
+smooth curve (the quadrature's rounding), so a tighter step test is met
+only by chance, after rejected steps that cannot lower the cost.  Each solve logs why it
 stopped on the ``svcal`` logger at DEBUG level.
 
 Each fit runs up to ``OptimizerConfig.starts`` starts: the initial guess,
@@ -30,10 +31,19 @@ gradient (Heston, Bates and Schobel-Zhu).  Each trial point is priced by one
 CF-and-gradient pass on the frozen grid: its CF row gives the residuals, and
 its derivative rows, in the same evaluation steps (divided by the Black vega
 at the evaluation's own vols in vol space) and chained through ties, fixed
-parameters and the box map, give the Jacobian.  scipy asks for the Jacobian
-only at the x of its last residual evaluation, so an iteration costs one
-pass.  ``iterations`` reports scipy's ``nfev``.  A fit whose reported
-residuals hold a failed price is not converged.
+parameters and the box map, give the Jacobian.  The solver asks for the
+Jacobian only at the x of its last residual evaluation, so an iteration
+costs one pass.  ``iterations`` reports the solver's ``nfev``.  A fit whose
+reported residuals hold a failed price is not converged.  A fit with sigma
+fixed at 0 fixes rho at 0, flagged ``rho_unidentified``: the CF does not
+depend on rho there.
+
+The solver advances several independent problems in lockstep, each with its
+own state, and prices all their trial points in one evaluation per round.
+The per-tenor strategy uses that: its tenors are the blocks of one
+:class:`~svcal.pricing.SurfaceGrid`, each at its own parameters, and every
+tenor's result is bit for bit its fit alone.  Every other fit is a lockstep
+of one.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,7 +161,8 @@ class OptimizerConfig:
     draws the perturbed ones, and ``retry_rmse`` (at least 0) is the rmse
     floor at which a fit stops.
 
-    ``ftol``, ``xtol`` and ``gtol`` are scipy's stop tests.  ``xtol`` and
+    ``ftol``, ``xtol`` and ``gtol`` are the solver's stop tests, defined as
+    scipy's ``trf`` defines them (:func:`least_squares`).  ``xtol`` and
     ``gtol`` default to 1e-12, the resolution of the cost: a converged dense
     fit's cost scatters by 1.2-2.0e-12 relative about a smooth curve, and at
     1e-14 over half of a fit's evaluations came after its cost was within
@@ -159,8 +170,8 @@ class OptimizerConfig:
     stop.  ``ftol`` defaults to 1e-13: along the bundled surface's flat
     kappa valley a step still lowers the cost by about 1e-12 relative, and
     an ``ftol`` of 1e-12 stops there 2e-8 box widths short of the minimum.
-    Looser is not safe: scipy's ``gtol`` test is absolute, and at 1e-10 a
-    fit's argmin moves when its weights are rescaled.
+    Looser is not safe: the ``gtol`` test is absolute, and at 1e-10 a fit's
+    argmin moves when its weights are rescaled.
     """
 
     max_nfev: int = 600
@@ -181,7 +192,7 @@ class OptimizerConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not self.retry_rmse >= 0:
             raise DomainError(f"retry_rmse must be >= 0, got {self.retry_rmse}")
-        # scipy refuses a solve whose three stop tests are all below machine epsilon
+        # a solve whose three stop tests are all below machine epsilon might never stop
         if max(self.ftol, self.xtol, self.gtol) < np.finfo(float).eps:
             raise DomainError(
                 f"one of ftol, xtol and gtol must be >= machine epsilon, got {self.ftol}, {self.xtol}, {self.gtol}"
@@ -254,20 +265,44 @@ def _box_arrays(names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _model_values(params: AffineParams, target: CalibrationTarget, grid: SurfaceGrid) -> np.ndarray:
-    """Model vols or OTM prices at the target points (row 0) over their derivatives
+def _model_values(params, target: CalibrationTarget, grid: SurfaceGrid):
+    """Model vols or OTM prices at the grid's options (row 0) over their derivatives
     in the parameters of ``params.as_dict()`` (the rows below), shape
-    (1 + parameters, points): one CF-and-gradient pass on the grid's frozen panels."""
-    cf_grad = cf_grad_for(params)
-    return grid.vols(cf_grad) if target.space == "vol" else grid.prices(cf_grad)
+    (1 + parameters, options), in the target's space: one CF-and-gradient pass
+    on the grid's frozen panels.
+
+    ``params`` is one parameter set for every block of the grid, or a mapping
+    of some of its blocks to Heston parameters, each block priced at its own
+    and the others not at all.  Returns the rows, NaN at the options of the
+    blocks not priced or failed, and the error of each block that failed
+    (:meth:`SurfaceGrid.evaluate`).
+    """
+    if isinstance(params, Mapping):
+        expiries = grid.expiries
+        cf_grad = cf_grad_for({expiries[b]: p for b, p in params.items()})
+        return grid.evaluate(cf_grad, target.space == "vol", list(params))
+    return grid.evaluate(cf_grad_for(params), target.space == "vol")
+
+
+def _options(target: CalibrationTarget):
+    """(slice, out-of-the-money option) at each target point."""
+    for pt in target.points:
+        sl = target.slices[pt.expiry]
+        yield sl, OptionSpec(pt.strike, pt.expiry, "call" if pt.strike >= sl.forward else "put")
 
 
 class _Problem:
     """Free-parameter vector <-> residual vector and its Jacobian for one calibration.
 
     One evaluation gives both: :meth:`residuals` and :meth:`jac` at the x of
-    the last evaluation reuse it, as scipy calls ``jac`` right after an
-    accepted ``fun`` at the same x.
+    the last evaluation reuse it, as the solver calls ``jac`` right after an
+    accepted residual evaluation at the same x.
+
+    By default the problem prices its target on a grid of its own.  With
+    ``block = (grid, b, cols)`` its points are the options ``cols`` of a grid
+    shared with other problems, all in block b: :func:`_price` then prices
+    several of them in one pass.  With sigma fixed at 0 and rho free, rho is
+    fixed at 0 and the results are flagged ``rho_unidentified``.
     """
 
     def __init__(
@@ -277,6 +312,7 @@ class _Problem:
         fixed: Mapping[str, float],
         ties: Mapping[str, str],
         quad: QuadratureConfig,
+        block: Optional[Tuple[SurfaceGrid, int, np.ndarray]] = None,
     ):
         for name in list(fixed) + list(ties):
             if name not in model.names:
@@ -287,15 +323,19 @@ class _Problem:
         self.model = model
         self.fixed = dict(fixed)
         self.ties = dict(ties)
+        self.flags: Tuple[str, ...] = ()
+        if self.fixed.get("sigma") == 0.0 and "rho" in model.names and "rho" not in self.fixed and "rho" not in ties:
+            # the CF does not depend on rho at sigma = 0: it takes its canonical value 0
+            self.fixed["rho"] = 0.0
+            self.flags = ("rho_unidentified",)
         # out-of-the-money options at the target points, on panels sized at the first
         # residual evaluation, re-sized only where they miss the tolerance and
         # trimmed where their tail has died out
-        options = []
-        for pt in target.points:
-            sl = target.slices[pt.expiry]
-            options.append((sl, OptionSpec(pt.strike, pt.expiry, "call" if pt.strike >= sl.forward else "put")))
-        self.grid = SurfaceGrid(options, quad)
-        self.free = tuple(n for n in model.names if n not in fixed and n not in ties)
+        if block is None:
+            self.grid, self.block, self.cols = SurfaceGrid(list(_options(target)), quad), None, None
+        else:
+            self.grid, self.block, self.cols = block
+        self.free = tuple(n for n in model.names if n not in self.fixed and n not in ties)
         if not self.free:
             raise DomainError("no free parameters left to calibrate")
         self.lo, self.hi = _box_arrays(self.free)
@@ -331,20 +371,51 @@ class _Problem:
         """
         return self._evaluate(x)[2]
 
+    def holds(self, x: np.ndarray) -> bool:
+        """Whether the last evaluation was at ``x``."""
+        return self._last is not None and np.array_equal(self._last[0], x)
+
     def _evaluate(self, x: np.ndarray):
         """(x, residuals, Jacobian) at ``x``: the last evaluation's if x is equal."""
         x = np.array(x, dtype=float)
-        if self._last is not None and np.array_equal(self._last[0], x):
-            return self._last
-        params = self.build_params(x)
-        try:
-            rows = _model_values(params, self.target, self.grid)
-        except (NumericalError, DomainError):
-            self._last = (x, np.full(len(self.market), _FAILED_RESIDUAL), np.zeros((len(self.market), len(self.free))))
-            return self._last
-        jac = self.weights[:, None] * (rows[1:].T @ self._chain) * _box_slope(x, self.lo, self.hi)
-        self._last = (x, self.weights * (rows[0] - self.market), jac)
+        if not self.holds(x):
+            _price([(self, x)])
         return self._last
+
+
+def _price(pairs: Sequence[Tuple[_Problem, np.ndarray]]) -> None:
+    """Evaluate each problem at its x, all in one :func:`_model_values` call on their
+    shared grid, and keep each one's residuals and Jacobian as its last evaluation.
+
+    A problem whose pricing fails gets ``_FAILED_RESIDUAL`` everywhere and a
+    zero Jacobian, as a finite difference of the constant failed residual
+    has; the others are priced as if alone.
+    """
+    if not pairs:
+        return
+    lead = pairs[0][0]
+    params = [p.build_params(x) for p, x in pairs]
+    try:
+        if lead.block is None:
+            rows, failed = _model_values(params[0], lead.target, lead.grid)
+        else:
+            rows, failed = _model_values({p.block: q for (p, _), q in zip(pairs, params)}, lead.target, lead.grid)
+    except (NumericalError, DomainError):
+        rows, failed = None, None
+    for p, x in pairs:
+        if failed is None or (p.block in failed if p.block is not None else failed):
+            p._last = (x, np.full(len(p.market), _FAILED_RESIDUAL), np.zeros((len(p.market), len(p.free))))
+            continue
+        r = rows if p.cols is None else rows[:, p.cols]
+        jac = p.weights[:, None] * (r[1:].T @ p._chain) * _box_slope(x, p.lo, p.hi)
+        p._last = (x, p.weights * (r[0] - p.market), jac)
+
+
+def _residuals(probs: Sequence[_Problem], xs: Sequence[np.ndarray]):
+    """Each problem's residuals at its x; those not last evaluated there are priced together."""
+    xs = [np.array(x, dtype=float) for x in xs]
+    _price([(p, x) for p, x in zip(probs, xs) if not p.holds(x)])
+    return [p.residuals(x) for p, x in zip(probs, xs)]
 
 
 def objective(
@@ -389,82 +460,258 @@ def _default_init(model_kind: str, target: CalibrationTarget) -> dict:
     return vals
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported at the first call: commands that do not solve never load it."""
-    from scipy.optimize import least_squares as solve
+# ---------------------------------------------------------------------------
+# trust-region least squares, several problems in lockstep
+# ---------------------------------------------------------------------------
 
-    return solve(*args, **kwargs)
-
-
-# scipy's least_squares status codes, for the per-solve debug record
+_EPS = np.finfo(float).eps
+# the solver's status codes, as trf's; the per-solve debug record names them
 _STOP_REASONS = {0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol and xtol"}
 
 
-def _run_least_squares(
-    fun: Callable[[np.ndarray], np.ndarray], jac, x0: np.ndarray, cfg: OptimizerConfig, label: str
-):
-    """One trust-region solve, logged at DEBUG on ``svcal`` with why it stopped."""
-    res = least_squares(
-        fun,
-        x0,
-        method="trf",
-        jac=jac,
-        ftol=cfg.ftol,
-        xtol=cfg.xtol,
-        gtol=cfg.gtol,
-        max_nfev=cfg.max_nfev,
-    )
-    logging.getLogger("svcal").debug(
-        "%s: status=%d (%s), nfev=%d, njev=%d, cost=%.6e",
-        label, res.status, _STOP_REASONS.get(res.status, "?"), res.nfev, res.njev, res.cost,
-    )
-    return res
+@dataclass(frozen=True)
+class _Solution:
+    """One problem's answer: its x, cost 0.5*||f||^2 and residuals f there, why it stopped
+    (:data:`_STOP_REASONS`; above 0 is converged) and its residual and Jacobian evaluations."""
+
+    x: np.ndarray
+    cost: float
+    fun: np.ndarray
+    status: int
+    nfev: int
+    njev: int
 
 
-def _well_posed(prob: _Problem, res) -> bool:
-    """Whether solve ``res`` gives no reason to doubt it: it converged, no price
+class _Solve(tuple):
+    """The solutions of one lockstep solve, one per start, and ``nfev``: its evaluation rounds."""
+
+    def __new__(cls, solutions, nfev: int):
+        solve = super().__new__(cls, solutions)
+        solve.nfev = nfev
+        return solve
+
+
+def _tr_step(uf: np.ndarray, s: np.ndarray, V: np.ndarray, delta: float, alpha: float, m: int):
+    """Moré's (1978) trust-region step, from one SVD J = U diag(s) V^T and uf = U^T f.
+
+    The Gauss-Newton step where J has full rank and the step fits inside
+    the radius ``delta``; else the Levenberg-Marquardt step
+    -(J^T J + alpha I)^-1 J^T f whose norm is ``delta`` within 1%, found by
+    at most 10 safeguarded Newton steps on alpha from the last alpha.
+    Returns the step, scaled onto the radius, and its alpha.  As scipy's
+    ``solve_lsq_trust_region``.
+    """
+    n = len(s)
+    suf = s * uf
+    full_rank = m >= n and s[-1] > _EPS * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if np.linalg.norm(p) <= delta:
+            return p, 0.0
+
+    def phi(alpha):  # the step's norm minus delta, and its derivative in alpha
+        denom = s**2 + alpha
+        p_norm = np.linalg.norm(suf / denom)
+        return p_norm - delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    upper = np.linalg.norm(suf) / delta
+    lower = 0.0
+    if full_rank:
+        value, slope = phi(0.0)
+        lower = -value / slope
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * upper, (lower * upper) ** 0.5)
+    for _ in range(10):
+        if alpha < lower or alpha > upper:
+            alpha = max(0.001 * upper, (lower * upper) ** 0.5)
+        value, slope = phi(alpha)
+        if value < 0:
+            upper = alpha
+        ratio = value / slope
+        lower = max(lower, alpha - ratio)
+        alpha -= (value + delta) * ratio / delta
+        if np.abs(value) < 0.01 * delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    return p * (delta / np.linalg.norm(p)), alpha
+
+
+def _trf(jac: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, ftol: float, xtol: float, gtol: float,
+         max_nfev: int):
+    """One problem's trust-region solve, as a generator: it yields each point whose
+    residuals it needs and is sent them back, and it returns its :class:`_Solution`.
+
+    scipy's ``trf`` for an unbounded problem with ``x_scale`` 1 and the exact
+    subproblem (:func:`_tr_step`): the same steps, radius update and stop
+    tests.  It stops with status 1 once the gradient J^T f is below ``gtol``
+    in max norm; 2 when a step that lowers the cost by less than ``ftol``
+    times the cost, with a ratio of actual to predicted reduction above
+    1/4, 3 when a step shorter than ``xtol * (xtol + |x|)``, 4 when both;
+    0 after ``max_nfev`` evaluations.  ``jac(x)`` is asked only at the x of
+    the last residuals sent, once the step to it is accepted.
+    """
+    x = np.array(x0, dtype=float)
+    f = yield x
+    if not np.all(np.isfinite(f)):
+        raise NumericalError("residuals are not finite at the start point")
+    J = jac(x)
+    nfev = njev = 1
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    delta = np.linalg.norm(x) or 1.0
+    alpha, status = 0.0, None
+    while True:
+        if np.linalg.norm(g, ord=np.inf) < gtol:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        uf = U.T.dot(f)
+        actual = -1
+        while actual <= 0 and nfev < max_nfev:
+            step, alpha = _tr_step(uf, s, Vt.T, delta, alpha, len(f))
+            Js = J.dot(step)
+            predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+            x_new = x + step
+            f_new = yield x_new
+            nfev += 1
+            step_norm = np.linalg.norm(step)
+            if not np.all(np.isfinite(f_new)):
+                delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual = cost - cost_new
+            if predicted > 0:
+                ratio = actual / predicted
+            else:
+                ratio = 1 if predicted == actual == 0 else 0
+            delta_new = delta
+            if ratio < 0.25:
+                delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * delta:
+                delta_new = delta * 2.0
+            ftol_met = actual < ftol * cost and ratio > 0.25
+            xtol_met = step_norm < xtol * (xtol + np.linalg.norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            alpha *= delta / delta_new
+            delta = delta_new
+        if actual > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            njev += 1
+            g = J.T.dot(f)
+    return _Solution(x, cost, f, status or 0, nfev, njev)
+
+
+def least_squares(fun, x0, jac, *, ftol: float, xtol: float, gtol: float, max_nfev: int) -> _Solve:
+    """Minimize 0.5*||f_k(x)||^2 from each start ``x0[k]``: independent problems, solved in lockstep.
+
+    Each problem runs its own :func:`_trf` with its own state, so its
+    solution is the one it would reach alone.  Each round asks every
+    problem still running for one point: ``fun(ks, xs)`` returns the
+    residual vectors of problems ``ks`` at points ``xs``, all evaluated
+    together.  ``jac(k, x)`` returns problem k's Jacobian at the x of its
+    last ``fun`` round.  Returns the solutions in the order of ``x0``;
+    ``nfev`` counts the rounds, the most any problem evaluated.
+    """
+    runs = [_trf(lambda x, k=k: jac(k, x), start, ftol, xtol, gtol, max_nfev) for k, start in enumerate(x0)]
+    asked = {k: next(run) for k, run in enumerate(runs)}
+    solutions = [None] * len(runs)
+    rounds = 0
+    while asked:
+        ks = list(asked)
+        values = fun(ks, [asked[k] for k in ks])
+        rounds += 1
+        for k, f in zip(ks, values):
+            try:
+                asked[k] = runs[k].send(np.atleast_1d(np.asarray(f, dtype=float)))
+            except StopIteration as done:
+                solutions[k] = done.value
+                del asked[k]
+    return _Solve(solutions, rounds)
+
+
+def _run_least_squares(fun, jac, x0: Sequence[np.ndarray], cfg: OptimizerConfig, label: str) -> _Solve:
+    """One lockstep solve (:func:`least_squares`), each start logged at DEBUG on ``svcal`` with why it stopped."""
+    solve = least_squares(fun, x0, jac, ftol=cfg.ftol, xtol=cfg.xtol, gtol=cfg.gtol, max_nfev=cfg.max_nfev)
+    for sol in solve:
+        logging.getLogger("svcal").debug(
+            "%s: status=%d (%s), nfev=%d, njev=%d, cost=%.6e",
+            label, sol.status, _STOP_REASONS[sol.status], sol.nfev, sol.njev, sol.cost,
+        )
+    return solve
+
+
+def _one(fun: Callable[[np.ndarray], np.ndarray], jac: Callable[[np.ndarray], np.ndarray]):
+    """(fun, jac) of one problem in the lockstep form of :func:`least_squares`."""
+    return (lambda ks, xs: [fun(xs[0])]), (lambda k, x: jac(x))
+
+
+def _solve(probs: Sequence[_Problem], starts: Sequence[np.ndarray], cfg: OptimizerConfig, label: str) -> _Solve:
+    """Problems ``probs``, which share a grid, solved in lockstep from ``starts``."""
+    return _run_least_squares(lambda ks, xs: _residuals([probs[k] for k in ks], xs),
+                              lambda k, x: probs[k].jac(x), starts, cfg, label)
+
+
+def _well_posed(prob: _Problem, sol: _Solution) -> bool:
+    """Whether solution ``sol`` gives no reason to doubt it: it converged, no price
     failed at its x, and sigma_min/sigma_max of the Jacobian in parameter over
     box width is at least ``_WELL_POSED_RATIO`` (NaN or 0 is doubt).
 
     The residuals and Jacobian are the last evaluation's when it was at
-    ``res.x``; otherwise they cost one gradient pass.
+    ``sol.x``; otherwise they cost one gradient pass.
     """
-    if res.status <= 0 or np.any(prob.residuals(res.x) == _FAILED_RESIDUAL):
+    if sol.status <= 0 or np.any(prob.residuals(sol.x) == _FAILED_RESIDUAL):
         return False
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = prob.jac(res.x) * ((prob.hi - prob.lo) / _box_slope(res.x, prob.lo, prob.hi))
+        scaled = prob.jac(sol.x) * ((prob.hi - prob.lo) / _box_slope(sol.x, prob.lo, prob.hi))
         if not np.all(np.isfinite(scaled)):
             return False
         sv = np.linalg.svd(scaled, compute_uv=False)
         return bool(sv[-1] / sv[0] >= _WELL_POSED_RATIO)
 
 
-def _minimize(prob: _Problem, x0: np.ndarray, cfg: OptimizerConfig):
-    """Trust-region solve with deterministic perturbed restarts.
+def _minimize(probs: Sequence[_Problem], x0s: Sequence[np.ndarray], cfg: OptimizerConfig):
+    """Trust-region solves with deterministic perturbed restarts, for problems that share a grid.
 
-    Runs at most ``cfg.starts`` starts, the first at ``x0``, and stops early
-    once the best start so far converged to the ``retry_rmse`` floor, or
-    once the first start is well posed (:func:`_well_posed`); in doubt, it
-    runs every start.  Returns the lowest-cost start and the summed ``nfev``
-    of the starts that ran.
+    Each problem runs at most ``cfg.starts`` starts, the first at its x0,
+    and stops early once its best start so far converged to the
+    ``retry_rmse`` floor, or once its first start is well posed
+    (:func:`_well_posed`); in doubt, it runs every start.  Its perturbed
+    starts come from its own generator seeded with ``cfg.seed``.  The
+    problems still running start again together, in one lockstep solve.
+    Returns, for each problem, the solve its lowest-cost start came from,
+    that start's index in it, and the summed ``nfev`` of its starts.
     """
-    rng = np.random.default_rng(cfg.seed)
-    floor = len(prob.market) * (cfg.retry_rmse * max(1.0, float(np.mean(np.abs(prob.market))))) ** 2
-    best, nfev, stop = None, 0, "exhausted"
+    rngs = [np.random.default_rng(cfg.seed) for _ in probs]
+    floors = [len(p.market) * (cfg.retry_rmse * max(1.0, float(np.mean(np.abs(p.market))))) ** 2 for p in probs]
+    best, nfev = [None] * len(probs), [0] * len(probs)
+    running = list(range(len(probs)))
     for attempt in range(cfg.starts):
-        start = x0 if attempt == 0 else x0 + rng.normal(0.0, 0.7, size=len(x0))
-        res = _run_least_squares(prob.residuals, prob.jac, start, cfg, f"start {attempt + 1} of {cfg.starts}")
-        nfev += res.nfev
-        if best is None or res.cost < best.cost:
-            best = res
-        if best.status > 0 and 2.0 * best.cost <= floor:
-            stop = "floor"
+        starts = [x0s[i] if attempt == 0 else x0s[i] + rngs[i].normal(0.0, 0.7, size=len(x0s[i])) for i in running]
+        solve = _solve([probs[i] for i in running], starts, cfg, f"start {attempt + 1} of {cfg.starts}")
+        still = []
+        for k, i in enumerate(running):
+            nfev[i] += solve[k].nfev
+            if best[i] is None or solve[k].cost < best[i][0][best[i][1]].cost:
+                best[i] = (solve, k)
+            top = best[i][0][best[i][1]]
+            if top.status > 0 and 2.0 * top.cost <= floors[i]:
+                stop = "floor"
+            elif attempt == 0 and cfg.starts > 1 and _well_posed(probs[i], solve[k]):
+                stop = "well_posed"
+            elif attempt + 1 == cfg.starts:
+                stop = "exhausted"
+            else:
+                still.append(i)
+                continue
+            logging.getLogger("svcal").debug("minimize: %d of %d starts ran, stop=%s", attempt + 1, cfg.starts, stop)
+        running = still
+        if not running:
             break
-        if attempt == 0 and cfg.starts > 1 and _well_posed(prob, res):
-            stop = "well_posed"
-            break
-    logging.getLogger("svcal").debug("minimize: %d of %d starts ran, stop=%s", attempt + 1, cfg.starts, stop)
-    return best, nfev
+    return [(solve, k, n) for (solve, k), n in zip(best, nfev)]
 
 
 def _feller(params: AffineParams) -> Optional[float]:
@@ -472,24 +719,26 @@ def _feller(params: AffineParams) -> Optional[float]:
     return feller_ratio(heston) if isinstance(heston, HestonParams) else None
 
 
-def _result_from(prob: _Problem, res, nfev: int, flags=(), penalty_weight=None) -> CalibrationResult:
-    """The result at ``res.x``; not converged where any price failed there."""
-    params = prob.build_params(res.x)
-    residuals = prob.residuals(res.x)
+def _result_from(prob: _Problem, solve: _Solve, k: int, nfev: int, flags=(), penalty_weight=None) -> CalibrationResult:
+    """The result at the x of start ``k`` of ``solve``; not converged where any price failed there."""
+    sol = solve[k]
+    params = prob.build_params(sol.x)
+    residuals = prob.residuals(sol.x)
     return CalibrationResult(
         params=params,
         rmse=float(np.sqrt(np.mean(residuals**2))),
         iterations=nfev,
-        converged=bool(res.status > 0) and not np.any(residuals == _FAILED_RESIDUAL),
+        converged=bool(sol.status > 0) and not np.any(residuals == _FAILED_RESIDUAL),
         feller=_feller(params),
         residuals=tuple(float(r) for r in residuals),
-        flags=tuple(flags),
+        flags=prob.flags + tuple(flags),
         penalty_weight=penalty_weight,
     )
 
 
 # below this vol-of-vol the smile carries no correlation information: a free
-# rho is reported at its canonical value 0 and flagged
+# rho is reported at its canonical value 0 and flagged (a sigma fixed at 0
+# fixes rho up front, in _Problem)
 _RHO_UNIDENTIFIED_SIGMA = 1e-3
 
 
@@ -512,17 +761,21 @@ def _settle_rho(prob: _Problem, result: CalibrationResult) -> CalibrationResult:
     )
 
 
-def _fit(prob: _Problem, init: Optional[AffineParams], config: OptimizerConfig) -> CalibrationResult:
-    """Best fit on ``prob`` from the default start, with ``init``'s parameters over it."""
-    if len(prob.free) > len(prob.target.points):
-        raise DomainError(
-            f"{len(prob.free)} free parameters exceed {len(prob.target.points)} target points"
-        )
-    init_vals = _default_init(prob.model.kind, prob.target)
-    if init is not None:
-        init_vals.update(init.as_dict())
-    res, nfev = _minimize(prob, prob.x_from_params(init_vals), config)
-    return _settle_rho(prob, _result_from(prob, res, nfev))
+def _fit(probs: Sequence[_Problem], inits: Sequence[Optional[AffineParams]],
+         config: OptimizerConfig) -> List[CalibrationResult]:
+    """Best fit on each problem (they share a grid) from the default start, with its init's parameters over it."""
+    x0s = []
+    for prob, init in zip(probs, inits):
+        if len(prob.free) > len(prob.target.points):
+            raise DomainError(
+                f"{len(prob.free)} free parameters exceed {len(prob.target.points)} target points"
+            )
+        init_vals = _default_init(prob.model.kind, prob.target)
+        if init is not None:
+            init_vals.update(init.as_dict())
+        x0s.append(prob.x_from_params(init_vals))
+    return [_settle_rho(prob, _result_from(prob, solve, k, nfev))
+            for prob, (solve, k, nfev) in zip(probs, _minimize(probs, x0s, config))]
 
 
 def calibrate(
@@ -538,7 +791,7 @@ def calibrate(
     ``converged``); deterministic for fixed inputs and config.
     """
     prob = _Problem(target, model_spec(model_kind), (fix or FixSet()).resolve(), {}, config.quad)
-    return _fit(prob, init, config)
+    return _fit([prob], [init], config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +844,7 @@ def calibrate_penalized(
     if not isinstance(prev, spec.params_type):
         raise DomainError(f"previous parameters are {type(prev).__name__}, not {model_kind} parameters")
     prob = _Problem(target, spec, (fix or FixSet()).resolve(), {}, config.quad)
-    base = _fit(prob, prev, config)
+    base = _fit([prob], [prev], config)[0]
     e0 = base.sse
     if e0 < 1e-12:
         return replace(base, penalty_weight=0.0)
@@ -610,11 +863,11 @@ def calibrate_penalized(
     nfev = base.iterations  # the base fit plus every penalized solve
     w, short, reached, bisections = e0, 0.0, None, 0  # short/reached: the last weights below/above 2*e0
     while True:
-        res = _run_least_squares(*_penalized(prob, prev_box, w), x_warm, config, f"penalized w={w:.6g}")
-        nfev += res.nfev
-        total = 2.0 * res.cost  # data SSE + w * penalty
+        res = _run_least_squares(*_one(*_penalized(prob, prev_box, w)), [x_warm], config, f"penalized w={w:.6g}")
+        nfev += res[0].nfev
+        total = 2.0 * res[0].cost  # data SSE + w * penalty
         if abs(total / target_total - 1.0) <= 0.05:
-            return _result_from(prob, res, nfev, penalty_weight=w)
+            return _result_from(prob, res, 0, nfev, penalty_weight=w)
         if total >= target_total:
             reached = w
         else:
@@ -634,34 +887,52 @@ def calibrate_penalized(
 # ---------------------------------------------------------------------------
 
 def calibrate_tenor(
-    q: TenorQuote,
-    slice_: MarketSlice,
+    tenors: Sequence[Tuple[TenorQuote, MarketSlice]],
     rules: TenorRules = TenorRules(),
     conv: Conventions = Conventions(),
     config: OptimizerConfig = DEFAULT_OPT,
-) -> CalibrationResult:
-    """Single-tenor Heston fit to the (25d put, ATM, 25d call) points.
+) -> List[CalibrationResult]:
+    """Single-tenor Heston fits, each to its tenor's (25d put, ATM, 25d call) points.
 
-    kappa is fixed to c/T by the rule of thumb; theta is either tied to v0
-    (one shared free parameter) or fixed at the ATM variance, leaving
-    (v0, sigma, rho) free against the three resolved smile points.
+    ``tenors`` pairs each tenor's quote with its market slice; their
+    expiries must be distinct (:class:`DomainError`).  kappa is fixed to c/T
+    by the rule of thumb; theta is either tied to v0 (one shared free
+    parameter) or fixed at the ATM variance, leaving (v0, sigma, rho) free
+    against the three resolved smile points.  The fits are independent but
+    run in lockstep: the tenors are the blocks of one
+    :class:`~svcal.pricing.SurfaceGrid`, and each round of their solves
+    prices every tenor's trial point in one CF-and-gradient pass.  A
+    pricing failure at one tenor's point fails that tenor's residuals only.
+    Each result is bit for bit that tenor's fit alone.  Returns one result
+    per tenor, in order.
     """
-    points = resolve_smile(q, slice_, conv)
-    target = CalibrationTarget(
-        points=tuple(TargetPoint(q.expiry, sp.strike, sp.vol) for sp in points),
-        space="vol",
-        slices={q.expiry: slice_},
-    )
-    kappa = rules.kappa_rule_constant / q.expiry
-    atm_var = q.atm_vol**2
-    fixed = {"kappa": kappa}
-    ties = {}
-    if rules.theta_rule == "v0":
-        ties["theta"] = "v0"
-    else:
-        fixed["theta"] = atm_var
-    prob = _Problem(target, MODELS["heston"], fixed, ties, config.quad)
-    return _fit(prob, HestonParams(atm_var, atm_var, kappa, 0.5, -0.5), config)
+    tenors = list(tenors)
+    if len({sl.expiry for _, sl in tenors}) < len(tenors):
+        raise DomainError(f"tenor expiries must be distinct, got {sorted(sl.expiry for _, sl in tenors)}")
+    targets = []
+    for q, sl in tenors:
+        points = resolve_smile(q, sl, conv)
+        targets.append(CalibrationTarget(
+            points=tuple(TargetPoint(q.expiry, sp.strike, sp.vol) for sp in points),
+            space="vol",
+            slices={q.expiry: sl},
+        ))
+    grid = SurfaceGrid([opt for target in targets for opt in _options(target)], config.quad)
+    probs, inits, first = [], [], 0
+    for b, ((q, _), target) in enumerate(zip(tenors, targets)):
+        kappa = rules.kappa_rule_constant / q.expiry
+        atm_var = q.atm_vol**2
+        fixed = {"kappa": kappa}
+        ties = {}
+        if rules.theta_rule == "v0":
+            ties["theta"] = "v0"
+        else:
+            fixed["theta"] = atm_var
+        cols = np.arange(first, first + len(target.points))
+        first += len(target.points)
+        probs.append(_Problem(target, MODELS["heston"], fixed, ties, config.quad, (grid, b, cols)))
+        inits.append(HestonParams(atm_var, atm_var, kappa, 0.5, -0.5))
+    return _fit(probs, inits, config)
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +1003,17 @@ def calibrate_varswap(
         )
         return vals - ws
 
+    def jac(x):
+        """theta + (v0 - theta) phi1(kappa T), phi1(y) = (1 - e^-y)/y, differentiated, times the box slope."""
+        v0, theta, kappa = _to_box(x, lo, hi)
+        y = kappa * ts
+        phi1 = -np.expm1(-y) / y
+        # phi1'(y) = (e^-y (1 + y) - 1)/y^2, from its series where that cancels
+        dphi1 = np.where(y < 1e-3, -0.5 + y / 3.0 - y * y / 8.0, (np.expm1(-y) * (1.0 + y) + y) / (y * y))
+        return np.stack([phi1, 1.0 - phi1, (v0 - theta) * ts * dphi1], axis=1) * _box_slope(x, lo, hi)
+
     x0 = _from_box(np.array([max(ws[0], 1.5e-6), max(ws[-1], 1.5e-6), 1.0]), lo, hi)
-    res = _run_least_squares(residuals, "2-point", x0, config, "varswap")
+    res = _run_least_squares(*_one(residuals, jac), [x0], config, "varswap")[0]
     v0, theta, kappa = (float(v) for v in _to_box(res.x, lo, hi))
     rmse = float(np.sqrt(np.mean(res.fun**2)))
     return VarswapFit(

@@ -398,13 +398,19 @@ def cf_for(params: AffineParams):
     raise DomainError(f"no characteristic function for {type(params).__name__}")
 
 
-def cf_grad_for(params: AffineParams):
+def cf_grad_for(params: Union[AffineParams, Mapping[float, HestonParams]]):
     """``grad(u, T)``: the CF stacked over its derivatives in the parameters of
     ``params.as_dict()`` (:func:`cf_heston_grad`, :func:`cf_bates_grad`,
     :func:`cf_schobel_zhu_grad`).
 
-    Piecewise Heston has no closed-form gradient: :class:`DomainError`.
+    A mapping of expiries to Heston parameters gives one gradient CF for
+    several independent fits: each frequency takes the parameters of its
+    expiry, which must be a key, in one kernel pass that gives bit for bit
+    what one call per expiry would.  Piecewise Heston has no closed-form
+    gradient: :class:`DomainError`.
     """
+    if isinstance(params, Mapping):
+        return _heston_grad_by_expiry(params)
     if isinstance(params, HestonParams):
         return lambda u, T: cf_heston_grad(u, params, T)
     if isinstance(params, BatesParams):
@@ -412,3 +418,19 @@ def cf_grad_for(params: AffineParams):
     if isinstance(params, SchobelZhuParams):
         return lambda u, T: cf_schobel_zhu_grad(u, params, T)
     raise DomainError(f"no characteristic-function gradient for {type(params).__name__}")
+
+
+def _heston_grad_by_expiry(params: Mapping[float, HestonParams]):
+    """:func:`cf_grad_for` of a mapping: the Heston parameters looked up per frequency by its expiry."""
+    for p in params.values():
+        _require(isinstance(p, HestonParams), f"a gradient per expiry takes Heston parameters, got {type(p).__name__}")
+        _require(p.kappa + p.sigma > 0, "the Heston gradient needs kappa + sigma > 0")
+    expiries = np.array(sorted(params))
+    table = np.array([[params[t].v0, params[t].theta, params[t].kappa, params[t].sigma, params[t].rho]
+                      for t in expiries]).T
+
+    def grad(u, T):
+        arr, T, _ = _as_u_array(u, T)
+        return _kernels.heston_cf_grad(arr, *table[:, np.searchsorted(expiries, T)], T)
+
+    return grad

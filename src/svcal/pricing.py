@@ -112,8 +112,12 @@ def _black_d1(lnfk, st):
 
 
 def _black_value(F, K, sign, d1, st):
-    """sign * (F N(sign d1) - K N(sign d2)): the call for sign 1, the put for sign -1."""
-    return sign * (F * _ncdf(sign * d1) - K * _ncdf(sign * (d1 - st)))
+    """sign * (F N(sign d1) - K N(sign d2)): the call for sign 1, the put for sign -1.
+
+    Both CDFs come from one :func:`_ncdf` call, whose cost is mostly fixed.
+    """
+    n1, n2 = _ncdf(np.array([sign * d1, sign * (d1 - st)]))
+    return sign * (F * n1 - K * n2)
 
 
 def _black_undisc(F, K, T, vol, call):
@@ -358,15 +362,12 @@ def _strike_weights(u: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.exp(1j * u * k) / (u * u + 0.25)
 
 
-def _cv_variances(probes: np.ndarray) -> np.ndarray:
-    """Control-variate variances w = -8 ln|cf(-i/2)| from rows (cf(0), cf(-i/2)).
-
-    Raises :class:`DomainError` for the first row whose cf(0) is not 1.
-    """
+def _cv_variances(probes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Control-variate variances w = -8 ln|cf(-i/2)| from rows (cf(0), cf(-i/2)), and the mask of the
+    rows whose cf(0) is not 1 (their w is 1, a stand-in)."""
     bad = ~np.isfinite(probes).all(axis=1) | (np.abs(probes[:, 0] - 1.0) > 1e-8)
-    if bad.any():
-        raise DomainError(f"characteristic function violates cf(0)=1: got {probes[int(np.argmax(bad)), 0]}")
-    return np.maximum(-8.0 * np.log(np.maximum(np.abs(probes[:, 1]), 1e-300)), 1e-14)
+    w = np.maximum(-8.0 * np.log(np.maximum(np.abs(probes[:, 1]), 1e-300)), 1e-14)
+    return (np.where(bad, 1.0, w) if bad.any() else w), bad
 
 
 class SurfaceGrid:
@@ -386,9 +387,10 @@ class SurfaceGrid:
     model's lognormal limit exactly; puts follow by parity.  U_b is the
     upper limit of expiry block b's panels.
 
-    Every evaluation makes one CF call over the frozen nodes of every block,
-    each block's cf(0) and cf(-i/2) probes first, and checks each strike's
-    summed |K15 - G7| estimate plus its block's tail estimate beyond U_b
+    Every evaluation makes one CF call over the frozen nodes of the blocks
+    it prices (every block unless it names some), each block's cf(0) and
+    cf(-i/2) probes first, and checks each strike's summed |K15 - G7|
+    estimate plus its block's tail estimate beyond U_b
     (:func:`_tail_estimates`; |e^{iuk}| = 1, so one estimate serves every
     strike) against ``cfg.tolerance``.  A block that misses it is sized:
     where the tail estimate is above its share of the tolerance, panels
@@ -400,20 +402,22 @@ class SurfaceGrid:
     its last panel's.  Once every strike meets the tolerance, a block whose
     tail estimate beyond its last two panels has fallen within
     ``_TRIM_SHARE`` of the tolerance drops the panels it no longer needs
-    (:meth:`_trim`) before the prices are taken.  The first evaluation
-    sizes every block from uniform start panels on [0, ``_START_RANGE``];
+    (:meth:`_trim`) before the prices are taken.  A block's first
+    evaluation sizes it from uniform start panels on [0, ``_START_RANGE``];
     later ones keep the panels, so prices depend on the CFs evaluated
-    before, each within the tolerance.  A block's panels never depend on
-    the other blocks.
+    before, each within the tolerance.  A block's panels and prices never
+    depend on the other blocks, nor on which other blocks an evaluation
+    prices: every step is elementwise or per block.
 
-    Raises the first failure, in block order: :class:`DomainError` when
-    cf(0) != 1, :class:`QuadratureError` with the largest residual
-    estimate when sizing a block spends ``cfg.max_evals`` evaluations,
-    counted from the panels it started from, short of the tolerance, or
-    when the range its tail estimate asks for would spend more,
-    :class:`NumericalError` naming the strike when a put comes out
-    negative (quadrature error larger than its value).  Calls are floored
-    at 0.
+    A block fails alone (:meth:`evaluate`): with :class:`DomainError` when
+    its cf(0) != 1, :class:`QuadratureError` with the largest residual
+    estimate when sizing it spends ``cfg.max_evals`` evaluations, counted
+    from the panels it started from, short of the tolerance, or when the
+    range its tail estimate asks for would spend more, and
+    :class:`NumericalError` naming the strike when a put comes out negative
+    (quadrature error larger than its value).  The other blocks go on.
+    :meth:`prices` and :meth:`vols` raise the first failure in block order.
+    Calls are floored at 0.
     """
 
     def __init__(self, options: Sequence[Tuple[MarketSlice, OptionSpec]], cfg: QuadratureConfig = DEFAULT_QUAD):
@@ -434,12 +438,23 @@ class SurfaceGrid:
         self._K = np.array([opt.strike for opt in opts])
         self._call = np.array([opt.kind == "call" for opt in opts], dtype=bool)
         self._k = np.log(self._F / self._K)
-        self._panels: List[Tuple[np.ndarray, np.ndarray]] = []
+        nb = len(blocks)
+        # each block's panels (None before its first evaluation), start width and strike matrices
+        self._panels: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * nb
+        self._width: List[float] = [0.0] * nb
+        self._k15: List[Optional[np.ndarray]] = [None] * nb
+        self._dk: List[Optional[np.ndarray]] = [None] * nb
+        self._lay: Optional[_Layout] = None  # the layout of the last blocks evaluated, while their panels hold
+
+    @property
+    def expiries(self) -> List[float]:
+        """The expiry of each block, in block order."""
+        return [sl.expiry for sl in self._slices]
 
     @property
     def panels(self) -> List[int]:
-        """Number of frozen panels of each expiry block; empty before the first evaluation."""
-        return [len(los) for los, _ in self._panels]
+        """Number of frozen panels of each expiry block; 0 before the block's first evaluation."""
+        return [0 if p is None else len(p[0]) for p in self._panels]
 
     def prices(self, cf: CharFn) -> np.ndarray:
         """Prices of the options, in the order given.
@@ -451,7 +466,7 @@ class SurfaceGrid:
         dw = -8 Re(dcf(-i/2)/cf(-i/2)) for the control variate, and the panels
         are sized on the CF row alone.  A floored call has derivative 0.
         """
-        return self._in_input_order(self._evaluate(cf)[0])
+        return self._raising(*self.evaluate(cf))
 
     def vols(self, cf: CharFn) -> np.ndarray:
         """Implied vols of the options' prices, in the order given.
@@ -461,31 +476,65 @@ class SurfaceGrid:
         :func:`model_implied_vol`.  Rows as in :meth:`prices`: the price
         derivatives are divided by the Black vega at the vols.
         """
-        rows, vol_cv = self._evaluate(cf)
+        return self._raising(*self.evaluate(cf, vols=True))
+
+    @staticmethod
+    def _raising(values: np.ndarray, failed: Dict[int, Exception]) -> np.ndarray:
+        if failed:
+            raise failed[min(failed)]
+        return values
+
+    def evaluate(self, cf: CharFn, vols: bool = False, blocks: Optional[Sequence[int]] = None):
+        """Prices, or vols, of the options of ``blocks`` (every block by default), and the failures.
+
+        Returns the values in the order the options were given, with rows
+        as in :meth:`prices` or :meth:`vols`, and NaN at the options of the
+        blocks not priced or failed, and a mapping of each block that
+        failed to its error.
+        """
+        if not self._K.size:
+            return np.empty(0), {}
+        blocks = tuple(range(len(self._slices)) if blocks is None else sorted(blocks))
+        rows, vol_cv, lay, failed = self._evaluate(cf, blocks)
+        if vols:
+            rows = self._vols(rows, vol_cv, lay, failed)
+        out = np.full(rows.shape[:-1] + (self._K.size,), np.nan)
+        out[..., lay.order] = rows
+        return out, failed
+
+    def _vols(self, rows: np.ndarray, vol_cv: np.ndarray, lay: "_Layout", failed: Dict[int, Exception]):
+        """Implied vols of an evaluation's prices (with rows as in :meth:`vols`), in the layout's strike order;
+        a block whose price has no time value, or whose inversion raises, fails."""
+        prices = rows if rows.ndim == 1 else rows[0]
+        F, K, T, df, call = lay.F, lay.K, lay.T, lay.df, lay.call
+        intrinsic = df * np.maximum(np.where(call, F - K, K - F), 0.0)
+
+        def no_time(i):
+            return _no_time_value("call" if call[i] else "put", float(K[i]), float(prices[i]), float(intrinsic[i]))
+
+        lay.fail(failed, ~(prices > intrinsic), no_time)
+        vols = np.full(prices.shape, np.nan)
+        parts = [lay.live(failed)]
+        while parts:  # all the live strikes at once; once that raises, block by block to find those that raise
+            part = parts.pop()
+            try:
+                vols[part] = _implied_vols(F[part], K[part], T[part], df[part], call[part], prices[part],
+                                           seed=vol_cv[part])
+            except (DomainError, NumericalError) as e:
+                i = lay.sblock[part]
+                if len(set(i)) == 1:
+                    failed[lay.blocks[i[0]]] = e
+                else:
+                    parts = [np.flatnonzero(lay.sblock == j) for j in sorted(set(i))]
+        zero = vols == 0.0
+        if zero.any():
+            lay.fail(failed, zero, no_time)
+            vols[zero] = np.nan
         if rows.ndim == 1:
-            return self._in_input_order(self._vols(rows, vol_cv))
-        vols = self._vols(rows[0], vol_cv)
-        d1 = _black_d1(self._k, vols * np.sqrt(self._T))
-        vega = self._df * self._F * np.sqrt(self._T) * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-        return self._in_input_order(np.concatenate([vols[None], rows[1:] / vega]))
-
-    def _vols(self, prices: np.ndarray, vol_cv: np.ndarray) -> np.ndarray:
-        """Implied vols of an evaluation's prices, in block order."""
-        intrinsic = self._df * np.maximum(np.where(self._call, self._F - self._K, self._K - self._F), 0.0)
-        flat = ~(prices > intrinsic)
-        if not flat.any():
-            vols = _implied_vols(self._F, self._K, self._T, self._df, self._call, prices, seed=vol_cv)
-            flat = vols == 0.0
-        if flat.any():
-            i = int(np.argmax(flat))
-            raise _no_time_value("call" if self._call[i] else "put", float(self._K[i]),
-                                 float(prices[i]), float(intrinsic[i]))
-        return vols
-
-    def _in_input_order(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values)
-        out[..., self._order] = values
-        return out
+            return vols
+        d1 = _black_d1(lay.k, vols * np.sqrt(T))
+        vega = df * F * np.sqrt(T) * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        return np.concatenate([vols[None], rows[1:] / vega])
 
     def _start_panels(self, b: int):
         """Block b's uniform start panels on [0, _START_RANGE], sized to its widest strike's oscillation."""
@@ -495,110 +544,118 @@ class SurfaceGrid:
         return edges[:-1], edges[1:]
 
     def _freeze(self, changed) -> None:
-        """Build the CF call's arguments for the current panels, and the strike matrices of the ``changed`` blocks.
+        """Build the strike matrices of the ``changed`` blocks for their current panels.
 
-        Block b's panels are ``_pfirst[b]:_pfirst[b + 1]`` and its nodes
-        ``_u[15 * _pfirst[b]:15 * _pfirst[b + 1]]``, panel by panel.  From the
-        strike weights e^{iuk}/(u^2 + 1/4) of each (strike, panel, node) it
-        builds two matrices: ``_k15[b]``, shape (nodes, strikes), times the
-        Kronrod weights and half-widths, contracts the integrand to each
-        strike's integral; ``_dk[b]``, shape (panels, 15, strikes), times the
-        Kronrod-minus-Gauss weights and half-widths, contracts it to each
-        (panel, strike)'s K15 - G7.
+        From the strike weights e^{iuk}/(u^2 + 1/4) of each (strike, panel,
+        node) of block b it builds two matrices: ``_k15[b]``, shape (nodes,
+        strikes), times the Kronrod weights and half-widths, contracts the
+        integrand to each strike's integral; ``_dk[b]``, shape (panels, 15,
+        strikes), times the Kronrod-minus-Gauss weights and half-widths,
+        contracts it to each (panel, strike)'s K15 - G7.  The layout of the
+        blocks evaluated is built anew at the next evaluation.
         """
-        counts = [len(los) for los, _ in self._panels]
-        self._pfirst = np.concatenate([[0], np.cumsum(counts)])
-        self._right = np.concatenate([his for _, his in self._panels])
-        nodes, self._half = _panel_nodes(np.concatenate([los for los, _ in self._panels]), self._right)
-        self._u = nodes.ravel()
-        self._uu = self._u * self._u + 0.25
-        self._node_block = np.repeat(np.arange(len(counts)), 15 * np.array(counts))
-        expiries = np.array([sl.expiry for sl in self._slices])
-        self._z = np.concatenate([np.tile(_PROBE, len(counts)), self._u - 0.5j])
-        self._Tz = np.concatenate([np.repeat(expiries, 2), expiries[self._node_block]])
         for b in changed:
-            p0, p1 = self._pfirst[b], self._pfirst[b + 1]
-            w = _strike_weights(nodes[p0:p1], self._k[self._first[b]:self._first[b + 1], None, None])
-            half = self._half[p0:p1, None]  # w: (strikes, panels, 15)
+            nodes, half = _panel_nodes(*self._panels[b])
+            w = _strike_weights(nodes, self._k[self._first[b]:self._first[b + 1], None, None])
+            half = half[:, None]  # w: (strikes, panels, 15)
             self._k15[b] = (w * (_WGK * half)).reshape(len(w), -1).T
             self._dk[b] = np.ascontiguousarray((w * ((_WGK - _WG15) * half)).transpose(1, 2, 0))
+            self._lay = None
 
-    def _evaluate(self, cf: CharFn) -> Tuple[np.ndarray, np.ndarray]:
-        """Prices, with the rows of :meth:`prices`, and control-variate vols, in block order."""
-        if not self._K.size:
-            return np.empty(0), np.empty(0)
-        nb = len(self._slices)
-        if not self._panels:
-            self._panels = [self._start_panels(b) for b in range(nb)]
-            self._width = [float(his[0] - los[0]) for los, his in self._panels]
-            self._k15, self._dk = [None] * nb, [None] * nb
-            self._freeze(range(nb))
-        tol = self.cfg.tolerance
+    def _layout(self, blocks: Tuple[int, ...]) -> "_Layout":
+        if self._lay is None or self._lay.blocks != blocks:
+            self._lay = _Layout(self, blocks)
+        return self._lay
+
+    def _evaluate(self, cf: CharFn, blocks: Tuple[int, ...]):
+        """Prices, with the rows of :meth:`prices`, and control-variate vols of the strikes of ``blocks``,
+        in the order of their layout, which is returned with them, and the failure of each block that failed."""
+        fresh = [b for b in blocks if self._panels[b] is None]
+        for b in fresh:
+            self._panels[b] = self._start_panels(b)
+            self._width[b] = float(self._panels[b][1][0] - self._panels[b][0][0])
+        self._freeze(fresh)
+        lay = self._layout(blocks)
+        failed: Dict[int, Exception] = {}
+        nb, tol = len(blocks), self.cfg.tolerance
         spent: Dict[int, int] = {}  # evaluations of each block being sized, from its panels at the start
         phi = old = None
         while True:
-            phi, stacked = self._cf_values(cf, phi, old)  # the CF, then any derivative rows
+            phi, stacked = self._cf_values(cf, lay, phi, old)  # the CF, then any derivative rows
             probe = phi[:, 1:2 * nb:2]  # cf(-i/2) of each block
-            w = _cv_variances(phi[0, :2 * nb].reshape(nb, 2))
+            w, bad = _cv_variances(phi[0, :2 * nb].reshape(nb, 2))
+            if bad.any():
+                for i in np.flatnonzero(bad):
+                    failed.setdefault(blocks[i], DomainError(
+                        f"characteristic function violates cf(0)=1: got {phi[0, 2 * i]}"))
+                probe = np.where(bad, 1.0, probe)  # a stand-in for the failed blocks' probes
             dw = -8.0 * (probe[1:] / probe[0]).real
             # phi_cv - phi at u - i/2, phi_cv the lognormal CF of total variance w, and its derivatives
-            cv = np.exp(-0.5 * w[self._node_block] * self._uu)
+            cv = np.exp(-0.5 * w[lay.node_block] * lay.uu)
             gap = -phi[:, 2 * nb:]
             gap[0] += cv
-            gap[1:] += (-0.5 * self._uu * cv) * dw[:, self._node_block]
+            gap[1:] += (-0.5 * lay.uu * cv) * dw[:, lay.node_block]
             # |K15 - G7| of the CF row on each (panel, strike) of each block, and each strike's sum
-            errs = [np.abs((gap[0, 15 * self._pfirst[b]:15 * self._pfirst[b + 1]].reshape(-1, 1, 15) @ dk)[:, 0].real)
-                    for b, dk in enumerate(self._dk)]
+            errs = [np.abs((gap[0, 15 * lay.pfirst[i]:15 * lay.pfirst[i + 1]].reshape(-1, 1, 15) @ self._dk[b])[:, 0]
+                           .real) for i, b in enumerate(blocks)]
             total = np.concatenate([e.sum(axis=0) for e in errs])
             # the tail estimate beyond every panel: a block's own is its last panel's
-            model, cv_tail, rate = _tail_estimates(np.abs(phi[0, 2 * nb:]).reshape(-1, 15), self._half, self._right,
-                                                   w[self._node_block[::15]])
+            model, cv_tail, rate = _tail_estimates(np.abs(phi[0, 2 * nb:]).reshape(-1, 15), lay.half, lay.right,
+                                                   w[lay.node_block[::15]])
             tails = model + cv_tail
-            last = self._pfirst[1:] - 1
-            missed = ~(total + tails[last][self._block] <= tol)
+            last = lay.pfirst[1:] - 1
+            missed = ~(total + tails[last][lay.sblock] <= tol)
             if not missed.any():
                 break
-            old = list(self._panels)  # the panels phi holds, before this round changes them
-            resized = np.unique(self._block[missed])
-            sized = {b: self._resize(b, errs[b], total, tails[p], (model[p], cv_tail[p], rate[p]), float(w[b]),
-                                     spent.get(b, self._panels[b][0].size * 15))
-                     for b, p in zip(resized, last[resized])}
-            for b, (los, his, used) in sized.items():
+            resized = [i for i in np.unique(lay.sblock[missed]) if blocks[i] not in failed]
+            if not resized:
+                break
+            old = [self._panels[b] for b in blocks]  # the panels phi holds, before this round changes them
+            sized = []
+            for i in resized:
+                b, p = blocks[i], last[i]
+                try:
+                    los, his, used = self._resize(b, errs[i], total[lay.sfirst[i]:lay.sfirst[i + 1]], tails[p],
+                                                  (model[p], cv_tail[p], rate[p]), float(w[i]),
+                                                  spent.get(b, self._panels[b][0].size * 15))
+                except QuadratureError as e:
+                    failed[b] = e
+                    continue
                 self._panels[b] = (los, his)
                 spent[b] = used
-            self._freeze(resized)
-        kept = self._trim(tails, errs, tol)
+                sized.append(b)
+            if not sized:
+                break
+            self._freeze(sized)
+            lay = self._layout(blocks)
+        kept = self._trim(tails, errs, tol, lay, failed)
         if not kept.all():  # the prices come from the panels kept
             gap = gap[:, kept]
-            self._freeze(())
-        integrals = np.empty((len(phi), self._K.size))
-        for b in range(nb):  # the same contraction for every row
-            g = gap[:, 15 * self._pfirst[b]:15 * self._pfirst[b + 1]]
-            integrals[:, self._first[b]:self._first[b + 1]] = (g @ self._k15[b]).real
-        F, K = self._F, self._K
-        w = w[self._block]
-        vol_cv = np.sqrt(w / self._T)
+            lay = self._layout(blocks)
+        integrals = np.empty((len(phi), lay.order.size))
+        for i, b in enumerate(blocks):  # the same contraction for every row
+            g = gap[:, 15 * lay.pfirst[i]:15 * lay.pfirst[i + 1]]
+            integrals[:, lay.sfirst[i]:lay.sfirst[i + 1]] = np.nan if b in failed else (g @ self._k15[b]).real
+        F, K = lay.F, lay.K
+        w = w[lay.sblock]
+        vol_cv = np.sqrt(w / lay.T)
         # the Black control variate and its derivative F n(d1) / (2 sqrt(w)) dw
-        d1 = _black_d1(self._k, np.sqrt(w))
+        d1 = _black_d1(lay.k, np.sqrt(w))
         black = np.concatenate([
-            _black_undisc(F, K, self._T, vol_cv, True)[None],
-            F * np.exp(-0.5 * d1 * d1) / np.sqrt(8.0 * math.pi * w) * dw[:, self._block],
+            _black_undisc(F, K, lay.T, vol_cv, True)[None],
+            F * np.exp(-0.5 * d1 * d1) / np.sqrt(8.0 * math.pi * w) * dw[:, lay.sblock],
         ])
         call = black + np.sqrt(F * K) / math.pi * integrals
         call = np.where(call[0] < 0.0, 0.0, call)  # calls floored at 0, with derivative 0
-        call[0] -= np.where(self._call, 0.0, F - K)  # puts by parity
-        prices = self._df * call
-        negative = prices[0] < 0.0
-        if negative.any():
-            i = int(np.argmax(negative))
-            raise NumericalError(
-                f"{'call' if self._call[i] else 'put'} at strike {float(K[i])} priced at "
-                f"{float(prices[0, i]):.6g} < 0: Fourier quadrature error exceeds the option value"
-            )
-        return (prices if stacked else prices[0]), vol_cv
+        call[0] -= np.where(lay.call, 0.0, F - K)  # puts by parity
+        prices = lay.df * call
+        lay.fail(failed, prices[0] < 0.0, lambda i: NumericalError(
+            f"{'call' if lay.call[i] else 'put'} at strike {float(K[i])} priced at "
+            f"{float(prices[0, i]):.6g} < 0: Fourier quadrature error exceeds the option value"))
+        return (prices if stacked else prices[0]), vol_cv, lay, failed
 
-    def _cf_values(self, cf: CharFn, phi: Optional[np.ndarray], old) -> Tuple[np.ndarray, bool]:
-        """The CF's rows at the probes and at every node of the current panels, and whether it stacks rows.
+    def _cf_values(self, cf: CharFn, lay: "_Layout", phi: Optional[np.ndarray], old) -> Tuple[np.ndarray, bool]:
+        """The CF's rows at the probes and at every node of the layout's panels, and whether it stacks rows.
 
         After a sizing round, ``phi`` holds the rows on the panels ``old``:
         ``cf`` is then called at the probes and at the nodes of the panels
@@ -606,16 +663,17 @@ class SurfaceGrid:
         not changed.
         """
         if phi is None:
-            values = np.asarray(cf(self._z, self._Tz))
+            values = np.asarray(cf(lay.z, lay.Tz))
             return values.reshape(-1, values.shape[-1]), values.ndim > 1
         src, start = [], 0  # each current panel's index in the old layout, or -1
-        for (los, his), (lo, hi) in zip(old, self._panels):
+        for (los, his), b in zip(old, lay.blocks):
+            lo, hi = self._panels[b]
             i = np.minimum(np.searchsorted(los, lo), len(los) - 1)
             src.append(np.where((los[i] == lo) & (his[i] == hi), start + i, -1))
             start += len(los)
         src = np.concatenate(src)
         new = np.concatenate([np.ones(2 * len(old), dtype=bool), np.repeat(src < 0, 15)])
-        values = np.asarray(cf(self._z[new], self._Tz[new]))
+        values = np.asarray(cf(lay.z[new], lay.Tz[new]))
         out = np.empty((len(phi), new.size), dtype=complex)
         out[:, new] = values.reshape(len(phi), -1)
         out[:, ~new] = phi[:, 2 * len(old):].reshape(len(phi), -1, 15)[:, src[src >= 0]].reshape(len(phi), -1)
@@ -625,7 +683,7 @@ class SurfaceGrid:
         """Block b's panels sized once more, and the evaluations its sizing has then spent.
 
         ``errs`` holds the block's |K15 - G7| estimates per (panel, strike),
-        ``total`` every strike's sum, ``tail`` the block's tail estimate and
+        ``total`` each of its strikes' sum, ``tail`` the block's tail estimate and
         ``parts`` its model part, control-variate part and fitted rate at the
         last panel.  Where the tail estimate is above its share of the
         tolerance, panels appended past U_b extend the range to where
@@ -639,7 +697,6 @@ class SurfaceGrid:
         """
         tol, budget = self.cfg.tolerance, self.cfg.max_evals
         los, his = self._panels[b]
-        total = total[self._first[b]:self._first[b + 1]]
         # the tail's share of the tolerance: its estimate, or the trim share once the range extends
         share = min(tail, _TRIM_SHARE * tol)
         n = 0
@@ -666,28 +723,31 @@ class SurfaceGrid:
             used += 15 * n
         return los, his, used
 
-    def _trim(self, tails: np.ndarray, errs: List[np.ndarray], tol: float) -> np.ndarray:
+    def _trim(self, tails: np.ndarray, errs: List[np.ndarray], tol: float, lay: "_Layout", failed) -> np.ndarray:
         """Drop, from each block, the trailing panels it no longer needs.
 
         ``tails`` holds the tail estimate beyond each panel and ``errs`` each
         block's |K15 - G7| estimates per (panel, strike), all at one CF that
-        meets the tolerance.  A cut after panel p holds when the tail
+        meets the tolerance, in the layout ``lay``; a block in ``failed`` keeps
+        its panels.  A cut after panel p holds when the tail
         estimate beyond p is within the trim share of ``tol`` and, added to
         each strike's |K15 - G7| sum over the panels up to p, within ``tol``.
         A block keeps its panels up to the first cut from which every later
         cut holds too, so a trimmed block trims no further at the same CF.
-        The strike matrices keep their rows for the panels kept; the node
-        layout is left to the caller (:meth:`_freeze`).  Returns the mask of
-        the nodes kept, in the layout before the trim.
+        The strike matrices keep their rows for the panels kept, and a trim
+        drops the layout.  Returns the mask of the nodes kept, in the layout
+        before the trim.
         """
         # a cut needs the estimates beyond the last two panels (the last again in a one-panel block) within the share
-        last = self._pfirst[1:] - 1
-        ends = np.maximum(tails[last], tails[np.maximum(last - 1, self._pfirst[:-1])])
-        kept = np.ones(self._u.size, dtype=bool)
-        for b in np.flatnonzero(ends <= _TRIM_SHARE * tol):
-            p0, p1 = self._pfirst[b], self._pfirst[b + 1]
+        last = lay.pfirst[1:] - 1
+        ends = np.maximum(tails[last], tails[np.maximum(last - 1, lay.pfirst[:-1])])
+        kept = np.ones(lay.u.size, dtype=bool)
+        for i in np.flatnonzero(ends <= _TRIM_SHARE * tol):
+            b, p0, p1 = lay.blocks[i], lay.pfirst[i], lay.pfirst[i + 1]
+            if b in failed:
+                continue
             t = tails[p0:p1]
-            holds = (t <= _TRIM_SHARE * tol) & (np.cumsum(errs[b], axis=0).max(axis=1) + t <= tol)
+            holds = (t <= _TRIM_SHARE * tol) & (np.cumsum(errs[i], axis=0).max(axis=1) + t <= tol)
             fails = np.flatnonzero(~holds)
             n = int(fails[-1]) + 2 if fails.size else 1
             if n >= p1 - p0:
@@ -695,7 +755,53 @@ class SurfaceGrid:
             kept[15 * (p0 + n):15 * p1] = False
             self._panels[b] = tuple(x[:n] for x in self._panels[b])
             self._k15[b], self._dk[b] = self._k15[b][:15 * n], self._dk[b][:n]
+            self._lay = None
         return kept
+
+
+class _Layout:
+    """The arrays of one evaluation over the blocks ``blocks`` of a :class:`SurfaceGrid`, in block order.
+
+    The CF call's arguments ``z`` and ``Tz`` (each block's cf(0) and
+    cf(-i/2) probes, then every node, panel by panel, block after block)
+    and, per panel, node and strike, what the evaluation steps read.
+    Position i of a per-block array stands for block ``blocks[i]``.
+    """
+
+    def __init__(self, grid: SurfaceGrid, blocks: Tuple[int, ...]):
+        self.blocks = blocks
+        panels = [grid._panels[b] for b in blocks]
+        counts = np.array([len(los) for los, _ in panels], dtype=int)
+        self.pfirst = np.concatenate([[0], np.cumsum(counts)])  # panels of block i: pfirst[i]:pfirst[i+1]
+        self.right = np.concatenate([his for _, his in panels])
+        nodes, self.half = _panel_nodes(np.concatenate([los for los, _ in panels]), self.right)
+        self.u = nodes.ravel()
+        self.uu = self.u * self.u + 0.25
+        self.node_block = np.repeat(np.arange(len(blocks)), 15 * counts)
+        expiries = np.array([grid._slices[b].expiry for b in blocks])
+        self.z = np.concatenate([np.tile(_PROBE, len(blocks)), self.u - 0.5j])
+        self.Tz = np.concatenate([np.repeat(expiries, 2), expiries[self.node_block]])
+        sizes = np.diff(grid._first)[list(blocks)]
+        self.sfirst = np.concatenate([[0], np.cumsum(sizes)])  # strikes of block i: sfirst[i]:sfirst[i+1]
+        self.sblock = np.repeat(np.arange(len(blocks)), sizes)
+        strikes = np.concatenate([np.arange(grid._first[b], grid._first[b + 1]) for b in blocks])
+        self.order = grid._order[strikes]  # each strike's place among the options as given
+        self.F, self.K, self.T, self.df = (a[strikes] for a in (grid._F, grid._K, grid._T, grid._df))
+        self.call, self.k = grid._call[strikes], grid._k[strikes]
+
+    def live(self, failed):
+        """The strikes whose block has not failed: all of them, or their indices."""
+        if not failed:
+            return slice(None)
+        return np.flatnonzero([self.blocks[i] not in failed for i in self.sblock])
+
+    def fail(self, failed, mask: np.ndarray, error) -> None:
+        """Fail each block not yet failed with a strike in ``mask``, with ``error`` of its first such strike."""
+        if mask.any():
+            for i in np.flatnonzero(mask):
+                b = self.blocks[self.sblock[i]]
+                if b not in failed:
+                    failed[b] = error(i)
 
 
 def cf_vanilla_price(

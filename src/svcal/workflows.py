@@ -1,8 +1,8 @@
 """Strategy runner shared by the CLI and the live-calibration entry point.
 
 Turns parsed quote rows plus a :class:`RunConfig` into calibration results
-and a JSON-ready report.  Per-tenor calibrations run in input order and
-reports are byte-deterministic for identical inputs.
+and a JSON-ready report.  Per-tenor calibrations run in lockstep, reported
+in input order, and reports are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -100,11 +100,9 @@ def run_strategy(
         if cfg.fix is not None:
             raise DomainError("the 'tenor' strategy takes no fix set: its rules set kappa and theta "
                               "(use the 'fixed' strategy to pin parameters)")
-        return [
-            (row.tenor_label,
-             calibrate_tenor(row.quote(), row.slice(), cfg.rules, cfg.conventions, cfg.optimizer))
-            for row in rows
-        ]
+        fits = calibrate_tenor([(row.quote(), row.slice()) for row in rows], cfg.rules, cfg.conventions,
+                               cfg.optimizer)
+        return [(row.tenor_label, fit) for row, fit in zip(rows, fits)]
 
     target = surface_target(rows, cfg.conventions)
     if cfg.strategy in ("full", "fixed"):

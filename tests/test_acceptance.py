@@ -309,7 +309,7 @@ def test_criterion_8_mixing_identities(capsys):
     assert austing_effective_volvol(0.8, 1.0) == 0.0
     q = TenorQuote("3M", 1.5 / 6.02, 0.1270, 0.0028, -0.0055)
     marked = clark_markdown(q, 0.0)
-    res = calibrate_tenor(marked, MarketSlice(1.0, 1.0, q.expiry))
+    [res] = calibrate_tenor([(marked, MarketSlice(1.0, 1.0, q.expiry))])
     assert abs(res.params.rho) < 0.02
     assert res.params.sigma < 0.05
     with capsys.disabled():

@@ -172,15 +172,15 @@ class TestSurfaceResidual:
         assert all(len(calls) == 1 for calls in per_eval[1:])
         assert min(n for calls in per_eval for n in calls) > 2  # no separate cf(0)/cf(-i/2) probe call
 
-        surface = _model_values(self.EURUSD_FIT, target, prob.grid)
-        assert surface.shape == (6, len(target.points))
+        surface, failed = _model_values(self.EURUSD_FIT, target, prob.grid)
+        assert surface.shape == (6, len(target.points)) and failed == {}
         for expiry, sl in target.slices.items():
             alone = CalibrationTarget(tuple(pt for pt in target.points if pt.expiry == expiry), "vol",
                                       {expiry: sl})
             alone_prob = _Problem(alone, MODELS["heston"], {}, {}, DEFAULT_QUAD)
             for y in steps:  # the same history: a block's range follows only its own tail
                 alone_prob.residuals(y)
-            want = _model_values(self.EURUSD_FIT, alone, alone_prob.grid)
+            want, _ = _model_values(self.EURUSD_FIT, alone, alone_prob.grid)
             got = surface[:, [pt.expiry == expiry for pt in target.points]]
             assert np.array_equal(got, want)
 
@@ -256,7 +256,7 @@ class TestCalibrate:
                 assert getattr(res.params, n) == pytest.approx(getattr(truth, n), abs=1e-4)
 
     def test_rho_is_reported_at_zero_and_flagged_where_sigma_is_fixed_at_zero(self):
-        # rho's Jacobian column is exactly 0 at sigma = 0, so the solver leaves it at its start
+        # the CF does not depend on rho at sigma = 0, so the fit fixes it at 0 up front
         res = calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 0.0}), config=OptimizerConfig(starts=1))
         assert res.params.sigma == 0.0 and res.params.rho == 0.0
         assert "rho_unidentified" in res.flags
@@ -544,15 +544,16 @@ class TestOneEvaluationPerX:
 
 
 def _count_solves(monkeypatch, fake=None):
-    """Record each trust-region solve; ``fake`` (an iterator of results) replaces the solver."""
+    """Record the starts of each trust-region solve; ``fake`` (an iterator of
+    one-start results) replaces the solver."""
     import svcal.calibration
 
     calls = []
     real = svcal.calibration._run_least_squares
 
     def solve(fun, jac, x0, cfg, label="solve"):
-        calls.append(np.array(x0))
-        return next(fake) if fake is not None else real(fun, jac, x0, cfg, label)
+        calls.append([np.array(x) for x in x0])
+        return [next(fake)] if fake is not None else real(fun, jac, x0, cfg, label)
 
     monkeypatch.setattr(svcal.calibration, "_run_least_squares", solve)
     return calls
@@ -590,8 +591,8 @@ class TestRestarts:
 
         calls = _count_solves(monkeypatch, iter(results))
         prob = self._problem(results, scaled_jac)
-        best, nfev = _minimize(prob, np.zeros(5), OptimizerConfig(starts=starts))
-        return best, nfev, len(calls)
+        [(solve, k, nfev)] = _minimize([prob], [np.zeros(5)], OptimizerConfig(starts=starts))
+        return solve[k], nfev, len(calls)
 
     @pytest.mark.parametrize("cfg", [
         dict(strategy="full"),
@@ -612,11 +613,23 @@ class TestRestarts:
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
         assert [m for m in records if m.startswith("minimize:")] == ["minimize: 1 of 3 starts ran, stop=well_posed"]
 
-    def test_a_fit_with_sigma_fixed_at_zero_is_confirmed(self, monkeypatch):
-        # rho's Jacobian column is 0 at sigma = 0: sigma_min is 0, so the first start is in doubt
+    def test_a_fit_with_sigma_fixed_at_zero_fixes_rho_and_makes_one_solve(self, monkeypatch, caplog):
+        # the CF does not depend on rho at sigma = 0: rho is fixed at 0 up front, and
+        # (v0, theta, kappa) alone are well posed
         calls = _count_solves(monkeypatch)
-        calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 0.0}))
+        with caplog.at_level("DEBUG", logger="svcal"):
+            fit = calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 0.0}))
+        assert len(calls) == 1 and len(calls[0][0]) == 3
+        assert fit.params.rho == 0.0 and fit.flags == ("rho_unidentified",)
+        records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
+        assert records[-1] == "minimize: 1 of 3 starts ran, stop=well_posed"
+
+    def test_a_fit_with_sigma_fixed_near_zero_is_confirmed(self, monkeypatch):
+        # rho's Jacobian column is nearly 0 at sigma = 1e-5: the first start is in doubt
+        calls = _count_solves(monkeypatch)
+        fit = calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 1e-5}))
         assert len(calls) == 3
+        assert fit.params.rho == 0.0 and fit.flags == ("rho_unidentified",)
 
     def test_a_first_start_with_a_failed_price_at_its_answer_is_confirmed(self, monkeypatch):
         import svcal.calibration as cal
@@ -627,11 +640,11 @@ class TestRestarts:
 
         prob = problem()
         x0 = prob.x_from_params(cal._default_init("heston", _BUNDLED[0]))
-        first = cal._run_least_squares(prob.residuals, prob.jac, x0, cal.DEFAULT_OPT, "first")
-        assert cal._well_posed(prob, first)
+        first = cal._solve([prob], [x0], cal.DEFAULT_OPT, "first")
+        assert cal._well_posed(prob, first[0])
         # the same first start, on a problem whose pricing fails at its answer
         prob = problem()
-        failing = prob.build_params(first.x)
+        failing = prob.build_params(first[0].x)
         values = cal._model_values
 
         def model_values(params, target, grid):
@@ -643,10 +656,10 @@ class TestRestarts:
         solves, real = [], cal._run_least_squares
         monkeypatch.setattr(cal, "_run_least_squares", lambda *a: solves.append(a[2]) or (
             first if len(solves) == 1 else real(*a)))
-        cal._minimize(prob, x0, cal.DEFAULT_OPT)
+        cal._minimize([prob], [x0], cal.DEFAULT_OPT)
         assert len(solves) == 3
 
-    def test_the_tenor_strategy_makes_one_solve_per_tenor(self, monkeypatch, caplog):
+    def test_the_tenor_strategy_makes_one_lockstep_solve_of_every_tenor(self, monkeypatch, caplog):
         from svcal.quotes_io import load_quotes
         from svcal.workflows import RunConfig, run_strategy
 
@@ -655,7 +668,7 @@ class TestRestarts:
         with caplog.at_level("DEBUG", logger="svcal"):
             results = run_strategy(rows, RunConfig(strategy="tenor"))
         assert len(rows) == len(results) == 7
-        assert len(calls) == 7
+        assert len(calls) == 1 and len(calls[0]) == 7
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
         assert [m for m in records if m.startswith("minimize:")] == ["minimize: 1 of 3 starts ran, stop=floor"] * 7
 
@@ -707,10 +720,10 @@ class TestRestarts:
 
         results = [self._result(self.X + c, float(c)) for c in (3, 2, 1)]
         calls = _count_solves(monkeypatch, iter(results))
-        _minimize(self._problem(results, self.FLAT), self.X, OptimizerConfig(seed=4))
+        _minimize([self._problem(results, self.FLAT)], [self.X], OptimizerConfig(seed=4))
         rng = np.random.default_rng(4)
         want = [self.X] + [self.X + rng.normal(0.0, 0.7, size=5) for _ in range(2)]
-        assert all(np.array_equal(a, b) for a, b in zip(calls, want)) and len(calls) == 3
+        assert all(np.array_equal(a, b) for [a], b in zip(calls, want)) and len(calls) == 3
 
     def test_iterations_sum_the_nfev_of_the_solves_that_ran(self, monkeypatch):
         # an unconverged first start is in doubt whatever its Jacobian
@@ -740,10 +753,10 @@ class TestRestarts:
         assert records == [record]
 
     def test_each_solve_logs_why_it_stopped(self, monkeypatch, caplog):
-        # sigma fixed at 0 leaves the first start in doubt, so every start runs
+        # sigma fixed at 1e-5 leaves the first start in doubt, so every start runs
         calls = _count_solves(monkeypatch)
         with caplog.at_level("DEBUG", logger="svcal"):
-            fit = calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 0.0}))
+            fit = calibrate(_BUNDLED[0], "heston", fix=FixSet(fixed={"sigma": 1e-5}))
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
         solves = [re.fullmatch(r"start (\d) of 3: status=(\d) \((\w+)\), nfev=(\d+), njev=(\d+), cost=\S+", m)
                   for m in records[:-1]]
@@ -907,10 +920,11 @@ class TestPenalizedSearchPolicy:
 
         seen = _record_weights(monkeypatch)
         base = cal.CalibrationResult(TRUTH, 1.0, 5, True, None, (self.E0**0.5,))
-        monkeypatch.setattr(cal, "_fit", lambda prob, init, config: base)
+        monkeypatch.setattr(cal, "_fit", lambda probs, inits, config: [base])
         monkeypatch.setattr(
             cal, "_run_least_squares",
-            lambda fun, jac, x0, cfg, label: types.SimpleNamespace(x=x0, cost=0.5 * total(seen[-1]), nfev=1, status=1),
+            lambda fun, jac, x0, cfg, label: [types.SimpleNamespace(x=x0[0], cost=0.5 * total(seen[-1]), nfev=1,
+                                                                    status=1)],
         )
         target = make_target(TRUTH, tenors=(0.5, 2.0), z_grid=(-1.0, 0.0, 1.0))
         prev = HestonParams(0.09, 0.02, 4.0, 0.2, 0.3)  # far from TRUTH: its error is far above 2*e0
@@ -953,7 +967,7 @@ EURUSD_3M = TenorQuote("3M", 1.5 / 6.02, 0.1270, 0.0028, -0.0055)
 class TestCalibrateTenor:
     def test_eurusd_3m_reference_fit(self):
         sl = MarketSlice(1.0, 1.0, EURUSD_3M.expiry)
-        res = calibrate_tenor(EURUSD_3M, sl)
+        [res] = calibrate_tenor([(EURUSD_3M, sl)])
         p = res.params
         assert res.converged
         assert p.kappa == pytest.approx(6.02, abs=1e-6)
@@ -968,20 +982,20 @@ class TestCalibrateTenor:
     def test_flat_quote_symmetric_smile(self):
         q = TenorQuote("1Y", 1.0, 0.11, 0.0, 0.0)
         sl = MarketSlice(1.0, 1.0, 1.0)
-        res = calibrate_tenor(q, sl)
+        [res] = calibrate_tenor([(q, sl)])
         assert abs(res.params.rho) < 0.02
         assert res.params.v0 == pytest.approx(0.11**2, rel=0.02)
         assert max(abs(r) for r in res.residuals) < 1e-4  # within 0.01 vol pts
 
     def test_alternative_kappa_rule_constant(self):
         sl = MarketSlice(1.0, 1.0, EURUSD_3M.expiry)
-        res = calibrate_tenor(EURUSD_3M, sl, TenorRules(kappa_rule_constant=2.75))
+        [res] = calibrate_tenor([(EURUSD_3M, sl)], TenorRules(kappa_rule_constant=2.75))
         assert res.params.kappa == pytest.approx(2.75 / EURUSD_3M.expiry, rel=1e-12)
         assert res.rmse < 1e-6  # still reprices the three quotes
 
     def test_theta_from_atm_variance_rule(self):
         sl = MarketSlice(1.0, 1.0, EURUSD_3M.expiry)
-        res = calibrate_tenor(EURUSD_3M, sl, TenorRules(theta_rule="atm_variance"))
+        [res] = calibrate_tenor([(EURUSD_3M, sl)], TenorRules(theta_rule="atm_variance"))
         assert res.params.theta == pytest.approx(0.1270**2, rel=1e-12)
         assert res.rmse < 1e-6
 
@@ -1032,7 +1046,7 @@ class TestCalibrateVarswap:
         with caplog.at_level("DEBUG", logger="svcal"):
             fit = calibrate_varswap(curve, config=config)
         assert fit.converged
-        assert settings == [dict(method="trf", jac="2-point", ftol=1e-11, xtol=1e-10, gtol=1e-9, max_nfev=77)]
+        assert settings == [dict(ftol=1e-11, xtol=1e-10, gtol=1e-9, max_nfev=77)]
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
         assert len(records) == 1
         assert re.fullmatch(r"varswap: status=[1-4] \([a-z ]+\), nfev=\d+, njev=\d+, cost=\S+", records[0])

@@ -1,4 +1,4 @@
-"""Which commands load scipy: only those that solve, for its solver, scipy.optimize.
+"""No svcal command loads scipy: the solver and the normal CDF are svcal's own.
 
 Other tests import scipy into this process, so each check runs its commands
 in a fresh interpreter and reads that interpreter's ``sys.modules``.
@@ -39,7 +39,7 @@ def _fresh(*commands):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_commands_that_do_not_solve_never_load_the_solver(tmp_path):
+def test_commands_that_do_not_solve_load_no_scipy_module(tmp_path):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"model_kind": "heston", "params": PARAMS}))
     store = tmp_path / "store"
@@ -53,7 +53,10 @@ def test_commands_that_do_not_solve_never_load_the_solver(tmp_path):
     assert out == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
-def test_a_tenor_calibration_loads_the_solver():
-    out = _fresh(["calibrate", "--quotes", str(DATA_CSV), "--strategy", "tenor"])
-    assert out["codes"] == [0]
-    assert "scipy.optimize" in out["scipy"]
+def test_commands_that_solve_load_no_scipy_module():
+    out = _fresh(
+        ["calibrate", "--quotes", str(DATA_CSV), "--strategy", "tenor"],
+        ["calibrate", "--quotes", str(DATA_CSV), "--strategy", "full"],
+        ["varswap", "--quotes", str(DATA_CSV), "--fit", "fix"],
+    )
+    assert out == {"codes": [0, 0, 0], "scipy": []}

@@ -215,6 +215,23 @@ def test_heston_gradient_of_the_probe_rows_s_zero_is_zero(sigma):
     assert np.array_equal(grad[1:], np.zeros((5, 2)))
 
 
+def test_heston_gradient_with_parameter_arrays_equals_one_scalar_call_per_set():
+    # each set on its own expiry's frequencies and probes, one set at sigma = 0 and one just above it
+    sets = [(0.02, 0.03, 6.0, 0.5, -0.3), (0.01, 0.01, 1.5, 0.0, -0.2), (0.04, 0.02, 0.5, 1e-7, 0.4),
+            (0.3, 0.3, 0.1, 3.0, -0.9)]
+    rng = np.random.default_rng(3)
+    us = [np.concatenate([[0.0, -0.5j], rng.uniform(0.0, 300.0, 600) - 0.5j]) for _ in sets]
+    Ts = [np.full(len(u), T) for u, T in zip(us, (0.1, 0.5, 1.0, 5.0))]
+    want = np.concatenate([_kernels.heston_cf_grad(u, *p, T) for u, p, T in zip(us, sets, Ts)], axis=1)
+    params = np.concatenate([np.repeat(np.array(p)[:, None], len(u), axis=1) for u, p in zip(us, sets)], axis=1)
+    got = _kernels.heston_cf_grad(np.concatenate(us), *params, np.concatenate(Ts))
+    assert np.array_equal(got, want)
+    # and every set alone, the sigma = 0 one on its closed form
+    for u, p, T in zip(us, sets, Ts):
+        assert np.array_equal(_kernels.heston_cf_grad(u, *np.repeat(np.array(p)[:, None], len(u), axis=1), T),
+                              _kernels.heston_cf_grad(u, *p, T))
+
+
 @st.composite
 def _sz_grad_case(draw):
     v0 = draw(st.floats(0.05, 0.4))

@@ -63,7 +63,7 @@ class TestClarkMarkdown:
         from svcal.models import MarketSlice
 
         q = clark_markdown(Q_3M, 0.0)
-        res = calibrate_tenor(q, MarketSlice(1.0, 1.0, q.expiry))
+        [res] = calibrate_tenor([(q, MarketSlice(1.0, 1.0, q.expiry))])
         assert abs(res.params.rho) < 0.02
         assert res.params.sigma < 0.05
 

@@ -648,6 +648,27 @@ class TestArrayInversion:
             assert abs(scalar_black(F[i], K[i], T[i], got[i], bool(call[i])) - target) <= 1.1e-12 * target
 
 
+    def test_one_cdf_call_per_black_value_and_the_vols_of_two(self, monkeypatch):
+        import svcal.pricing as pricing
+
+        z = np.tile([-1.5, -0.5, 0.0, 0.7, 1.8], 3)
+        T = np.repeat([0.1, 1.0, 5.0], 5)
+        F, df, vol = np.full(15, 1.3), np.exp(-0.02 * T), np.linspace(0.05, 0.6, 15)
+        K = F * np.exp(z * vol * np.sqrt(T))
+        call = z > 0
+        price = df * _black_undisc(F, K, T, vol, call)
+        ncdf, black = pricing._ncdf, pricing._black_value
+        cdf_calls, values = [], []
+        monkeypatch.setattr(pricing, "_ncdf", lambda x: cdf_calls.append(1) or ncdf(x))
+        monkeypatch.setattr(pricing, "_black_value", lambda *a: values.append(1) or black(*a))
+        got = _implied_vols(F, K, T, df, call, price, seed=0.8 * vol)
+        assert len(cdf_calls) == len(values) > 1
+        # N(sign d1) and N(sign d2) from two calls, as before, give the same bits
+        monkeypatch.setattr(pricing, "_black_value", lambda F, K, sign, d1, st: sign * (
+            F * ncdf(sign * d1) - K * ncdf(sign * (d1 - st))))
+        assert np.array_equal(_implied_vols(F, K, T, df, call, price, seed=0.8 * vol), got)
+
+
 @st.composite
 def _piecewise(draw):
     times = sorted(draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3, unique=True)))
@@ -734,6 +755,56 @@ class TestFrozenGrid:
         panels = grid.panels
         assert np.array_equal(grid.prices(cf_for(params)), first)
         assert grid.panels == panels
+
+    def test_a_block_fails_alone_and_prices_raise_the_first_failure_in_block_order(self, base_heston):
+        # the strike-1000 call's time value is below the quadrature's resolution: no vol
+        floored = (MarketSlice(100.0, 1.0, 0.1), [OptionSpec(100.0, 0.1, "call"), OptionSpec(1000.0, 0.1, "call")])
+        good = (MarketSlice(100.0, 1.0, 0.5), [OptionSpec(95.0, 0.5, "put"), OptionSpec(105.0, 0.5, "call")])
+        cf = cf_for(base_heston)
+        grid = _grid_of([floored, good])
+        vols, failed = grid.evaluate(cf, vols=True)
+        assert list(failed) == [0] and isinstance(failed[0], NumericalError)
+        assert np.isnan(vols[:2]).all()
+        assert np.array_equal(vols[2:], _grid_of([good]).vols(cf))
+        with pytest.raises(NumericalError, match="strike 1000.0"):
+            _grid_of([floored, good]).vols(cf)
+        # a block priced on its own gives the same bits, the others NaN
+        only, failed = _grid_of([floored, good]).evaluate(cf, vols=True, blocks=[1])
+        assert failed == {} and np.isnan(only[:2]).all() and np.array_equal(only[2:], vols[2:])
+
+        def broken(u, T):  # cf(0) is NaN at expiry 2 and the nodes are NaN at expiry 3
+            out = cf(u, T)
+            out[(T == 2.0) | ((T == 3.0) & (u.real > 0))] = np.nan
+            return out
+
+        legs = [(MarketSlice(100.0, 1.0, T), [OptionSpec(100.0, T, "call")]) for T in (1.0, 2.0, 3.0)]
+        prices, failed = _grid_of(legs).evaluate(broken)
+        assert isinstance(failed[1], DomainError) and isinstance(failed[2], QuadratureError) and 0 not in failed
+        assert prices[0] == _slice_prices(cf, *legs[0]) and np.isnan(prices[1:]).all()
+        with pytest.raises(DomainError, match="cf\\(0\\)=1"):
+            _grid_of(legs).prices(broken)
+        with pytest.raises(QuadratureError):
+            _grid_of(legs[::-1]).prices(broken)
+
+    def test_an_inversion_that_raises_fails_its_block_only(self, monkeypatch, base_heston):
+        import svcal.pricing as pricing
+
+        invert = pricing._implied_vols
+
+        def raising(F, K, T, df, call, price, seed=None):
+            if (T == 0.5).any():
+                raise DomainError("price at or above the upper no-arbitrage bound")
+            return invert(F, K, T, df, call, price, seed)
+
+        monkeypatch.setattr(pricing, "_implied_vols", raising)
+        cf = cf_for(base_heston)
+        legs = [(MarketSlice(100.0, 1.0, T), [OptionSpec(95.0, T, "put"), OptionSpec(105.0, T, "call")])
+                for T in (0.25, 0.5, 1.0)]
+        vols, failed = _grid_of(legs).evaluate(cf, vols=True)
+        assert list(failed) == [1] and isinstance(failed[1], DomainError)
+        assert np.isnan(vols[2:4]).all()
+        for i in (0, 2):
+            assert np.array_equal(vols[2 * i:2 * i + 2], _grid_of([legs[i]]).vols(cf))
 
     def test_resizes_where_the_frozen_panels_miss_the_tolerance(self):
         benign = HestonParams(v0=0.04, theta=0.04, kappa=1.0, sigma=0.3, rho=-0.3)
