@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import svcal._kernels
 import svcal.calibration as cal
-from svcal.errors import DomainError, QuadratureError
+from svcal.errors import DomainError, NumericalError, QuadratureError
 from svcal.models import MarketSlice
 from svcal.quotes_io import load_quotes, scale_row
 
@@ -105,9 +105,12 @@ def test_tenors_in_lockstep_equal_each_tenor_fitted_alone(picks):
     assert together == alone
 
 
-@pytest.mark.parametrize("where,error", [("probes", DomainError), ("nodes", QuadratureError)])
+@pytest.mark.parametrize("where,error", [("probes", DomainError), ("nodes", QuadratureError),
+                                         ("scaled", NumericalError)])
 def test_a_pricing_failure_at_one_tenor_fails_that_tenor_only(monkeypatch, where, error):
-    # the 1Y tenor's CF is NaN wherever sigma > 0.45: its start (sigma 0.5) and some trial points fail
+    # the 1Y tenor's CF is broken wherever sigma > 0.45: its start (sigma 0.5) and some trial points
+    # fail, on a bad cf(0) (NaN at every point), a sizing with no finite estimate (NaN at the
+    # nodes) or a price without time value (the nodes' values tripled)
     tenors = _tenors([(i, 1.0) for i in range(len(ROWS))])
     expiry = tenors[2][1].expiry
     kernel = svcal._kernels.heston_cf_grad
@@ -115,7 +118,11 @@ def test_a_pricing_failure_at_one_tenor_fails_that_tenor_only(monkeypatch, where
     def failing(u, v0, theta, kappa, sigma, rho, T):
         out = kernel(u, v0, theta, kappa, sigma, rho, T)
         bad = (T == expiry) & (np.broadcast_to(sigma, np.shape(u)) > 0.45)
-        out[:, bad & ((u.real > 0) if where == "nodes" else True)] = np.nan
+        if where == "probes":
+            out[:, bad] = np.nan
+        else:
+            bad &= u.real > 0
+            out[:, bad] = np.nan if where == "nodes" else 3.0 * out[:, bad]
         return out
 
     monkeypatch.setattr(svcal._kernels, "heston_cf_grad", failing)
