@@ -43,7 +43,10 @@ own state, and prices all their trial points in one evaluation per round.
 The per-tenor strategy uses that: its tenors are the blocks of one
 :class:`~svcal.pricing.SurfaceGrid`, each at its own parameters, and every
 tenor's result is bit for bit its fit alone.  Every other fit is a lockstep
-of one.
+of one.  Each tenor starts at the (sigma, rho) that a second-order expansion
+in vol of vol reads off its smile's skew and curvature, in closed form
+(:func:`_tenor_seed`), or at (0.5, -0.5) where that gives no admissible
+start.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fx_quotes import Conventions, TenorQuote, resolve_smile
+from .fx_quotes import Conventions, SmilePoint, TenorQuote, resolve_smile
 from .models import (
     MODELS,
     AffineParams,
@@ -235,7 +238,9 @@ _BOXES = {
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    """1 / (1 + e^-x), from e^-|x| <= 1 on both sides of 0, so no x overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _to_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -886,6 +891,43 @@ def calibrate_penalized(
 # per-tenor strategy
 # ---------------------------------------------------------------------------
 
+# the (sigma, rho) start of a per-tenor fit whose smile gives no seed (_tenor_seed)
+_TENOR_FALLBACK = (0.5, -0.5)
+
+
+def _tenor_seed(points: Sequence[SmilePoint], sl: MarketSlice, kappa: float) -> Tuple[float, float]:
+    """(sigma, rho) start of a per-tenor fit, in closed form from its (25d put, ATM, 25d call) points.
+
+    To second order in vol of vol (Bergomi & Guyon 2012, the R^xx term
+    dropped), the implied vol at k = ln(K/F) is a + S k + C k^2 with
+    S = sqrt(v) Cx / (2 Q^2) and C = sqrt(v) (Q Cxx - 6 Cx^2) / (8 Q^4),
+    where v is the ATM variance and Q = v T.  For Heston with theta = v0 = v
+    and kappa fixed, Cx = rho sigma v A and Cxx = sigma^2 v B, with
+    A = int_0^T g and B = int_0^T g^2, g(t) = (1 - e^{-kappa t}) / kappa.
+    The quadratic through the points gives S and C; S gives rho sigma, then
+    C gives sigma^2.  Where that is no admissible start (sigma^2 <= 0, a
+    value not finite, sigma outside (1e-3, 10) or |rho| >= 0.99), returns
+    ``_TENOR_FALLBACK``.
+    """
+    (k0, k1, k2), (s0, s1, s2) = zip(*((math.log(pt.strike / sl.forward), pt.vol) for pt in points))
+    T, v = sl.expiry, s1 * s1
+    try:
+        curv = ((s2 - s1) / (k2 - k1) - (s1 - s0) / (k1 - k0)) / (k2 - k0)
+        skew = (s1 - s0) / (k1 - k0) - curv * (k0 + k1)
+        q, e1, e2 = v * T, -math.expm1(-kappa * T), -math.expm1(-2.0 * kappa * T)
+        a = (T - e1 / kappa) / kappa
+        b = (T - 2.0 * e1 / kappa + e2 / (2.0 * kappa)) / kappa**2
+        rho_sigma = 2.0 * skew * q**2 / (math.sqrt(v) * v * a)
+        sigma2 = (8.0 * q**4 * curv / math.sqrt(v) + 6.0 * (rho_sigma * v * a) ** 2) / (v * q * b)
+        sigma = math.sqrt(sigma2) if sigma2 > 0.0 else math.nan
+        rho = rho_sigma / sigma
+    except ArithmeticError:
+        return _TENOR_FALLBACK
+    if not (math.isfinite(rho) and 1e-3 < sigma < 10.0 and abs(rho) < 0.99):
+        return _TENOR_FALLBACK
+    return sigma, rho
+
+
 def calibrate_tenor(
     tenors: Sequence[Tuple[TenorQuote, MarketSlice]],
     rules: TenorRules = TenorRules(),
@@ -898,8 +940,13 @@ def calibrate_tenor(
     expiries must be distinct (:class:`DomainError`).  kappa is fixed to c/T
     by the rule of thumb; theta is either tied to v0 (one shared free
     parameter) or fixed at the ATM variance, leaving (v0, sigma, rho) free
-    against the three resolved smile points.  The fits are independent but
-    run in lockstep: the tenors are the blocks of one
+    against the three resolved smile points.  Each fit starts at v0 = theta
+    = the ATM variance and at the (sigma, rho) that a second-order expansion
+    in vol of vol reads off its smile's skew and curvature
+    (:func:`_tenor_seed`), or at (0.5, -0.5) where that gives no admissible
+    start: a start that depends on the tenor's quotes alone, and on the
+    bundled file one that halves the time to the same answers.  The fits
+    are independent but run in lockstep: the tenors are the blocks of one
     :class:`~svcal.pricing.SurfaceGrid`, and each round of their solves
     prices every tenor's trial point in one CF-and-gradient pass.  A
     pricing failure at one tenor's point fails that tenor's residuals only.
@@ -909,17 +956,13 @@ def calibrate_tenor(
     tenors = list(tenors)
     if len({sl.expiry for _, sl in tenors}) < len(tenors):
         raise DomainError(f"tenor expiries must be distinct, got {sorted(sl.expiry for _, sl in tenors)}")
-    targets = []
-    for q, sl in tenors:
-        points = resolve_smile(q, sl, conv)
-        targets.append(CalibrationTarget(
-            points=tuple(TargetPoint(q.expiry, sp.strike, sp.vol) for sp in points),
-            space="vol",
-            slices={q.expiry: sl},
-        ))
+    smiles = [resolve_smile(q, sl, conv) for q, sl in tenors]
+    targets = [CalibrationTarget(points=tuple(TargetPoint(q.expiry, sp.strike, sp.vol) for sp in points),
+                                 space="vol", slices={q.expiry: sl})
+               for (q, sl), points in zip(tenors, smiles)]
     grid = SurfaceGrid([opt for target in targets for opt in _options(target)], config.quad)
     probs, inits, first = [], [], 0
-    for b, ((q, _), target) in enumerate(zip(tenors, targets)):
+    for b, ((q, sl), points, target) in enumerate(zip(tenors, smiles, targets)):
         kappa = rules.kappa_rule_constant / q.expiry
         atm_var = q.atm_vol**2
         fixed = {"kappa": kappa}
@@ -931,7 +974,7 @@ def calibrate_tenor(
         cols = np.arange(first, first + len(target.points))
         first += len(target.points)
         probs.append(_Problem(target, MODELS["heston"], fixed, ties, config.quad, (grid, b, cols)))
-        inits.append(HestonParams(atm_var, atm_var, kappa, 0.5, -0.5))
+        inits.append(HestonParams(atm_var, atm_var, kappa, *_tenor_seed(points, sl, kappa)))
     return _fit(probs, inits, config)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import svcal.calibration as cal
 from svcal.calibration import (
     _BOXES,
     CalibrationTarget,
@@ -21,9 +22,10 @@ from svcal.calibration import (
     objective,
 )
 from svcal.errors import DomainError
-from svcal.fx_quotes import Conventions, TenorQuote
+from svcal.fx_quotes import Conventions, TenorQuote, resolve_smile
 from svcal.models import HestonParams, MarketSlice, expected_mean_variance
 from svcal.pricing import DEFAULT_QUAD, model_smile
+from svcal.quotes_io import load_quotes
 
 DATA_CSV = Path(__file__).resolve().parent.parent / "data" / "eurusd_2008-09-16.csv"
 
@@ -998,6 +1000,43 @@ class TestCalibrateTenor:
         [res] = calibrate_tenor([(EURUSD_3M, sl)], TenorRules(theta_rule="atm_variance"))
         assert res.params.theta == pytest.approx(0.1270**2, rel=1e-12)
         assert res.rmse < 1e-6
+
+
+def _seed(q, sl):
+    """The (sigma, rho) a tenor fit starts from under the default rules."""
+    return cal._tenor_seed(resolve_smile(q, sl), sl, TenorRules().kappa_rule_constant / q.expiry)
+
+
+class TestTenorSeed:
+    TENORS = [(row.quote(), row.slice()) for row in load_quotes(DATA_CSV)]
+
+    @pytest.mark.parametrize("ms25,rr25", [(0.0, 0.0), (-0.004, 0.0), (-0.004, -0.002), (-0.002, -0.006)])
+    def test_a_flat_or_concave_smile_falls_back_to_the_fixed_start(self, ms25, rr25):
+        q = TenorQuote("1Y", 1.0, 0.11, ms25, rr25)
+        assert _seed(q, MarketSlice(1.0, 1.0, 1.0)) == (0.5, -0.5)
+
+    def test_a_kappa_too_small_to_resolve_falls_back_to_the_fixed_start(self):
+        # the kernel integrals cancel to 0 in floating point: the seed divides by 0
+        q, sl = self.TENORS[2]
+        assert cal._tenor_seed(resolve_smile(q, sl), sl, 1e-200) == (0.5, -0.5)
+
+    def test_the_seed_depends_on_the_quotes_alone(self):
+        for q, sl in self.TENORS:
+            assert [v.hex() for v in _seed(q, sl)] == [v.hex() for v in _seed(q, sl)]
+
+    def test_each_bundled_tenor_is_seeded_near_its_answer(self):
+        for (q, sl), res in zip(self.TENORS, calibrate_tenor(self.TENORS)):
+            sigma, rho = _seed(q, sl)
+            assert 0.8 <= sigma / res.params.sigma <= 1.25, q.tenor_label
+            assert abs(rho - res.params.rho) <= 0.05, q.tenor_label
+
+    def test_the_seed_reaches_the_answer_of_the_fixed_start(self, monkeypatch):
+        seeded = calibrate_tenor(self.TENORS)
+        monkeypatch.setattr(cal, "_tenor_seed", lambda *args: cal._TENOR_FALLBACK)
+        fixed = calibrate_tenor(self.TENORS)
+        for a, b in zip(seeded, fixed):
+            assert (a.converged, a.flags) == (b.converged, b.flags) and a.converged
+            assert box_distance(a.params, b.params) <= 1e-7
 
 
 class TestCalibrateVarswap:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,16 @@ class TestCalibrateCommand:
         report = json.loads(out)
         assert report["records"][0]["params"]["kappa"] == 2.0
         assert report["strategy"]["fix"] == {"kappa": 2.0}
+
+    def test_a_parameter_driven_off_its_box_writes_no_runtime_warning(self, capsys):
+        # at kappa = 0 theta drops out of the CF, and its unconstrained x runs far out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "calibrate", "--quotes", str(DATA_CSV),
+                                   "--strategy", "fixed", "--fix", "kappa=0")
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("value", ["abc", "inf", "-inf", "nan", ""])
     def test_fix_value_that_is_not_a_finite_number_is_input_error(self, capsys, flat_file, value):
