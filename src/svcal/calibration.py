@@ -638,13 +638,15 @@ def least_squares(fun, x0, jac, *, ftol: float, xtol: float, gtol: float, max_nf
     return _Solve(solutions, rounds)
 
 
-def _run_least_squares(fun, jac, x0: Sequence[np.ndarray], cfg: OptimizerConfig, label: str) -> _Solve:
-    """One lockstep solve (:func:`least_squares`), each start logged at DEBUG on ``svcal`` with why it stopped."""
+def _run_least_squares(fun, jac, x0: Sequence[np.ndarray], cfg: OptimizerConfig, label: str,
+                       detail: Optional[Callable[[_Solution], str]] = None) -> _Solve:
+    """One lockstep solve (:func:`least_squares`), each start logged at DEBUG on ``svcal`` with why it
+    stopped, and with ``detail`` of its solution appended where given."""
     solve = least_squares(fun, x0, jac, ftol=cfg.ftol, xtol=cfg.xtol, gtol=cfg.gtol, max_nfev=cfg.max_nfev)
     for sol in solve:
         logging.getLogger("svcal").debug(
-            "%s: status=%d (%s), nfev=%d, njev=%d, cost=%.6e",
-            label, sol.status, _STOP_REASONS[sol.status], sol.nfev, sol.njev, sol.cost,
+            "%s: status=%d (%s), nfev=%d, njev=%d, cost=%.6e%s",
+            label, sol.status, _STOP_REASONS[sol.status], sol.nfev, sol.njev, sol.cost, detail(sol) if detail else "",
         )
     return solve
 
@@ -821,6 +823,38 @@ def _penalized(prob: _Problem, prev_box: np.ndarray, weight: float):
     return residuals, jac
 
 
+def _predicted_rung(prob: _Problem, evaluation, prev_box: np.ndarray, e0: float) -> Tuple[int, float]:
+    """The first rung k of the weight ladder w = e0 * 8^(k-1), w <= 1e18, whose total a quadratic
+    model puts at or above 0.95 * 2 * e0, and that model total over 2 * e0; rung 1 and its model
+    total when no rung reaches.
+
+    A step s from the base answer makes the data error about e0 + |J s|^2, so the least total at
+    weight w is the discrepancy principle's secular equation (Hansen 1998, ch. 7):
+    e0 + sum_i w lam_i c_i^2 / (lam_i + w), with (lam_i, v_i) the eigenpairs of J^T J, J in
+    parameter over box width, and c_i = v_i^T d for d the base answer minus ``prev_box`` over
+    the box width.  ``evaluation`` is the base fit's (x, residuals, Jacobian) at its answer,
+    so the model costs no pricing pass.
+    """
+    x, _, jac = evaluation
+    width = prob.hi - prob.lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = jac * (width / _box_slope(x, prob.lo, prob.hi))
+    if not np.all(np.isfinite(scaled)):
+        return 1, math.nan
+    _, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    lam, c2 = s**2, (vt @ ((_to_box(x, prob.lo, prob.hi) - prev_box) / width)) ** 2
+
+    def ratio(w):
+        return float(e0 + np.sum(w * lam * c2 / (lam + w))) / (2.0 * e0)
+
+    k, w = 1, e0
+    while w <= 1e18:
+        if ratio(w) >= 0.95:
+            return k, ratio(w)
+        k, w = k + 1, 8.0 * w
+    return 1, ratio(e0)
+
+
 def calibrate_penalized(
     target: CalibrationTarget,
     prev: AffineParams,
@@ -832,24 +866,32 @@ def calibrate_penalized(
 
     Minimizes data error plus w * ||p - prev||^2 (componentwise normalized
     by the box width), with w chosen so the total error equals twice the
-    unpenalized error e0 within 5% relative.  The search starts at w = e0
-    and multiplies w by 8 until a total reaches 2*e0; from then on it
-    bisects between the last weight that fell short and the last that
-    reached, or halves while none has fallen short.  It accepts the first
-    total inside the band.  Degenerate cases (unpenalized error below
-    1e-12, or the doubling target unreachable because prev already fits
-    well) return the unpenalized solution with an explanatory flag; a
-    search that passes w = 1e18 or bisects 80 times falls back to w = 0
-    with a warning flag.  ``iterations`` counts the function evaluations of
-    the base fit and of every penalized solve, which all run on one problem.
-    Raises :class:`DomainError`, before any solve, when ``prev`` is not of
-    ``model_kind``'s parameter type.
+    unpenalized error e0 within 5% relative.  The weight is the one the
+    ladder w = e0 * 8^(k-1) and its bisection accept: the lowest rung whose
+    total reaches the band's floor 0.95 * 2 * e0 is accepted if its total is
+    inside the band; otherwise the search bisects between the rung below it
+    and it, or halves while no rung lies below, and accepts the first total
+    inside the band.  Only the rungs that decide the weight are solved: a
+    quadratic model from the base fit's Jacobian (:func:`_predicted_rung`)
+    picks the first rung to solve, and the search steps one rung at a time
+    from there until a rung below the floor sits under one that reaches it.
+    Every solve starts from the base answer, and at exact minimizers the
+    total does not decrease with w, so the rungs skipped are the ones the
+    ladder would have found below the floor.  Degenerate cases (unpenalized
+    error below 1e-12, or the doubling target unreachable because prev
+    already fits well) return the unpenalized solution with an explanatory
+    flag; a search that passes w = 1e18 or bisects 80 times falls back to
+    w = 0 with a warning flag.  ``iterations`` counts the function
+    evaluations of the base fit and of every penalized solve, which all run
+    on one problem.  Raises :class:`DomainError`, before any solve, when
+    ``prev`` is not of ``model_kind``'s parameter type.
     """
     spec = model_spec(model_kind)
     if not isinstance(prev, spec.params_type):
         raise DomainError(f"previous parameters are {type(prev).__name__}, not {model_kind} parameters")
     prob = _Problem(target, spec, (fix or FixSet()).resolve(), {}, config.quad)
     base = _fit([prob], [prev], config)[0]
+    base_evaluation = prob._last  # at the base answer, where its residuals were priced
     e0 = base.sse
     if e0 < 1e-12:
         return replace(base, penalty_weight=0.0)
@@ -859,32 +901,59 @@ def calibrate_penalized(
     x_prev = prob.x_from_params(prev_vals)
     e_prev = float(np.sum(prob.residuals(x_prev) ** 2))
     target_total = 2.0 * e0
-    if e_prev <= target_total * 0.95:
+    floor = 0.95 * target_total  # the band's floor
+    if e_prev <= floor:
         return replace(base, penalty_weight=0.0, flags=base.flags + ("penalty_degenerate",))
 
     # the total is capped at the prev-parameter error, so a stall inside the
     # 5% band is an acceptable solution rather than a failure
     x_warm = prob.x_from_params(base.params.as_dict())
     nfev = base.iterations  # the base fit plus every penalized solve
-    w, short, reached, bisections = e0, 0.0, None, 0  # short/reached: the last weights below/above 2*e0
-    while True:
-        res = _run_least_squares(*_one(*_penalized(prob, prev_box, w)), [x_warm], config, f"penalized w={w:.6g}")
+
+    def solve(w):
+        """(total, solve) at weight w."""
+        nonlocal nfev
+        res = _run_least_squares(*_one(*_penalized(prob, prev_box, w)), [x_warm], config, f"penalized w={w:.6g}",
+                                 lambda sol: f", total/2e0={sol.cost / e0:.6f}")
         nfev += res[0].nfev
-        total = 2.0 * res[0].cost  # data SSE + w * penalty
+        return 2.0 * res[0].cost, res  # data SSE + w * penalty
+
+    def rung(k):
+        return e0 * 8.0 ** (k - 1)
+
+    def give_up():
+        return replace(base, iterations=nfev, penalty_weight=0.0, flags=base.flags + ("penalty_bisection_failed",))
+
+    k, model = _predicted_rung(prob, base_evaluation, prev_box, e0)
+    logging.getLogger("svcal").debug("penalized: predicted rung %d (w=%.6g), model total/2e0=%.6f",
+                                     k, rung(k), model)
+    total, res = solve(rung(k))
+    if total >= floor:  # step down to the lowest rung that reaches the floor
+        while k > 1:
+            below = solve(rung(k - 1))
+            if below[0] < floor:
+                break
+            k, (total, res) = k - 1, below
+    else:  # step up to the first rung that reaches it
+        while total < floor:
+            k += 1
+            if rung(k) > 1e18:
+                return give_up()
+            total, res = solve(rung(k))
+    w = reached = rung(k)
+    short = rung(k - 1) if k > 1 else 0.0  # short/reached: the last weights below/above 2*e0
+    for bisections in range(81):
         if abs(total / target_total - 1.0) <= 0.05:
             return _result_from(prob, res, 0, nfev, penalty_weight=w)
         if total >= target_total:
             reached = w
         else:
             short = w
-        if reached is None:
-            w *= 8.0
-        else:
-            w = 0.5 * (short + reached) if short > 0 else 0.5 * reached
-            bisections += 1
-        if w > 1e18 or bisections > 80:
+        if bisections == 80:
             break
-    return replace(base, iterations=nfev, penalty_weight=0.0, flags=base.flags + ("penalty_bisection_failed",))
+        w = 0.5 * (short + reached) if short > 0 else 0.5 * reached
+        total, res = solve(w)
+    return give_up()
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
-"""Reference implementations the tests check the array pricer and inversion against.
+"""Reference implementations the tests check the array pricer, the inversion and
+the penalized weight search against.
 
 ``adaptive_prices`` is a fresh adaptive Gauss-Kronrod 15(7) Fourier pricer:
 it refines its own panels from scratch for every call, so it carries no
 state from earlier parameters.  ``scalar_implied_vol`` is the scalar
 safeguarded-Newton Black inversion, one point at a time in ``math``.
+``penalized_ladder`` is the penalized fit that solves every rung of its x8
+weight ladder, and ``doubling_rule_days`` the inputs of acceptance
+criterion 7 it is checked on.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import ndtr
 
-from svcal.pricing import _WG15, _WGK, _XGK
+import svcal.calibration as cal
+from svcal.models import HestonParams, MarketSlice, model_spec
+from svcal.pricing import _WG15, _WGK, _XGK, model_smile
 
 
 def _gk_panels(f, los, his):
@@ -121,3 +128,82 @@ def scalar_implied_vol(F, K, T, df, call, price):
         step = vol - diff / vega if vega > 1e-300 else -1.0
         vol = step if v_lo < step < v_hi else 0.5 * (v_lo + v_hi)
     raise RuntimeError("oracle inversion did not converge")
+
+
+def penalized_ladder(target, prev, model_kind="heston", config=cal.DEFAULT_OPT):
+    """``calibrate_penalized`` by its whole x8 ladder: the base fit, then w = e0 * 8^k
+    from k = 0 until a total reaches 2*e0, then bisection (halving while no weight fell
+    short), each solve from the base answer, the first total inside the 5% band accepted.
+
+    Built from the module's own ``_fit``, ``_penalized`` and ``_run_least_squares``, looked
+    up at call time, so a test's stand-ins for them apply here too.  Returns the result and
+    the weight of each penalized solve, in order.
+    """
+    prob = cal._Problem(target, model_spec(model_kind), {}, {}, config.quad)
+    base = cal._fit([prob], [prev], config)[0]
+    e0 = base.sse
+    if e0 < 1e-12:
+        return replace(base, penalty_weight=0.0), []
+    prev_vals = prev.as_dict()
+    prev_box = np.array([prev_vals[n] for n in prob.free])
+    target_total = 2.0 * e0
+    if float(np.sum(prob.residuals(prob.x_from_params(prev_vals)) ** 2)) <= target_total * 0.95:
+        return replace(base, penalty_weight=0.0, flags=base.flags + ("penalty_degenerate",)), []
+    x_warm = prob.x_from_params(base.params.as_dict())
+    nfev, weights = base.iterations, []
+    w, short, reached, bisections = e0, 0.0, None, 0
+    while True:
+        weights.append(w)
+        res = cal._run_least_squares(*cal._one(*cal._penalized(prob, prev_box, w)), [x_warm], config,
+                                     f"ladder w={w:.6g}")
+        nfev += res[0].nfev
+        total = 2.0 * res[0].cost
+        if abs(total / target_total - 1.0) <= 0.05:
+            return cal._result_from(prob, res, 0, nfev, penalty_weight=w), weights
+        if total >= target_total:
+            reached = w
+        else:
+            short = w
+        if reached is None:
+            w *= 8.0
+        else:
+            w = 0.5 * (short + reached) if short > 0 else 0.5 * reached
+            bisections += 1
+        if w > 1e18 or bisections > 80:
+            break
+    flags = base.flags + ("penalty_bisection_failed",)
+    return replace(base, iterations=nfev, penalty_weight=0.0, flags=flags), weights
+
+
+def _surface_target(p, tenors, z_grid):
+    points, slices = [], {}
+    for T in tenors:
+        sl = MarketSlice(1.0, 1.0, T)
+        slices[T] = sl
+        ks = [math.exp(z * math.sqrt(p.v0) * math.sqrt(T)) for z in z_grid]
+        points += [cal.TargetPoint(T, k, v) for k, v in model_smile(p, sl, ks)]
+    return cal.CalibrationTarget(tuple(points), "vol", slices)
+
+
+def doubling_rule_days(seed=23, days=20):
+    """Acceptance criterion 7's inputs: the fit to a Heston day's clean 2-expiry, 3-strike
+    surface, and ``days`` days whose parameters move about 5% from it and whose vols carry
+    1e-4 noise, drawn from ``default_rng(seed)`` in the criterion's order.  Returns
+    (previous parameters, [day targets])."""
+    rng = np.random.default_rng(seed)
+    truth = HestonParams(0.04, 0.05, 1.5, 0.6, -0.55)
+    shape = dict(tenors=(0.5, 2.0), z_grid=(-1.0, 0.0, 1.0))
+    prev = cal.calibrate(_surface_target(truth, **shape), "heston").params
+    out = []
+    for _ in range(days):
+        pert = HestonParams(
+            truth.v0 * (1 + 0.05 * rng.standard_normal()),
+            truth.theta * (1 + 0.05 * rng.standard_normal()),
+            truth.kappa * (1 + 0.05 * rng.standard_normal()),
+            truth.sigma * (1 + 0.05 * rng.standard_normal()),
+            float(np.clip(truth.rho + 0.03 * rng.standard_normal(), -0.99, 0.99)),
+        )
+        clean = _surface_target(pert, **shape)
+        bumped = tuple(replace(pt, value=pt.value + 1e-4 * rng.standard_normal()) for pt in clean.points)
+        out.append(cal.CalibrationTarget(bumped, "vol", clean.slices))
+    return prev, out

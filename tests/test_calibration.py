@@ -893,73 +893,209 @@ BOOK_PREV = HestonParams(v0=0.015831238117476876, theta=0.012567521227194896, ka
                          sigma=0.3056804908769005, rho=-0.45453322493066706)
 
 
-@pytest.mark.parametrize("prev,ratios", [
-    (CI_PREV, [1.0, 8.0, 64.0, 512.0, 4096.0, 32768.0, 262144.0]),  # x8 until the band
-    (BOOK_PREV, [1.0, 8.0, 64.0, 512.0, 288.0]),  # x8 past 2*e0, then one bisection
-])
-def test_penalized_search_solves_the_same_weights_on_the_bundled_file(monkeypatch, prev, ratios):
+@pytest.mark.parametrize("prev,rung,ratios,accepted,max_nfev", [
+    # the model predicts rung 8; rung 7 is inside the band and rung 6 below it
+    (CI_PREV, 8, [8.0**7, 8.0**6, 8.0**5], 262144.0, 56),
+    # the model predicts rung 3, below the band; rung 4 passes it, then one bisection
+    (BOOK_PREV, 3, [64.0, 512.0, 288.0], 288.0, 75),
+], ids=["ci_prev", "book_prev"])
+def test_penalized_search_solves_the_deciding_weights_on_the_bundled_file(monkeypatch, caplog, prev, rung, ratios,
+                                                                          accepted, max_nfev):
+    import logging
+
     from svcal.quotes_io import load_quotes
     from svcal.workflows import surface_target
 
     seen = _record_weights(monkeypatch)
     target = surface_target(load_quotes(DATA_CSV), Conventions())
-    res = calibrate_penalized(target, prev, "heston")
+    with caplog.at_level(logging.DEBUG, logger="svcal"):
+        res = calibrate_penalized(target, prev, "heston")
     assert res.converged and res.flags == ()
-    # the first weight is the base fit's data error e0
-    assert [w / seen[0] for w in seen] == pytest.approx(ratios, rel=1e-12)
-    assert res.penalty_weight == seen[-1]
+    # the ladder's weights are the base fit's data error e0 times 8^k
+    e0 = calibrate(target, "heston", init=prev).sse
+    assert [w / e0 for w in seen] == pytest.approx(ratios, rel=1e-12)
+    assert res.penalty_weight / e0 == pytest.approx(accepted, rel=1e-12)
+    assert res.iterations <= max_nfev
+    # one record of the model's prediction, and each solve's record carries its total over 2*e0
+    messages = [r.getMessage() for r in caplog.records]
+    [predicted] = [m for m in messages if m.startswith("penalized: predicted")]
+    assert predicted.startswith(f"penalized: predicted rung {rung} ") and "model total/2e0=" in predicted
+    solves = [m for m in messages if m.startswith("penalized w=")]
+    assert len(solves) == len(ratios) and all(re.search(r"total/2e0=\d\.\d{6}$", m) for m in solves)
+
+
+@pytest.fixture(scope="module")
+def criterion_7_days():
+    from oracles import doubling_rule_days
+
+    return doubling_rule_days()
+
+
+@pytest.mark.parametrize("case", ["ci", "book"] + [f"day{i}" for i in range(20)])
+def test_penalized_search_accepts_the_ladders_weight(case, criterion_7_days):
+    from oracles import penalized_ladder
+    from svcal.quotes_io import load_quotes
+    from svcal.workflows import surface_target
+
+    if case in ("ci", "book"):
+        target, prev = surface_target(load_quotes(DATA_CSV), Conventions()), CI_PREV if case == "ci" else BOOK_PREV
+    else:
+        prev, days = criterion_7_days
+        target = days[int(case[3:])]
+    ladder, _ = penalized_ladder(target, prev)
+    res = calibrate_penalized(target, prev, "heston")
+    assert res.penalty_weight == ladder.penalty_weight
+    assert res.flags == ladder.flags
+    for n in PARAM_NAMES:
+        width = _BOXES[n][1] - _BOXES[n][0]
+        assert abs(getattr(res.params, n) - getattr(ladder.params, n)) <= 1e-7 * width, n
+    assert res.iterations <= ladder.iterations
+
+
+class TestPredictedRung:
+    """The quadratic model of the penalized total, on a linear problem where it is exact."""
+
+    def _case(self, seed):
+        import types
+
+        rng = np.random.default_rng(seed)
+        lo, hi = np.zeros(3), np.full(3, 2.0)
+        prob = types.SimpleNamespace(lo=lo, hi=hi)
+        x = rng.normal(size=3)
+        jac_box = rng.normal(size=(6, 3))  # residuals over parameter in box widths
+        prev_box = cal._to_box(x, lo, hi) + 0.02 * rng.normal(size=3)
+        jac = jac_box * cal._box_slope(x, lo, hi) / (hi - lo)
+        return prob, (x, None, jac), prev_box, jac_box, (cal._to_box(x, lo, hi) - prev_box) / (hi - lo)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_predicts_the_first_rung_whose_exact_total_reaches_the_floor(self, seed):
+        prob, evaluation, prev_box, jac_box, d = self._case(seed)
+        e0 = 1e-6
+
+        def exact(w):
+            # min over the step s of ||J s||^2 + w ||s + d||^2, as one linear least-squares solve
+            a = np.vstack([jac_box, math.sqrt(w) * np.eye(3)])
+            b = np.concatenate([np.zeros(6), -math.sqrt(w) * d])
+            s = np.linalg.lstsq(a, b, rcond=None)[0]
+            return (e0 + float(np.sum((a @ s - b) ** 2))) / (2.0 * e0)
+
+        k, ratio = cal._predicted_rung(prob, evaluation, prev_box, e0)
+        assert k > 1  # e0 is small against |J d|^2, so rung 1 stays below the floor
+        assert ratio == pytest.approx(exact(e0 * 8.0 ** (k - 1)), rel=1e-9)
+        assert ratio >= 0.95 > exact(e0 * 8.0 ** (k - 2))
+
+    def test_starts_at_rung_1_when_no_rung_reaches(self):
+        prob, (x, _, jac), prev_box, _, _ = self._case(0)
+        # the total can rise no higher than e0 + |J d|^2, here below the floor at every weight
+        k, ratio = cal._predicted_rung(prob, (x, None, 1e-9 * jac), prev_box, 1.0)
+        assert k == 1 and ratio == pytest.approx(0.5)
+
+    def test_starts_at_rung_1_where_the_box_slope_vanishes(self):
+        prob, (x, _, jac), prev_box, _, _ = self._case(0)
+        x = np.array([800.0, 0.0, 0.0])  # the logistic's slope underflows to 0
+        k, ratio = cal._predicted_rung(prob, (x, None, jac), prev_box, 1e-6)
+        assert k == 1 and math.isnan(ratio)
 
 
 class TestPenalizedSearchPolicy:
-    """The weight search on a stand-in total: where it steps, accepts and gives up."""
+    """The weight search on a stand-in total: where it steps, accepts and gives up, from a
+    given predicted rung, against the weight the whole x8 ladder accepts on the same total."""
 
     E0 = 2.0**-14  # a power of four, so that its root and every weight ratio below are exact
 
-    def _search(self, monkeypatch, total):
+    def _search(self, monkeypatch, total, rung=None):
+        """(weights over E0 in solve order, result, the ladder's result) with the model's
+        prediction replaced by ``rung``; with ``rung`` None the model runs on a zero Jacobian."""
         import types
 
-        import svcal.calibration as cal
+        from oracles import penalized_ladder
 
         seen = _record_weights(monkeypatch)
         base = cal.CalibrationResult(TRUTH, 1.0, 5, True, None, (self.E0**0.5,))
-        monkeypatch.setattr(cal, "_fit", lambda probs, inits, config: [base])
+
+        def fit(probs, inits, config):
+            prob = probs[0]
+            zeros = np.zeros((len(prob.market), len(prob.free)))
+            prob._last = (prob.x_from_params(TRUTH.as_dict()), zeros[:, 0], zeros)
+            return [base]
+
+        monkeypatch.setattr(cal, "_fit", fit)
         monkeypatch.setattr(
             cal, "_run_least_squares",
-            lambda fun, jac, x0, cfg, label: [types.SimpleNamespace(x=x0[0], cost=0.5 * total(seen[-1]), nfev=1,
-                                                                    status=1)],
+            lambda fun, jac, x0, cfg, label, detail=None: [
+                types.SimpleNamespace(x=x0[0], cost=0.5 * total(seen[-1]), nfev=1, status=1)],
         )
+        if rung is not None:
+            monkeypatch.setattr(cal, "_predicted_rung", lambda *args: (rung, math.nan))
         target = make_target(TRUTH, tenors=(0.5, 2.0), z_grid=(-1.0, 0.0, 1.0))
         prev = HestonParams(0.09, 0.02, 4.0, 0.2, 0.3)  # far from TRUTH: its error is far above 2*e0
         res = cal.calibrate_penalized(target, prev, "heston")
-        return [w / self.E0 for w in seen], res
+        ratios = [w / self.E0 for w in seen]
+        ladder, _ = penalized_ladder(target, prev)
+        assert res.penalty_weight == ladder.penalty_weight and res.flags == ladder.flags
+        return ratios, res, ladder
+
+    def _bracket(self, w):  # 2*e0 at w = 100 * E0: rung 4 (512) is the first to reach
+        return 2 * self.E0 * w / (100 * self.E0)
 
     def test_halves_while_no_weight_fell_short(self, monkeypatch):
-        ratios, res = self._search(monkeypatch, lambda w: 2 * self.E0 * (1.0 + w / self.E0))
+        ratios, res, _ = self._search(monkeypatch, lambda w: 2 * self.E0 * (1.0 + w / self.E0), rung=1)
         assert ratios == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
         assert res.penalty_weight == 0.03125 * self.E0
         assert res.iterations == 5 + 6
 
-    def test_brackets_by_eight_then_bisects(self, monkeypatch):
-        ratios, res = self._search(monkeypatch, lambda w: 2 * self.E0 * w / (100 * self.E0))
-        assert ratios == [1.0, 8.0, 64.0, 512.0, 288.0, 176.0, 120.0, 92.0, 106.0, 99.0]
+    def test_steps_down_to_rung_1_then_halves(self, monkeypatch):
+        ratios, res, _ = self._search(monkeypatch, lambda w: 2 * self.E0 * (1.0 + w / self.E0), rung=3)
+        assert ratios == [64.0, 8.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
+        assert res.penalty_weight == 0.03125 * self.E0
+
+    def test_brackets_at_the_predicted_rung_then_bisects(self, monkeypatch):
+        ratios, res, ladder = self._search(monkeypatch, self._bracket, rung=4)
+        assert ratios == [512.0, 64.0, 288.0, 176.0, 120.0, 92.0, 106.0, 99.0]
         assert res.penalty_weight == 99.0 * self.E0
         assert res.flags == ()
+        assert res.iterations == 5 + 8 < ladder.iterations == 5 + 10
+
+    def test_steps_down_from_a_prediction_two_rungs_high(self, monkeypatch):
+        ratios, res, _ = self._search(monkeypatch, self._bracket, rung=6)
+        assert ratios == [32768.0, 4096.0, 512.0, 64.0, 288.0, 176.0, 120.0, 92.0, 106.0, 99.0]
+        assert res.penalty_weight == 99.0 * self.E0
+
+    def test_steps_up_from_a_prediction_two_rungs_low(self, monkeypatch):
+        ratios, res, _ = self._search(monkeypatch, self._bracket, rung=2)
+        assert ratios == [8.0, 64.0, 512.0, 288.0, 176.0, 120.0, 92.0, 106.0, 99.0]
+        assert res.penalty_weight == 99.0 * self.E0
+
+    def test_starts_at_rung_1_when_no_rung_is_predicted_to_reach(self, monkeypatch):
+        # on a zero Jacobian the model's total stays at e0, half of 2*e0, at every weight
+        ratios, res, _ = self._search(monkeypatch, self._bracket)
+        assert ratios == [1.0, 8.0, 64.0, 512.0, 288.0, 176.0, 120.0, 92.0, 106.0, 99.0]
+        assert res.penalty_weight == 99.0 * self.E0
 
     def test_accepts_a_short_total_inside_the_band(self, monkeypatch):
-        ratios, res = self._search(monkeypatch, lambda w: 2 * self.E0 * (0.5 if w < 60 * self.E0 else 0.96))
-        assert ratios == [1.0, 8.0, 64.0]
+        ratios, res, _ = self._search(monkeypatch, lambda w: 2 * self.E0 * (0.5 if w < 60 * self.E0 else 0.96), rung=3)
+        assert ratios == [64.0, 8.0]
+        assert res.penalty_weight == 64.0 * self.E0
+
+    def test_accepts_the_lowest_rung_inside_the_band(self, monkeypatch):
+        # rungs 3 and 4 are both inside the band: the ladder reaches rung 3 first
+        def total(w):
+            return 2 * self.E0 * (0.5 if w < 60 * self.E0 else 0.96 if w < 500 * self.E0 else 1.04)
+
+        ratios, res, _ = self._search(monkeypatch, total, rung=4)
+        assert ratios == [512.0, 64.0, 8.0]
         assert res.penalty_weight == 64.0 * self.E0
 
     def test_gives_up_past_1e18(self, monkeypatch):
-        ratios, res = self._search(monkeypatch, lambda w: self.E0)
-        assert ratios == [8.0**k for k in range(len(ratios))]
+        ratios, res, _ = self._search(monkeypatch, lambda w: self.E0, rung=5)
+        assert ratios == [8.0**k for k in range(4, 4 + len(ratios))]
         assert ratios[-1] * self.E0 <= 1e18 < 8.0 * ratios[-1] * self.E0
         assert res.flags == ("penalty_bisection_failed",) and res.penalty_weight == 0.0
         assert res.iterations == 5 + len(ratios)
 
     def test_gives_up_after_80_bisections(self, monkeypatch):
-        ratios, res = self._search(monkeypatch, lambda w: 2 * self.E0 * (0.5 if w < 3.3 * self.E0 else 2.0))
-        assert ratios[:2] == [1.0, 8.0] and len(ratios) == 2 + 80
+        ratios, res, _ = self._search(monkeypatch, lambda w: 2 * self.E0 * (0.5 if w < 3.3 * self.E0 else 2.0), rung=2)
+        assert ratios[:2] == [8.0, 1.0] and len(ratios) == 2 + 80
         assert res.flags == ("penalty_bisection_failed",) and res.penalty_weight == 0.0
 
 
