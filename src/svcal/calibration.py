@@ -27,16 +27,17 @@ minimum costs one solve.  In doubt, it runs every start.  The lowest-cost
 start wins.
 
 Every solve uses an analytic Jacobian from the CF's closed-form parameter
-gradient (Heston, Bates and Schobel-Zhu).  Each trial point is priced by one
-CF-and-gradient pass on the frozen grid: its CF row gives the residuals, and
-its derivative rows, in the same evaluation steps (divided by the Black vega
-at the evaluation's own vols in vol space) and chained through ties, fixed
-parameters and the box map, give the Jacobian.  The solver asks for the
-Jacobian only at the x of its last residual evaluation, so an iteration
-costs one pass.  ``iterations`` reports the solver's ``nfev``.  A fit whose
-reported residuals hold a failed price is not converged.  A fit with sigma
-fixed at 0 fixes rho at 0, flagged ``rho_unidentified``: the CF does not
-depend on rho there.
+gradient (Heston, Bates and Schobel-Zhu).  One evaluation gives both: each
+trial point is priced by one CF-and-gradient pass on the frozen grid, whose
+CF row gives the residuals and whose derivative rows, in the same evaluation
+steps (divided by the Black vega at the evaluation's own vols in vol space)
+and chained through ties, fixed parameters and the box map, give the
+Jacobian.  The solver keeps the Jacobian of each point it accepts, so a solve
+prices exactly its ``nfev`` times (``iterations`` sums them over a fit), and
+the per-solve DEBUG record's ``njev`` counts the accepted points.  A fit reports
+the residuals its solve minimized; one that holds a failed price is not
+converged.  A fit with sigma fixed at 0 fixes rho at 0, flagged
+``rho_unidentified``: the CF does not depend on rho there.
 
 The solver advances several independent problems in lockstep, each with its
 own state, and prices all their trial points in one evaluation per round.
@@ -299,9 +300,9 @@ def _options(target: CalibrationTarget):
 class _Problem:
     """Free-parameter vector <-> residual vector and its Jacobian for one calibration.
 
-    One evaluation gives both: :meth:`residuals` and :meth:`jac` at the x of
-    the last evaluation reuse it, as the solver calls ``jac`` right after an
-    accepted residual evaluation at the same x.
+    One evaluation (:meth:`evaluate`, or :func:`_price` for several problems)
+    gives both; the solver keeps the Jacobian of each point it accepts, so
+    nothing here is cached.
 
     By default the problem prices its target on a grid of its own.  With
     ``block = (grid, b, cols)`` its points are the options ``cols`` of a grid
@@ -352,7 +353,6 @@ class _Problem:
             src = self.ties.get(name, name)
             if src in self.free:
                 self._chain[i, self.free.index(src)] = 1.0
-        self._last = None  # (x, residuals, Jacobian) of the last evaluation
 
     def build_params(self, x: np.ndarray) -> AffineParams:
         vals = dict(zip(self.free, _to_box(np.asarray(x, dtype=float), self.lo, self.hi)))
@@ -364,63 +364,40 @@ class _Problem:
     def x_from_params(self, vals: Mapping[str, float]) -> np.ndarray:
         return _from_box(np.array([vals[n] for n in self.free]), self.lo, self.hi)
 
-    def residuals(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluate(x)[1]
-
-    def jac(self, x: np.ndarray) -> np.ndarray:
-        """Jacobian of :meth:`residuals` in x, from the model's CF gradient.
-
-        The chain rule runs through the ties, the fixed parameters and the
-        logistic box map.  Where pricing fails, as in :meth:`residuals`, it
-        is 0, as a finite difference of the constant failed residual is.
-        """
-        return self._evaluate(x)[2]
-
-    def holds(self, x: np.ndarray) -> bool:
-        """Whether the last evaluation was at ``x``."""
-        return self._last is not None and np.array_equal(self._last[0], x)
-
-    def _evaluate(self, x: np.ndarray):
-        """(x, residuals, Jacobian) at ``x``: the last evaluation's if x is equal."""
-        x = np.array(x, dtype=float)
-        if not self.holds(x):
-            _price([(self, x)])
-        return self._last
+    def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(residuals, Jacobian) at ``x``, from one pricing pass (:func:`_price`)."""
+        return _price([self], [x])[0]
 
 
-def _price(pairs: Sequence[Tuple[_Problem, np.ndarray]]) -> None:
-    """Evaluate each problem at its x, all in one :func:`_model_values` call on their
-    shared grid, and keep each one's residuals and Jacobian as its last evaluation.
+def _price(probs: Sequence[_Problem], xs: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Each problem's (residuals, Jacobian) at its x, all from one :func:`_model_values`
+    call on their shared grid.
 
-    A problem whose pricing fails gets ``_FAILED_RESIDUAL`` everywhere and a
-    zero Jacobian, as a finite difference of the constant failed residual
-    has; the others are priced as if alone.
+    The Jacobian is the model's CF gradient chained through the ties, the
+    fixed parameters and the logistic box map.  A problem whose pricing fails
+    gets ``_FAILED_RESIDUAL`` everywhere and a zero Jacobian, as a finite
+    difference of the constant failed residual has; the others are priced as
+    if alone.
     """
-    if not pairs:
-        return
-    lead = pairs[0][0]
-    params = [p.build_params(x) for p, x in pairs]
+    lead = probs[0]
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    params = [p.build_params(x) for p, x in zip(probs, xs)]
     try:
         if lead.block is None:
             rows, failed = _model_values(params[0], lead.target, lead.grid)
         else:
-            rows, failed = _model_values({p.block: q for (p, _), q in zip(pairs, params)}, lead.target, lead.grid)
+            rows, failed = _model_values({p.block: q for p, q in zip(probs, params)}, lead.target, lead.grid)
     except (NumericalError, DomainError):
         rows, failed = None, None
-    for p, x in pairs:
+    out = []
+    for p, x in zip(probs, xs):
         if failed is None or (p.block in failed if p.block is not None else failed):
-            p._last = (x, np.full(len(p.market), _FAILED_RESIDUAL), np.zeros((len(p.market), len(p.free))))
+            out.append((np.full(len(p.market), _FAILED_RESIDUAL), np.zeros((len(p.market), len(p.free)))))
             continue
         r = rows if p.cols is None else rows[:, p.cols]
         jac = p.weights[:, None] * (r[1:].T @ p._chain) * _box_slope(x, p.lo, p.hi)
-        p._last = (x, p.weights * (r[0] - p.market), jac)
-
-
-def _residuals(probs: Sequence[_Problem], xs: Sequence[np.ndarray]):
-    """Each problem's residuals at its x; those not last evaluated there are priced together."""
-    xs = [np.array(x, dtype=float) for x in xs]
-    _price([(p, x) for p, x in zip(probs, xs) if not p.holds(x)])
-    return [p.residuals(x) for p, x in zip(probs, xs)]
+        out.append((p.weights * (r[0] - p.market), jac))
+    return out
 
 
 def objective(
@@ -441,7 +418,7 @@ def objective(
     x = np.asarray(x, dtype=float)
     if x.shape != (len(prob.free),):
         raise DomainError(f"expected {len(prob.free)} free parameters {prob.free}, got shape {x.shape}")
-    return prob.residuals(x)
+    return prob.evaluate(x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +453,13 @@ _STOP_REASONS = {0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol and xt
 
 @dataclass(frozen=True)
 class _Solution:
-    """One problem's answer: its x, cost 0.5*||f||^2 and residuals f there, why it stopped
-    (:data:`_STOP_REASONS`; above 0 is converged) and its residual and Jacobian evaluations."""
+    """One problem's answer: its x, cost 0.5*||f||^2, residuals f and Jacobian J there, why it
+    stopped (:data:`_STOP_REASONS`; above 0 is converged), its evaluations and its accepted points."""
 
     x: np.ndarray
     cost: float
     fun: np.ndarray
+    jac: np.ndarray
     status: int
     nfev: int
     njev: int
@@ -541,10 +519,9 @@ def _tr_step(uf: np.ndarray, s: np.ndarray, V: np.ndarray, delta: float, alpha: 
     return p * (delta / np.linalg.norm(p)), alpha
 
 
-def _trf(jac: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, ftol: float, xtol: float, gtol: float,
-         max_nfev: int):
-    """One problem's trust-region solve, as a generator: it yields each point whose
-    residuals it needs and is sent them back, and it returns its :class:`_Solution`.
+def _trf(x0: np.ndarray, ftol: float, xtol: float, gtol: float, max_nfev: int):
+    """One problem's trust-region solve, as a generator: it yields each point it needs
+    evaluated and is sent back (residuals, Jacobian) there, and it returns its :class:`_Solution`.
 
     scipy's ``trf`` for an unbounded problem with ``x_scale`` 1 and the exact
     subproblem (:func:`_tr_step`): the same steps, radius update and stop
@@ -552,14 +529,13 @@ def _trf(jac: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, ftol: float, x
     in max norm; 2 when a step that lowers the cost by less than ``ftol``
     times the cost, with a ratio of actual to predicted reduction above
     1/4, 3 when a step shorter than ``xtol * (xtol + |x|)``, 4 when both;
-    0 after ``max_nfev`` evaluations.  ``jac(x)`` is asked only at the x of
-    the last residuals sent, once the step to it is accepted.
+    0 after ``max_nfev`` evaluations.  It keeps the Jacobian of each point it
+    accepts, and ``njev`` counts those points.
     """
     x = np.array(x0, dtype=float)
-    f = yield x
+    f, J = yield x
     if not np.all(np.isfinite(f)):
         raise NumericalError("residuals are not finite at the start point")
-    J = jac(x)
     nfev = njev = 1
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
@@ -578,7 +554,7 @@ def _trf(jac: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, ftol: float, x
             Js = J.dot(step)
             predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
             x_new = x + step
-            f_new = yield x_new
+            f_new, J_new = yield x_new
             nfev += 1
             step_norm = np.linalg.norm(step)
             if not np.all(np.isfinite(f_new)):
@@ -603,25 +579,26 @@ def _trf(jac: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, ftol: float, x
             alpha *= delta / delta_new
             delta = delta_new
         if actual > 0:
-            x, f, cost = x_new, f_new, cost_new
-            J = jac(x)
+            x, f, J, cost = x_new, f_new, J_new, cost_new
             njev += 1
             g = J.T.dot(f)
-    return _Solution(x, cost, f, status or 0, nfev, njev)
+    return _Solution(x, cost, f, J, status or 0, nfev, njev)
 
 
-def least_squares(fun, x0, jac, *, ftol: float, xtol: float, gtol: float, max_nfev: int) -> _Solve:
+def least_squares(fun, x0, cfg: OptimizerConfig, label: str,
+                  detail: Optional[Callable[[_Solution], str]] = None) -> _Solve:
     """Minimize 0.5*||f_k(x)||^2 from each start ``x0[k]``: independent problems, solved in lockstep.
 
-    Each problem runs its own :func:`_trf` with its own state, so its
-    solution is the one it would reach alone.  Each round asks every
-    problem still running for one point: ``fun(ks, xs)`` returns the
-    residual vectors of problems ``ks`` at points ``xs``, all evaluated
-    together.  ``jac(k, x)`` returns problem k's Jacobian at the x of its
-    last ``fun`` round.  Returns the solutions in the order of ``x0``;
-    ``nfev`` counts the rounds, the most any problem evaluated.
+    Each problem runs its own :func:`_trf` with its own state and ``cfg``'s stop
+    tests, so its solution is the one it would reach alone.  Each round asks every
+    problem still running for one point: ``fun(ks, xs)`` returns the (residuals,
+    Jacobian) of problems ``ks`` at points ``xs``, all evaluated together, and the
+    solver keeps the Jacobian of each point it accepts.  Each start is logged at
+    DEBUG on ``svcal`` as ``label`` with why it stopped, its ``nfev``, its ``njev``
+    (its accepted points), its cost and ``detail`` of its solution where given.
+    Returns the solutions in the order of ``x0``; ``nfev`` counts the rounds.
     """
-    runs = [_trf(lambda x, k=k: jac(k, x), start, ftol, xtol, gtol, max_nfev) for k, start in enumerate(x0)]
+    runs = [_trf(start, cfg.ftol, cfg.xtol, cfg.gtol, cfg.max_nfev) for start in x0]
     asked = {k: next(run) for k, run in enumerate(runs)}
     solutions = [None] * len(runs)
     rounds = 0
@@ -629,55 +606,39 @@ def least_squares(fun, x0, jac, *, ftol: float, xtol: float, gtol: float, max_nf
         ks = list(asked)
         values = fun(ks, [asked[k] for k in ks])
         rounds += 1
-        for k, f in zip(ks, values):
+        for k, (f, J) in zip(ks, values):
             try:
-                asked[k] = runs[k].send(np.atleast_1d(np.asarray(f, dtype=float)))
+                asked[k] = runs[k].send((np.atleast_1d(np.asarray(f, dtype=float)), J))
             except StopIteration as done:
                 solutions[k] = done.value
                 del asked[k]
-    return _Solve(solutions, rounds)
-
-
-def _run_least_squares(fun, jac, x0: Sequence[np.ndarray], cfg: OptimizerConfig, label: str,
-                       detail: Optional[Callable[[_Solution], str]] = None) -> _Solve:
-    """One lockstep solve (:func:`least_squares`), each start logged at DEBUG on ``svcal`` with why it
-    stopped, and with ``detail`` of its solution appended where given."""
-    solve = least_squares(fun, x0, jac, ftol=cfg.ftol, xtol=cfg.xtol, gtol=cfg.gtol, max_nfev=cfg.max_nfev)
-    for sol in solve:
+    for sol in solutions:
         logging.getLogger("svcal").debug(
             "%s: status=%d (%s), nfev=%d, njev=%d, cost=%.6e%s",
             label, sol.status, _STOP_REASONS[sol.status], sol.nfev, sol.njev, sol.cost, detail(sol) if detail else "",
         )
-    return solve
+    return _Solve(solutions, rounds)
 
 
-def _one(fun: Callable[[np.ndarray], np.ndarray], jac: Callable[[np.ndarray], np.ndarray]):
-    """(fun, jac) of one problem in the lockstep form of :func:`least_squares`."""
-    return (lambda ks, xs: [fun(xs[0])]), (lambda k, x: jac(x))
-
-
-def _solve(probs: Sequence[_Problem], starts: Sequence[np.ndarray], cfg: OptimizerConfig, label: str) -> _Solve:
-    """Problems ``probs``, which share a grid, solved in lockstep from ``starts``."""
-    return _run_least_squares(lambda ks, xs: _residuals([probs[k] for k in ks], xs),
-                              lambda k, x: probs[k].jac(x), starts, cfg, label)
+def _box_scaled_svd(prob: _Problem, x: np.ndarray, jac: np.ndarray):
+    """(s, V^T) of the SVD of ``jac``, the Jacobian at ``x``, in parameter over box width;
+    None where that is not finite, as where the box slope underflows to 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = jac * ((prob.hi - prob.lo) / _box_slope(x, prob.lo, prob.hi))
+    return np.linalg.svd(scaled, full_matrices=False)[1:] if np.all(np.isfinite(scaled)) else None
 
 
 def _well_posed(prob: _Problem, sol: _Solution) -> bool:
     """Whether solution ``sol`` gives no reason to doubt it: it converged, no price
-    failed at its x, and sigma_min/sigma_max of the Jacobian in parameter over
-    box width is at least ``_WELL_POSED_RATIO`` (NaN or 0 is doubt).
-
-    The residuals and Jacobian are the last evaluation's when it was at
-    ``sol.x``; otherwise they cost one gradient pass.
+    failed at its x, and sigma_min/sigma_max of its Jacobian in parameter over
+    box width is at least ``_WELL_POSED_RATIO`` (NaN or 0 is doubt).  It reads
+    the solution's own residuals and Jacobian, so it prices nothing.
     """
-    if sol.status <= 0 or np.any(prob.residuals(sol.x) == _FAILED_RESIDUAL):
+    if sol.status <= 0 or np.any(sol.fun == _FAILED_RESIDUAL):
         return False
+    svd = _box_scaled_svd(prob, sol.x, sol.jac)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = prob.jac(sol.x) * ((prob.hi - prob.lo) / _box_slope(sol.x, prob.lo, prob.hi))
-        if not np.all(np.isfinite(scaled)):
-            return False
-        sv = np.linalg.svd(scaled, compute_uv=False)
-        return bool(sv[-1] / sv[0] >= _WELL_POSED_RATIO)
+        return svd is not None and bool(svd[0][-1] / svd[0][0] >= _WELL_POSED_RATIO)
 
 
 def _minimize(probs: Sequence[_Problem], x0s: Sequence[np.ndarray], cfg: OptimizerConfig):
@@ -698,7 +659,8 @@ def _minimize(probs: Sequence[_Problem], x0s: Sequence[np.ndarray], cfg: Optimiz
     running = list(range(len(probs)))
     for attempt in range(cfg.starts):
         starts = [x0s[i] if attempt == 0 else x0s[i] + rngs[i].normal(0.0, 0.7, size=len(x0s[i])) for i in running]
-        solve = _solve([probs[i] for i in running], starts, cfg, f"start {attempt + 1} of {cfg.starts}")
+        solve = least_squares(lambda ks, xs: _price([probs[running[k]] for k in ks], xs), starts, cfg,
+                              f"start {attempt + 1} of {cfg.starts}")
         still = []
         for k, i in enumerate(running):
             nfev[i] += solve[k].nfev
@@ -727,10 +689,11 @@ def _feller(params: AffineParams) -> Optional[float]:
 
 
 def _result_from(prob: _Problem, solve: _Solve, k: int, nfev: int, flags=(), penalty_weight=None) -> CalibrationResult:
-    """The result at the x of start ``k`` of ``solve``; not converged where any price failed there."""
+    """The result at the x of start ``k`` of ``solve``, with the data residuals that solve
+    minimized there (its first ``len(prob.market)`` rows); not converged where any price failed."""
     sol = solve[k]
     params = prob.build_params(sol.x)
-    residuals = prob.residuals(sol.x)
+    residuals = sol.fun[:len(prob.market)]
     return CalibrationResult(
         params=params,
         rmse=float(np.sqrt(np.mean(residuals**2))),
@@ -757,7 +720,7 @@ def _settle_rho(prob: _Problem, result: CalibrationResult) -> CalibrationResult:
         return result
     vals["rho"] = 0.0
     params = prob.model.build(vals)
-    residuals = prob.residuals(prob.x_from_params(vals))
+    residuals = prob.evaluate(prob.x_from_params(vals))[0]
     return replace(
         result,
         params=params,
@@ -769,8 +732,9 @@ def _settle_rho(prob: _Problem, result: CalibrationResult) -> CalibrationResult:
 
 
 def _fit(probs: Sequence[_Problem], inits: Sequence[Optional[AffineParams]],
-         config: OptimizerConfig) -> List[CalibrationResult]:
-    """Best fit on each problem (they share a grid) from the default start, with its init's parameters over it."""
+         config: OptimizerConfig) -> List[Tuple[CalibrationResult, _Solution]]:
+    """Best fit on each problem (they share a grid) from the default start, with its init's parameters
+    over it, and the solution of the start it came from."""
     x0s = []
     for prob, init in zip(probs, inits):
         if len(prob.free) > len(prob.target.points):
@@ -781,7 +745,7 @@ def _fit(probs: Sequence[_Problem], inits: Sequence[Optional[AffineParams]],
         if init is not None:
             init_vals.update(init.as_dict())
         x0s.append(prob.x_from_params(init_vals))
-    return [_settle_rho(prob, _result_from(prob, solve, k, nfev))
+    return [(_settle_rho(prob, _result_from(prob, solve, k, nfev)), solve[k])
             for prob, (solve, k, nfev) in zip(probs, _minimize(probs, x0s, config))]
 
 
@@ -798,7 +762,7 @@ def calibrate(
     ``converged``); deterministic for fixed inputs and config.
     """
     prob = _Problem(target, model_spec(model_kind), (fix or FixSet()).resolve(), {}, config.quad)
-    return _fit([prob], [init], config)[0]
+    return _fit([prob], [init], config)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -807,23 +771,22 @@ def calibrate(
 
 
 def _penalized(prob: _Problem, prev_box: np.ndarray, weight: float):
-    """(residuals, jac) of the data residuals augmented with sqrt(w) times the
-    box-width-normalized deviations from ``prev_box``."""
+    """Lockstep ``fun`` (:func:`least_squares`) of ``prob`` alone: its data residuals and
+    Jacobian, with rows of sqrt(w) times the box-width-normalized deviations from ``prev_box``."""
     sqrt_w = math.sqrt(weight)
     width = prob.hi - prob.lo
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        p = _to_box(np.asarray(x, dtype=float), prob.lo, prob.hi)
-        return np.concatenate([prob.residuals(x), sqrt_w * (p - prev_box) / width])
+    def fun(ks, xs):
+        x = xs[0]
+        r, jac = prob.evaluate(x)
+        p, slope = _to_box(x, prob.lo, prob.hi), _box_slope(x, prob.lo, prob.hi)
+        return [(np.concatenate([r, sqrt_w * (p - prev_box) / width]),
+                 np.vstack([jac, np.diag(sqrt_w * slope / width)]))]
 
-    def jac(x: np.ndarray) -> np.ndarray:
-        slope = _box_slope(np.asarray(x, dtype=float), prob.lo, prob.hi)
-        return np.vstack([prob.jac(x), np.diag(sqrt_w * slope / width)])
-
-    return residuals, jac
+    return fun
 
 
-def _predicted_rung(prob: _Problem, evaluation, prev_box: np.ndarray, e0: float) -> Tuple[int, float]:
+def _predicted_rung(prob: _Problem, base: _Solution, prev_box: np.ndarray, e0: float) -> Tuple[int, float]:
     """The first rung k of the weight ladder w = e0 * 8^(k-1), w <= 1e18, whose total a quadratic
     model puts at or above 0.95 * 2 * e0, and that model total over 2 * e0; rung 1 and its model
     total when no rung reaches.
@@ -832,17 +795,14 @@ def _predicted_rung(prob: _Problem, evaluation, prev_box: np.ndarray, e0: float)
     weight w is the discrepancy principle's secular equation (Hansen 1998, ch. 7):
     e0 + sum_i w lam_i c_i^2 / (lam_i + w), with (lam_i, v_i) the eigenpairs of J^T J, J in
     parameter over box width, and c_i = v_i^T d for d the base answer minus ``prev_box`` over
-    the box width.  ``evaluation`` is the base fit's (x, residuals, Jacobian) at its answer,
-    so the model costs no pricing pass.
+    the box width.  ``base`` is the base fit's winning solution, whose x and Jacobian the
+    model reads, so it costs no pricing pass.
     """
-    x, _, jac = evaluation
-    width = prob.hi - prob.lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = jac * (width / _box_slope(x, prob.lo, prob.hi))
-    if not np.all(np.isfinite(scaled)):
+    svd = _box_scaled_svd(prob, base.x, base.jac)
+    if svd is None:
         return 1, math.nan
-    _, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    lam, c2 = s**2, (vt @ ((_to_box(x, prob.lo, prob.hi) - prev_box) / width)) ** 2
+    s, vt = svd
+    lam, c2 = s**2, (vt @ ((_to_box(base.x, prob.lo, prob.hi) - prev_box) / (prob.hi - prob.lo))) ** 2
 
     def ratio(w):
         return float(e0 + np.sum(w * lam * c2 / (lam + w))) / (2.0 * e0)
@@ -890,8 +850,7 @@ def calibrate_penalized(
     if not isinstance(prev, spec.params_type):
         raise DomainError(f"previous parameters are {type(prev).__name__}, not {model_kind} parameters")
     prob = _Problem(target, spec, (fix or FixSet()).resolve(), {}, config.quad)
-    base = _fit([prob], [prev], config)[0]
-    base_evaluation = prob._last  # at the base answer, where its residuals were priced
+    base, base_sol = _fit([prob], [prev], config)[0]
     e0 = base.sse
     if e0 < 1e-12:
         return replace(base, penalty_weight=0.0)
@@ -899,7 +858,7 @@ def calibrate_penalized(
     prev_vals = prev.as_dict()
     prev_box = np.array([prev_vals[n] for n in prob.free])
     x_prev = prob.x_from_params(prev_vals)
-    e_prev = float(np.sum(prob.residuals(x_prev) ** 2))
+    e_prev = float(np.sum(prob.evaluate(x_prev)[0] ** 2))
     target_total = 2.0 * e0
     floor = 0.95 * target_total  # the band's floor
     if e_prev <= floor:
@@ -913,8 +872,8 @@ def calibrate_penalized(
     def solve(w):
         """(total, solve) at weight w."""
         nonlocal nfev
-        res = _run_least_squares(*_one(*_penalized(prob, prev_box, w)), [x_warm], config, f"penalized w={w:.6g}",
-                                 lambda sol: f", total/2e0={sol.cost / e0:.6f}")
+        res = least_squares(_penalized(prob, prev_box, w), [x_warm], config, f"penalized w={w:.6g}",
+                            lambda sol: f", total/2e0={sol.cost / e0:.6f}")
         nfev += res[0].nfev
         return 2.0 * res[0].cost, res  # data SSE + w * penalty
 
@@ -924,7 +883,7 @@ def calibrate_penalized(
     def give_up():
         return replace(base, iterations=nfev, penalty_weight=0.0, flags=base.flags + ("penalty_bisection_failed",))
 
-    k, model = _predicted_rung(prob, base_evaluation, prev_box, e0)
+    k, model = _predicted_rung(prob, base_sol, prev_box, e0)
     logging.getLogger("svcal").debug("penalized: predicted rung %d (w=%.6g), model total/2e0=%.6f",
                                      k, rung(k), model)
     total, res = solve(rung(k))
@@ -1044,7 +1003,7 @@ def calibrate_tenor(
         first += len(target.points)
         probs.append(_Problem(target, MODELS["heston"], fixed, ties, config.quad, (grid, b, cols)))
         inits.append(HestonParams(atm_var, atm_var, kappa, *_tenor_seed(points, sl, kappa)))
-    return _fit(probs, inits, config)
+    return [result for result, _ in _fit(probs, inits, config)]
 
 
 # ---------------------------------------------------------------------------
@@ -1108,24 +1067,22 @@ def calibrate_varswap(
     names = ("v0", "theta", "kappa")
     lo, hi = _box_arrays(names)
 
-    def residuals(x):
+    def fun(ks, xs):
+        """The residuals, and theta + (v0 - theta) phi1(kappa T), phi1(y) = (1 - e^-y)/y,
+        differentiated, times the box slope."""
+        x = xs[0]
         v0, theta, kappa = _to_box(x, lo, hi)
         vals = np.array(
             [expected_mean_variance(HestonParams(v0, theta, kappa, 0.0, 0.0), t) for t in ts]
         )
-        return vals - ws
-
-    def jac(x):
-        """theta + (v0 - theta) phi1(kappa T), phi1(y) = (1 - e^-y)/y, differentiated, times the box slope."""
-        v0, theta, kappa = _to_box(x, lo, hi)
         y = kappa * ts
         phi1 = -np.expm1(-y) / y
         # phi1'(y) = (e^-y (1 + y) - 1)/y^2, from its series where that cancels
         dphi1 = np.where(y < 1e-3, -0.5 + y / 3.0 - y * y / 8.0, (np.expm1(-y) * (1.0 + y) + y) / (y * y))
-        return np.stack([phi1, 1.0 - phi1, (v0 - theta) * ts * dphi1], axis=1) * _box_slope(x, lo, hi)
+        return [(vals - ws, np.stack([phi1, 1.0 - phi1, (v0 - theta) * ts * dphi1], axis=1) * _box_slope(x, lo, hi))]
 
     x0 = _from_box(np.array([max(ws[0], 1.5e-6), max(ws[-1], 1.5e-6), 1.0]), lo, hi)
-    res = _run_least_squares(*_one(residuals, jac), [x0], config, "varswap")[0]
+    res = least_squares(fun, [x0], config, "varswap")[0]
     v0, theta, kappa = (float(v) for v in _to_box(res.x, lo, hi))
     rmse = float(np.sqrt(np.mean(res.fun**2)))
     return VarswapFit(

@@ -135,27 +135,26 @@ def penalized_ladder(target, prev, model_kind="heston", config=cal.DEFAULT_OPT):
     from k = 0 until a total reaches 2*e0, then bisection (halving while no weight fell
     short), each solve from the base answer, the first total inside the 5% band accepted.
 
-    Built from the module's own ``_fit``, ``_penalized`` and ``_run_least_squares``, looked
+    Built from the module's own ``_fit``, ``_penalized`` and ``least_squares``, looked
     up at call time, so a test's stand-ins for them apply here too.  Returns the result and
     the weight of each penalized solve, in order.
     """
     prob = cal._Problem(target, model_spec(model_kind), {}, {}, config.quad)
-    base = cal._fit([prob], [prev], config)[0]
+    base = cal._fit([prob], [prev], config)[0][0]
     e0 = base.sse
     if e0 < 1e-12:
         return replace(base, penalty_weight=0.0), []
     prev_vals = prev.as_dict()
     prev_box = np.array([prev_vals[n] for n in prob.free])
     target_total = 2.0 * e0
-    if float(np.sum(prob.residuals(prob.x_from_params(prev_vals)) ** 2)) <= target_total * 0.95:
+    if float(np.sum(prob.evaluate(prob.x_from_params(prev_vals))[0] ** 2)) <= target_total * 0.95:
         return replace(base, penalty_weight=0.0, flags=base.flags + ("penalty_degenerate",)), []
     x_warm = prob.x_from_params(base.params.as_dict())
     nfev, weights = base.iterations, []
     w, short, reached, bisections = e0, 0.0, None, 0
     while True:
         weights.append(w)
-        res = cal._run_least_squares(*cal._one(*cal._penalized(prob, prev_box, w)), [x_warm], config,
-                                     f"ladder w={w:.6g}")
+        res = cal.least_squares(cal._penalized(prob, prev_box, w), [x_warm], config, f"ladder w={w:.6g}")
         nfev += res[0].nfev
         total = 2.0 * res[0].cost
         if abs(total / target_total - 1.0) <= 0.05:

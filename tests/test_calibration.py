@@ -1,5 +1,6 @@
 import math
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -167,8 +168,7 @@ class TestSurfaceResidual:
         steps = [x + (rng.normal(0.0, 0.05, 5) if step else 0.0) for step in range(8)]
         for y in steps:  # the fit, then steps around it, each with its Jacobian
             sizes.clear()
-            prob.residuals(y)
-            prob.jac(y)
+            prob.evaluate(y)
             per_eval.append(list(sizes))
         assert len(per_eval[0]) >= 1  # the first sizes the panels: one call per refinement round
         assert all(len(calls) == 1 for calls in per_eval[1:])
@@ -181,7 +181,7 @@ class TestSurfaceResidual:
                                       {expiry: sl})
             alone_prob = _Problem(alone, MODELS["heston"], {}, {}, DEFAULT_QUAD)
             for y in steps:  # the same history: a block's range follows only its own tail
-                alone_prob.residuals(y)
+                alone_prob.evaluate(y)
             want, _ = _model_values(self.EURUSD_FIT, alone, alone_prob.grid)
             got = surface[:, [pt.expiry == expiry for pt in target.points]]
             assert np.array_equal(got, want)
@@ -204,7 +204,7 @@ class TestSurfaceResidual:
 
         fixed = {n: v for n, v in p.as_dict().items() if n != "rho"}
         prob = _Problem(target, MODELS["heston"], fixed, {}, quad)
-        return prob.residuals(prob.x_from_params({"rho": p.rho}))
+        return prob.evaluate(prob.x_from_params({"rho": p.rho}))[0]
 
     @staticmethod
     def _price_target(points):
@@ -315,7 +315,7 @@ class TestCalibrate:
         res = calibrate(target, "heston", init=init)
         from svcal.calibration import _Problem, MODELS, DEFAULT_QUAD
         prob = _Problem(target, MODELS["heston"], {}, {}, DEFAULT_QUAD)
-        sse_init = float(np.sum(prob.residuals(prob.x_from_params(init.as_dict())) ** 2))
+        sse_init = float(np.sum(prob.evaluate(prob.x_from_params(init.as_dict()))[0] ** 2))
         assert res.sse <= sse_init + 1e-15
 
     def test_a_fit_whose_every_price_failed_is_not_converged(self):
@@ -386,8 +386,8 @@ def _central_differences(fun, x, h=1e-6):
 
 
 class TestAnalyticJacobian:
-    """_Problem.jac: the CF gradient pushed through the frozen grid, the ties,
-    the fixed parameters and the box map, against central differences of the residuals."""
+    """_Problem.evaluate's Jacobian: the CF gradient pushed through the frozen grid, the ties,
+    the fixed parameters and the box map, against central differences of its residuals."""
 
     @staticmethod
     def _problem(case, space, quad=DEFAULT_QUAD):
@@ -404,11 +404,11 @@ class TestAnalyticJacobian:
 
         prob = self._problem(case, space)
         x = np.array(x[:len(prob.free)])
-        assume(np.all(prob.residuals(x) != _FAILED_RESIDUAL))
+        assume(np.all(prob.evaluate(x)[0] != _FAILED_RESIDUAL))
         panels = prob.grid.panels
-        want = _central_differences(prob.residuals, x)
+        want = _central_differences(lambda y: prob.evaluate(y)[0], x)
         assume(prob.grid.panels == panels)  # no re-sizing inside the differences
-        got = prob.jac(x)
+        got = prob.evaluate(x)[1]
         assert got.shape == (len(prob.market), len(prob.free))
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
@@ -419,10 +419,10 @@ class TestAnalyticJacobian:
         prob = self._problem(_FREE_SETS[0], space)
         prev_box = np.array([0.02, 0.015, 1.0, 0.3, -0.2])
         x = prob.x_from_params({"v0": 0.0178, "theta": 0.0135, "kappa": 1.3, "sigma": 0.29, "rho": -0.14})
-        fun, jac = _penalized(prob, prev_box, 0.37)
-        got = jac(x)
+        fun = _penalized(prob, prev_box, 0.37)
+        [(_, got)] = fun([0], [x])
         assert got.shape == (len(prob.market) + 5, 5)
-        want = _central_differences(fun, x)
+        want = _central_differences(lambda y: fun([0], [y])[0][0], x)
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
         np.testing.assert_allclose(got[-5:], np.diag(np.diag(got[-5:])), rtol=0, atol=0)
 
@@ -432,8 +432,9 @@ class TestAnalyticJacobian:
 
         prob = self._problem(_FREE_SETS[0], "vol", QuadratureConfig(tolerance=1e-16, max_evals=30))
         x = np.zeros(5)
-        assert np.all(prob.residuals(x) == _FAILED_RESIDUAL)
-        assert np.array_equal(prob.jac(x), np.zeros((len(prob.market), 5)))
+        res, jac = prob.evaluate(x)
+        assert np.all(res == _FAILED_RESIDUAL)
+        assert np.array_equal(jac, np.zeros((len(prob.market), 5)))
 
     def test_every_model_has_a_cf_gradient(self):
         from svcal.calibration import MODELS, _default_init
@@ -449,25 +450,17 @@ class TestAnalyticJacobian:
             cf_grad_for(PiecewiseHestonParams(0.04, (1.0,), ((0.04, 1.0, 0.5, -0.5),)))
 
     @staticmethod
-    def _assert_evaluations_only_at_its_steps(monkeypatch, model):
-        """No finite-difference columns: one evaluation per change of x among the
-        residual and Jacobian requests, and a residual request per nfev plus the
-        reported one."""
+    def _assert_evaluations_only_at_its_steps(monkeypatch, model, fix=None, config=OptimizerConfig(starts=1)):
+        """No finite-difference columns, no pass for a Jacobian and none for the reported
+        residuals: a fit prices exactly ``iterations`` times."""
         import svcal.calibration
-        from svcal.calibration import _Problem
 
-        calls, asked = [], []
+        calls = []
         values = svcal.calibration._model_values
         monkeypatch.setattr(svcal.calibration, "_model_values", lambda *a: calls.append(1) or values(*a))
-        for name in ("residuals", "jac"):
-            method = getattr(_Problem, name)
-            monkeypatch.setattr(_Problem, name, lambda self, x, m=method, n=name: asked.append(
-                (n, np.array(x, dtype=float))) or m(self, x))
-        fit = calibrate(_BUNDLED[0], model, config=OptimizerConfig(starts=1))
+        fit = calibrate(_BUNDLED[0], model, fix=fix, config=config)
         assert fit.converged
-        assert sum(n == "residuals" for n, _ in asked) == fit.iterations + 1
-        changes = 1 + sum(not np.array_equal(a, b) for (_, a), (_, b) in zip(asked, asked[1:]))
-        assert len(calls) == changes
+        assert len(calls) == fit.iterations
 
     def test_a_heston_fit_evaluates_residuals_only_at_its_steps(self, monkeypatch):
         self._assert_evaluations_only_at_its_steps(monkeypatch, "heston")
@@ -475,10 +468,15 @@ class TestAnalyticJacobian:
     def test_a_schobel_zhu_fit_evaluates_residuals_only_at_its_steps(self, monkeypatch):
         self._assert_evaluations_only_at_its_steps(monkeypatch, "schobel_zhu")
 
+    def test_the_bundled_fixed_kappa_fit_evaluates_residuals_only_at_its_steps(self, monkeypatch):
+        # its solve's last trial step is rejected, and its single start is checked for
+        # being well posed: both read the solution's own residuals and Jacobian
+        self._assert_evaluations_only_at_its_steps(monkeypatch, "heston", FixSet(fixed={"kappa": 2.0}), cal.DEFAULT_OPT)
+
 
 class TestOneEvaluationPerX:
-    """_Problem.residuals and _Problem.jac share one CF-and-gradient evaluation
-    per x: at the x of the last evaluation neither prices nor inverts again."""
+    """_Problem.evaluate gives the residuals and the Jacobian at x from one
+    CF-and-gradient pass and one implied-vol inversion."""
 
     X = {"v0": 0.0178, "theta": 0.0135, "kappa": 1.3, "sigma": 0.29, "rho": -0.14}
 
@@ -499,34 +497,20 @@ class TestOneEvaluationPerX:
 
         prob = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
         x = prob.x_from_params(self.X)
-        prob.residuals(x)  # sizes the panels
+        prob.evaluate(x)  # sizes the panels
         return prob, x, x + np.array([0.1, -0.1, 0.05, 0.0, 0.02])
 
-    def test_jac_at_the_last_residual_x_evaluates_nothing(self, calls):
+    def test_a_new_x_evaluates_once(self, calls):
         from svcal.calibration import MODELS, _Problem
 
         prob, x, y = self._problem()
-        prob.residuals(y)
         calls.clear()
-        got = prob.jac(y)
-        assert calls == []
-        fresh = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
-        fresh.residuals(x)  # the same panels as prob's
-        np.testing.assert_allclose(got, fresh.jac(y), rtol=1e-12, atol=0)
-
-    def test_a_new_x_evaluates_once(self, calls):
-        prob, x, y = self._problem()
-        calls.clear()
-        res = prob.residuals(y)
-        assert calls == ["kernel", "invert"]
-        jac = prob.jac(y)
-        prob.residuals(y)
+        res, jac = prob.evaluate(y)
         assert calls == ["kernel", "invert"]
         assert jac.shape == (len(res), 5)
-        calls.clear()
-        prob.jac(x)  # a Jacobian at a new x evaluates, and its residuals come with it
-        prob.residuals(x)
-        assert calls == ["kernel", "invert"]
+        fresh = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
+        fresh.evaluate(x)  # the same panels as prob's
+        np.testing.assert_allclose(jac, fresh.evaluate(y)[1], rtol=1e-12, atol=0)
 
     def test_a_failed_x_gives_zeros_without_a_second_evaluation(self, monkeypatch):
         import svcal.calibration
@@ -540,9 +524,26 @@ class TestOneEvaluationPerX:
             raise NumericalError("pricing failed")
 
         monkeypatch.setattr(svcal.calibration, "_model_values", fail)
-        assert np.all(prob.residuals(y) == svcal.calibration._FAILED_RESIDUAL)
-        assert np.array_equal(prob.jac(y), np.zeros((len(prob.market), 5)))
+        res, jac = prob.evaluate(y)
+        assert np.all(res == svcal.calibration._FAILED_RESIDUAL)
+        assert np.array_equal(jac, np.zeros((len(prob.market), 5)))
         assert len(failures) == 1
+
+
+def test_a_result_reports_its_solves_own_data_residuals_and_prices_nothing(monkeypatch):
+    # a penalized solve's residuals: the data rows, then one row per free parameter
+    prob = cal._Problem(_BUNDLED[0], cal.MODELS["heston"], {}, {}, DEFAULT_QUAD)
+    x = prob.x_from_params(TestOneEvaluationPerX.X)
+    fun = np.concatenate([np.random.default_rng(3).normal(0.0, 1e-3, len(prob.market)), np.ones(5)])
+    sol = cal._Solution(x, 0.5 * float(fun @ fun), fun, np.zeros((len(fun), 5)), 2, 7, 5)
+
+    def unexpected(*args):
+        raise AssertionError("the result priced")
+
+    monkeypatch.setattr(cal, "_model_values", unexpected)
+    res = cal._result_from(prob, cal._Solve([sol], 7), 0, 7)
+    assert [r.hex() for r in res.residuals] == [float(r).hex() for r in fun[:len(prob.market)]]
+    assert res.params == prob.build_params(x) and res.converged and res.iterations == 7
 
 
 def _count_solves(monkeypatch, fake=None):
@@ -551,13 +552,13 @@ def _count_solves(monkeypatch, fake=None):
     import svcal.calibration
 
     calls = []
-    real = svcal.calibration._run_least_squares
+    real = svcal.calibration.least_squares
 
-    def solve(fun, jac, x0, cfg, label="solve"):
+    def solve(fun, x0, cfg, label, detail=None):
         calls.append([np.array(x) for x in x0])
-        return [next(fake)] if fake is not None else real(fun, jac, x0, cfg, label)
+        return [next(fake)] if fake is not None else real(fun, x0, cfg, label, detail)
 
-    monkeypatch.setattr(svcal.calibration, "_run_least_squares", solve)
+    monkeypatch.setattr(svcal.calibration, "least_squares", solve)
     return calls
 
 
@@ -574,18 +575,18 @@ class TestRestarts:
     def _result(x, cost, status=1, nfev=10):
         from types import SimpleNamespace
 
-        return SimpleNamespace(x=np.array(x, dtype=float), cost=cost, status=status, nfev=nfev)
+        return SimpleNamespace(x=np.array(x, dtype=float), cost=cost, fun=np.array([math.sqrt(2.0 * cost)]),
+                               status=status, nfev=nfev)
 
     @staticmethod
     def _problem(results, scaled_jac):
-        """The bundled Heston problem, its residuals at each result's x carrying that result's
-        cost and its Jacobian in parameter over box width ``scaled_jac`` everywhere."""
+        """The bundled Heston problem, with each result given the Jacobian at its x whose
+        Jacobian in parameter over box width is ``scaled_jac``."""
         from svcal.calibration import MODELS, _box_slope, _Problem
 
         prob = _Problem(_BUNDLED[0], MODELS["heston"], {}, {}, DEFAULT_QUAD)
-        costs = {tuple(r.x): r.cost for r in results}
-        prob.residuals = lambda x: np.array([math.sqrt(2.0 * costs[tuple(np.asarray(x, dtype=float))])])
-        prob.jac = lambda x: scaled_jac * _box_slope(np.asarray(x, dtype=float), prob.lo, prob.hi) / (prob.hi - prob.lo)
+        for r in results:
+            r.jac = scaled_jac * _box_slope(r.x, prob.lo, prob.hi) / (prob.hi - prob.lo)
         return prob
 
     def _minimize(self, monkeypatch, results, starts=3, scaled_jac=FLAT):
@@ -634,30 +635,23 @@ class TestRestarts:
         assert fit.params.rho == 0.0 and fit.flags == ("rho_unidentified",)
 
     def test_a_first_start_with_a_failed_price_at_its_answer_is_confirmed(self, monkeypatch):
-        import svcal.calibration as cal
-        from svcal.errors import NumericalError
+        import dataclasses
 
         def problem():
             return cal._Problem(_BUNDLED[0], cal.MODELS["heston"], {}, {}, DEFAULT_QUAD)
 
         prob = problem()
         x0 = prob.x_from_params(cal._default_init("heston", _BUNDLED[0]))
-        first = cal._solve([prob], [x0], cal.DEFAULT_OPT, "first")
+        first = cal.least_squares(lambda ks, xs: cal._price([prob], xs), [x0], cal.DEFAULT_OPT, "first")
         assert cal._well_posed(prob, first[0])
-        # the same first start, on a problem whose pricing fails at its answer
+        # the same first start with its answer's prices failed, on a fresh problem: its
+        # Jacobian is still the well-conditioned one, so only its residuals say so
         prob = problem()
-        failing = prob.build_params(first[0].x)
-        values = cal._model_values
-
-        def model_values(params, target, grid):
-            if params == failing:
-                raise NumericalError("pricing failed")
-            return values(params, target, grid)
-
-        monkeypatch.setattr(cal, "_model_values", model_values)
-        solves, real = [], cal._run_least_squares
-        monkeypatch.setattr(cal, "_run_least_squares", lambda *a: solves.append(a[2]) or (
-            first if len(solves) == 1 else real(*a)))
+        failed = dataclasses.replace(first[0], fun=np.full_like(first[0].fun, cal._FAILED_RESIDUAL))
+        assert not cal._well_posed(prob, failed)
+        solves, real = [], cal.least_squares
+        monkeypatch.setattr(cal, "least_squares", lambda *a: solves.append(a[1]) or (
+            [failed] if len(solves) == 1 else real(*a)))
         cal._minimize([prob], [x0], cal.DEFAULT_OPT)
         assert len(solves) == 3
 
@@ -956,8 +950,6 @@ class TestPredictedRung:
     """The quadratic model of the penalized total, on a linear problem where it is exact."""
 
     def _case(self, seed):
-        import types
-
         rng = np.random.default_rng(seed)
         lo, hi = np.zeros(3), np.full(3, 2.0)
         prob = types.SimpleNamespace(lo=lo, hi=hi)
@@ -965,11 +957,12 @@ class TestPredictedRung:
         jac_box = rng.normal(size=(6, 3))  # residuals over parameter in box widths
         prev_box = cal._to_box(x, lo, hi) + 0.02 * rng.normal(size=3)
         jac = jac_box * cal._box_slope(x, lo, hi) / (hi - lo)
-        return prob, (x, None, jac), prev_box, jac_box, (cal._to_box(x, lo, hi) - prev_box) / (hi - lo)
+        base = types.SimpleNamespace(x=x, jac=jac)  # the base fit's solution
+        return prob, base, prev_box, jac_box, (cal._to_box(x, lo, hi) - prev_box) / (hi - lo)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_predicts_the_first_rung_whose_exact_total_reaches_the_floor(self, seed):
-        prob, evaluation, prev_box, jac_box, d = self._case(seed)
+        prob, base, prev_box, jac_box, d = self._case(seed)
         e0 = 1e-6
 
         def exact(w):
@@ -979,21 +972,21 @@ class TestPredictedRung:
             s = np.linalg.lstsq(a, b, rcond=None)[0]
             return (e0 + float(np.sum((a @ s - b) ** 2))) / (2.0 * e0)
 
-        k, ratio = cal._predicted_rung(prob, evaluation, prev_box, e0)
+        k, ratio = cal._predicted_rung(prob, base, prev_box, e0)
         assert k > 1  # e0 is small against |J d|^2, so rung 1 stays below the floor
         assert ratio == pytest.approx(exact(e0 * 8.0 ** (k - 1)), rel=1e-9)
         assert ratio >= 0.95 > exact(e0 * 8.0 ** (k - 2))
 
     def test_starts_at_rung_1_when_no_rung_reaches(self):
-        prob, (x, _, jac), prev_box, _, _ = self._case(0)
+        prob, base, prev_box, _, _ = self._case(0)
         # the total can rise no higher than e0 + |J d|^2, here below the floor at every weight
-        k, ratio = cal._predicted_rung(prob, (x, None, 1e-9 * jac), prev_box, 1.0)
+        k, ratio = cal._predicted_rung(prob, types.SimpleNamespace(x=base.x, jac=1e-9 * base.jac), prev_box, 1.0)
         assert k == 1 and ratio == pytest.approx(0.5)
 
     def test_starts_at_rung_1_where_the_box_slope_vanishes(self):
-        prob, (x, _, jac), prev_box, _, _ = self._case(0)
+        prob, base, prev_box, _, _ = self._case(0)
         x = np.array([800.0, 0.0, 0.0])  # the logistic's slope underflows to 0
-        k, ratio = cal._predicted_rung(prob, (x, None, jac), prev_box, 1e-6)
+        k, ratio = cal._predicted_rung(prob, types.SimpleNamespace(x=x, jac=base.jac), prev_box, 1e-6)
         assert k == 1 and math.isnan(ratio)
 
 
@@ -1006,8 +999,6 @@ class TestPenalizedSearchPolicy:
     def _search(self, monkeypatch, total, rung=None):
         """(weights over E0 in solve order, result, the ladder's result) with the model's
         prediction replaced by ``rung``; with ``rung`` None the model runs on a zero Jacobian."""
-        import types
-
         from oracles import penalized_ladder
 
         seen = _record_weights(monkeypatch)
@@ -1016,14 +1007,13 @@ class TestPenalizedSearchPolicy:
         def fit(probs, inits, config):
             prob = probs[0]
             zeros = np.zeros((len(prob.market), len(prob.free)))
-            prob._last = (prob.x_from_params(TRUTH.as_dict()), zeros[:, 0], zeros)
-            return [base]
+            return [(base, types.SimpleNamespace(x=prob.x_from_params(TRUTH.as_dict()), jac=zeros))]
 
         monkeypatch.setattr(cal, "_fit", fit)
         monkeypatch.setattr(
-            cal, "_run_least_squares",
-            lambda fun, jac, x0, cfg, label, detail=None: [
-                types.SimpleNamespace(x=x0[0], cost=0.5 * total(seen[-1]), nfev=1, status=1)],
+            cal, "least_squares",
+            lambda fun, x0, cfg, label, detail=None: [
+                types.SimpleNamespace(x=x0[0], cost=0.5 * total(seen[-1]), fun=np.zeros(1), nfev=1, status=1)],
         )
         if rung is not None:
             monkeypatch.setattr(cal, "_predicted_rung", lambda *args: (rung, math.nan))
@@ -1210,9 +1200,9 @@ class TestCalibrateVarswap:
         settings = []
         real = svcal.calibration.least_squares
 
-        def spy(*args, **kwargs):
-            settings.append(kwargs)
-            return real(*args, **kwargs)
+        def spy(fun, x0, cfg, *args):
+            settings.append(cfg)
+            return real(fun, x0, cfg, *args)
 
         monkeypatch.setattr(svcal.calibration, "least_squares", spy)
         truth = HestonParams(0.04, 0.09, 1.0, 0.0, 0.0)
@@ -1221,7 +1211,7 @@ class TestCalibrateVarswap:
         with caplog.at_level("DEBUG", logger="svcal"):
             fit = calibrate_varswap(curve, config=config)
         assert fit.converged
-        assert settings == [dict(ftol=1e-11, xtol=1e-10, gtol=1e-9, max_nfev=77)]
+        assert settings == [config]
         records = [r.getMessage() for r in caplog.records if r.name == "svcal"]
         assert len(records) == 1
         assert re.fullmatch(r"varswap: status=[1-4] \([a-z ]+\), nfev=\d+, njev=\d+, cost=\S+", records[0])

@@ -52,6 +52,17 @@ PROBLEMS = {
 }
 
 
+def _lockstep(names, rounds=None):
+    """The lockstep ``fun`` of problems ``names``: each one's (residuals, Jacobian) at its x,
+    the problems asked of each round appended to ``rounds`` where given."""
+    def fun(ks, xs):
+        if rounds is not None:
+            rounds.append(ks)
+        return [(PROBLEMS[names[k]][0](x), PROBLEMS[names[k]][1](x)) for k, x in zip(ks, xs)]
+
+    return fun
+
+
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_the_solver_matches_scipy_trf(name, tol):
@@ -59,8 +70,8 @@ def test_the_solver_matches_scipy_trf(name, tol):
 
     fun, jac, x0, max_nfev = PROBLEMS[name]
     want = least_squares(fun, x0, jac=jac, method="trf", ftol=tol, xtol=tol, gtol=tol, max_nfev=max_nfev)
-    one, one_jac = cal._one(fun, jac)
-    [got] = cal.least_squares(one, [x0], one_jac, ftol=tol, xtol=tol, gtol=tol, max_nfev=max_nfev)
+    cfg = cal.OptimizerConfig(ftol=tol, xtol=tol, gtol=tol, max_nfev=max_nfev)
+    [got] = cal.least_squares(_lockstep([name]), [x0], cfg, name)
     assert got.status == want.status
     assert got.nfev == want.nfev and got.njev == want.njev
     np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-10)
@@ -69,19 +80,10 @@ def test_the_solver_matches_scipy_trf(name, tol):
 
 def test_problems_in_lockstep_each_get_their_solution_alone():
     names = [n for n in sorted(PROBLEMS) if PROBLEMS[n][3] == 600]
-    cfg = dict(ftol=1e-10, xtol=1e-10, gtol=1e-10, max_nfev=600)
-    alone = []
-    for n in names:
-        fun, jac = cal._one(*PROBLEMS[n][:2])
-        alone.append(cal.least_squares(fun, [PROBLEMS[n][2]], jac, **cfg))
+    cfg = cal.OptimizerConfig(ftol=1e-10, xtol=1e-10, gtol=1e-10, max_nfev=600)
+    alone = [cal.least_squares(_lockstep([n]), [PROBLEMS[n][2]], cfg, n) for n in names]
     rounds = []
-
-    def fun(ks, xs):
-        rounds.append(ks)
-        return [PROBLEMS[names[k]][0](x) for k, x in zip(ks, xs)]
-
-    together = cal.least_squares(fun, [PROBLEMS[n][2] for n in names], lambda k, x: PROBLEMS[names[k]][1](x),
-                                 **cfg)
+    together = cal.least_squares(_lockstep(names, rounds), [PROBLEMS[n][2] for n in names], cfg, "together")
     for [a], b in zip(alone, together):
         assert np.array_equal(a.x, b.x) and a.cost == b.cost and (a.status, a.nfev, a.njev) == (b.status, b.nfev,
                                                                                                b.njev)
