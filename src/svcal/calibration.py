@@ -10,11 +10,18 @@ term-structure fits.  The models a fit can calibrate, and the parameter
 names each one frees or fixes, are the ``MODELS`` table of
 :mod:`svcal.models`.
 
-A solve stops on its ``xtol`` or ``gtol`` test at 1e-12, or its ``ftol``
-test at 1e-13, each as ``trf`` defines it (``OptimizerConfig`` says why):
-the cost of a converged fit scatters by about 1e-12 relative about a
-smooth curve (the quadrature's rounding), so a tighter step test is met
-only by chance, after rejected steps that cannot lower the cost.  Each solve logs why it
+A solve stops where its prices stop being accurate, or else at the cost's
+resolution.  Each residual comes with its stated bound delta: its weight
+times the grid's price bound, or that over the vega for a vol.  Errors
+within delta move the least-squares answer, to first order, by at most
+u = |J^+| delta in each parameter, so once the Gauss-Newton step is within
+u in every parameter the solve stops with status 5, ``accuracy`` (Moré &
+Wild 2011; Dennis & Schnabel 1983, section 7.2).  Failing that, it stops
+on its ``xtol`` or ``gtol`` test at 1e-12, or its ``ftol`` test at 1e-13,
+each as ``trf`` defines it (``OptimizerConfig`` says why): the cost of a
+converged fit scatters by about 1e-12 relative about a smooth curve (the
+quadrature's rounding), so a tighter step test is met only by chance,
+after rejected steps that cannot lower the cost.  Each solve logs why it
 stopped on the ``svcal`` logger at DEBUG level.
 
 Each fit runs up to ``OptimizerConfig.starts`` starts: the initial guess,
@@ -166,7 +173,9 @@ class OptimizerConfig:
     floor at which a fit stops.
 
     ``ftol``, ``xtol`` and ``gtol`` are the solver's stop tests, defined as
-    scipy's ``trf`` defines them (:func:`least_squares`).  ``xtol`` and
+    scipy's ``trf`` defines them (:func:`least_squares`); they are the floor
+    under its ``accuracy`` stop, whose scale is the prices' stated bounds,
+    set by ``quad.tolerance`` (see the module docstring).  ``xtol`` and
     ``gtol`` default to 1e-12, the resolution of the cost: a converged dense
     fit's cost scatters by 1.2-2.0e-12 relative about a smooth curve, and at
     1e-14 over half of a fit's evaluations came after its cost was within
@@ -280,8 +289,8 @@ def _model_values(params, target: CalibrationTarget, grid: SurfaceGrid):
     ``params`` is one parameter set for every block of the grid, or a mapping
     of some of its blocks to Heston parameters, each block priced at its own
     and the others not at all.  Returns the rows, NaN at the options of the
-    blocks not priced or failed, and the error of each block that failed
-    (:meth:`SurfaceGrid.evaluate`).
+    blocks not priced or failed, each value's stated bound, and the error of
+    each block that failed (:meth:`SurfaceGrid.evaluate`).
     """
     if isinstance(params, Mapping):
         expiries = grid.expiries
@@ -366,37 +375,41 @@ class _Problem:
 
     def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(residuals, Jacobian) at ``x``, from one pricing pass (:func:`_price`)."""
-        return _price([self], [x])[0]
+        return _price([self], [x])[0][:2]
 
 
-def _price(probs: Sequence[_Problem], xs: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Each problem's (residuals, Jacobian) at its x, all from one :func:`_model_values`
+def _price(probs: Sequence[_Problem],
+           xs: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """Each problem's (residuals, Jacobian, bounds) at its x, all from one :func:`_model_values`
     call on their shared grid.
 
     The Jacobian is the model's CF gradient chained through the ties, the
-    fixed parameters and the logistic box map.  A problem whose pricing fails
-    gets ``_FAILED_RESIDUAL`` everywhere and a zero Jacobian, as a finite
-    difference of the constant failed residual has; the others are priced as
-    if alone.
+    fixed parameters and the logistic box map.  The bounds are the weights
+    times the grid's stated bound of each value (:meth:`SurfaceGrid.evaluate`):
+    how far each residual may be from the one exact pricing would give.  A
+    problem whose pricing fails gets ``_FAILED_RESIDUAL`` everywhere, a zero
+    Jacobian, as a finite difference of the constant failed residual has, and
+    no bounds; the others are priced as if alone.
     """
     lead = probs[0]
     xs = [np.asarray(x, dtype=float) for x in xs]
     params = [p.build_params(x) for p, x in zip(probs, xs)]
     try:
         if lead.block is None:
-            rows, failed = _model_values(params[0], lead.target, lead.grid)
+            rows, bounds, failed = _model_values(params[0], lead.target, lead.grid)
         else:
-            rows, failed = _model_values({p.block: q for p, q in zip(probs, params)}, lead.target, lead.grid)
+            rows, bounds, failed = _model_values({p.block: q for p, q in zip(probs, params)}, lead.target,
+                                                 lead.grid)
     except (NumericalError, DomainError):
-        rows, failed = None, None
+        rows = bounds = failed = None
     out = []
     for p, x in zip(probs, xs):
         if failed is None or (p.block in failed if p.block is not None else failed):
-            out.append((np.full(len(p.market), _FAILED_RESIDUAL), np.zeros((len(p.market), len(p.free)))))
+            out.append((np.full(len(p.market), _FAILED_RESIDUAL), np.zeros((len(p.market), len(p.free))), None))
             continue
-        r = rows if p.cols is None else rows[:, p.cols]
+        r, b = (rows, bounds) if p.cols is None else (rows[:, p.cols], bounds[p.cols])
         jac = p.weights[:, None] * (r[1:].T @ p._chain) * _box_slope(x, p.lo, p.hi)
-        out.append((p.weights * (r[0] - p.market), jac))
+        out.append((p.weights * (r[0] - p.market), jac, p.weights * b))
     return out
 
 
@@ -448,7 +461,7 @@ def _default_init(model_kind: str, target: CalibrationTarget) -> dict:
 
 _EPS = np.finfo(float).eps
 # the solver's status codes, as trf's; the per-solve debug record names them
-_STOP_REASONS = {0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol and xtol"}
+_STOP_REASONS = {0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol and xtol", 5: "accuracy"}
 
 
 @dataclass(frozen=True)
@@ -519,9 +532,20 @@ def _tr_step(uf: np.ndarray, s: np.ndarray, V: np.ndarray, delta: float, alpha: 
     return p * (delta / np.linalg.norm(p)), alpha
 
 
+def _noise_spread(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, f: np.ndarray, bounds: np.ndarray):
+    """The Gauss-Newton step -J^+ f and |J^+| ``bounds``, from one SVD J = U diag(s) V^T of full rank.
+
+    A residual error e with |e| <= ``bounds`` moves the least-squares answer
+    by J^+ e, at most |J^+| ``bounds`` in each parameter: a step inside that
+    spread is one the residuals' accuracy cannot resolve.
+    """
+    pinv = (Vt.T / s).dot(U.T)
+    return -pinv.dot(f), np.abs(pinv).dot(bounds)
+
+
 def _trf(x0: np.ndarray, ftol: float, xtol: float, gtol: float, max_nfev: int):
     """One problem's trust-region solve, as a generator: it yields each point it needs
-    evaluated and is sent back (residuals, Jacobian) there, and it returns its :class:`_Solution`.
+    evaluated and is sent back (residuals, Jacobian, bounds) there, and it returns its :class:`_Solution`.
 
     scipy's ``trf`` for an unbounded problem with ``x_scale`` 1 and the exact
     subproblem (:func:`_tr_step`): the same steps, radius update and stop
@@ -529,11 +553,16 @@ def _trf(x0: np.ndarray, ftol: float, xtol: float, gtol: float, max_nfev: int):
     in max norm; 2 when a step that lowers the cost by less than ``ftol``
     times the cost, with a ratio of actual to predicted reduction above
     1/4, 3 when a step shorter than ``xtol * (xtol + |x|)``, 4 when both;
-    0 after ``max_nfev`` evaluations.  It keeps the Jacobian of each point it
-    accepts, and ``njev`` counts those points.
+    0 after ``max_nfev`` evaluations.  It stops with status 5 (``accuracy``)
+    at the start point or an accepted point, where the gradient test has not
+    stopped it, once the Gauss-Newton step is within the spread the
+    residuals' bounds put on the answer in every parameter
+    (:func:`_noise_spread`, from the SVD the step takes anyway); that test runs
+    only where J has full rank and the bounds are given and finite.  It keeps
+    the Jacobian of each point it accepts, and ``njev`` counts those points.
     """
     x = np.array(x0, dtype=float)
-    f, J = yield x
+    f, J, bounds = yield x
     if not np.all(np.isfinite(f)):
         raise NumericalError("residuals are not finite at the start point")
     nfev = njev = 1
@@ -541,12 +570,18 @@ def _trf(x0: np.ndarray, ftol: float, xtol: float, gtol: float, max_nfev: int):
     g = J.T.dot(f)
     delta = np.linalg.norm(x) or 1.0
     alpha, status = 0.0, None
+    m, n = J.shape
     while True:
         if np.linalg.norm(g, ord=np.inf) < gtol:
             status = 1
+        if status is None:
+            U, s, Vt = np.linalg.svd(J, full_matrices=False)
+            if bounds is not None and m >= n and s[-1] > _EPS * m * s[0] and np.all(np.isfinite(bounds)):
+                gn, spread = _noise_spread(U, s, Vt, f, bounds)
+                if np.all(np.abs(gn) <= spread):
+                    status = 5
         if status is not None or nfev == max_nfev:
             break
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
         uf = U.T.dot(f)
         actual = -1
         while actual <= 0 and nfev < max_nfev:
@@ -554,7 +589,7 @@ def _trf(x0: np.ndarray, ftol: float, xtol: float, gtol: float, max_nfev: int):
             Js = J.dot(step)
             predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
             x_new = x + step
-            f_new, J_new = yield x_new
+            f_new, J_new, bounds_new = yield x_new
             nfev += 1
             step_norm = np.linalg.norm(step)
             if not np.all(np.isfinite(f_new)):
@@ -579,7 +614,7 @@ def _trf(x0: np.ndarray, ftol: float, xtol: float, gtol: float, max_nfev: int):
             alpha *= delta / delta_new
             delta = delta_new
         if actual > 0:
-            x, f, J, cost = x_new, f_new, J_new, cost_new
+            x, f, J, bounds, cost = x_new, f_new, J_new, bounds_new, cost_new
             njev += 1
             g = J.T.dot(f)
     return _Solution(x, cost, f, J, status or 0, nfev, njev)
@@ -592,8 +627,10 @@ def least_squares(fun, x0, cfg: OptimizerConfig, label: str,
     Each problem runs its own :func:`_trf` with its own state and ``cfg``'s stop
     tests, so its solution is the one it would reach alone.  Each round asks every
     problem still running for one point: ``fun(ks, xs)`` returns the (residuals,
-    Jacobian) of problems ``ks`` at points ``xs``, all evaluated together, and the
-    solver keeps the Jacobian of each point it accepts.  Each start is logged at
+    Jacobian, bounds) of problems ``ks`` at points ``xs``, all evaluated together,
+    and the solver keeps the Jacobian of each point it accepts.  The bounds, each
+    residual's largest error, or None where there are none, feed the ``accuracy``
+    stop (:func:`_trf`).  Each start is logged at
     DEBUG on ``svcal`` as ``label`` with why it stopped, its ``nfev``, its ``njev``
     (its accepted points), its cost and ``detail`` of its solution where given.
     Returns the solutions in the order of ``x0``; ``nfev`` counts the rounds.
@@ -606,9 +643,9 @@ def least_squares(fun, x0, cfg: OptimizerConfig, label: str,
         ks = list(asked)
         values = fun(ks, [asked[k] for k in ks])
         rounds += 1
-        for k, (f, J) in zip(ks, values):
+        for k, (f, J, bounds) in zip(ks, values):
             try:
-                asked[k] = runs[k].send((np.atleast_1d(np.asarray(f, dtype=float)), J))
+                asked[k] = runs[k].send((np.atleast_1d(np.asarray(f, dtype=float)), J, bounds))
             except StopIteration as done:
                 solutions[k] = done.value
                 del asked[k]
@@ -771,17 +808,19 @@ def calibrate(
 
 
 def _penalized(prob: _Problem, prev_box: np.ndarray, weight: float):
-    """Lockstep ``fun`` (:func:`least_squares`) of ``prob`` alone: its data residuals and
-    Jacobian, with rows of sqrt(w) times the box-width-normalized deviations from ``prev_box``."""
+    """Lockstep ``fun`` (:func:`least_squares`) of ``prob`` alone: its data residuals, Jacobian
+    and bounds, with rows of sqrt(w) times the box-width-normalized deviations from ``prev_box``,
+    which are exact (bound 0)."""
     sqrt_w = math.sqrt(weight)
     width = prob.hi - prob.lo
 
     def fun(ks, xs):
         x = xs[0]
-        r, jac = prob.evaluate(x)
+        r, jac, bounds = _price([prob], [x])[0]
         p, slope = _to_box(x, prob.lo, prob.hi), _box_slope(x, prob.lo, prob.hi)
         return [(np.concatenate([r, sqrt_w * (p - prev_box) / width]),
-                 np.vstack([jac, np.diag(sqrt_w * slope / width)]))]
+                 np.vstack([jac, np.diag(sqrt_w * slope / width)]),
+                 None if bounds is None else np.concatenate([bounds, np.zeros(len(width))]))]
 
     return fun
 
@@ -1069,7 +1108,7 @@ def calibrate_varswap(
 
     def fun(ks, xs):
         """The residuals, and theta + (v0 - theta) phi1(kappa T), phi1(y) = (1 - e^-y)/y,
-        differentiated, times the box slope."""
+        differentiated, times the box slope; no bounds, as the quotes carry no quadrature bound."""
         x = xs[0]
         v0, theta, kappa = _to_box(x, lo, hi)
         vals = np.array(
@@ -1079,7 +1118,8 @@ def calibrate_varswap(
         phi1 = -np.expm1(-y) / y
         # phi1'(y) = (e^-y (1 + y) - 1)/y^2, from its series where that cancels
         dphi1 = np.where(y < 1e-3, -0.5 + y / 3.0 - y * y / 8.0, (np.expm1(-y) * (1.0 + y) + y) / (y * y))
-        return [(vals - ws, np.stack([phi1, 1.0 - phi1, (v0 - theta) * ts * dphi1], axis=1) * _box_slope(x, lo, hi))]
+        return [(vals - ws, np.stack([phi1, 1.0 - phi1, (v0 - theta) * ts * dphi1], axis=1) * _box_slope(x, lo, hi),
+                 None)]
 
     x0 = _from_box(np.array([max(ws[0], 1.5e-6), max(ws[-1], 1.5e-6), 1.0]), lo, hi)
     res = least_squares(fun, [x0], config, "varswap")[0]

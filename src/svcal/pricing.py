@@ -26,6 +26,9 @@ table of tail estimates, beyond every panel, serves both range checks.
 A CF that returns its parameter derivatives as extra rows gets the prices'
 (or vols') derivatives from the same evaluation steps, so a calibration
 prices and differentiates the surface in one evaluation per parameter set.
+Each evaluation hands out, with the values, each value's stated bound: a
+price is within df * sqrt(F*K) / pi times the tolerance of its integral's
+value, and a vol within that bound over the Black vega at the vol.
 A calibration sizes once and evaluates at every trial point; one-shot
 pricing sizes and evaluates once.
 
@@ -438,6 +441,7 @@ class SurfaceGrid:
         self._K = np.array([opt.strike for opt in opts])
         self._call = np.array([opt.kind == "call" for opt in opts], dtype=bool)
         self._k = np.log(self._F / self._K)
+        self._bound = cfg.tolerance * self._df * np.sqrt(self._F * self._K) / math.pi  # each price's stated bound
         nb = len(blocks)
         # each block's panels (None before its first evaluation), start width and strike matrices
         self._panels: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * nb
@@ -466,7 +470,8 @@ class SurfaceGrid:
         dw = -8 Re(dcf(-i/2)/cf(-i/2)) for the control variate, and the panels
         are sized on the CF row alone.  A floored call has derivative 0.
         """
-        return self._raising(*self.evaluate(cf))
+        values, _, failed = self.evaluate(cf)
+        return self._raising(values, failed)
 
     def vols(self, cf: CharFn) -> np.ndarray:
         """Implied vols of the options' prices, in the order given.
@@ -476,7 +481,8 @@ class SurfaceGrid:
         :func:`model_implied_vol`.  Rows as in :meth:`prices`: the price
         derivatives are divided by the Black vega at the vols.
         """
-        return self._raising(*self.evaluate(cf, vols=True))
+        values, _, failed = self.evaluate(cf, vols=True)
+        return self._raising(values, failed)
 
     @staticmethod
     def _raising(values: np.ndarray, failed: Dict[int, Exception]) -> np.ndarray:
@@ -485,26 +491,32 @@ class SurfaceGrid:
         return values
 
     def evaluate(self, cf: CharFn, vols: bool = False, blocks: Optional[Sequence[int]] = None):
-        """Prices, or vols, of the options of ``blocks`` (every block by default), and the failures.
+        """Prices, or vols, of the options of ``blocks`` (every block by default), their bounds and the failures.
 
         Returns the values in the order the options were given, with rows
         as in :meth:`prices` or :meth:`vols`, and NaN at the options of the
-        blocks not priced or failed, and a mapping of each block that
-        failed to its error.
+        blocks not priced or failed; the stated bound of each value of the
+        first row, NaN at the options of the blocks not priced: the price
+        bound df * sqrt(F*K) / pi * ``cfg.tolerance``, or for a vol that
+        bound over the Black vega at the vol; and a mapping of each block
+        that failed to its error.
         """
         if not self._K.size:
-            return np.empty(0), {}
+            return np.empty(0), np.empty(0), {}
         blocks = tuple(range(len(self._slices)) if blocks is None else sorted(blocks))
         rows, vol_cv, lay, failed = self._evaluate(cf, blocks)
+        bounds = lay.bound
         if vols:
-            rows = self._vols(rows, vol_cv, lay, failed)
+            rows, bounds = self._vols(rows, vol_cv, lay, failed)
         out = np.full(rows.shape[:-1] + (self._K.size,), np.nan)
         out[..., lay.order] = rows
-        return out, failed
+        bound = np.full(self._K.size, np.nan)
+        bound[lay.order] = bounds
+        return out, bound, failed
 
     def _vols(self, rows: np.ndarray, vol_cv: np.ndarray, lay: "_Layout", failed: Dict[int, Exception]):
-        """Implied vols of an evaluation's prices (with rows as in :meth:`vols`), in the layout's strike order;
-        a block whose price has no time value, or whose inversion raises, fails."""
+        """Implied vols of an evaluation's prices (with rows as in :meth:`vols`) and their bounds, in the
+        layout's strike order; a block whose price has no time value, or whose inversion raises, fails."""
         prices = rows if rows.ndim == 1 else rows[0]
         F, K, T, df, call = lay.F, lay.K, lay.T, lay.df, lay.call
         intrinsic = df * np.maximum(np.where(call, F - K, K - F), 0.0)
@@ -530,11 +542,9 @@ class SurfaceGrid:
         if zero.any():
             lay.fail(failed, zero, no_time)
             vols[zero] = np.nan
-        if rows.ndim == 1:
-            return vols
         d1 = _black_d1(lay.k, vols * np.sqrt(T))
         vega = df * F * np.sqrt(T) * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-        return np.concatenate([vols[None], rows[1:] / vega])
+        return (vols if rows.ndim == 1 else np.concatenate([vols[None], rows[1:] / vega])), lay.bound / vega
 
     def _start_panels(self, b: int):
         """Block b's uniform start panels on [0, _START_RANGE], sized to its widest strike's oscillation."""
@@ -786,7 +796,8 @@ class _Layout:
         self.sblock = np.repeat(np.arange(len(blocks)), sizes)
         strikes = np.concatenate([np.arange(grid._first[b], grid._first[b + 1]) for b in blocks])
         self.order = grid._order[strikes]  # each strike's place among the options as given
-        self.F, self.K, self.T, self.df = (a[strikes] for a in (grid._F, grid._K, grid._T, grid._df))
+        self.F, self.K, self.T, self.df, self.bound = (a[strikes] for a in (grid._F, grid._K, grid._T, grid._df,
+                                                                            grid._bound))
         self.call, self.k = grid._call[strikes], grid._k[strikes]
 
     def live(self, failed):

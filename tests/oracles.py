@@ -7,7 +7,8 @@ state from earlier parameters.  ``scalar_implied_vol`` is the scalar
 safeguarded-Newton Black inversion, one point at a time in ``math``.
 ``penalized_ladder`` is the penalized fit that solves every rung of its x8
 weight ladder, and ``doubling_rule_days`` the inputs of acceptance
-criterion 7 it is checked on.
+criterion 7 it is checked on.  ``synthetic_recovery_cases`` are the inputs
+of acceptance criterion 6.
 """
 
 import math
@@ -206,3 +207,29 @@ def doubling_rule_days(seed=23, days=20):
         bumped = tuple(replace(pt, value=pt.value + 1e-4 * rng.standard_normal()) for pt in clean.points)
         out.append(cal.CalibrationTarget(bumped, "vol", clean.slices))
     return prev, out
+
+
+def synthetic_recovery_cases(seed=11, n=10):
+    """Acceptance criterion 6's inputs: ``n`` random Heston truths, each with its clean 3-expiry,
+    5-strike surface and a start drawn about it, from ``default_rng(seed)`` in the criterion's
+    order.  Returns [(truth, target, start)]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        truth = HestonParams(
+            v0=float(rng.uniform(0.01, 0.09)),
+            theta=float(rng.uniform(0.01, 0.09)),
+            kappa=float(rng.uniform(0.5, 4.0)),
+            sigma=float(rng.uniform(0.2, 0.9)),
+            rho=float(rng.uniform(-0.8, -0.1)),
+        )
+        target = _surface_target(truth, (0.25, 1.0, 3.0), (-1.2, -0.5, 0.0, 0.5, 1.2))
+        start = HestonParams(
+            v0=truth.v0 * float(rng.uniform(0.5, 2.0)),
+            theta=truth.theta * float(rng.uniform(0.5, 2.0)),
+            kappa=truth.kappa * float(rng.uniform(0.5, 2.0)),
+            sigma=truth.sigma * float(rng.uniform(0.6, 1.6)),
+            rho=float(np.clip(truth.rho + rng.uniform(-0.2, 0.3), -0.95, 0.95)),
+        )
+        out.append((truth, target, start))
+    return out

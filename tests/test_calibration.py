@@ -174,7 +174,7 @@ class TestSurfaceResidual:
         assert all(len(calls) == 1 for calls in per_eval[1:])
         assert min(n for calls in per_eval for n in calls) > 2  # no separate cf(0)/cf(-i/2) probe call
 
-        surface, failed = _model_values(self.EURUSD_FIT, target, prob.grid)
+        surface, _, failed = _model_values(self.EURUSD_FIT, target, prob.grid)
         assert surface.shape == (6, len(target.points)) and failed == {}
         for expiry, sl in target.slices.items():
             alone = CalibrationTarget(tuple(pt for pt in target.points if pt.expiry == expiry), "vol",
@@ -182,7 +182,7 @@ class TestSurfaceResidual:
             alone_prob = _Problem(alone, MODELS["heston"], {}, {}, DEFAULT_QUAD)
             for y in steps:  # the same history: a block's range follows only its own tail
                 alone_prob.evaluate(y)
-            want, _ = _model_values(self.EURUSD_FIT, alone, alone_prob.grid)
+            want, _, _ = _model_values(self.EURUSD_FIT, alone, alone_prob.grid)
             got = surface[:, [pt.expiry == expiry for pt in target.points]]
             assert np.array_equal(got, want)
 
@@ -420,11 +420,13 @@ class TestAnalyticJacobian:
         prev_box = np.array([0.02, 0.015, 1.0, 0.3, -0.2])
         x = prob.x_from_params({"v0": 0.0178, "theta": 0.0135, "kappa": 1.3, "sigma": 0.29, "rho": -0.14})
         fun = _penalized(prob, prev_box, 0.37)
-        [(_, got)] = fun([0], [x])
+        [(_, got, bounds)] = fun([0], [x])
         assert got.shape == (len(prob.market) + 5, 5)
         want = _central_differences(lambda y: fun([0], [y])[0][0], x)
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
         np.testing.assert_allclose(got[-5:], np.diag(np.diag(got[-5:])), rtol=0, atol=0)
+        # the data rows carry the grid's bounds, the penalty rows are exact
+        assert np.array_equal(bounds[:-5], cal._price([prob], [x])[0][2]) and np.all(bounds[-5:] == 0.0)
 
     def test_zero_where_the_residual_failed(self):
         from svcal.calibration import _FAILED_RESIDUAL
@@ -763,16 +765,24 @@ class TestRestarts:
         assert records[-1] == "minimize: 3 of 3 starts ran, stop=exhausted"
 
 
+def _without_bounds(monkeypatch):
+    """Strip the bounds from every pricing pass, so each solve stops on its ``ftol``, ``xtol`` and ``gtol``
+    tests alone, never on ``accuracy``."""
+    price = cal._price
+    monkeypatch.setattr(cal, "_price", lambda probs, xs: [(f, jac, None) for f, jac, _ in price(probs, xs)])
+
+
 class TestStopRule:
-    """The default stop tests end each solve where its cost stops resolving: at
-    1e-14 a fit lands on the same minimum with the same solves, for more nfev."""
+    """The default stop tests end each solve where its cost stops resolving or its
+    prices stop being accurate: at 1e-14, without the prices' bounds, a fit lands
+    on the same minimum with the same solves, for more nfev."""
 
     TIGHT = OptimizerConfig(ftol=1e-14, xtol=1e-14, gtol=1e-14)
 
     @staticmethod
-    def _noisy_surface():
+    def _noisy_surface(seed=11):
         """A seeded 3-expiry x 9-strike surface with 5 bp of vol noise."""
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(seed)
         z_grid = tuple(np.linspace(-1.6, 1.6, 9))
         return make_target(HestonParams(0.03, 0.045, 1.2, 0.5, -0.4), tenors=(0.25, 1.0, 3.0),
                            z_grid=z_grid, vol_bumps=5e-4 * rng.standard_normal(27))
@@ -783,7 +793,9 @@ class TestStopRule:
         calls = _count_solves(monkeypatch)
         fit = calibrate(target, "heston")
         solves = len(calls)
-        tight = calibrate(target, "heston", config=self.TIGHT)
+        with monkeypatch.context() as m:
+            _without_bounds(m)  # the tight reference solves to the cost's resolution
+            tight = calibrate(target, "heston", config=self.TIGHT)
         assert fit.converged and tight.converged
         assert len(calls) - solves == solves
         assert fit.iterations < tight.iterations
@@ -791,6 +803,27 @@ class TestStopRule:
         for n in PARAM_NAMES:
             width = _BOXES[n][1] - _BOXES[n][0]
             assert abs(getattr(fit.params, n) - getattr(tight.params, n)) <= 1e-8 * width, n
+
+    def test_each_answer_lies_within_its_spread_of_the_tight_fit(self, monkeypatch):
+        # the spread the prices' bounds put on the answer, |J^+| bounds at it, in parameter units
+        statuses = []
+        for seed in range(11, 17):
+            target = self._noisy_surface(seed)
+            prob = cal._Problem(target, cal.MODELS["heston"], {}, {}, DEFAULT_QUAD)
+            [(fit, sol)] = cal._fit([prob], [None], cal.DEFAULT_OPT)
+            statuses.append(sol.status)
+            f, jac, bounds = cal._price([prob], [sol.x])[0]
+            assert np.array_equal(f, sol.fun)
+            spread = cal._noise_spread(*np.linalg.svd(jac, full_matrices=False), f, bounds)[1]
+            spread *= cal._box_slope(sol.x, prob.lo, prob.hi)
+            with monkeypatch.context() as m:
+                _without_bounds(m)
+                tight = calibrate(target, "heston", config=self.TIGHT)
+            assert fit.converged and tight.converged
+            for j, n in enumerate(prob.free):
+                move = abs(getattr(fit.params, n) - getattr(tight.params, n))
+                assert move <= spread[j] and move <= 1e-7 * (_BOXES[n][1] - _BOXES[n][0]), (seed, n)
+        assert 5 in statuses, statuses
 
 
 class TestCalibratePenalized:

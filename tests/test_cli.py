@@ -259,6 +259,38 @@ class TestCalibrateCommand:
         assert err == f"error: {message}\n"
 
 
+# the nfev of each record of the bundled fits that CI compares across processes.  Each
+# of their solves stops on its ftol, xtol or gtol test before the accuracy test holds,
+# so a change to any stop rule that moves one of them shows here
+_BUNDLED_NFEV = {
+    "full": (["--strategy", "full"], [27]),
+    "fixed_kappa2": (["--strategy", "fixed", "--fix", "kappa=2"], [15]),
+    "varswap": (["--strategy", "varswap"], [11]),
+    "schobel_zhu_full": (["--strategy", "full", "--model", "schobel_zhu"], [40]),
+    "bates_fixed_jumps": (["--strategy", "fixed", "--model", "bates", "--fix", "jump_intensity=0.1",
+                           "--fix", "mean_jump=-0.1", "--fix", "jump_vol=0.15"], [29]),
+    "sigma0": (["--strategy", "fixed", "--fix", "sigma=0"], [26]),
+    "schobel_zhu_sigma0": (["--strategy", "fixed", "--model", "schobel_zhu", "--fix", "sigma=0"], [51]),
+    "penalized": (["--strategy", "penalized", "--prev"], [56]),
+    "tenor": (["--strategy", "tenor"], [4] * 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLED_NFEV))
+def test_the_bundled_fits_keep_their_nfev(capsys, tmp_path, name):
+    argv, nfev = _BUNDLED_NFEV[name]
+    if argv[-1:] == ["--prev"]:
+        prev = tmp_path / "prev.json"
+        prev.write_text(json.dumps({"model_kind": "heston",
+                                    "params": {"v0": 0.02, "theta": 0.015, "kappa": 1.0, "sigma": 0.35, "rho": -0.2}}))
+        argv = argv + [str(prev)]
+    code, out, _ = run_cli(capsys, "calibrate", "--quotes", str(DATA_CSV), *argv)
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [r["iterations"] for r in records] == nfev
+    assert all(r["converged"] for r in records)
+
+
 class TestUsageErrors:
     """A malformed command line is an input error: exit 1 with argparse's usage message, no traceback."""
 

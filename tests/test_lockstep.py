@@ -52,13 +52,13 @@ PROBLEMS = {
 }
 
 
-def _lockstep(names, rounds=None):
-    """The lockstep ``fun`` of problems ``names``: each one's (residuals, Jacobian) at its x,
+def _lockstep(names, rounds=None, bounds=None):
+    """The lockstep ``fun`` of problems ``names``: each one's (residuals, Jacobian, ``bounds``) at its x,
     the problems asked of each round appended to ``rounds`` where given."""
     def fun(ks, xs):
         if rounds is not None:
             rounds.append(ks)
-        return [(PROBLEMS[names[k]][0](x), PROBLEMS[names[k]][1](x)) for k, x in zip(ks, xs)]
+        return [(PROBLEMS[names[k]][0](x), PROBLEMS[names[k]][1](x), bounds) for k, x in zip(ks, xs)]
 
     return fun
 
@@ -90,6 +90,57 @@ def test_problems_in_lockstep_each_get_their_solution_alone():
     # one call per round, each for the problems still running
     assert together.nfev == len(rounds) == max(s.nfev for s in together)
     assert [len(ks) for ks in rounds] == sorted((len(ks) for ks in rounds), reverse=True)
+
+
+def _drive(x0, bounds, max_nfev=40):
+    """``_trf`` on the linear problem from ``x0``, with no stop test but ``accuracy`` on ``bounds``:
+    its solution and every point it asked for, in order."""
+    run = cal._trf(x0, 0.0, 0.0, 0.0, max_nfev)
+    points = [next(run)]
+    try:
+        while True:
+            x = points[-1]
+            points.append(run.send((_A @ x - _B, _A, bounds)))
+    except StopIteration as done:
+        return done.value, points
+
+
+def test_the_accuracy_stop_fires_at_the_first_accepted_point_whose_step_is_within_the_spread():
+    # from near 0 the Gauss-Newton step is longer than the radius, so the solve takes several steps
+    x0 = -0.01 * np.linalg.lstsq(_A, _B, rcond=None)[0]
+    free, points = _drive(x0, None)
+    assert free.status == 0 and free.nfev == len(points) == 40
+    costs = [0.5 * np.sum((_A @ x - _B) ** 2) for x in points]
+    accepted = [0] + [i for i in range(1, len(points)) if costs[i] < min(costs[:i])]  # the steps that lower the cost
+    pinv = np.linalg.pinv(_A)
+    # the largest |J^+ f| / (|J^+| 1) over the parameters, at each accepted point
+    ratio = [float(np.max(np.abs(pinv @ (_A @ points[i] - _B)) / (np.abs(pinv) @ np.ones(len(_B)))))
+             for i in accepted]
+    assert len(ratio) > 4 and ratio[3] > ratio[4]
+    bounds = np.full(len(_B), np.sqrt(ratio[3] * ratio[4]))
+    first = next(k for k, r in enumerate(ratio) if r <= bounds[0])
+    assert first == 4
+    sol, stopped = _drive(x0, bounds)
+    assert sol.status == 5 and cal._STOP_REASONS[5] == "accuracy"
+    assert sol.nfev == accepted[first] + 1 and np.array_equal(sol.x, points[accepted[first]])
+    assert all(np.array_equal(a, b) for a, b in zip(stopped, points))
+    # bounds that cover the start stop there, after one evaluation
+    start = _drive(x0, np.full(len(_B), 2.0 * ratio[0]))[0]
+    assert (start.status, start.nfev) == (5, 1) and np.array_equal(start.x, x0)
+
+
+@pytest.mark.parametrize("bounds", [None, np.full(5, np.inf), np.array([1.0, 1.0, np.nan, 1.0, 1.0])])
+def test_no_bounds_or_bounds_not_finite_never_stop_on_accuracy(bounds):
+    sol = _drive(np.zeros(3), bounds)[0]
+    assert sol.status == 0 and sol.nfev == 40
+
+
+def test_a_rank_deficient_jacobian_never_stops_on_accuracy():
+    x0 = PROBLEMS["rank_deficient"][2]
+    [got] = cal.least_squares(_lockstep(["rank_deficient"], bounds=np.full(3, 1e6)), [x0], cal.OptimizerConfig(),
+                              "rank_deficient")
+    [want] = cal.least_squares(_lockstep(["rank_deficient"]), [x0], cal.OptimizerConfig(), "rank_deficient")
+    assert got.status == want.status != 5 and got.nfev == want.nfev
 
 
 def _tenors(picks):
@@ -141,9 +192,9 @@ def test_a_pricing_failure_at_one_tenor_fails_that_tenor_only(monkeypatch, where
     failures, values = [], cal._model_values
 
     def recording(params, target, grid):
-        rows, failed = values(params, target, grid)
+        rows, bounds, failed = values(params, target, grid)
         failures.extend(failed.values())
-        return rows, failed
+        return rows, bounds, failed
 
     monkeypatch.setattr(cal, "_model_values", recording)
     together = cal.calibrate_tenor(tenors)

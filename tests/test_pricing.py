@@ -15,6 +15,7 @@ from svcal.models import (
     PiecewiseHestonParams,
     SchobelZhuParams,
     cf_for,
+    cf_grad_for,
     cf_heston,
     expected_mean_variance,
 )
@@ -762,14 +763,14 @@ class TestFrozenGrid:
         good = (MarketSlice(100.0, 1.0, 0.5), [OptionSpec(95.0, 0.5, "put"), OptionSpec(105.0, 0.5, "call")])
         cf = cf_for(base_heston)
         grid = _grid_of([floored, good])
-        vols, failed = grid.evaluate(cf, vols=True)
+        vols, _, failed = grid.evaluate(cf, vols=True)
         assert list(failed) == [0] and isinstance(failed[0], NumericalError)
         assert np.isnan(vols[:2]).all()
         assert np.array_equal(vols[2:], _grid_of([good]).vols(cf))
         with pytest.raises(NumericalError, match="strike 1000.0"):
             _grid_of([floored, good]).vols(cf)
         # a block priced on its own gives the same bits, the others NaN
-        only, failed = _grid_of([floored, good]).evaluate(cf, vols=True, blocks=[1])
+        only, _, failed = _grid_of([floored, good]).evaluate(cf, vols=True, blocks=[1])
         assert failed == {} and np.isnan(only[:2]).all() and np.array_equal(only[2:], vols[2:])
 
         def broken(u, T):  # cf(0) is NaN at expiry 2 and the nodes are NaN at expiry 3
@@ -778,13 +779,30 @@ class TestFrozenGrid:
             return out
 
         legs = [(MarketSlice(100.0, 1.0, T), [OptionSpec(100.0, T, "call")]) for T in (1.0, 2.0, 3.0)]
-        prices, failed = _grid_of(legs).evaluate(broken)
+        prices, _, failed = _grid_of(legs).evaluate(broken)
         assert isinstance(failed[1], DomainError) and isinstance(failed[2], QuadratureError) and 0 not in failed
         assert prices[0] == _slice_prices(cf, *legs[0]) and np.isnan(prices[1:]).all()
         with pytest.raises(DomainError, match="cf\\(0\\)=1"):
             _grid_of(legs).prices(broken)
         with pytest.raises(QuadratureError):
             _grid_of(legs[::-1]).prices(broken)
+
+    def test_each_value_comes_with_its_stated_bound(self, base_heston):
+        # a price's bound is df * sqrt(F*K) / pi times the tolerance, a vol's that over the vega at the vol,
+        # with or without derivative rows; NaN at the options of the blocks not priced
+        legs = [(MarketSlice(100.0, 0.97, T), [OptionSpec(90.0, T, "put"), OptionSpec(110.0, T, "call")])
+                for T in (0.25, 1.0)]
+        grid = _grid_of(legs, QuadratureConfig(tolerance=1e-9))
+        _, bounds, _ = grid.evaluate(cf_for(base_heston))
+        K, T = np.array([90.0, 110.0, 90.0, 110.0]), np.array([0.25, 0.25, 1.0, 1.0])
+        np.testing.assert_allclose(bounds, 0.97 * np.sqrt(100.0 * K) / math.pi * 1e-9, rtol=1e-15)
+        vols, vol_bounds, _ = grid.evaluate(cf_for(base_heston), vols=True)
+        vega = [0.97 * scalar_vega(100.0, k, t, v) for k, t, v in zip(K, T, vols)]
+        np.testing.assert_allclose(vol_bounds, bounds / vega, rtol=1e-12)
+        _, grad_bounds, _ = grid.evaluate(cf_grad_for(base_heston), vols=True)
+        np.testing.assert_allclose(grad_bounds, vol_bounds, rtol=1e-10)
+        _, only, _ = grid.evaluate(cf_for(base_heston), vols=True, blocks=[1])
+        assert np.isnan(only[:2]).all() and np.array_equal(only[2:], vol_bounds[2:])
 
     def test_an_inversion_that_raises_fails_its_block_only(self, monkeypatch, base_heston):
         import svcal.pricing as pricing
@@ -800,7 +818,7 @@ class TestFrozenGrid:
         cf = cf_for(base_heston)
         legs = [(MarketSlice(100.0, 1.0, T), [OptionSpec(95.0, T, "put"), OptionSpec(105.0, T, "call")])
                 for T in (0.25, 0.5, 1.0)]
-        vols, failed = _grid_of(legs).evaluate(cf, vols=True)
+        vols, _, failed = _grid_of(legs).evaluate(cf, vols=True)
         assert list(failed) == [1] and isinstance(failed[1], DomainError)
         assert np.isnan(vols[2:4]).all()
         for i in (0, 2):

@@ -1,10 +1,13 @@
-"""The stated price bound against a reference that shares nothing with its estimate.
+"""The stated price and vol bounds against a reference that shares nothing with their estimate.
 
 A ``SurfaceGrid`` price is within df * sqrt(F*K) / pi * tolerance of the
-Fourier integral it approximates, by its K15-G7 and tail estimates.  The
-reference here integrates the same integral by composite Gauss-Legendre,
-doubling the nodes of each panel until two levels agree to 1e-15, out to
-where |phi| and the control variate's CF have fallen below 1e-30.
+Fourier integral it approximates, by its K15-G7 and tail estimates, and a
+vol within that bound over the Black vega.  The grid hands out these bounds
+with its values, and the solver's ``accuracy`` stop reads them, so the
+bounds checked here are the ones a fit stops on.  The reference integrates
+the same integral by composite Gauss-Legendre, doubling the nodes of each
+panel until two levels agree to 1e-15, out to where |phi| and the control
+variate's CF have fallen below 1e-30.
 """
 
 import math
@@ -16,7 +19,7 @@ from numpy.polynomial.legendre import leggauss
 import svcal.calibration as cal
 from svcal.fx_quotes import resolve_smile
 from svcal.models import HestonParams, cf_grad_for, cf_heston
-from svcal.pricing import DEFAULT_QUAD, OptionSpec, SurfaceGrid
+from svcal.pricing import DEFAULT_QUAD, OptionSpec, SurfaceGrid, bs_implied_vol
 from svcal.quotes_io import load_quotes
 
 DATA_CSV = Path(__file__).resolve().parent.parent / "data" / "eurusd_2008-09-16.csv"
@@ -70,9 +73,11 @@ def _reference_calls(p: HestonParams, sl, strikes):
     return black + np.sqrt(F * K) / math.pi * total
 
 
-def test_tenor_prices_at_the_seeded_start_and_the_answer_are_within_their_bound():
+def test_tenor_prices_and_vols_at_the_seeded_start_and_the_answer_are_within_their_bounds():
     """The bundled file's 21 tenor options, priced on one grid as the per-tenor fit
-    prices them: sized at each tenor's seeded start, then at its fitted answer."""
+    prices them: sized at each tenor's seeded start, then at its fitted answer.  Each
+    price is within the bound the grid hands out of the reference price, and each
+    vol within its bound of the reference price's implied vol."""
     options, seeds = [], {}
     for q, sl in TENORS:
         points = resolve_smile(q, sl)
@@ -83,15 +88,21 @@ def test_tenor_prices_at_the_seeded_start_and_the_answer_are_within_their_bound(
     fits = {sl.expiry: res.params for (_, sl), res in zip(TENORS, cal.calibrate_tenor(TENORS))}
     assert len(options) == 21
     grid = SurfaceGrid(options, DEFAULT_QUAD)
-    worst = 0.0
+    worst = {"price": 0.0, "vol": 0.0}
     for params in (seeds, fits):
-        rows, failed = grid.evaluate(cf_grad_for(params))
+        rows, bounds, failed = grid.evaluate(cf_grad_for(params))
         assert not failed
+        # the same CF on the same panels: the vols of these prices, and their bounds
+        vol_rows, vol_bounds, failed = grid.evaluate(cf_grad_for(params), vols=True)
+        assert not failed and np.all(np.isfinite(bounds)) and np.all(np.isfinite(vol_bounds))
         for b, (_, sl) in enumerate(TENORS):
             cols = slice(3 * b, 3 * b + 3)
-            K = np.array([opt.strike for _, opt in options[cols]])
-            put = np.array([opt.kind == "put" for _, opt in options[cols]])
+            opts = [opt for _, opt in options[cols]]
+            K = np.array([opt.strike for opt in opts])
+            put = np.array([opt.kind == "put" for opt in opts])
             want = sl.discount * (_reference_calls(params[sl.expiry], sl, K) - np.where(put, sl.forward - K, 0.0))
-            bound = sl.discount * np.sqrt(sl.forward * K) / math.pi * DEFAULT_QUAD.tolerance
-            worst = max(worst, float(np.max(np.abs(rows[0, cols] - want) / bound)))
-    assert worst <= 1.0, f"a price is {worst:.3g} of its bound from the reference"
+            want_vol = np.array([bs_implied_vol(sl, opt, price) for opt, price in zip(opts, want)])
+            worst["price"] = max(worst["price"], float(np.max(np.abs(rows[0, cols] - want) / bounds[cols])))
+            worst["vol"] = max(worst["vol"], float(np.max(np.abs(vol_rows[0, cols] - want_vol) / vol_bounds[cols])))
+    assert worst["price"] <= 1.0, f"a price is {worst['price']:.3g} of its bound from the reference"
+    assert worst["vol"] <= 1.0, f"a vol is {worst['vol']:.3g} of its bound from the reference's implied vol"
