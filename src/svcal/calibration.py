@@ -46,15 +46,15 @@ the residuals its solve minimized; one that holds a failed price is not
 converged.  A fit with sigma fixed at 0 fixes rho at 0, flagged
 ``rho_unidentified``: the CF does not depend on rho there.
 
-The solver advances several independent problems in lockstep, each with its
-own state, and prices all their trial points in one evaluation per round.
-The per-tenor strategy uses that: its tenors are the blocks of one
-:class:`~svcal.pricing.SurfaceGrid`, each at its own parameters, and every
-tenor's result is bit for bit its fit alone.  Every other fit is a lockstep
-of one.  Each tenor starts at the (sigma, rho) that a second-order expansion
-in vol of vol reads off its smile's skew and curvature, in closed form
-(:func:`_tenor_seed`), or at (0.5, -0.5) where that gives no admissible
-start.
+Every fit is one parameter set fitted to expiry blocks of a
+:class:`~svcal.pricing.SurfaceGrid`: a surface fit to every block of a grid
+of its own, each per-tenor fit to one block of a shared grid.  The solver
+advances several such problems in lockstep, each with its own state, and
+prices all their trial points in one evaluation per round; each tenor's
+result is bit for bit its fit alone.  Each tenor starts at the (sigma, rho)
+that a second-order expansion in vol of vol reads off its smile's skew and
+curvature, in closed form (:func:`_tenor_seed`), or at (0.5, -0.5) where
+that gives no admissible start.
 """
 
 from __future__ import annotations
@@ -280,23 +280,21 @@ def _box_arrays(names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _model_values(params, target: CalibrationTarget, grid: SurfaceGrid):
+def _model_values(params: Mapping[int, AffineParams], target: CalibrationTarget, grid: SurfaceGrid):
     """Model vols or OTM prices at the grid's options (row 0) over their derivatives
-    in the parameters of ``params.as_dict()`` (the rows below), shape
+    in the parameters of each set's ``as_dict()`` (the rows below), shape
     (1 + parameters, options), in the target's space: one CF-and-gradient pass
     on the grid's frozen panels.
 
-    ``params`` is one parameter set for every block of the grid, or a mapping
-    of some of its blocks to Heston parameters, each block priced at its own
-    and the others not at all.  Returns the rows, NaN at the options of the
-    blocks not priced or failed, each value's stated bound, and the error of
-    each block that failed (:meth:`SurfaceGrid.evaluate`).
+    ``params`` maps blocks of the grid to the parameters each is priced at
+    (:func:`~svcal.models.cf_grad_for`); the other blocks are not priced.
+    Returns the rows, NaN at the options of the blocks not priced or failed,
+    each value's stated bound, and the error of each block that failed
+    (:meth:`SurfaceGrid.evaluate`).
     """
-    if isinstance(params, Mapping):
-        expiries = grid.expiries
-        cf_grad = cf_grad_for({expiries[b]: p for b, p in params.items()})
-        return grid.evaluate(cf_grad, target.space == "vol", list(params))
-    return grid.evaluate(cf_grad_for(params), target.space == "vol")
+    expiries = grid.expiries
+    cf_grad = cf_grad_for({expiries[b]: p for b, p in params.items()})
+    return grid.evaluate(cf_grad, target.space == "vol", list(params))
 
 
 def _options(target: CalibrationTarget):
@@ -313,11 +311,11 @@ class _Problem:
     gives both; the solver keeps the Jacobian of each point it accepts, so
     nothing here is cached.
 
-    By default the problem prices its target on a grid of its own.  With
-    ``block = (grid, b, cols)`` its points are the options ``cols`` of a grid
-    shared with other problems, all in block b: :func:`_price` then prices
-    several of them in one pass.  With sigma fixed at 0 and rho free, rho is
-    fixed at 0 and the results are flagged ``rho_unidentified``.
+    It fits one parameter set to the options ``cols`` of ``grid``, all in its
+    expiry ``blocks``: every block of a grid of its own by default, or with
+    ``share = (grid, blocks, cols)`` blocks of a grid shared with problems on
+    other blocks, which :func:`_price` prices in one pass.  With sigma fixed
+    at 0 and rho free, rho is fixed at 0, flagged ``rho_unidentified``.
     """
 
     def __init__(
@@ -327,7 +325,7 @@ class _Problem:
         fixed: Mapping[str, float],
         ties: Mapping[str, str],
         quad: QuadratureConfig,
-        block: Optional[Tuple[SurfaceGrid, int, np.ndarray]] = None,
+        share: Optional[Tuple[SurfaceGrid, Tuple[int, ...], np.ndarray]] = None,
     ):
         for name in list(fixed) + list(ties):
             if name not in model.names:
@@ -346,10 +344,10 @@ class _Problem:
         # out-of-the-money options at the target points, on panels sized at the first
         # residual evaluation, re-sized only where they miss the tolerance and
         # trimmed where their tail has died out
-        if block is None:
-            self.grid, self.block, self.cols = SurfaceGrid(list(_options(target)), quad), None, None
-        else:
-            self.grid, self.block, self.cols = block
+        if share is None:
+            grid = SurfaceGrid(list(_options(target)), quad)
+            share = (grid, tuple(range(len(grid.expiries))), np.arange(len(target.points)))
+        self.grid, self.blocks, self.cols = share
         self.free = tuple(n for n in model.names if n not in self.fixed and n not in ties)
         if not self.free:
             raise DomainError("no free parameters left to calibrate")
@@ -381,35 +379,31 @@ class _Problem:
 def _price(probs: Sequence[_Problem],
            xs: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
     """Each problem's (residuals, Jacobian, bounds) at its x, all from one :func:`_model_values`
-    call on their shared grid.
+    call on their shared grid, with each problem's parameters built once for all its blocks.
 
     The Jacobian is the model's CF gradient chained through the ties, the
     fixed parameters and the logistic box map.  The bounds are the weights
     times the grid's stated bound of each value (:meth:`SurfaceGrid.evaluate`):
     how far each residual may be from the one exact pricing would give.  A
-    problem whose pricing fails gets ``_FAILED_RESIDUAL`` everywhere, a zero
-    Jacobian, as a finite difference of the constant failed residual has, and
-    no bounds; the others are priced as if alone.
+    problem any of whose blocks fails gets ``_FAILED_RESIDUAL`` everywhere, a
+    zero Jacobian, as a finite difference of the constant failed residual
+    has, and no bounds; the others are priced as if alone.
     """
-    lead = probs[0]
     xs = [np.asarray(x, dtype=float) for x in xs]
-    params = [p.build_params(x) for p, x in zip(probs, xs)]
+    builds = [(p.blocks, p.build_params(x)) for p, x in zip(probs, xs)]
+    params = {b: q for blocks, q in builds for b in blocks}
     try:
-        if lead.block is None:
-            rows, bounds, failed = _model_values(params[0], lead.target, lead.grid)
-        else:
-            rows, bounds, failed = _model_values({p.block: q for p, q in zip(probs, params)}, lead.target,
-                                                 lead.grid)
+        rows, bounds, failed = _model_values(params, probs[0].target, probs[0].grid)
     except (NumericalError, DomainError):
         rows = bounds = failed = None
     out = []
     for p, x in zip(probs, xs):
-        if failed is None or (p.block in failed if p.block is not None else failed):
+        if failed is None or any(b in failed for b in p.blocks):
             out.append((np.full(len(p.market), _FAILED_RESIDUAL), np.zeros((len(p.market), len(p.free))), None))
             continue
-        r, b = (rows, bounds) if p.cols is None else (rows[:, p.cols], bounds[p.cols])
+        r = rows[:, p.cols]
         jac = p.weights[:, None] * (r[1:].T @ p._chain) * _box_slope(x, p.lo, p.hi)
-        out.append((p.weights * (r[0] - p.market), jac, p.weights * b))
+        out.append((p.weights * (r[0] - p.market), jac, p.weights * bounds[p.cols]))
     return out
 
 
@@ -1040,7 +1034,7 @@ def calibrate_tenor(
             fixed["theta"] = atm_var
         cols = np.arange(first, first + len(target.points))
         first += len(target.points)
-        probs.append(_Problem(target, MODELS["heston"], fixed, ties, config.quad, (grid, b, cols)))
+        probs.append(_Problem(target, MODELS["heston"], fixed, ties, config.quad, (grid, (b,), cols)))
         inits.append(HestonParams(atm_var, atm_var, kappa, *_tenor_seed(points, sl, kappa)))
     return [result for result, _ in _fit(probs, inits, config)]
 

@@ -14,7 +14,7 @@ from statistics import NormalDist
 from typing import Tuple
 
 from .errors import DomainError
-from .models import MarketSlice
+from .models import MarketSlice, _require_finite
 
 _LABELS = ("25d_put", "atm", "25d_call")
 
@@ -30,6 +30,7 @@ class TenorQuote:
     rr25: float
 
     def __post_init__(self):
+        _require_finite(expiry=self.expiry, atm_vol=self.atm_vol, ms25=self.ms25, rr25=self.rr25)
         if self.expiry <= 0:
             raise DomainError(f"expiry must be > 0, got {self.expiry}")
         if self.atm_vol <= 0:

@@ -398,19 +398,21 @@ def cf_for(params: AffineParams):
     raise DomainError(f"no characteristic function for {type(params).__name__}")
 
 
-def cf_grad_for(params: Union[AffineParams, Mapping[float, HestonParams]]):
+def cf_grad_for(params: Union[AffineParams, Mapping[float, AffineParams]]):
     """``grad(u, T)``: the CF stacked over its derivatives in the parameters of
     ``params.as_dict()`` (:func:`cf_heston_grad`, :func:`cf_bates_grad`,
     :func:`cf_schobel_zhu_grad`).
 
-    A mapping of expiries to Heston parameters gives one gradient CF for
-    several independent fits: each frequency takes the parameters of its
-    expiry, which must be a key, in one kernel pass that gives bit for bit
-    what one call per expiry would.  Piecewise Heston has no closed-form
-    gradient: :class:`DomainError`.
+    ``params`` may also map expiries to parameter sets, each frequency taking
+    the set of its expiry, which must be a key: one distinct set gives its
+    own gradient, and several Heston sets one kernel pass that gives bit for
+    bit what one call per expiry would.  Piecewise Heston has no closed-form
+    gradient, nor several sets of any other model: :class:`DomainError`.
     """
     if isinstance(params, Mapping):
-        return _heston_grad_by_expiry(params)
+        if len(set(params.values())) > 1:
+            return _heston_grad_by_expiry(params)
+        params = next(iter(params.values()), params)
     if isinstance(params, HestonParams):
         return lambda u, T: cf_heston_grad(u, params, T)
     if isinstance(params, BatesParams):
@@ -420,10 +422,10 @@ def cf_grad_for(params: Union[AffineParams, Mapping[float, HestonParams]]):
     raise DomainError(f"no characteristic-function gradient for {type(params).__name__}")
 
 
-def _heston_grad_by_expiry(params: Mapping[float, HestonParams]):
-    """:func:`cf_grad_for` of a mapping: the Heston parameters looked up per frequency by its expiry."""
+def _heston_grad_by_expiry(params: Mapping[float, AffineParams]):
+    """:func:`cf_grad_for` of several parameter sets: Heston ones, looked up per frequency by its expiry."""
     for p in params.values():
-        _require(isinstance(p, HestonParams), f"a gradient per expiry takes Heston parameters, got {type(p).__name__}")
+        _require(isinstance(p, HestonParams), f"several sets in one pass must be Heston, got {type(p).__name__}")
         _require(p.kappa + p.sigma > 0, "the Heston gradient needs kappa + sigma > 0")
     expiries = np.array(sorted(params))
     table = np.array([[params[t].v0, params[t].theta, params[t].kappa, params[t].sigma, params[t].rho]

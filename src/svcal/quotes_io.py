@@ -1,6 +1,6 @@
 """Quote-file CSV schema: parse, validate, emit.
 
-Columns (header required, decimal units; a ``%`` suffix divides by 100):
+Columns (header required, finite decimals; a ``%`` suffix divides by 100):
 
     tenor,expiry_years,forward,discount,atm_vol,ms25,rr25
 
@@ -11,6 +11,7 @@ that pass-through emission (e.g. a markdown with weight 1) is byte-exact.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence, Tuple, Union
@@ -42,9 +43,10 @@ class QuoteRow:
 
 def parse_number(text: str) -> float:
     t = text.strip()
-    if t.endswith("%"):
-        return float(t[:-1]) / 100.0
-    return float(t)
+    value = float(t[:-1]) / 100.0 if t.endswith("%") else float(t)
+    if not math.isfinite(value):
+        raise DomainError(f"expected a finite number, got {t!r}")
+    return value
 
 
 def _read_rows(text: str, header: Tuple[str, ...], what: str, none: str, parse, check=None) -> list:

@@ -174,7 +174,7 @@ class TestSurfaceResidual:
         assert all(len(calls) == 1 for calls in per_eval[1:])
         assert min(n for calls in per_eval for n in calls) > 2  # no separate cf(0)/cf(-i/2) probe call
 
-        surface, _, failed = _model_values(self.EURUSD_FIT, target, prob.grid)
+        surface, _, failed = _model_values(dict.fromkeys(prob.blocks, self.EURUSD_FIT), target, prob.grid)
         assert surface.shape == (6, len(target.points)) and failed == {}
         for expiry, sl in target.slices.items():
             alone = CalibrationTarget(tuple(pt for pt in target.points if pt.expiry == expiry), "vol",
@@ -182,7 +182,7 @@ class TestSurfaceResidual:
             alone_prob = _Problem(alone, MODELS["heston"], {}, {}, DEFAULT_QUAD)
             for y in steps:  # the same history: a block's range follows only its own tail
                 alone_prob.evaluate(y)
-            want, _, _ = _model_values(self.EURUSD_FIT, alone, alone_prob.grid)
+            want, _, _ = _model_values(dict.fromkeys(alone_prob.blocks, self.EURUSD_FIT), alone, alone_prob.grid)
             got = surface[:, [pt.expiry == expiry for pt in target.points]]
             assert np.array_equal(got, want)
 
@@ -226,8 +226,8 @@ class TestSurfaceResidual:
         from svcal.models import cf_heston_grad
 
         target = self._price_target([(1.0, 100.0, 100.0), (2.0, 100.0, 100.0)])
-        monkeypatch.setattr(svcal.calibration, "cf_grad_for", lambda p: (
-            lambda u, T: np.where(T > 1.5, 2.0, 1.0) * cf_heston_grad(u, p, T)))
+        monkeypatch.setattr(svcal.calibration, "cf_grad_for", lambda by_expiry: (
+            lambda u, T: np.where(T > 1.5, 2.0, 1.0) * cf_heston_grad(u, *set(by_expiry.values()), T)))
         assert np.all(self._residuals(target, base_heston) == _FAILED_RESIDUAL)
 
     def test_negative_put_on_one_expiry_fails_the_residual(self):
@@ -546,6 +546,29 @@ def test_a_result_reports_its_solves_own_data_residuals_and_prices_nothing(monke
     res = cal._result_from(prob, cal._Solve([sol], 7), 0, 7)
     assert [r.hex() for r in res.residuals] == [float(r).hex() for r in fun[:len(prob.market)]]
     assert res.params == prob.build_params(x) and res.converged and res.iterations == 7
+
+
+def test_an_evaluation_builds_each_problems_parameters_once(monkeypatch):
+    # the bundled surface problem prices its 7 expiry blocks at one build; the 7 tenor problems make one each
+    from svcal.models import ModelSpec
+    from svcal.quotes_io import load_quotes
+
+    builds, build = [], ModelSpec.build
+    monkeypatch.setattr(ModelSpec, "build", lambda spec, vals: builds.append(spec.kind) or build(spec, vals))
+    prob = cal._Problem(_BUNDLED[0], cal.MODELS["heston"], {}, {}, DEFAULT_QUAD)
+    builds.clear()
+    res, _ = prob.evaluate(prob.x_from_params(TestOneEvaluationPerX.X))
+    assert len(prob.blocks) == 7 and builds == ["heston"]
+    assert not np.any(res == cal._FAILED_RESIDUAL)
+
+    fits = []
+    monkeypatch.setattr(cal, "_fit", lambda probs, inits, config: fits.append((probs, inits)) or [])
+    calibrate_tenor([(row.quote(), row.slice()) for row in load_quotes(DATA_CSV)])
+    (probs, inits), = fits
+    builds.clear()
+    priced = cal._price(probs, [p.x_from_params(init.as_dict()) for p, init in zip(probs, inits)])
+    assert [p.blocks for p in probs] == [(b,) for b in range(7)] and builds == ["heston"] * 7
+    assert not any(np.any(r == cal._FAILED_RESIDUAL) for r, _, _ in priced)
 
 
 def _count_solves(monkeypatch, fake=None):

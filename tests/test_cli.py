@@ -730,6 +730,45 @@ class TestQuotedVarswapCurve:
         assert "at least three" in err
 
 
+NON_FINITE = ["nan", "inf", "-inf", "NaN%", "1e999"]
+
+
+class TestNonFiniteNumbersInFiles:
+    """A number that is not finite in any numeric column of a quote or variance-swap file exits 1
+    with its line number, from every subcommand that reads the file."""
+
+    @staticmethod
+    def _with(tmp_path, lines, line_no, column, value):
+        fields = lines[line_no - 1].split(",")
+        fields[column] = value
+        p = tmp_path / "in.csv"
+        p.write_text("\n".join(lines[:line_no - 1] + [",".join(fields)] + lines[line_no:]) + "\n")
+        return str(p)
+
+    @staticmethod
+    def _assert_input_error(capsys, line_no, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: line {line_no}: expected a finite number, got ")
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("column", ["expiry_years", "forward", "discount", "atm_vol", "ms25", "rr25"])
+    def test_quote_file(self, capsys, tmp_path, column, value):
+        lines = DATA_CSV.read_text().splitlines()
+        p = self._with(tmp_path, lines, 4, lines[0].split(",").index(column), value)
+        for argv in (["calibrate", "--quotes", p], ["varswap", "--quotes", p, "--fit", "fix"],
+                     ["markdown", "--quotes", p, "--lam", "0.5"]):
+            self._assert_input_error(capsys, 4, *argv)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_variance_swap_file(self, capsys, tmp_path, column, value):
+        p = self._with(tmp_path, TestQuotedVarswapCurve.CURVE_CSV.splitlines(), 3, column, value)
+        for argv in (["varswap", "--vs-curve", p, "--fit", "fix"], ["varswap", "--vs-curve", p],
+                     ["calibrate", "--quotes", str(DATA_CSV), "--strategy", "varswap", "--vs-curve", p]):
+            self._assert_input_error(capsys, 3, *argv)
+
+
 class TestMarkdownCommand:
     def test_weight_one_byte_identical(self, capsys, tmp_path):
         out_path = tmp_path / "out.csv"

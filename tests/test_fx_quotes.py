@@ -53,6 +53,14 @@ class TestSmileVols:
             TenorQuote("x", 1.0, 0.01, 0.0, 0.05)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["expiry", "atm_vol", "ms25", "rr25"])
+def test_a_tenor_quote_field_that_is_not_finite_raises(field, value):
+    fields = {"expiry": 1.0, "atm_vol": 0.11, "ms25": 0.004, "rr25": -0.0055, field: value}
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        TenorQuote("1Y", **fields)
+
+
 class TestStrikeFromDelta:
     def test_quarter_delta_call_pin(self):
         sl = MarketSlice(forward=1.0, discount=1.0, expiry=0.25)

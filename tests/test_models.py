@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -459,3 +460,39 @@ class TestBatesGradient:
                     + 8 * cf(*vals[:i], v + h, *vals[i + 1:]) - cf(*vals[:i], v + 2 * h, *vals[i + 1:])) / (12 * h)
             assert np.max(np.abs(grad[i + 1] - want)) <= 1e-6 * np.max(np.abs(want)) + 1e-14 / h
         np.testing.assert_allclose(grad[1:, :2], 0.0, atol=1e-14)  # the s = 0 probe rows, up to rounding of cf(-i)
+
+
+class TestGradientOfAMapping:
+    """``cf_grad_for`` of a mapping of expiries to parameter sets, each frequency at its expiry's set."""
+
+    T = np.repeat([0.25, 1.0, 3.0], 5)
+    U = np.tile([0.0, -0.5j, 0.3 - 0.5j, 7.0 - 0.5j, 40.0], 3)
+    HESTON = {0.25: HestonParams(0.02, 0.015, 1.3, 0.3, -0.2), 1.0: HestonParams(0.03, 0.02, 0.7, 0.0, 0.1),
+              3.0: HestonParams(0.01, 0.04, 2.5, 0.9, -0.7)}
+    BATES = BatesParams(HestonParams(0.02, 0.015, 1.3, 0.3, -0.2), 0.4, -0.1, 0.15)
+    SZ = SchobelZhuParams(0.15, 0.12, 1.5, 0.2, -0.4)
+
+    def test_several_heston_sets_give_one_call_per_expiry(self):
+        got = cf_grad_for(self.HESTON)(self.U, self.T)
+        for t, p in self.HESTON.items():
+            at = self.T == t
+            assert np.array_equal(got[:, at], cf_grad_for(p)(self.U[at], t))
+
+    @pytest.mark.parametrize("params", [BATES, SZ, HESTON[1.0]], ids=["bates", "schobel_zhu", "heston"])
+    def test_one_set_gives_its_own_gradient(self, params):
+        want = cf_grad_for(params)(self.U, self.T)
+        for mapping in (dict.fromkeys((0.25, 1.0, 3.0), params), {0.25: params, 1.0: params, 3.0: replace(params)}):
+            assert np.array_equal(cf_grad_for(mapping)(self.U, self.T), want)
+
+    @pytest.mark.parametrize("mapping", [
+        {0.25: HESTON[0.25], 1.0: BATES},
+        {0.25: SZ, 1.0: HESTON[1.0]},
+        {0.25: BATES, 1.0: replace(BATES, jump_intensity=0.5)},
+        {0.25: SZ, 1.0: replace(SZ, sigma=0.3)},
+        {1.0: PiecewiseHestonParams(0.04, (1.0,), ((0.04, 1.0, 0.5, -0.5),))},
+        {0.25: HESTON[0.25], 1.0: PiecewiseHestonParams(0.04, (1.0,), ((0.04, 1.0, 0.5, -0.5),))},
+    ], ids=["heston_and_bates", "schobel_zhu_and_heston", "two_bates", "two_schobel_zhu", "piecewise",
+            "heston_and_piecewise"])
+    def test_any_other_mapping_raises(self, mapping):
+        with pytest.raises(DomainError):
+            cf_grad_for(mapping)

@@ -1,6 +1,6 @@
 import pytest
 
-from svcal.errors import QuoteParseError
+from svcal.errors import DomainError, QuoteParseError
 from svcal.quotes_io import (
     emit_quotes,
     parse_number,
@@ -135,6 +135,21 @@ class TestParseVarswapCurve:
         with pytest.raises(QuoteParseError) as info:
             parse_varswap_curve(VS_HEADER + "0.25,0.01\n0.5\n")
         assert info.value.line_no == 3
+
+
+class TestNonFinite:
+    # nan and infinities parse as floats; each is a fault of its line, in either schema (the columns are
+    # covered through the cli in tests/test_cli.py)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "nan%", "-inf%", "1e999"])
+    def test_parse_number_rejects_it(self, value):
+        with pytest.raises(DomainError, match="expected a finite number"):
+            parse_number(value)
+
+    def test_its_line_is_named(self):
+        text = GOOD.replace("1.02,0.99,0.115", "1.02,0.99,nan")
+        assert _parse_error(parse_quotes, text) == "line 3: expected a finite number, got 'nan'"
+        text = VS_HEADER + "0.5,0.04\n1.0,inf\n"
+        assert _parse_error(parse_varswap_curve, text) == "line 3: expected a finite number, got 'inf'"
 
 
 class TestEmit:
