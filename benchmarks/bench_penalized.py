@@ -28,32 +28,20 @@ The JSON it writes holds, from one machine:
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
-import statistics
 import sys
-import time
-from pathlib import Path
 
-import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # import perfbench's generator without writing into perfbench/
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
-
-import gen  # noqa: E402
-import svcal.calibration as cal  # noqa: E402
-from bench_tenor import BOX_WIDTH, dump  # noqa: E402
-from oracles import doubling_rule_days, penalized_ladder  # noqa: E402
-from svcal.fx_quotes import Conventions  # noqa: E402
-from svcal.models import HestonParams  # noqa: E402
-from svcal.quotes_io import load_quotes  # noqa: E402
-from svcal.workflows import surface_target  # noqa: E402
+import harness  # first: it puts src, perfbench and tests on sys.path
+import gen
+import svcal.calibration as cal
+from harness import BUNDLED, ROOT
+from oracles import doubling_rule_days, penalized_ladder
+from svcal.fx_quotes import Conventions
+from svcal.models import HestonParams
+from svcal.quotes_io import load_quotes
+from svcal.workflows import surface_target
 
 SIDES = ("ladder", "program")
-BUNDLED = ROOT / "data" / "eurusd_2008-09-16.csv"
 CI_PREV = HestonParams(v0=0.02, theta=0.015, kappa=1.0, sigma=0.35, rho=-0.2)  # tests.yml's inline prev.json
 
 
@@ -65,6 +53,11 @@ def inputs():
     prev, days = doubling_rule_days()
     return [("ci_prev", bundled, CI_PREV), ("book_prev", bundled, book_prev)] + [
         (f"day{i}", day, prev) for i, day in enumerate(days)]
+
+
+def solve(side: str, target, prev):
+    """The result of one side's fit."""
+    return penalized_ladder(target, prev)[0] if side == "ladder" else cal.calibrate_penalized(target, prev)
 
 
 def fit(side: str, target, prev):
@@ -80,28 +73,9 @@ def fit(side: str, target, prev):
         predicted.append(predict(*args))
         return predicted[-1]
 
-    cal._penalized, cal._predicted_rung = recording, recording_predict
-    try:
-        res = penalized_ladder(target, prev)[0] if side == "ladder" else cal.calibrate_penalized(target, prev)
-    finally:
-        cal._penalized, cal._predicted_rung = penalized, predict
+    with harness.patched(cal, _penalized=recording, _predicted_rung=recording_predict):
+        res = solve(side, target, prev)
     return res, weights, (predicted[0] if predicted else None)
-
-
-def wall_times(target, prev, reps: int) -> dict:
-    """Median wall time of each side over ``reps`` alternating runs, after one warm-up of each."""
-    times = {side: [] for side in SIDES}
-    for rep in range(reps + 1):
-        for side in SIDES if rep % 2 else reversed(SIDES):
-            t0 = time.perf_counter()
-            if side == "ladder":
-                penalized_ladder(target, prev)
-            else:
-                cal.calibrate_penalized(target, prev)
-            dt = time.perf_counter() - t0
-            if rep:
-                times[side].append(dt)
-    return {side: statistics.median(ts) for side, ts in times.items()}
 
 
 def deciding_rung(weights) -> int:
@@ -113,7 +87,7 @@ def deciding_rung(weights) -> int:
 
 
 def bench(name: str, target, prev, reps: int) -> list:
-    walls = wall_times(target, prev, reps)
+    walls = harness.alternate(SIDES, lambda side: solve(side, target, prev), reps)
     fits = {side: fit(side, target, prev) for side in SIDES}
     ladder = fits["ladder"][0]
     decided = deciding_rung(fits["ladder"][1]) if "penalty_bisection_failed" not in ladder.flags else None
@@ -125,8 +99,7 @@ def bench(name: str, target, prev, reps: int) -> list:
             "input": name, "side": side, "solves": len(weights), "nfev": res.iterations,
             "wall_ms": 1e3 * walls[side], "penalty_weight": res.penalty_weight, "flags": list(res.flags),
             "weight_over_e0": [w / e0 for w in weights] if e0 else None,
-            "param_drift_box": max(abs(getattr(res.params, n) - getattr(ladder.params, n)) / BOX_WIDTH[n]
-                                   for n in res.params.as_dict()),
+            "param_drift_box": harness.box_drift(res.params.as_dict(), ladder.params.as_dict()),
             "predicted_rung": predicted and predicted[0], "model_total_over_2e0": predicted and predicted[1],
             "deciding_rung": decided, "converged": res.converged,
         })
@@ -134,10 +107,7 @@ def bench(name: str, target, prev, reps: int) -> list:
 
 
 def run(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--reps", type=int, default=7)
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_penalized.json")
-    args = p.parse_args(argv)
+    args = harness.parser(__doc__, "BENCH_penalized.json").parse_args(argv)
     rows = []
     for name, target, prev in inputs():
         rows += bench(name, target, prev, args.reps)
@@ -163,15 +133,12 @@ def run(argv=None) -> int:
     out = {
         "bench": "penalized_rungs",
         "command": "calibrate_penalized, heston (in-process)",
-        "machine": {"python": platform.python_version(), "numpy": np.__version__, "platform": platform.platform(),
-                    "cpus": os.cpu_count(), "date": time.strftime("%Y-%m-%d")},
+        "machine": harness.machine(),
         "settings": {"reps": args.reps},
         "summary": summary,
         "rows": rows,
     }
-    args.out.write_text(dump(out))
-    print(json.dumps(summary, indent=1))
-    return 0
+    return harness.write(args.out, out)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ Inputs, each a group of fits run through ``calibration.calibrate`` or a
   ``perfbench/gen.py``'s generator, imported, never copied);
 - ``criterion 6``: acceptance criterion 6's 10 truths
   (``oracles.synthetic_recovery_cases``);
-- ``noisy 3x9``: ``TestStopRule``'s noisy surface;
+- ``noisy 3x9``: ``oracles.noisy_surface``, the surface ``TestStopRule`` fits;
 - ``cli <name>``: each ``svcal calibrate`` command whose report CI compares
   across processes, and the penalized fit with perfbench book's ``--prev``
   (``gen.prev_params`` of its reference full fit).
@@ -42,38 +42,25 @@ The JSON it writes holds, from one machine:
 
 from __future__ import annotations
 
-import argparse
 import collections
 import contextlib
-import io
 import json
 import logging
-import os
-import platform
 import re
-import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # import perfbench's generator without writing into perfbench/
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
-
-import gen  # noqa: E402
-import svcal  # noqa: E402  (perfbench's workloads read svcal from sys.modules)
-import svcal.calibration as cal  # noqa: E402
-import workloads  # noqa: E402
-from bench_tenor import BOX_WIDTH, dump  # noqa: E402
-from oracles import synthetic_recovery_cases  # noqa: E402
-from svcal.cli import main  # noqa: E402
-from test_calibration import TestStopRule  # noqa: E402
+import harness  # first: it puts src, perfbench and tests on sys.path
+import gen
+import svcal.calibration as cal
+import workloads
+from harness import BUNDLED, ROOT
+from oracles import noisy_surface, spread, synthetic_recovery_cases
 
 SIDES = ("before", "after")
-BUNDLED = str(ROOT / "data" / "eurusd_2008-09-16.csv")
 # the --prev files: CI's inline one and perfbench book's
 PREVS = {
     "CI_PREV": {"v0": 0.02, "theta": 0.015, "kappa": 1.0, "sigma": 0.35, "rho": -0.2},
@@ -98,20 +85,16 @@ DENSE_SEEDS = (1, 2, 3)
 DENSE_FITS = 40
 
 
-@contextlib.contextmanager
 def side(name: str):
     """The program as it is (``after``), or with the bounds stripped from every ``fun``'s output (``before``)."""
+    if name == "after":
+        return contextlib.nullcontext()
     real = cal.least_squares
 
     def stripped(fun, x0, *args, **kwargs):
         return real(lambda ks, xs: [(f, jac, None) for f, jac, _ in fun(ks, xs)], x0, *args, **kwargs)
 
-    if name == "before":
-        cal.least_squares = stripped
-    try:
-        yield
-    finally:
-        cal.least_squares = real
+    return harness.patched(cal, least_squares=stripped)
 
 
 @contextlib.contextmanager
@@ -138,32 +121,13 @@ def fit_inputs():
         dense = workloads.Dense(seed, ROOT, ROOT)
         out.append((f"dense seed {seed}", [dense._surface(i)[1:3] for i in range(DENSE_FITS)]))
     out.append(("criterion 6", [(target, start) for _, target, start in synthetic_recovery_cases()]))
-    out.append(("noisy 3x9", [(TestStopRule._noisy_surface(), None)]))
+    out.append(("noisy 3x9", [(noisy_surface(), None)]))
     return out
 
 
-def cli(argv, prevs: dict) -> str:
-    """One in-process ``svcal calibrate`` report on the bundled file, ``prevs`` the path of each --prev file."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["calibrate", "--quotes", BUNDLED] + [str(prevs.get(a, a)) for a in argv])
-    if code != 0:
-        raise SystemExit(f"calibrate {' '.join(argv)} exited {code}")
-    return out.getvalue()
-
-
-def wall_times(run, reps: int) -> dict:
-    """Median wall time of each side over ``reps`` alternating runs, after one warm-up of each."""
-    times = {name: [] for name in SIDES}
-    for rep in range(reps + 1):
-        for name in SIDES if rep % 2 else reversed(SIDES):
-            with side(name):
-                t0 = time.perf_counter()
-                run()
-                dt = time.perf_counter() - t0
-            if rep:
-                times[name].append(dt)
-    return {name: statistics.median(ts) for name, ts in times.items()}
+def on_side(kind: str, work) -> None:
+    with side(kind):
+        work()
 
 
 def solve(target, start):
@@ -173,28 +137,23 @@ def solve(target, start):
     return result, sol, prob
 
 
-def spread(prob, sol) -> np.ndarray:
-    """u = |J^+| bounds at solution ``sol``, in parameter units (NaN where J is rank-deficient or has no bounds)."""
-    f, jac, bounds = cal._price([prob], [sol.x])[0]
-    U, s, Vt = np.linalg.svd(jac, full_matrices=False)
-    if bounds is None or not s[-1] > cal._EPS * len(f) * s[0]:
-        return np.full(len(prob.free), np.nan)
-    return cal._noise_spread(U, s, Vt, f, bounds)[1] * cal._box_slope(sol.x, prob.lo, prob.hi)
-
-
 def bench_fits(name: str, cases, reps: int):
-    walls = wall_times(lambda: [cal.calibrate(t, "heston", init=s) for t, s in cases], reps)
+    def fit_all():
+        for target, start in cases:
+            cal.calibrate(target, "heston", init=start)
+
+    walls = harness.alternate(SIDES, lambda kind: on_side(kind, fit_all), reps)
     solved, counts = {}, {}
     for kind in SIDES:
         with side(kind), statuses() as counts[kind]:
             solved[kind] = [solve(t, s) for t, s in cases]
     fits = []
     for i, ((before, b_sol, _), (after, a_sol, prob)) in enumerate(zip(solved["before"], solved["after"])):
-        u = spread(prob, a_sol)
+        u = spread(prob, a_sol.x)[1]
         move = np.array([abs(getattr(after.params, n) - getattr(before.params, n)) for n in prob.free])
         fits.append({"input": name, "fit": i, "nfev_before": before.iterations, "nfev_after": after.iterations,
                      "status_before": cal._STOP_REASONS[b_sol.status], "status_after": cal._STOP_REASONS[a_sol.status],
-                     "param_move_box": float(max(m / BOX_WIDTH[n] for m, n in zip(move, prob.free))),
+                     "param_move_box": harness.box_drift(after.params.as_dict(), before.params.as_dict()),
                      "move_over_u": float(np.max(move / u)) if np.all(u > 0) else None,
                      "rmse": [before.rmse, after.rmse],
                      "converged": [before.converged, after.converged]})
@@ -205,12 +164,12 @@ def bench_fits(name: str, cases, reps: int):
     return groups, fits
 
 
-def bench_command(name: str, argv, prevs: dict, reps: int):
-    walls = wall_times(lambda: cli(argv, prevs), reps)
+def bench_command(name: str, argv, reps: int):
+    walls = harness.alternate(SIDES, lambda kind: on_side(kind, lambda: harness.cli(argv)), reps)
     reports, counts = {}, {}
     for kind in SIDES:
         with side(kind), statuses() as counts[kind]:
-            reports[kind] = cli(argv, prevs)
+            reports[kind] = harness.cli(argv)
     groups = []
     for kind in SIDES:
         records = json.loads(reports[kind])["records"]
@@ -243,10 +202,7 @@ def summarize(groups, fits) -> dict:
 
 
 def run(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--reps", type=int, default=7)
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_stop.json")
-    args = p.parse_args(argv)
+    args = harness.parser(__doc__, "BENCH_stop.json").parse_args(argv)
     groups, fits = [], []
     for name, cases in fit_inputs():
         g, f = bench_fits(name, cases, args.reps)
@@ -258,20 +214,18 @@ def run(argv=None) -> int:
             prevs[name] = Path(tmp) / f"{name}.json"
             prevs[name].write_text(json.dumps({"model_kind": "heston", "params": params}))
         for name, command in COMMANDS.items():
-            groups += bench_command(name, command, prevs, args.reps)
+            argv = ["calibrate", "--quotes", BUNDLED] + [prevs.get(a, a) for a in command]
+            groups += bench_command(name, argv, args.reps)
     summary = summarize(groups, fits)
     out = {
         "bench": "accuracy_stop",
-        "machine": {"python": platform.python_version(), "numpy": np.__version__, "platform": platform.platform(),
-                    "cpus": os.cpu_count(), "date": time.strftime("%Y-%m-%d")},
+        "machine": harness.machine(),
         "settings": {"reps": args.reps, "dense_seeds": list(DENSE_SEEDS), "dense_fits": DENSE_FITS},
         "summary": summary,
         "groups": groups,
         "fits": fits,
     }
-    args.out.write_text(dump(out))
-    print(json.dumps(summary, indent=1))
-    return 0
+    return harness.write(args.out, out)
 
 
 if __name__ == "__main__":

@@ -26,12 +26,8 @@ The JSON it writes holds, from one machine:
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import io
 import json
-import os
-import platform
 import statistics
 import sys
 import tempfile
@@ -40,57 +36,29 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # import perfbench's generator without writing into perfbench/
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import gen  # noqa: E402
-import svcal._kernels  # noqa: E402
-import svcal.calibration as cal  # noqa: E402
-from svcal.cli import main  # noqa: E402
-from svcal.fx_quotes import TenorQuote, resolve_smile  # noqa: E402
-from svcal.models import MarketSlice  # noqa: E402
-from workloads import read_quote_rows  # noqa: E402
+import harness  # first: it puts src and perfbench on sys.path
+import gen
+import svcal._kernels
+import svcal.calibration as cal
+from harness import BUNDLED
+from svcal.fx_quotes import TenorQuote, resolve_smile
+from svcal.models import MarketSlice
+from workloads import read_quote_rows
 
 STARTS = ("fixed", "seeded")
-BUNDLED = ROOT / "data" / "eurusd_2008-09-16.csv"
-BOX_WIDTH = {name: hi - lo for name, (lo, hi) in cal._BOXES.items()}
 
 
-@contextlib.contextmanager
 def start(kind: str):
     """Tenor fits from the fallback start (``fixed``) or the seed (``seeded``)."""
-    seed = cal._tenor_seed
     if kind == "fixed":
-        cal._tenor_seed = lambda *args: cal._TENOR_FALLBACK
-    try:
-        yield
-    finally:
-        cal._tenor_seed = seed
+        return harness.patched(cal, _tenor_seed=lambda *args: cal._TENOR_FALLBACK)
+    return contextlib.nullcontext()
 
 
-def calibrate(path: Path) -> dict:
-    """One in-process ``calibrate --strategy tenor`` report."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["calibrate", "--quotes", str(path), "--strategy", "tenor"])
-    if code != 0:
-        raise SystemExit(f"calibrate {path} exited {code}")
-    return json.loads(out.getvalue())
-
-
-def wall_times(path: Path, reps: int) -> dict:
-    """Median wall time of each start over ``reps`` alternating runs, after one warm-up of each."""
-    times = {kind: [] for kind in STARTS}
-    for rep in range(reps + 1):
-        for kind in STARTS if rep % 2 else reversed(STARTS):
-            with start(kind):
-                t0 = time.perf_counter()
-                calibrate(path)
-                dt = time.perf_counter() - t0
-            if rep:
-                times[kind].append(dt)
-    return {kind: statistics.median(ts) for kind, ts in times.items()}
+def calibrate(path: Path, kind: str) -> dict:
+    """One in-process ``calibrate --strategy tenor`` report from start ``kind``."""
+    with start(kind):
+        return json.loads(harness.cli(["calibrate", "--quotes", path, "--strategy", "tenor"]))
 
 
 def counted(path: Path, kind: str, reps: int):
@@ -110,23 +78,18 @@ def counted(path: Path, kind: str, reps: int):
         return out
 
     firsts = []
-    svcal._kernels.heston_cf_grad, cal._price = counting_kernel, timed_price
-    try:
+    with harness.patched(svcal._kernels, heston_cf_grad=counting_kernel), harness.patched(cal, _price=timed_price):
         for _ in range(reps):
             calls.clear()
             first.clear()
-            with start(kind):
-                report = calibrate(path)
+            report = calibrate(path, kind)
             firsts.append(first[0])
-    finally:
-        svcal._kernels.heston_cf_grad, cal._price = kernel, price
     return report, statistics.median(firsts), len(calls), int(sum(calls))
 
 
 def drift(a: dict, b: dict) -> float:
     """Largest parameter move between two reports, in box widths."""
-    return max(abs(ra["params"][n] - rb["params"][n]) / BOX_WIDTH[n]
-               for ra, rb in zip(a["records"], b["records"]) for n in ra["params"])
+    return max(harness.box_drift(ra["params"], rb["params"]) for ra, rb in zip(a["records"], b["records"]))
 
 
 def seed_rows(name: str, rows, reports) -> list:
@@ -145,7 +108,7 @@ def seed_rows(name: str, rows, reports) -> list:
 
 
 def bench(name: str, path: Path, rows, reps: int):
-    walls = wall_times(path, reps)
+    walls = harness.alternate(STARTS, lambda kind: calibrate(path, kind), reps)
     reports, commands = {}, []
     for kind in STARTS:
         report, first_s, calls, nodes = counted(path, kind, reps)
@@ -159,26 +122,15 @@ def bench(name: str, path: Path, rows, reps: int):
     return commands, seed_rows(name, rows, reports)
 
 
-def dump(out: dict) -> str:
-    """The report as JSON, one line per row of its row lists."""
-    def value(v):
-        if isinstance(v, list) and v and isinstance(v[0], dict):
-            return "[\n" + ",\n".join("  " + json.dumps(row) for row in v) + "\n ]"
-        return json.dumps(v, indent=1).replace("\n", "\n ")
-    return "{\n" + ",\n".join(f" {json.dumps(k)}: {value(v)}" for k, v in out.items()) + "\n}\n"
-
-
 def span(rows, key):
     vals = [r[key] for r in rows if not r["fallback"]]
     return [min(vals), max(vals)] if vals else None
 
 
 def run(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p = harness.parser(__doc__, "BENCH_tenor.json")
     p.add_argument("--days", type=int, default=40)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--reps", type=int, default=7)
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_tenor.json")
     args = p.parse_args(argv)
     base = read_quote_rows(BUNDLED)
     commands, seeds = bench("bundled", BUNDLED, base, args.reps)
@@ -211,16 +163,13 @@ def run(argv=None) -> int:
     out = {
         "bench": "tenor_seed",
         "command": "calibrate --strategy tenor (in-process)",
-        "machine": {"python": platform.python_version(), "numpy": np.__version__, "platform": platform.platform(),
-                    "cpus": os.cpu_count(), "date": time.strftime("%Y-%m-%d")},
+        "machine": harness.machine(),
         "settings": {"days": args.days, "seed": args.seed, "reps": args.reps},
         "summary": summary,
         "commands": commands,
         "seed_error": seeds,
     }
-    args.out.write_text(dump(out))
-    print(json.dumps(summary, indent=1))
-    return 0
+    return harness.write(args.out, out)
 
 
 if __name__ == "__main__":

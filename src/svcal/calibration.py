@@ -75,6 +75,7 @@ from .models import (
     HestonParams,
     MarketSlice,
     ModelSpec,
+    _require_finite,
     cf_grad_for,
     expected_mean_variance,
     feller_ratio,
@@ -125,7 +126,9 @@ class CalibrationTarget:
             raise DomainError("calibration target has no points")
         if self.space not in ("vol", "price"):
             raise DomainError(f"space must be 'vol' or 'price', got {self.space!r}")
-        for pt in self.points:
+        for i, pt in enumerate(self.points):
+            _require_finite(**{f"point {i} {name}": getattr(pt, name)
+                               for name in ("expiry", "strike", "value", "weight")})
             if pt.weight <= 0:
                 raise DomainError(f"weights must be > 0, got {pt.weight}")
             if pt.expiry not in self.slices:
@@ -197,6 +200,8 @@ class OptimizerConfig:
     quad: QuadratureConfig = DEFAULT_QUAD
 
     def __post_init__(self):
+        _require_finite(max_nfev=self.max_nfev, ftol=self.ftol, xtol=self.xtol, gtol=self.gtol, starts=self.starts,
+                        seed=self.seed, retry_rmse=self.retry_rmse)
         if self.max_nfev < 1:
             raise DomainError(f"max_nfev must be >= 1, got {self.max_nfev}")
         if self.starts < 1:
@@ -1077,6 +1082,8 @@ def calibrate_varswap(
     if mode not in ("fix", "initial-guess"):
         raise DomainError(f"mode must be 'fix' or 'initial-guess', got {mode!r}")
     pts = [(float(t), float(w)) for t, w in curve]
+    for i, (t, w) in enumerate(pts):
+        _require_finite(**{f"variance-swap point {i} maturity": t, f"variance-swap point {i} variance": w})
     if len({t for t, _ in pts}) < len(pts):
         raise DomainError("variance-swap maturities must be distinct")
     if len(pts) < 3:

@@ -14,6 +14,7 @@ from typing import Tuple
 
 from .errors import DomainError
 from .fx_quotes import TenorQuote
+from .models import _require_finite
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,7 @@ class MixingCurve:
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(t) for t in self.breakpoints))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        _require_finite(**{f"breakpoint {i}": t for i, t in enumerate(self.breakpoints)})
         if len(self.breakpoints) != len(self.values) or not self.values:
             raise DomainError("breakpoints and values must be non-empty and equal length")
         prev = 0.0
@@ -49,6 +51,7 @@ class MaxParams:
     rho_max: float
 
     def __post_init__(self):
+        _require_finite(sigma_max=self.sigma_max, rho_max=self.rho_max)
         if self.sigma_max < 0:
             raise DomainError(f"sigma_max must be >= 0, got {self.sigma_max}")
         if not -1 < self.rho_max < 1:

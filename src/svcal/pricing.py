@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
-from .models import AffineParams, MarketSlice, cf_for
+from .models import AffineParams, MarketSlice, _require_finite, cf_for
 
 CharFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -85,6 +85,7 @@ class QuadratureConfig:
     max_evals: int = 20000
 
     def __post_init__(self):
+        _require_finite(tolerance=self.tolerance, max_evals=self.max_evals)
         if self.tolerance <= 0:
             raise DomainError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_evals < 1:
@@ -140,6 +141,7 @@ def bs_price(slice_: MarketSlice, opt: OptionSpec, vol: float) -> float:
 
     vol = 0 returns the discounted intrinsic on the forward.
     """
+    _require_finite(vol=vol)
     if vol < 0:
         raise DomainError(f"vol must be >= 0, got {vol}")
     _check_slice(slice_, opt)
@@ -219,6 +221,7 @@ def bs_implied_vol(slice_: MarketSlice, opt: OptionSpec, price: float) -> float:
     1e-12 relative.  Prices at the lower no-arbitrage bound return 0; prices
     outside the bounds raise :class:`DomainError` naming the violated bound.
     """
+    _require_finite(price=price)
     _check_slice(slice_, opt)
     point = (slice_.forward, opt.strike, opt.expiry, slice_.discount, opt.kind == "call", float(price))
     return float(_implied_vols(*(np.array([v]) for v in point))[0])

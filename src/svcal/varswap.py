@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fx_quotes import Conventions, TenorQuote, resolve_smile
-from .models import HestonParams, MarketSlice, expected_mean_variance
+from .models import HestonParams, MarketSlice, _require_finite, expected_mean_variance
 from .pricing import _black_undisc
 
 
@@ -35,6 +35,8 @@ class SmileFunction:
     def __post_init__(self):
         object.__setattr__(self, "moneyness", tuple(float(x) for x in self.moneyness))
         object.__setattr__(self, "vols", tuple(float(v) for v in self.vols))
+        _require_finite(**{f"knot {i} moneyness": x for i, x in enumerate(self.moneyness)},
+                        **{f"knot {i} vol": v for i, v in enumerate(self.vols)})
         if self.kind not in ("parabola", "linear"):
             raise DomainError(f"kind must be 'parabola' or 'linear', got {self.kind!r}")
         if self.kind == "parabola" and len(self.moneyness) != 3:
@@ -79,6 +81,7 @@ class ReplicationConfig:
     grid_size: int = 2048
 
     def __post_init__(self):
+        _require_finite(domain_mult=self.domain_mult, grid_size=self.grid_size)
         if self.domain_mult <= 1:
             raise DomainError(f"domain_mult must be > 1, got {self.domain_mult}")
         if self.grid_size < 16:

@@ -8,7 +8,9 @@ safeguarded-Newton Black inversion, one point at a time in ``math``.
 ``penalized_ladder`` is the penalized fit that solves every rung of its x8
 weight ladder, and ``doubling_rule_days`` the inputs of acceptance
 criterion 7 it is checked on.  ``synthetic_recovery_cases`` are the inputs
-of acceptance criterion 6.
+of acceptance criterion 6.  ``noisy_surface`` is a seeded noisy Heston
+surface, and ``spread`` the spread the prices' stated bounds put on a
+fit's answer.
 """
 
 import math
@@ -175,14 +177,34 @@ def penalized_ladder(target, prev, model_kind="heston", config=cal.DEFAULT_OPT):
     return replace(base, iterations=nfev, penalty_weight=0.0, flags=flags), weights
 
 
-def _surface_target(p, tenors, z_grid):
+def _surface_target(p, tenors, z_grid, vol_bumps=None):
     points, slices = [], {}
     for T in tenors:
         sl = MarketSlice(1.0, 1.0, T)
         slices[T] = sl
         ks = [math.exp(z * math.sqrt(p.v0) * math.sqrt(T)) for z in z_grid]
         points += [cal.TargetPoint(T, k, v) for k, v in model_smile(p, sl, ks)]
+    if vol_bumps is not None:
+        points = [replace(pt, value=pt.value + dv) for pt, dv in zip(points, vol_bumps, strict=True)]
     return cal.CalibrationTarget(tuple(points), "vol", slices)
+
+
+def noisy_surface(seed=11):
+    """A seeded 3-expiry x 9-strike Heston surface with 5 bp of vol noise."""
+    rng = np.random.default_rng(seed)
+    return _surface_target(HestonParams(0.03, 0.045, 1.2, 0.5, -0.4), (0.25, 1.0, 3.0),
+                           tuple(np.linspace(-1.6, 1.6, 9)), 5e-4 * rng.standard_normal(27))
+
+
+def spread(prob, x):
+    """The residuals at ``x`` of a fit's problem ``prob``, and u = |J^+| bounds there, in parameter
+    units: how far the prices' stated bounds can move the answer (NaN where J is rank-deficient or
+    the prices carry no bounds)."""
+    f, jac, bounds = cal._price([prob], [x])[0]
+    U, s, Vt = np.linalg.svd(jac, full_matrices=False)
+    if bounds is None or not s[-1] > cal._EPS * len(f) * s[0]:
+        return f, np.full(len(prob.free), np.nan)
+    return f, cal._noise_spread(U, s, Vt, f, bounds)[1] * cal._box_slope(x, prob.lo, prob.hi)
 
 
 def doubling_rule_days(seed=23, days=20):

@@ -28,6 +28,8 @@ from svcal.models import HestonParams, MarketSlice, expected_mean_variance
 from svcal.pricing import DEFAULT_QUAD, model_smile
 from svcal.quotes_io import load_quotes
 
+from oracles import noisy_surface, spread
+
 DATA_CSV = Path(__file__).resolve().parent.parent / "data" / "eurusd_2008-09-16.csv"
 
 PARAM_NAMES = ("v0", "theta", "kappa", "sigma", "rho")
@@ -802,17 +804,9 @@ class TestStopRule:
 
     TIGHT = OptimizerConfig(ftol=1e-14, xtol=1e-14, gtol=1e-14)
 
-    @staticmethod
-    def _noisy_surface(seed=11):
-        """A seeded 3-expiry x 9-strike surface with 5 bp of vol noise."""
-        rng = np.random.default_rng(seed)
-        z_grid = tuple(np.linspace(-1.6, 1.6, 9))
-        return make_target(HestonParams(0.03, 0.045, 1.2, 0.5, -0.4), tenors=(0.25, 1.0, 3.0),
-                           z_grid=z_grid, vol_bumps=5e-4 * rng.standard_normal(27))
-
     @pytest.mark.parametrize("surface", ["bundled", "noisy 3x9"])
     def test_the_default_stop_reaches_the_tight_fit_for_fewer_evaluations(self, monkeypatch, surface):
-        target = _BUNDLED[0] if surface == "bundled" else self._noisy_surface()
+        target = _BUNDLED[0] if surface == "bundled" else noisy_surface()
         calls = _count_solves(monkeypatch)
         fit = calibrate(target, "heston")
         solves = len(calls)
@@ -831,21 +825,19 @@ class TestStopRule:
         # the spread the prices' bounds put on the answer, |J^+| bounds at it, in parameter units
         statuses = []
         for seed in range(11, 17):
-            target = self._noisy_surface(seed)
+            target = noisy_surface(seed)
             prob = cal._Problem(target, cal.MODELS["heston"], {}, {}, DEFAULT_QUAD)
             [(fit, sol)] = cal._fit([prob], [None], cal.DEFAULT_OPT)
             statuses.append(sol.status)
-            f, jac, bounds = cal._price([prob], [sol.x])[0]
+            f, u = spread(prob, sol.x)
             assert np.array_equal(f, sol.fun)
-            spread = cal._noise_spread(*np.linalg.svd(jac, full_matrices=False), f, bounds)[1]
-            spread *= cal._box_slope(sol.x, prob.lo, prob.hi)
             with monkeypatch.context() as m:
                 _without_bounds(m)
                 tight = calibrate(target, "heston", config=self.TIGHT)
             assert fit.converged and tight.converged
             for j, n in enumerate(prob.free):
                 move = abs(getattr(fit.params, n) - getattr(tight.params, n))
-                assert move <= spread[j] and move <= 1e-7 * (_BOXES[n][1] - _BOXES[n][0]), (seed, n)
+                assert move <= u[j] and move <= 1e-7 * (_BOXES[n][1] - _BOXES[n][0]), (seed, n)
         assert 5 in statuses, statuses
 
 
@@ -1249,6 +1241,14 @@ class TestCalibrateVarswap:
             calibrate_varswap([(0.5, 0.04), (1.0, 0.05), (2.0, 0.06)], mode="both")
         with pytest.raises(DomainError):
             calibrate_varswap([(0.5, 0.04), (0.5, 0.05), (2.0, 0.06)])
+
+    def test_an_infinite_variance_is_rejected_not_fitted_flat(self):
+        with pytest.raises(DomainError, match="variance-swap point 1 variance must be finite, got inf"):
+            calibrate_varswap([(0.5, 0.04), (1.0, math.inf), (2.0, 0.05)])
+
+    def test_a_nan_maturity_is_rejected_up_front(self):
+        with pytest.raises(DomainError, match="variance-swap point 2 maturity must be finite, got nan"):
+            calibrate_varswap([(0.5, 0.04), (1.0, 0.05), (math.nan, 0.06)])
 
     def test_the_solve_uses_the_optimizer_settings_and_logs_why_it_stopped(self, monkeypatch, caplog):
         import svcal.calibration

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svcal._kernels import _SZ_DET_SIGMA
+from svcal.calibration import CalibrationTarget, OptimizerConfig, TargetPoint
 from svcal.errors import DomainError
+from svcal.mixing import MaxParams, MixingCurve
 from svcal.models import (
     MODELS,
     BatesParams,
@@ -26,6 +28,8 @@ from svcal.models import (
     feller_ratio,
     model_spec,
 )
+from svcal.pricing import QuadratureConfig
+from svcal.varswap import ReplicationConfig, SmileFunction
 from conftest import random_heston
 
 
@@ -71,6 +75,27 @@ class TestInvariants:
         for make in makers:
             with pytest.raises(DomainError, match="finite"):
                 make()
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("make", [
+        lambda bad: SmileFunction((-0.1, 0.0, 0.1), (0.12, bad, 0.11)),
+        lambda bad: SmileFunction((-0.1, bad, 0.1), (0.12, 0.1, 0.11)),
+        lambda bad: MaxParams(bad, -0.5),
+        lambda bad: MaxParams(0.8, bad),
+        lambda bad: MixingCurve((0.5, bad), (0.3, 0.4)),
+        lambda bad: ReplicationConfig(domain_mult=bad),
+        lambda bad: ReplicationConfig(grid_size=bad),
+        lambda bad: QuadratureConfig(tolerance=bad),
+        lambda bad: QuadratureConfig(max_evals=bad),
+        *(lambda bad, field=field: OptimizerConfig(**{field: bad})
+          for field in ("max_nfev", "ftol", "xtol", "gtol", "starts", "seed", "retry_rmse")),
+        *(lambda bad, field=field: CalibrationTarget(
+            (TargetPoint(1.0, 1.0, 0.1), replace(TargetPoint(1.0, 1.1, 0.1), **{field: bad})),
+            "vol", {1.0: MarketSlice(1.0, 1.0, 1.0)}) for field in ("strike", "value", "weight")),
+    ])
+    def test_value_types_reject_non_finite_numbers(self, make, bad):
+        with pytest.raises(DomainError, match="finite"):
+            make(bad)
 
     def test_schobel_zhu_allows_zero_theta(self):
         SchobelZhuParams(v0=0.2, theta=0.0, kappa=1.0, sigma=0.3, rho=-0.3)

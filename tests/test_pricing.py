@@ -122,6 +122,11 @@ class TestBlackScholes:
         with pytest.raises(DomainError):
             bs_price(SLICE_100, OptionSpec(100.0, 1.0, "call"), -0.1)
 
+    @pytest.mark.parametrize("vol", [math.nan, math.inf])
+    def test_non_finite_vol_rejected(self, vol):
+        with pytest.raises(DomainError, match=f"vol must be finite, got {vol}"):
+            bs_price(SLICE_100, OptionSpec(100.0, 1.0, "call"), vol)
+
 
 class TestImpliedVol:
     @pytest.mark.parametrize("K,vol,kind", [
@@ -144,6 +149,11 @@ class TestImpliedVol:
             bs_implied_vol(SLICE_100, OptionSpec(80.0, 1.0, "call"), 101.0)
         with pytest.raises(DomainError, match="df\\*K"):
             bs_implied_vol(SLICE_100, OptionSpec(80.0, 1.0, "put"), 81.0)
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_non_finite_price_rejected(self, price):
+        with pytest.raises(DomainError, match=f"price must be finite, got {price}"):
+            bs_implied_vol(SLICE_100, OptionSpec(100.0, 1.0, "call"), price)
 
 
 class TestModelImpliedVol:
